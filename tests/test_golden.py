@@ -1,0 +1,55 @@
+"""Byte-for-byte golden outputs of every shipped config and fit recipe.
+
+Each case runs one CLI command with ``--out`` into a temporary directory and
+compares every file it writes (including the ``.participation.csv`` and
+``.residuals.csv`` siblings) with the file of the same name under
+``tests/golden/``.  The fit inputs are the small fixed CSVs in
+``tests/golden/data/``.  A golden is regenerated by running the same command
+with ``--out tests/golden/<name>``; do that only for an intended change of
+output, and record it in CHANGES.md.
+"""
+
+from pathlib import Path
+
+import pytest
+
+from ionchain.cli import main
+
+ROOT = Path(__file__).resolve().parent.parent
+GOLDEN = ROOT / "tests" / "golden"
+CONFIGS = ROOT / "configs"
+DATA = GOLDEN / "data"
+
+CASES = {
+    "modes.csv": ["modes", "--config", CONFIGS / "modes.yaml"],
+    "rabi.csv": ["rabi", "--config", CONFIGS / "rabi.yaml"],
+    "rabi_mc.csv": ["rabi", "--config", CONFIGS / "rabi.yaml", "--mc", "--seed", "7"],
+    "theta_scan.csv": ["theta-scan", "--config", CONFIGS / "theta_scan.yaml"],
+    "gate_fidelity.csv": ["gate-fidelity", "--config", CONFIGS / "gate_fidelity.yaml"],
+    "gate_fidelity_rates.csv": ["gate-fidelity", "--config", DATA / "gate_rates.yaml"],
+    "scaling.csv": ["scaling", "--config", CONFIGS / "scaling.yaml"],
+    "cooling.json": ["cooling", "--config", CONFIGS / "cooling.yaml"],
+    "fit_beam.json": ["fit", "beam", DATA / "beam.csv"],
+    "fit_rabi.json": ["fit", "rabi", DATA / "rabi.csv"],
+    "fit_theta_growth.json": ["fit", "theta-growth", DATA / "theta_growth.csv"],
+    "fit_power_law.json": ["fit", "power-law", DATA / "power_law.csv"],
+}
+
+SIBLINGS = {
+    "modes.csv": ["modes.participation.csv"],
+    "fit_beam.json": ["fit_beam.residuals.csv"],
+    "fit_rabi.json": ["fit_rabi.residuals.csv"],
+    "fit_theta_growth.json": ["fit_theta_growth.residuals.csv"],
+    "fit_power_law.json": ["fit_power_law.residuals.csv"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_output_matches_golden(tmp_path, name):
+    argv = [str(a) for a in CASES[name]] + ["--out", str(tmp_path / name)]
+    assert main(argv) == 0
+    expected = [name] + SIBLINGS.get(name, [])
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(expected)
+    for file_name in expected:
+        produced = (tmp_path / file_name).read_bytes()
+        assert produced == (GOLDEN / file_name).read_bytes(), file_name
