@@ -146,6 +146,13 @@ def fit_least_squares(
     n_restarts : int, optional
         Number of additional deterministically jittered starts.
 
+    The result carries the ``"degenerate_covariance"`` flag when J^T J at
+    the solution cannot be inverted, has a zero diagonal entry (a parameter
+    the model does not depend on), or, normalised by its diagonal as
+    D^-1/2 J^T J D^-1/2, has a smallest-to-largest eigenvalue ratio of
+    at most 1e-12.  The normalisation makes the test independent of the
+    parameters' units, so only near-collinear Jacobian columns trip it.
+
     Raises
     ------
     FitError
@@ -224,10 +231,15 @@ def fit_least_squares(
         cov = np.linalg.pinv(jtj)
         flags.append("degenerate_covariance")
     else:
-        # near-singular information matrix also flags identifiability loss
-        eigvals = np.linalg.eigvalsh(jtj)
-        if eigvals[0] <= 1e-12 * max(eigvals[-1], 1e-300):
+        # near-singular information matrix also flags identifiability loss;
+        # D^-1/2 JtJ D^-1/2 makes the test blind to the parameters' units
+        diag = np.diag(jtj)
+        if np.any(diag <= 0):
             flags.append("degenerate_covariance")
+        else:
+            eigvals = np.linalg.eigvalsh(jtj / np.sqrt(np.outer(diag, diag)))
+            if eigvals[0] <= 1e-12 * eigvals[-1]:
+                flags.append("degenerate_covariance")
     if data.sigma is None and dof > 0:
         cov = cov * reduced
     uncertainties = np.sqrt(np.abs(np.diag(cov)))
@@ -427,9 +439,11 @@ def fit_theta_power_law(omega0, rates, sigma=None) -> FitResult:
     Parameters ("amplitude", "alpha", "offset"): the field-noise exponent
     alpha is bounded to [0, 2] and the offset absorbs frequency-independent
     heating.  At least 4 frequencies are required; spanning a decade or more
-    is recommended for a well-conditioned exponent.  If the amplitude is
-    consistent with zero the exponent is unidentifiable and the result
-    carries the ``"degenerate_covariance"`` flag.
+    is recommended for a well-conditioned exponent.  The
+    ``"degenerate_covariance"`` flag (see :func:`fit_least_squares`) fires
+    when the exponent is unidentifiable, e.g. when the fitted amplitude is
+    zero so that the rates do not depend on alpha; the amplitude's ~1e18
+    scale next to alpha's ~1 does not by itself set it.
     """
     data = DataSeries(omega0, rates, sigma, x_label="frequency", y_label="rate")
     if len(data) < 4:

@@ -206,6 +206,13 @@ class TestThetaPowerLaw:
         assert result["alpha"] == pytest.approx(0.8, abs=1e-6)
         assert result["offset"] == pytest.approx(0.9, rel=1e-5)
 
+    def test_noiseless_fit_not_flagged_degenerate(self):
+        # amplitude (~1e18) and alpha (~1) differ in scale by ~18 orders;
+        # that alone must not read as lost identifiability
+        omega = 2 * np.pi * np.geomspace(80e3, 1000e3, 10)
+        rates = theta_rate_power_model((22.0 * (2 * np.pi * 140e3) ** 2.8, 0.8, 0.9), omega)
+        assert fit_theta_power_law(omega, rates).flags == ()
+
     def test_noisy_recovery_alpha(self, rng):
         omega = 2 * np.pi * np.geomspace(100e3, 1200e3, 12)
         rates = theta_rate_power_model((22.0 * (2 * np.pi * 140e3) ** 2.8, 0.8, 0.9), omega)
