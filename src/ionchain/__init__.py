@@ -19,7 +19,6 @@ from .chain import (
     hessian_matrix,
     lowest_mode_scan,
     normal_modes,
-    potential_eval,
     single_ion_modes,
     spacing_deviation,
 )
@@ -32,10 +31,8 @@ from .decoherence import (
     RabiTrace,
     TabulatedBeam,
     ThermalState,
-    curvature_ratio,
     decay_parameters,
     in_phase_theta,
-    rabi_at,
     rabi_trace,
     rabi_trace_monte_carlo,
     theta_profile_gaussian,
@@ -63,15 +60,12 @@ from .fitting import (
     fit_theta_power_law,
 )
 from .gates import (
-    FidelityPrediction,
     GateFidelityEstimate,
-    GatePlan,
     SpamMatrix,
     apply_spam,
     gate_fidelity_bound,
     gate_fidelity_monte_carlo,
     parity_fidelity,
-    predict_fidelity,
     spam_adjust_prediction,
     spam_matrix_from_counts,
 )

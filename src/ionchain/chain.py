@@ -153,11 +153,6 @@ class EquispacedLogPotential:
 TrapPotential = Union[HarmonicPotential, QuadQuarticPotential, EquispacedLogPotential]
 
 
-def potential_eval(potential: TrapPotential, x, species: IonSpecies):
-    """Evaluate a trap potential: returns (value, gradient, curvature) at x."""
-    return potential.evaluate(x, species)
-
-
 @dataclass(frozen=True)
 class EquilibriumChain:
     """Equilibrium configuration of a chain: sorted positions plus metadata.

@@ -47,6 +47,7 @@ from .config import (
     build_species,
     build_thermal_nbar,
     load_config,
+    read_numeric_csv,
     require_section,
     _check_keys,
     _get_int,
@@ -77,8 +78,8 @@ from .fitting import (
     fit_theta_growth,
     fit_theta_power_law,
 )
-from .gates import gate_fidelity_bound, spam_adjust_prediction
-from .heating import gate_error_scaling, theta_rate
+from .gates import gate_fidelity_bound, gate_fidelity_slope, spam_adjust_prediction
+from .heating import gate_error_scaling, theta_rate, theta_rate_model
 
 log = logging.getLogger("ionchain")
 
@@ -135,57 +136,6 @@ def write_json_payload(args, payload: dict):
 def sibling_path(out: Path, suffix: str) -> Path:
     out = Path(out)
     return out.with_name(out.stem + suffix)
-
-
-def read_numeric_csv(path, expected=None, optional_sigma=False):
-    """Read a small numeric CSV with a header row.
-
-    Returns (header, rows of floats).  Raises ConfigError with row/column
-    diagnostics on missing files, bad headers or non-numeric cells.
-    """
-    try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            reader = csv.reader(fh)
-            try:
-                header = next(reader)
-            except StopIteration:
-                raise ConfigError(f"{path}: empty file")
-            header = [h.strip() for h in header]
-            if expected is not None:
-                want = list(expected)
-                ok = header[: len(want)] == want and (
-                    len(header) == len(want)
-                    or (optional_sigma and header[len(want):] == ["sigma"])
-                )
-                if not ok:
-                    suffix = " [,sigma]" if optional_sigma else ""
-                    raise ConfigError(
-                        f"{path}: expected header {','.join(want)}{suffix}, "
-                        f"got {','.join(header)}"
-                    )
-            rows = []
-            for line_no, row in enumerate(reader, start=2):
-                if not row or all(not cell.strip() for cell in row):
-                    continue
-                if len(row) != len(header):
-                    raise ConfigError(
-                        f"{path}: row {line_no} has {len(row)} cells, expected {len(header)}"
-                    )
-                values = []
-                for col_no, cell in enumerate(row, start=1):
-                    try:
-                        values.append(float(cell))
-                    except ValueError:
-                        raise ConfigError(
-                            f"{path}: non-numeric value {cell!r} at row {line_no}, "
-                            f"column {col_no} ({header[col_no - 1]})"
-                        )
-                rows.append(values)
-    except OSError as exc:
-        raise ConfigError(f"cannot read {path}: {exc}")
-    if not rows:
-        raise ConfigError(f"{path}: no data rows")
-    return header, rows
 
 
 def _load_required_config(args) -> dict:
@@ -444,7 +394,6 @@ def cmd_gate_fidelity(args) -> int:
         rates = [all_rates[ion_i], all_rates[ion_j]]
         log.info("derived theta rates: %s /s", rates)
 
-    k = n_gates * math.pi / 2.0
     rows = []
     for tw in tw_ms:
         if tw < 0:
@@ -454,10 +403,8 @@ def cmd_gate_fidelity(args) -> int:
         tj = theta0[1] + rates[1] * t
         f_bound = gate_fidelity_bound([ti], [tj], n_gates)
         f_spam = spam_adjust_prediction(f_bound, spam_error)
-        s = ti + tj
         sigma_s = math.hypot(rate_sigmas[0], rate_sigmas[1]) * t
-        df_ds = 0.5 * k * k * abs(s) * (1.0 + k * k * s * s) ** -1.5
-        f_err = (1.0 - spam_error) * df_ds * sigma_s
+        f_err = (1.0 - spam_error) * gate_fidelity_slope(ti + tj, n_gates) * sigma_s
         rows.append((tw, f_bound, f_spam, f_err))
     extra = None
     if args.format == "json":
@@ -509,7 +456,7 @@ def cmd_scaling(args) -> int:
             coupling = (
                 modes.participation[center, 0] ** 2 * modes.uniform_drive_weights()[0]
             )
-            rate = coupling * omega0 ** (-2.0 - alpha)
+            rate = theta_rate_model(omega0, coupling, alpha)
             if ref is None:
                 ref = rate
             rel_error = (rate / ref) ** 2
@@ -588,9 +535,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("modes", parents=[common], help="chain normal-mode table")
 
     p_rabi = sub.add_parser("rabi", parents=[common], help="thermal Rabi trace")
-    group = p_rabi.add_mutually_exclusive_group()
-    group.add_argument("--mc", action="store_true", help="Monte-Carlo thermal average")
-    group.add_argument("--closed", action="store_true", help="closed form (default)")
+    p_rabi.add_argument(
+        "--mc", action="store_true", help="Monte-Carlo thermal average (default: closed form)"
+    )
 
     sub.add_parser("theta-scan", parents=[common], help="decay parameter vs position")
 

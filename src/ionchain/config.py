@@ -10,6 +10,7 @@ frequencies internally.
 
 from __future__ import annotations
 
+import csv
 import math
 from typing import Any, Mapping
 
@@ -87,6 +88,57 @@ def _get_number_list(section, key, where, required=False, length=None):
     if length is not None and len(out) != length:
         raise ConfigError(f"{where}.{key} must have length {length}, got {len(out)}")
     return out
+
+
+def read_numeric_csv(path, expected=None, optional_sigma=False):
+    """Read a small numeric CSV with a header row.
+
+    Returns (header, rows of floats).  Raises ConfigError with row/column
+    diagnostics on missing files, bad headers or non-numeric cells.
+    """
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            reader = csv.reader(fh)
+            try:
+                header = next(reader)
+            except StopIteration:
+                raise ConfigError(f"{path}: empty file")
+            header = [h.strip() for h in header]
+            if expected is not None:
+                want = list(expected)
+                ok = header[: len(want)] == want and (
+                    len(header) == len(want)
+                    or (optional_sigma and header[len(want):] == ["sigma"])
+                )
+                if not ok:
+                    suffix = " [,sigma]" if optional_sigma else ""
+                    raise ConfigError(
+                        f"{path}: expected header {','.join(want)}{suffix}, "
+                        f"got {','.join(header)}"
+                    )
+            rows = []
+            for line_no, row in enumerate(reader, start=2):
+                if not row or all(not cell.strip() for cell in row):
+                    continue
+                if len(row) != len(header):
+                    raise ConfigError(
+                        f"{path}: row {line_no} has {len(row)} cells, expected {len(header)}"
+                    )
+                values = []
+                for col_no, cell in enumerate(row, start=1):
+                    try:
+                        values.append(float(cell))
+                    except ValueError:
+                        raise ConfigError(
+                            f"{path}: non-numeric value {cell!r} at row {line_no}, "
+                            f"column {col_no} ({header[col_no - 1]})"
+                        )
+                rows.append(values)
+    except OSError as exc:
+        raise ConfigError(f"cannot read {path}: {exc}")
+    if not rows:
+        raise ConfigError(f"{path}: no data rows")
+    return header, rows
 
 
 KNOWN_SECTIONS = (
@@ -189,8 +241,6 @@ def build_beam(config: Mapping, default_peak_rabi: float = 0.0):
         path = section.get("csv")
         if not isinstance(path, str):
             raise ConfigError("beam.csv must be a file path string")
-        from .cli import read_numeric_csv  # local import to avoid a cycle
-
         columns, rows = read_numeric_csv(path, expected=("x_um", "rabi_khz"))
         x = np.array([r[0] for r in rows]) * 1e-6
         rabi = np.array([r[1] for r in rows]) * 2 * math.pi * 1e3

@@ -115,16 +115,6 @@ class TabulatedBeam:
 BeamProfile = Union[GaussianBeam, TabulatedBeam]
 
 
-def rabi_at(beam: BeamProfile, x):
-    """Beam Rabi frequency at x (dispatch helper)."""
-    return beam.rabi_at(x)
-
-
-def curvature_ratio(beam: BeamProfile, x):
-    """Beam curvature ratio Omega''/Omega at x (dispatch helper)."""
-    return beam.curvature_ratio(x)
-
-
 @dataclass(frozen=True)
 class ThermalState:
     """Mean thermal occupancies nbar_m of the axial modes.
@@ -169,6 +159,30 @@ def zero_point_spread(species: IonSpecies, omega: float) -> float:
     return math.sqrt(HBAR / (2.0 * species.mass * omega))
 
 
+def _beam_coupling(
+    modes: ModeDecomposition,
+    beams: Mapping[int, BeamProfile],
+    positions: Sequence[float],
+) -> np.ndarray:
+    """b_im^2 xi_m^2 (-c_i) for every ion i and mode m, c_i = (Omega''/Omega)(x_i).
+
+    The per-quantum decay parameter, shared by :func:`decay_parameters` and
+    the heating-rate growth in :mod:`ionchain.heating`.  Ions without a beam
+    get a zero row.
+    """
+    positions = np.asarray(positions, dtype=float)
+    n = modes.n_ions
+    if len(positions) != n:
+        raise InputError(f"expected {n} positions, got {len(positions)}")
+    neg_curvature = np.zeros(n)
+    for i, beam in beams.items():
+        if not 0 <= i < n:
+            raise InputError(f"beam assigned to ion {i}, outside 0..{n - 1}")
+        neg_curvature[i] = -float(beam.curvature_ratio(positions[i]))
+    spreads_sq = HBAR / (2.0 * modes.species.mass * modes.frequencies)
+    return modes.participation**2 * spreads_sq * neg_curvature[:, None]
+
+
 def decay_parameters(
     modes: ModeDecomposition,
     thermal: ThermalState,
@@ -196,23 +210,9 @@ def decay_parameters(
         Signed theta[i, m]; positive where the ion sits inside the central
         concave region of a Gaussian beam (|x - c| < w/sqrt(2)).
     """
-    positions = np.asarray(positions, dtype=float)
-    n, m = modes.n_ions, modes.n_modes
-    if len(positions) != n:
-        raise InputError(f"expected {n} positions, got {len(positions)}")
-    if len(thermal.nbar) != m:
-        raise InputError(f"expected {m} occupancies, got {len(thermal.nbar)}")
-    for i in beams:
-        if not 0 <= i < n:
-            raise InputError(f"beam assigned to ion {i}, outside 0..{n - 1}")
-    spreads_sq = HBAR / (2.0 * modes.species.mass * modes.frequencies)
-    theta = np.zeros((n, m))
-    for i, beam in beams.items():
-        c_ratio = float(beam.curvature_ratio(positions[i]))
-        theta[i, :] = (
-            -modes.participation[i, :] ** 2 * spreads_sq * c_ratio * thermal.nbar
-        )
-    return theta
+    if len(thermal.nbar) != modes.n_modes:
+        raise InputError(f"expected {modes.n_modes} occupancies, got {len(thermal.nbar)}")
+    return _beam_coupling(modes, beams, positions) * thermal.nbar
 
 
 def theta_profile_gaussian(x, waist: float, spread: float, nbar: float):
@@ -271,12 +271,17 @@ def rabi_trace(omega0: float, thetas, times) -> RabiTrace:
     times = np.asarray(times, dtype=float)
     if np.any(times < 0):
         raise InputError("drive times must be >= 0")
+    p1, contrast, phase = _thermal_rabi(omega0, thetas, times)
+    return RabiTrace(times=times, p1=p1, contrast=contrast, phase=phase)
+
+
+def _thermal_rabi(omega0, thetas, times):
+    """Closed-form (p1, contrast, phase) of :func:`rabi_trace`, unvalidated."""
     thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
     a = thetas[:, None] * omega0 * times[None, :]
     contrast = np.prod(1.0 / np.sqrt(1.0 + a * a), axis=0)
     phase = np.sum(np.arctan(a), axis=0)
-    p1 = 0.5 * (1.0 - contrast * np.cos(omega0 * times - phase))
-    return RabiTrace(times=times, p1=p1, contrast=contrast, phase=phase)
+    return 0.5 * (1.0 - contrast * np.cos(omega0 * times - phase)), contrast, phase
 
 
 def _mode_energy_samples(n_modes: int, n_samples: int, seed: int) -> np.ndarray:

@@ -27,7 +27,9 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.optimize import least_squares as _scipy_least_squares
 
+from .decoherence import _thermal_rabi
 from .errors import FitError, InputError
+from .heating import theta_rate_model
 
 JITTER_SEED = 1333
 """Fixed seed for the multi-start jitter; makes every fit deterministic."""
@@ -311,18 +313,11 @@ def fit_beam_profile(x, signal, sigma=None) -> FitResult:
 
 
 def damped_rabi_model(params, t):
-    """Thermal Rabi trace with one effective decay parameter per mode.
+    """Thermal Rabi p1 of :func:`ionchain.decoherence.rabi_trace`.
 
-    params = (omega0, theta_1, ..., theta_k):
-    p1 = (1 - C cos(omega0 t - phi)) / 2 with the algebraic contrast and
-    accumulated phase of the energy-averaged oscillation.
+    params = (omega0, theta_1, ..., theta_k), one decay parameter per mode.
     """
-    omega0 = params[0]
-    thetas = np.atleast_1d(np.asarray(params[1:], dtype=float))
-    a = thetas[:, None] * omega0 * t[None, :]
-    contrast = np.prod(1.0 / np.sqrt(1.0 + a * a), axis=0)
-    phase = np.sum(np.arctan(a), axis=0)
-    return 0.5 * (1.0 - contrast * np.cos(omega0 * t - phase))
+    return _thermal_rabi(params[0], params[1:], t)[0]
 
 
 def _rabi_frequency_guess(t, p1) -> float:
@@ -428,9 +423,8 @@ def fit_theta_growth(t_wait, theta, sigma=None) -> FitResult:
 
 
 def theta_rate_power_model(params, omega):
-    """amplitude * omega^(-2-alpha) + offset."""
-    amplitude, alpha, offset = params
-    return amplitude * omega ** (-2.0 - alpha) + offset
+    """:func:`ionchain.heating.theta_rate_model` for params = (amplitude, alpha, offset)."""
+    return theta_rate_model(omega, *params)
 
 
 def fit_theta_power_law(omega0, rates, sigma=None) -> FitResult:

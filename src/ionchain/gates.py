@@ -28,29 +28,6 @@ from .errors import InputError
 SPAM_ROW_SUM_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class GatePlan:
-    """Which ions are gated and how many fully entangling gates are chained."""
-
-    ion_i: int
-    ion_j: int
-    n_gates: int = 1
-    duration: float = 0.0
-
-    def __post_init__(self):
-        if self.ion_i == self.ion_j:
-            raise InputError("gate needs two distinct ions")
-        if self.n_gates < 1:
-            raise InputError(f"gate count must be >= 1, got {self.n_gates}")
-        if self.duration < 0:
-            raise InputError("gate duration must be >= 0")
-
-    @property
-    def target_angle(self) -> float:
-        """Total entangling angle chi = N_g pi/4."""
-        return self.n_gates * math.pi / 4.0
-
-
 def gate_fidelity_bound(theta_i, theta_j, n_gates: int = 1) -> float:
     """Fidelity bound after ``n_gates`` fully entangling gates.
 
@@ -67,6 +44,19 @@ def gate_fidelity_bound(theta_i, theta_j, n_gates: int = 1) -> float:
         raise InputError("theta lists must have equal length")
     a = (n_gates * math.pi / 2.0) * (ti + tj)
     return 0.5 + 0.5 * float(np.prod(1.0 / np.sqrt(1.0 + a * a)))
+
+
+def gate_fidelity_slope(joint_theta: float, n_gates: int = 1) -> float:
+    """|dF/dtheta| of the single-mode bound at theta = theta_i + theta_j.
+
+    With k = n_gates pi/2, F = 1/2 + 1/2 (1 + k^2 theta^2)^(-1/2), so
+    |dF/dtheta| = k^2 |theta| (1 + k^2 theta^2)^(-3/2) / 2.  Multiplying by
+    the standard deviation of theta propagates it to the bound.
+    """
+    if n_gates < 1:
+        raise InputError(f"gate count must be >= 1, got {n_gates}")
+    k = n_gates * math.pi / 2.0
+    return 0.5 * k * k * abs(joint_theta) * (1.0 + k * k * joint_theta * joint_theta) ** -1.5
 
 
 @dataclass(frozen=True)
@@ -218,28 +208,3 @@ def spam_adjust_prediction(fidelity: float, spam_error: float) -> float:
     if not 0.0 <= spam_error < 1.0:
         raise InputError("SPAM error fraction must lie in [0, 1)")
     return fidelity * (1.0 - spam_error)
-
-
-@dataclass(frozen=True)
-class FidelityPrediction:
-    """Gate-fidelity bound with an optional SPAM adjustment, inputs echoed."""
-
-    f_bound: float
-    f_spam_adjusted: float
-    theta_i: np.ndarray
-    theta_j: np.ndarray
-    n_gates: int
-
-
-def predict_fidelity(
-    theta_i, theta_j, n_gates: int = 1, spam_error: float = 0.0
-) -> FidelityPrediction:
-    """Bundle the fidelity bound and its SPAM-adjusted value."""
-    f = gate_fidelity_bound(theta_i, theta_j, n_gates)
-    return FidelityPrediction(
-        f_bound=f,
-        f_spam_adjusted=spam_adjust_prediction(f, spam_error),
-        theta_i=np.atleast_1d(np.asarray(theta_i, dtype=float)),
-        theta_j=np.atleast_1d(np.asarray(theta_j, dtype=float)),
-        n_gates=n_gates,
-    )

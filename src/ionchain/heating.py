@@ -22,8 +22,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .chain import ModeDecomposition
-from .constants import HBAR
-from .decoherence import BeamProfile
+from .decoherence import BeamProfile, _beam_coupling
 from .errors import InputError
 
 
@@ -76,6 +75,15 @@ def heating_rate_at(noise: NoiseModel, omega) -> np.ndarray | float:
     return float(out) if out.ndim == 0 else out
 
 
+def _mode_heating_rates(noise: NoiseModel, modes: ModeDecomposition) -> np.ndarray:
+    """nbar_rate(omega_m) * (sum_i b_im)^2 * inhomogeneity_factor for every mode."""
+    return (
+        heating_rate_at(noise, modes.frequencies)
+        * modes.uniform_drive_weights()
+        * noise.inhomogeneity_factor
+    )
+
+
 def mode_heating_rate(noise: NoiseModel, modes: ModeDecomposition, m: int) -> float:
     """Heating rate of chain mode m under spatially uniform field noise.
 
@@ -84,12 +92,7 @@ def mode_heating_rate(noise: NoiseModel, modes: ModeDecomposition, m: int) -> fl
     """
     if not 0 <= m < modes.n_modes:
         raise InputError(f"mode index {m} outside 0..{modes.n_modes - 1}")
-    weight = modes.uniform_drive_weights()[m]
-    return (
-        heating_rate_at(noise, modes.frequencies[m])
-        * weight
-        * noise.inhomogeneity_factor
-    )
+    return _mode_heating_rates(noise, modes)[m]
 
 
 def theta_rate(
@@ -112,27 +115,10 @@ def theta_rate(
     The result depends only on b^2 and (sum b)^2, so it is invariant under
     any eigenvector sign convention.
     """
-    positions = np.asarray(positions, dtype=float)
-    if len(positions) != modes.n_ions:
-        raise InputError(f"expected {modes.n_ions} positions, got {len(positions)}")
-    mode_indices = range(modes.n_modes) if all_modes else (0,)
-    spreads_sq = HBAR / (2.0 * modes.species.mass * modes.frequencies)
-    weights = modes.uniform_drive_weights()
-    rates = np.zeros(modes.n_ions)
-    for i, beam in beams.items():
-        if not 0 <= i < modes.n_ions:
-            raise InputError(f"beam assigned to ion {i}, outside 0..{modes.n_ions - 1}")
-        c_ratio = float(beam.curvature_ratio(positions[i]))
-        total = 0.0
-        for m in mode_indices:
-            total += (
-                modes.participation[i, m] ** 2
-                * weights[m]
-                * spreads_sq[m]
-                * (-c_ratio)
-                * heating_rate_at(noise, modes.frequencies[m])
-            )
-        rates[i] = total * noise.inhomogeneity_factor + noise.offset
+    coupling = _beam_coupling(modes, beams, positions)
+    used = slice(None) if all_modes else slice(1)
+    rates = (coupling[:, used] * _mode_heating_rates(noise, modes)[used]).sum(axis=1)
+    rates[list(beams)] += noise.offset
     return rates
 
 

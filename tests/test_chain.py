@@ -14,7 +14,6 @@ from ionchain import (
     hessian_matrix,
     lowest_mode_scan,
     normal_modes,
-    potential_eval,
     single_ion_modes,
     spacing_deviation,
 )
@@ -37,14 +36,14 @@ HARMONIC = HarmonicPotential(omega0=OMEGA)
 class TestPotentialEval:
     def test_equispaced_log_center(self):
         pot = EquispacedLogPotential(n_ions=15, spacing=4.4e-6)
-        value, grad, curv = potential_eval(pot, 0.0, YB171)
+        value, grad, curv = pot.evaluate(0.0, YB171)
         assert value == 0.0
         assert grad == 0.0
         assert curv > 0.0
 
     def test_harmonic_curvature_constant(self):
         x = np.linspace(-5e-6, 5e-6, 7)
-        _, _, curv = potential_eval(HARMONIC, x, YB171)
+        _, _, curv = HARMONIC.evaluate(x, YB171)
         assert np.allclose(curv, YB171.mass * OMEGA**2, rtol=1e-15)
 
     def test_equispaced_log_derivatives_match_finite_differences(self):
@@ -53,12 +52,12 @@ class TestPotentialEval:
         h = 1e-12
 
         def val(xx):
-            return potential_eval(pot, xx, YB171)[0]
+            return pot.evaluate(xx, YB171)[0]
 
         def grd(xx):
-            return potential_eval(pot, xx, YB171)[1]
+            return pot.evaluate(xx, YB171)[1]
 
-        value, grad, curv = potential_eval(pot, x, YB171)
+        value, grad, curv = pot.evaluate(x, YB171)
         assert grad == pytest.approx(central_diff(val, x, h), rel=1e-6)
         assert curv == pytest.approx(central_diff(grd, x, h), rel=1e-6)
 
@@ -68,19 +67,19 @@ class TestPotentialEval:
         h = 1e-11
 
         def val(xx):
-            return potential_eval(pot, xx, YB171)[0]
+            return pot.evaluate(xx, YB171)[0]
 
         def grd(xx):
-            return potential_eval(pot, xx, YB171)[1]
+            return pot.evaluate(xx, YB171)[1]
 
-        _, grad, curv = potential_eval(pot, x, YB171)
+        _, grad, curv = pot.evaluate(x, YB171)
         assert grad == pytest.approx(central_diff(val, x, h), rel=1e-6)
         assert curv == pytest.approx(central_diff(grd, x, h), rel=1e-6)
 
     def test_equispaced_log_domain_error(self):
         pot = EquispacedLogPotential(n_ions=10, spacing=4.4e-6)
         with pytest.raises(DomainError):
-            potential_eval(pot, 5.01 * 4.4e-6, YB171)
+            pot.evaluate(5.01 * 4.4e-6, YB171)
 
     def test_invariants_rejected(self):
         with pytest.raises(InputError):
@@ -170,7 +169,7 @@ class TestHessianMatrix:
     def test_coulomb_rows_sum_to_zero(self):
         chain = find_equilibrium(YB171, EquispacedLogPotential(8, 4.4e-6))
         Q = hessian_matrix(chain)
-        _, _, curv = potential_eval(chain.potential, chain.positions, YB171)
+        _, _, curv = chain.potential.evaluate(chain.positions, YB171)
         trap_diag = curv * chain.unit_length**3 / YB171.coulomb_energy_scale
         coulomb = Q - np.diag(trap_diag)
         assert np.max(np.abs(coulomb.sum(axis=1))) < 1e-12 * np.max(np.abs(Q))

@@ -400,3 +400,21 @@ class TestDeterminismAndPlumbing:
 
     def test_config_required(self):
         assert main(["modes"]) == 2
+
+    def test_closed_flag_is_unknown(self):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["rabi", "--closed"])
+        assert excinfo.value.code == 2
+
+    def test_config_does_not_import_cli(self, tmp_path):
+        beam_csv = tmp_path / "beam.csv"
+        x_um = np.linspace(-2.0, 2.0, 41)
+        lines = ["x_um,rabi_khz"] + [f"{a},{50.0 * np.exp(-a * a)}" for a in x_um]
+        beam_csv.write_text("\n".join(lines) + "\n")
+        code = (
+            "import sys, ionchain.config as c; "
+            f"c.build_beam({{'beam': {{'kind': 'tabulated', 'csv': {str(beam_csv)!r}}}}}); "
+            "assert 'ionchain.cli' not in sys.modules"
+        )
+        result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr

@@ -10,12 +10,10 @@ from ionchain import (
     TabulatedBeam,
     ThermalState,
     YB171,
-    curvature_ratio,
     decay_parameters,
     find_equilibrium,
     in_phase_theta,
     normal_modes,
-    rabi_at,
     rabi_trace,
     rabi_trace_monte_carlo,
     single_ion_modes,
@@ -41,16 +39,16 @@ def quiet_state(nbar):
 class TestBeams:
     def test_gaussian_center_curvature(self):
         beam = GaussianBeam(peak_rabi=1.0, center=0.0, waist=WAIST)
-        assert curvature_ratio(beam, 0.0) == pytest.approx(-2.0 / WAIST**2, rel=1e-12)
+        assert beam.curvature_ratio(0.0) == pytest.approx(-2.0 / WAIST**2, rel=1e-12)
 
     def test_gaussian_inflection_zero(self):
         beam = GaussianBeam(peak_rabi=1.0, center=0.3e-6, waist=WAIST)
         x = 0.3e-6 + WAIST / np.sqrt(2.0)
-        assert abs(curvature_ratio(beam, x)) < 1e-6 / WAIST**2
+        assert abs(beam.curvature_ratio(x)) < 1e-6 / WAIST**2
 
     def test_gaussian_amplitude_profile(self):
         beam = GaussianBeam(peak_rabi=2.0, center=0.0, waist=WAIST)
-        assert rabi_at(beam, WAIST) == pytest.approx(2.0 * np.exp(-1.0), rel=1e-12)
+        assert beam.rabi_at(WAIST) == pytest.approx(2.0 * np.exp(-1.0), rel=1e-12)
 
     def test_tabulated_matches_analytic(self):
         x = np.linspace(-2.5 * WAIST, 2.5 * WAIST, 501)

@@ -2,17 +2,16 @@ import numpy as np
 import pytest
 
 from ionchain import (
-    GatePlan,
     SpamMatrix,
     apply_spam,
     gate_fidelity_bound,
     gate_fidelity_monte_carlo,
     parity_fidelity,
-    predict_fidelity,
     spam_adjust_prediction,
     spam_matrix_from_counts,
 )
 from ionchain.errors import InputError
+from ionchain.gates import gate_fidelity_slope
 
 # measured two-qubit confusion matrix used in several tests (percent)
 CONFUSION = np.array(
@@ -53,6 +52,16 @@ class TestGateFidelityBound:
             tj = rng.uniform(-1, 1, k)
             f = gate_fidelity_bound(ti, tj, int(rng.integers(1, 5)))
             assert 0.5 <= f <= 1.0
+
+    @pytest.mark.parametrize("n_gates", [1, 3])
+    @pytest.mark.parametrize("joint", [-0.2, 0.0, 0.01, 0.15])
+    def test_slope_matches_finite_difference(self, n_gates, joint):
+        h = 1e-6
+        fd = (
+            gate_fidelity_bound([joint + h], [0.0], n_gates)
+            - gate_fidelity_bound([joint - h], [0.0], n_gates)
+        ) / (2 * h)
+        assert gate_fidelity_slope(joint, n_gates) == pytest.approx(abs(fd), rel=1e-6, abs=1e-9)
 
     def test_length_mismatch(self):
         with pytest.raises(InputError):
@@ -165,19 +174,3 @@ class TestSpamFromCounts:
         with pytest.raises(InputError):
             spam_matrix_from_counts(counts)
 
-
-class TestGatePlanAndPrediction:
-    def test_plan_validation(self):
-        with pytest.raises(InputError):
-            GatePlan(ion_i=3, ion_j=3)
-        with pytest.raises(InputError):
-            GatePlan(ion_i=0, ion_j=1, n_gates=0)
-        assert GatePlan(ion_i=0, ion_j=1, n_gates=3).target_angle == pytest.approx(
-            3 * np.pi / 4
-        )
-
-    def test_prediction_bundle(self):
-        pred = predict_fidelity([0.1], [0.05], n_gates=2, spam_error=0.009)
-        assert pred.f_bound == pytest.approx(gate_fidelity_bound([0.1], [0.05], 2))
-        assert pred.f_spam_adjusted == pytest.approx(0.991 * pred.f_bound)
-        assert pred.f_spam_adjusted <= pred.f_bound

@@ -6,7 +6,10 @@ from ionchain import (
     GaussianBeam,
     HarmonicPotential,
     NoiseModel,
+    TabulatedBeam,
+    ThermalState,
     YB171,
+    decay_parameters,
     find_equilibrium,
     fit_theta_power_law,
     gate_error_scaling,
@@ -145,6 +148,47 @@ class TestThetaRate:
             modes = normal_modes(find_equilibrium(YB171, pot, n))
             weights = modes.uniform_drive_weights()
             assert np.all(weights <= n + 1e-9)
+
+
+@pytest.mark.parametrize("all_modes", [False, True])
+@pytest.mark.parametrize("beam_kind", ["gaussian", "tabulated"])
+def test_kernel_matches_per_ion_per_mode_loop(beam_kind, all_modes):
+    chain = find_equilibrium(YB171, EquispacedLogPotential(6, 4.4e-6))
+    modes = normal_modes(chain)
+    noise = NoiseModel(alpha=0.7, nbar_rate_ref=88.0, omega_ref=2 * np.pi * 3e6,
+                       offset=0.4, inhomogeneity_factor=1.3)
+    nbar = np.linspace(150.0, 300.0, modes.n_modes)
+    beams = {}
+    for i in (0, 2, 3):  # ions 1, 4 and 5 are not driven
+        center = chain.positions[i] + 0.2e-6
+        if beam_kind == "gaussian":
+            beams[i] = GaussianBeam(1.0, center, WAIST)
+        else:
+            x = center + np.linspace(-3 * WAIST, 3 * WAIST, 601)
+            beams[i] = TabulatedBeam(x, np.exp(-(((x - center) / WAIST) ** 2)))
+
+    xi_sq = [zero_point_spread(YB171, w) ** 2 for w in modes.frequencies]
+    used = range(modes.n_modes) if all_modes else range(1)
+    theta = np.zeros((modes.n_ions, modes.n_modes))
+    rate = np.zeros(modes.n_ions)
+    for i, beam in beams.items():
+        c = float(beam.curvature_ratio(chain.positions[i]))
+        for m in range(modes.n_modes):
+            b = modes.participation[i, m]
+            theta[i, m] = -(b**2) * xi_sq[m] * c * nbar[m]
+            if m in used:
+                weight = modes.participation[:, m].sum() ** 2
+                rate[i] += (-(b**2) * xi_sq[m] * c * weight * noise.inhomogeneity_factor
+                            * heating_rate_at(noise, modes.frequencies[m]))
+        rate[i] += noise.offset
+
+    got_theta = decay_parameters(modes, ThermalState(nbar), beams, chain.positions)
+    got_rate = theta_rate(noise, modes, beams, chain.positions, all_modes=all_modes)
+    assert np.allclose(got_theta, theta, rtol=1e-12, atol=0.0)
+    assert np.allclose(got_rate, rate, rtol=1e-12, atol=0.0)
+    for i in (1, 4, 5):
+        assert np.all(got_theta[i] == 0.0)
+        assert got_rate[i] == 0.0
 
 
 class TestThetaRateModel:
