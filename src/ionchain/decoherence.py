@@ -34,10 +34,9 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence, Union
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .chain import ModeDecomposition
-from .constants import HBAR, IonSpecies
+from .constants import HBAR, KB, IonSpecies
 from .errors import DomainError, InputError, LowOccupancyWarning
 
 LOW_OCCUPANCY_THRESHOLD = 10.0
@@ -92,6 +91,8 @@ class TabulatedBeam:
             raise InputError("tabulated beam needs at least 4 samples")
         if np.any(np.diff(x) <= 0):
             raise InputError("tabulated beam samples must be strictly increasing in x")
+        from scipy.interpolate import CubicSpline
+
         self.x = x
         self.rabi = rabi
         self._spline = CubicSpline(x, rabi)
@@ -141,8 +142,6 @@ class ThermalState:
     @classmethod
     def from_temperature(cls, modes: ModeDecomposition, temperature: float) -> "ThermalState":
         """Equipartition occupancies nbar_m = kB T / (hbar omega_m)."""
-        from .constants import KB
-
         if not temperature > 0:
             raise InputError(f"temperature must be positive, got {temperature}")
         return cls(KB * temperature / (HBAR * modes.frequencies))

@@ -25,7 +25,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.optimize import least_squares as _scipy_least_squares
 
 from .decoherence import _thermal_rabi
 from .errors import FitError, InputError
@@ -140,7 +139,8 @@ def fit_least_squares(
     data : DataSeries
         Points to fit; ``sigma`` weights the residuals when present.
     guess : array
-        Starting parameters; must produce finite model values.
+        Starting parameters; must produce finite model values of the data's
+        shape.
     bounds : (lower, upper), optional
         Per-parameter bounds passed to the trust-region solver.
     param_names : sequence of str, optional
@@ -157,9 +157,12 @@ def fit_least_squares(
 
     Raises
     ------
+    InputError
+        If the model's output at the guess does not have the data's shape.
     FitError
         If there are fewer points than parameters, or no start converges.
-        The exception carries the best attempt as ``best_result``.
+        The exception carries the best attempt as ``best_result``; when
+        every start raised, it is chained from the last start's exception.
     """
     guess = np.atleast_1d(np.asarray(guess, dtype=float))
     n_params = len(guess)
@@ -175,7 +178,13 @@ def fit_least_squares(
             f"got {len(data)}"
         )
     sigma = data.sigma if data.sigma is not None else np.ones(len(data))
-    if not np.all(np.isfinite(model(guess, data.x))):
+    at_guess = model(guess, data.x)
+    if np.shape(at_guess) != data.y.shape:
+        raise InputError(
+            f"model output has shape {np.shape(at_guess)} at the initial guess, "
+            f"but the data have shape {data.y.shape}"
+        )
+    if not np.all(np.isfinite(at_guess)):
         raise FitError("model is not finite at the initial guess")
     if bounds is None:
         lo = np.full(n_params, -np.inf)
@@ -196,11 +205,14 @@ def fit_least_squares(
         jittered = guess + jitter_scale * scale * rng.standard_normal(n_params)
         starts.append(np.clip(jittered, lo, hi))
 
+    from scipy.optimize import least_squares
+
     best = None
     best_cost = np.inf
+    last_error = None
     for start in starts:
         try:
-            res = _scipy_least_squares(
+            res = least_squares(
                 residual_fn,
                 x0=start,
                 bounds=(lo, hi),
@@ -210,13 +222,17 @@ def fit_least_squares(
                 ftol=1e-14,
                 gtol=1e-14,
             )
-        except Exception:
+        except Exception as exc:
+            last_error = exc
             continue
         if best is None or res.cost < best_cost - 1e-15 * max(abs(best_cost), 1.0):
             best = res
             best_cost = res.cost
     if best is None:
-        raise FitError("no least-squares start converged")
+        raise FitError(
+            "no least-squares start converged; the last start raised "
+            f"{type(last_error).__name__}: {last_error}"
+        ) from last_error
 
     residuals = best.fun
     dof = len(data) - n_params

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from ionchain.cli import main
 from ionchain.fitting import gaussian_beam_model
 
 YB = "species:\n  label: 171Yb+\n"
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def write(path, text):
@@ -418,3 +420,55 @@ class TestDeterminismAndPlumbing:
         )
         result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert result.returncode == 0, result.stderr
+
+
+def run_fresh(code):
+    """Run ``code`` in a new interpreter (pytest itself has scipy loaded)."""
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+
+
+SCIPY_LOADED = "sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))"
+
+
+class TestImportBudget:
+    def test_shipped_configs_run_without_scipy(self, tmp_path):
+        configs = ROOT / "configs"
+        commands = [
+            ["modes", "--config", configs / "modes.yaml"],
+            ["rabi", "--config", configs / "rabi.yaml"],
+            ["rabi", "--config", configs / "rabi.yaml", "--mc", "--seed", "7"],
+            ["theta-scan", "--config", configs / "theta_scan.yaml"],
+            ["gate-fidelity", "--config", configs / "gate_fidelity.yaml"],
+            ["scaling", "--config", configs / "scaling.yaml"],
+            ["cooling", "--config", configs / "cooling.yaml"],
+        ]
+        argvs = [
+            [str(a) for a in argv] + ["--out", str(tmp_path / f"out{k}")]
+            for k, argv in enumerate(commands)
+        ]
+        run_fresh(
+            "import sys, ionchain, ionchain.cli\n"
+            f"for argv in {argvs!r}:\n"
+            "    assert ionchain.cli.main(argv) == 0, argv\n"
+            f"loaded = {SCIPY_LOADED}\n"
+            "assert loaded == [], loaded\n"
+        )
+
+    def test_scipy_users_still_work(self, tmp_path):
+        beam_csv = ROOT / "tests" / "golden" / "data" / "beam.csv"
+        fit_out = tmp_path / "fit_beam.json"
+        run_fresh(
+            "import sys, numpy as np\n"
+            "from ionchain import (HarmonicPotential, TabulatedBeam, YB171,\n"
+            "                      find_equilibrium, spacing_deviation)\n"
+            "from ionchain.cli import main\n"
+            f"assert {SCIPY_LOADED} == []\n"
+            "x = np.linspace(-2.0, 2.0, 9)\n"
+            "assert TabulatedBeam(x, np.exp(-x * x)).rabi_at(0.0) > 0\n"
+            "assert 'scipy.interpolate' in sys.modules\n"
+            f"assert main(['fit', 'beam', {str(beam_csv)!r}, '--out', {str(fit_out)!r}]) == 0\n"
+            "assert 'scipy.optimize' in sys.modules\n"
+            "chain = find_equilibrium(YB171, HarmonicPotential(2 * np.pi * 1e6), 5)\n"
+            "assert spacing_deviation(chain) > 0\n"
+        )

@@ -43,6 +43,23 @@ class TestCore:
                 guess=[1.0, 0.0],
             )
 
+    def test_model_shape_mismatch_names_both_shapes(self):
+        x = np.linspace(0.0, 1.0, 10)
+        with pytest.raises(InputError, match=r"\(5,\).*\(10,\)"):
+            fit_least_squares(lambda p, xx: p[0] * xx[:5], DataSeries(x, x), guess=[1.0])
+
+    def test_every_start_raising_chains_the_cause(self):
+        # equal lower and upper bounds make every trust-region start raise
+        x = np.linspace(0.0, 1.0, 10)
+        with pytest.raises(FitError, match="ValueError: Each lower bound") as excinfo:
+            fit_least_squares(
+                lambda p, xx: p[0] * xx + p[1],
+                DataSeries(x, x),
+                guess=[1.0, 0.0],
+                bounds=([1.0, -1.0], [1.0, 1.0]),
+            )
+        assert isinstance(excinfo.value.__cause__, ValueError)
+
     def test_data_series_validation(self):
         with pytest.raises(InputError):
             DataSeries(np.array([1.0, 2.0]), np.array([1.0]))
