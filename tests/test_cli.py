@@ -22,6 +22,15 @@ def run(args):
     return main([str(a) for a in args])
 
 
+def run_fresh(code):
+    """Run ``code`` in a new interpreter (pytest itself has scipy loaded)."""
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+
+
+SCIPY_LOADED = "sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))"
+
+
 def read_csv(path):
     lines = path.read_text().splitlines()
     header = lines[0].split(",")
@@ -418,17 +427,7 @@ class TestDeterminismAndPlumbing:
             f"c.build_beam({{'beam': {{'kind': 'tabulated', 'csv': {str(beam_csv)!r}}}}}); "
             "assert 'ionchain.cli' not in sys.modules"
         )
-        result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
-        assert result.returncode == 0, result.stderr
-
-
-def run_fresh(code):
-    """Run ``code`` in a new interpreter (pytest itself has scipy loaded)."""
-    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
-    assert result.returncode == 0, result.stderr
-
-
-SCIPY_LOADED = "sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))"
+        run_fresh(code)
 
 
 class TestImportBudget:
