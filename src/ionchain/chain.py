@@ -506,25 +506,43 @@ def spacing_deviation(chain: EquilibriumChain) -> float:
     Chebyshev line fit in the ion index) and returns the minimum, in units
     of the potential's unit length.  This measures how far the chain is from
     being perfectly equispaced, without pinning the spacing in advance.
-    """
-    from scipy.optimize import linprog
 
+    The minimum is half the smallest vertical width of the convex hull of
+    the points (i, x_i), and the best slope is that of a hull edge, so one
+    monotone-chain pass over the (already index-sorted) points and a
+    lookup of the opposite hull's extreme vertex per edge give it exactly.
+    """
     x = np.asarray(chain.positions, dtype=float) / chain.unit_length
+    if not np.all(np.isfinite(x)):
+        raise SolverError("uniform-chain fit failed: positions are not finite")
     n = len(x)
     if n < 3:
         return 0.0
     idx = np.arange(n, dtype=float)
-    ones = np.ones(n)
-    # variables (a, s, t): minimize t subject to |x_i - a - s i| <= t
-    c = np.array([0.0, 0.0, 1.0])
-    A_ub = np.vstack(
-        [
-            np.column_stack([-ones, -idx, -ones]),
-            np.column_stack([ones, idx, -ones]),
-        ]
-    )
-    b_ub = np.concatenate([-x, x])
-    result = linprog(c, A_ub=A_ub, b_ub=b_ub, bounds=[(None, None)] * 3, method="highs")
-    if not result.success:
-        raise SolverError("uniform-chain fit failed: " + result.message)
-    return float(result.x[2])
+    lower = _hull_vertices(idx, x, 1.0)
+    upper = _hull_vertices(idx, x, -1.0)
+    lower_slopes = np.diff(x[lower]) / np.diff(idx[lower])  # increasing
+    upper_slopes = np.diff(x[upper]) / np.diff(idx[upper])  # decreasing
+    slopes = np.concatenate([lower_slopes, upper_slopes])
+    # for slope s, x_k - s k is least at the lower-hull vertex reached after
+    # every lower edge shallower than s, and greatest at the upper-hull
+    # vertex reached after every upper edge steeper than s
+    bottom = lower[np.searchsorted(lower_slopes, slopes)]
+    top = upper[np.searchsorted(-upper_slopes, -slopes)]
+    widths = (x[top] - slopes * idx[top]) - (x[bottom] - slopes * idx[bottom])
+    return 0.5 * float(np.min(widths))
+
+
+def _hull_vertices(idx: np.ndarray, x: np.ndarray, side: float) -> np.ndarray:
+    """Indices of the lower (side = 1) or upper (side = -1) convex hull of
+    the points (idx, x), sorted by idx (Andrew's monotone chain)."""
+    hull: list[int] = []
+    for k in range(len(idx)):
+        while len(hull) >= 2:
+            i, j = hull[-2], hull[-1]
+            turn = (idx[j] - idx[i]) * (x[k] - x[i]) - (x[j] - x[i]) * (idx[k] - idx[i])
+            if side * turn > 0:
+                break
+            hull.pop()
+        hull.append(k)
+    return np.array(hull)

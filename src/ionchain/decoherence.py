@@ -75,7 +75,7 @@ class GaussianBeam:
 
 
 class TabulatedBeam:
-    """Measured beam profile: cubic-spline interpolation of (x, Omega) samples.
+    """Measured beam profile: not-a-knot cubic-spline interpolation of (x, Omega).
 
     Rabi queries are valid on the sampled range; curvature queries exclude
     the outermost sample on each side, where the spline's second derivative
@@ -91,11 +91,17 @@ class TabulatedBeam:
             raise InputError("tabulated beam needs at least 4 samples")
         if np.any(np.diff(x) <= 0):
             raise InputError("tabulated beam samples must be strictly increasing in x")
-        from scipy.interpolate import CubicSpline
-
         self.x = x
         self.rabi = rabi
-        self._spline = CubicSpline(x, rabi)
+        self._coef = _not_a_knot_coefficients(x, rabi)
+
+    def _spline(self, x, second_derivative: bool = False):
+        k = np.clip(np.searchsorted(self.x, x, side="right") - 1, 0, len(self.x) - 2)
+        h = x - self.x[k]
+        c3, c2, c1, c0 = self._coef[:, k]
+        if second_derivative:
+            return 6.0 * c3 * h + 2.0 * c2
+        return ((c3 * h + c2) * h + c1) * h + c0
 
     def rabi_at(self, x):
         x = np.asarray(x, dtype=float)
@@ -110,7 +116,44 @@ class TabulatedBeam:
         omega = self._spline(x)
         if np.any(omega == 0):
             raise DomainError("curvature ratio undefined where Omega(x) = 0")
-        return self._spline(x, 2) / omega
+        return self._spline(x, second_derivative=True) / omega
+
+
+def _not_a_knot_coefficients(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Cubic coefficients (4, n - 1), highest power first, of the not-a-knot
+    spline through n >= 4 points: piece k is sum_j c[j, k] (x - x_k)^(3 - j).
+
+    The knot slopes solve a tridiagonal system (continuity of the second
+    derivative inside, continuity of the third at x_1 and x_(n-2)), by
+    forward elimination and back substitution.
+    """
+    n = len(x)
+    dx = np.diff(x)
+    slope = np.diff(y) / dx
+    lower = np.empty(n)
+    diag = np.empty(n)
+    upper = np.empty(n)
+    rhs = np.empty(n)
+    lower[1:-1] = dx[1:]
+    diag[1:-1] = 2.0 * (dx[:-1] + dx[1:])
+    upper[1:-1] = dx[:-1]
+    rhs[1:-1] = 3.0 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
+    span = x[2] - x[0]
+    diag[0], upper[0] = dx[1], span
+    rhs[0] = ((dx[0] + 2.0 * span) * dx[1] * slope[0] + dx[0] ** 2 * slope[1]) / span
+    span = x[-1] - x[-3]
+    lower[-1], diag[-1] = span, dx[-2]
+    rhs[-1] = (dx[-1] ** 2 * slope[-2] + (2.0 * span + dx[-1]) * dx[-2] * slope[-1]) / span
+    for i in range(1, n):
+        factor = lower[i] / diag[i - 1]
+        diag[i] -= factor * upper[i - 1]
+        rhs[i] -= factor * rhs[i - 1]
+    s = np.empty(n)
+    s[-1] = rhs[-1] / diag[-1]
+    for i in range(n - 2, -1, -1):
+        s[i] = (rhs[i] - upper[i] * s[i + 1]) / diag[i]
+    t = (s[:-1] + s[1:] - 2.0 * slope) / dx
+    return np.array([t / dx, (slope - s[:-1]) / dx - t, s[:-1], y[:-1]])
 
 
 BeamProfile = Union[GaussianBeam, TabulatedBeam]

@@ -1,10 +1,14 @@
 """Weighted nonlinear least squares and the fit recipes used by this package.
 
-The core wraps scipy's trust-region least-squares solver with deterministic
-multi-start (the base guess plus three jittered copies; the lowest chi-square
-wins, ties going to the lowest restart index) and standard covariance-based
-parameter uncertainties.  When per-point sigmas are supplied the covariance
-is absolute; otherwise it is scaled by the reduced chi-square.
+The core is a bounded Levenberg-Marquardt loop in numpy (forward-difference
+Jacobian with norm-scaled columns, steps projected onto the bounds) with
+deterministic multi-start: the base guess plus three jittered copies; the
+lowest chi-square wins, ties going to the lowest restart index.  Every fit,
+including the closed-form line and the variable-projection power law,
+ends in one summary step that gives covariance-based parameter
+uncertainties and the diagnostic flags.  When per-point sigmas are supplied
+the covariance is absolute; otherwise it is scaled by the reduced
+chi-square.
 
 Recipes:
 
@@ -12,9 +16,10 @@ Recipes:
   intensity radius,
 - Rabi trace: thermally damped oscillation, recovering the Rabi frequency
   and the effective decay parameter,
-- decay-parameter growth: weighted straight line in wait time,
+- decay-parameter growth: weighted straight line in wait time, in closed
+  form,
 - rate power law: A * omega^(-2-alpha) + B vs trap frequency, recovering the
-  field-noise exponent.
+  field-noise exponent by variable projection (a 1-D search in alpha).
 """
 
 from __future__ import annotations
@@ -142,23 +147,21 @@ def fit_least_squares(
         Starting parameters; must produce finite model values of the data's
         shape.
     bounds : (lower, upper), optional
-        Per-parameter bounds passed to the trust-region solver.
+        Per-parameter bounds; each lower bound must lie below its upper one.
     param_names : sequence of str, optional
         Names for lookup on the result.
     n_restarts : int, optional
         Number of additional deterministically jittered starts.
 
-    The result carries the ``"degenerate_covariance"`` flag when J^T J at
-    the solution cannot be inverted, has a zero diagonal entry (a parameter
-    the model does not depend on), or, normalised by its diagonal as
-    D^-1/2 J^T J D^-1/2, has a smallest-to-largest eigenvalue ratio of
-    at most 1e-12.  The normalisation makes the test independent of the
-    parameters' units, so only near-collinear Jacobian columns trip it.
+    Each start runs :func:`_levenberg_marquardt`; ``n_iterations`` is the
+    winning start's number of model evaluations outside the Jacobian.  See
+    :func:`_fit_result` for the covariance and the flags.
 
     Raises
     ------
     InputError
-        If the model's output at the guess does not have the data's shape.
+        If the model's output at the guess does not have the data's shape,
+        or the bounds are malformed or exclude the guess.
     FitError
         If there are fewer points than parameters, or no start converges.
         The exception carries the best attempt as ``best_result``; when
@@ -177,6 +180,18 @@ def fit_least_squares(
             f"need at least {n_params} points to fit {n_params} parameters, "
             f"got {len(data)}"
         )
+    if bounds is None:
+        lo = np.full(n_params, -np.inf)
+        hi = np.full(n_params, np.inf)
+    else:
+        try:
+            lo, hi = (np.broadcast_to(np.asarray(b, dtype=float), (n_params,)) for b in bounds)
+        except ValueError:
+            raise InputError("bounds must be (lower, upper), one value per parameter")
+        if not np.all(lo < hi):
+            raise InputError("every lower bound must be below its upper bound")
+    if np.any(guess < lo) or np.any(guess > hi):
+        raise InputError("initial guess violates the bounds")
     sigma = data.sigma if data.sigma is not None else np.ones(len(data))
     at_guess = model(guess, data.x)
     if np.shape(at_guess) != data.y.shape:
@@ -186,14 +201,6 @@ def fit_least_squares(
         )
     if not np.all(np.isfinite(at_guess)):
         raise FitError("model is not finite at the initial guess")
-    if bounds is None:
-        lo = np.full(n_params, -np.inf)
-        hi = np.full(n_params, np.inf)
-    else:
-        lo = np.asarray(bounds[0], dtype=float)
-        hi = np.asarray(bounds[1], dtype=float)
-    if np.any(guess < lo) or np.any(guess > hi):
-        raise InputError("initial guess violates the bounds")
 
     def residual_fn(p):
         return (model(p, data.x) - data.y) / sigma
@@ -205,42 +212,147 @@ def fit_least_squares(
         jittered = guess + jitter_scale * scale * rng.standard_normal(n_params)
         starts.append(np.clip(jittered, lo, hi))
 
-    from scipy.optimize import least_squares
-
     best = None
     best_cost = np.inf
     last_error = None
     for start in starts:
         try:
-            res = least_squares(
-                residual_fn,
-                x0=start,
-                bounds=(lo, hi),
-                method="trf",
-                x_scale="jac",
-                xtol=1e-14,
-                ftol=1e-14,
-                gtol=1e-14,
-            )
+            solution = _levenberg_marquardt(residual_fn, start, lo, hi, 100 * n_params)
         except Exception as exc:
             last_error = exc
             continue
-        if best is None or res.cost < best_cost - 1e-15 * max(abs(best_cost), 1.0):
-            best = res
-            best_cost = res.cost
+        cost = 0.5 * float(solution.residuals @ solution.residuals)
+        if best is None or cost < best_cost - 1e-15 * max(abs(best_cost), 1.0):
+            best = solution
+            best_cost = cost
     if best is None:
         raise FitError(
             "no least-squares start converged; the last start raised "
             f"{type(last_error).__name__}: {last_error}"
         ) from last_error
 
-    residuals = best.fun
-    dof = len(data) - n_params
+    result = _fit_result(
+        best.params, best.residuals, best.jac.T @ best.jac, data, param_names,
+        best.converged, best.nfev,
+    )
+    if not best.converged:
+        raise FitError("least-squares fit did not converge", best_result=result)
+    return result
+
+
+@dataclass(frozen=True)
+class _Solution:
+    params: np.ndarray
+    residuals: np.ndarray
+    jac: np.ndarray
+    converged: bool
+    nfev: int
+
+
+def _forward_jacobian(residual_fn, x, r, lo, hi) -> np.ndarray:
+    """Forward differences with steps sqrt(eps) max(1, |x_j|), taken
+    towards the interior where the forward point would leave the bounds."""
+    h = math.sqrt(np.finfo(float).eps) * np.where(x >= 0, 1.0, -1.0) * np.maximum(1.0, np.abs(x))
+    h = np.where((x + h > hi) | (x + h < lo), -h, h)
+    jac = np.empty((len(r), len(x)))
+    for j in range(len(x)):
+        xj = x.copy()
+        xj[j] += h[j]
+        jac[:, j] = (residual_fn(xj) - r) / (xj[j] - x[j])
+    return jac
+
+
+def _levenberg_marquardt(residual_fn, x0, lo, hi, max_nfev, tol=1e-14) -> _Solution:
+    """Bounded Levenberg-Marquardt minimisation of |residual_fn(x)|^2 / 2.
+
+    Each iteration scales the Jacobian's columns by their largest norm so
+    far, leaves out the parameters held at a bound by the gradient, solves
+    the damped Gauss-Newton step by SVD and projects the trial point onto
+    the bounds.  A step is kept when it lowers the cost; the damping
+    follows the gain ratio (Nielsen's update).  It starts at 1, the scale of
+    the normalised J^T J, so the first step is about half the Gauss-Newton
+    step: an undamped first step from a Rabi frequency guess a fraction of a
+    spectral bin off can land in the neighbouring minimum with theta of the
+    wrong sign.  Convergence is the first of:
+    a scaled gradient below ``tol``, a kept step lowering the cost by less
+    than ``tol`` of it, or a step shorter than ``tol`` of |x|.  Stopping at
+    ``max_nfev`` evaluations (the Jacobian's not counted) is not convergence.
+    """
+    x = np.array(x0, dtype=float)
+    r = residual_fn(x)
+    if not np.all(np.isfinite(r)):
+        raise FitError("residuals are not finite at the start")
+    nfev = 1
+    cost = 0.5 * float(r @ r)
+    col_norms = np.zeros(len(x))
+    damping, grow = 1.0, 2.0
+    while True:
+        jac = _forward_jacobian(residual_fn, x, r, lo, hi)
+        col_norms = np.maximum(col_norms, np.linalg.norm(jac, axis=0))
+        d = np.where(col_norms > 0, col_norms, 1.0)
+        g = (jac.T @ r) / d
+        free = ~(((x <= lo) & (g > 0)) | ((x >= hi) & (g < 0)))
+        if not np.any(free) or np.max(np.abs(g[free])) < tol:
+            return _Solution(x, r, jac, True, nfev)
+        u, s, vt = np.linalg.svd(jac[:, free] / d[free], full_matrices=False)
+        ur = u.T @ r
+        while True:
+            if nfev >= max_nfev:
+                return _Solution(x, r, jac, False, nfev)
+            step = np.zeros(len(x))
+            step[free] = -(vt.T @ (s * ur / (s * s + damping))) / d[free]
+            x_new = np.clip(x + step, lo, hi)
+            step = x_new - x
+            r_new = residual_fn(x_new)
+            nfev += 1
+            if not np.all(np.isfinite(r_new)):
+                damping *= grow
+                grow *= 2.0
+                continue
+            cost_new = 0.5 * float(r_new @ r_new)
+            model_change = jac @ step
+            predicted = -float(model_change @ r + 0.5 * model_change @ model_change)
+            reduction = cost - cost_new
+            ratio = reduction / predicted if predicted > 0 else 0.0
+            done = (reduction < tol * cost and ratio > 0.25) or (
+                np.linalg.norm(step) < tol * (tol + np.linalg.norm(x))
+            )
+            if reduction > 0:
+                x, r, cost = x_new, r_new, cost_new
+                damping *= max(1.0 / 3.0, 1.0 - (2.0 * ratio - 1.0) ** 3)
+                grow = 2.0
+            else:
+                damping *= grow
+                grow *= 2.0
+            if done:
+                if reduction > 0:
+                    jac = _forward_jacobian(residual_fn, x, r, lo, hi)
+                return _Solution(x, r, jac, True, nfev)
+            if reduction > 0:
+                break
+
+
+def _fit_result(
+    params, residuals, jtj, data: DataSeries, param_names, converged, n_iterations,
+    flags=(),
+) -> FitResult:
+    """Chi-square, covariance, uncertainties and flags at a solution.
+
+    ``residuals`` are (model - y) / sigma and ``jtj`` is J^T J of those
+    weighted residuals.  The covariance is inv(J^T J), scaled by the reduced
+    chi-square when the data carry no sigma.  ``"degenerate_covariance"`` is
+    added when J^T J cannot be inverted, has a zero diagonal entry (a
+    parameter the model does not depend on), or, normalised by its diagonal
+    as D^-1/2 J^T J D^-1/2, has a smallest-to-largest eigenvalue ratio of at
+    most 1e-12; the normalisation makes the test independent of the
+    parameters' units, so only near-collinear Jacobian columns trip it.
+    ``"residual_structure"`` is added when a Wald-Wolfowitz runs test over
+    eight or more points gives z < -3.
+    """
+    flags = list(flags)
+    dof = len(data) - len(params)
     chisq = float(np.sum(residuals**2))
     reduced = chisq / dof if dof > 0 else float("nan")
-    jac = best.jac
-    flags = []
-    jtj = jac.T @ jac
     try:
         cov = np.linalg.inv(jtj)
         if not np.all(np.isfinite(cov)) or np.any(np.diag(cov) < 0):
@@ -249,8 +361,6 @@ def fit_least_squares(
         cov = np.linalg.pinv(jtj)
         flags.append("degenerate_covariance")
     else:
-        # near-singular information matrix also flags identifiability loss;
-        # D^-1/2 JtJ D^-1/2 makes the test blind to the parameters' units
         diag = np.diag(jtj)
         if np.any(diag <= 0):
             flags.append("degenerate_covariance")
@@ -260,26 +370,21 @@ def fit_least_squares(
                 flags.append("degenerate_covariance")
     if data.sigma is None and dof > 0:
         cov = cov * reduced
-    uncertainties = np.sqrt(np.abs(np.diag(cov)))
     if len(data) >= 8:
         z = _runs_test_z(residuals, np.argsort(data.x))
         if z < -RUNS_TEST_FLAG_Z:
             flags.append("residual_structure")
-    converged = bool(best.status > 0)
-    result = FitResult(
-        params=best.x,
-        uncertainties=uncertainties,
+    return FitResult(
+        params=params,
+        uncertainties=np.sqrt(np.abs(np.diag(cov))),
         covariance=cov,
         reduced_chisq=reduced,
         residuals=residuals,
         converged=converged,
-        n_iterations=int(best.nfev),
-        param_names=param_names,
+        n_iterations=int(n_iterations),
+        param_names=tuple(param_names),
         flags=tuple(flags),
     )
-    if not converged:
-        raise FitError("least-squares fit did not converge", best_result=result)
-    return result
 
 
 # ----------------------------------------------------------------------
@@ -407,68 +512,90 @@ def fit_theta_growth(t_wait, theta, sigma=None) -> FitResult:
     Aw = A * w[:, None]
     jtj = A.T @ Aw
     try:
-        cov = np.linalg.inv(jtj)
+        params = np.linalg.inv(jtj) @ (Aw.T @ data.y)
     except np.linalg.LinAlgError:
         raise FitError("degenerate wait-time design (all points identical?)")
-    params = cov @ (Aw.T @ data.y)
     scaled_sigma = data.sigma if data.sigma is not None else np.ones(len(data))
     residuals = (A @ params - data.y) / scaled_sigma
-    dof = len(data) - 2
-    chisq = float(np.sum(residuals**2))
-    reduced = chisq / dof if dof > 0 else float("nan")
-    if data.sigma is None and dof > 0:
-        cov = cov * reduced
-    flags = []
-    if params[1] < 0:
-        flags.append("negative_slope")
-    if len(data) >= 8:
-        z = _runs_test_z(residuals, np.argsort(data.x))
-        if z < -RUNS_TEST_FLAG_Z:
-            flags.append("residual_structure")
-    return FitResult(
-        params=params,
-        uncertainties=np.sqrt(np.abs(np.diag(cov))),
-        covariance=cov,
-        reduced_chisq=reduced,
-        residuals=residuals,
-        converged=True,
-        n_iterations=1,
-        param_names=("intercept", "slope"),
-        flags=tuple(flags),
+    return _fit_result(
+        params, residuals, jtj, data, ("intercept", "slope"), True, 1,
+        flags=("negative_slope",) if params[1] < 0 else (),
     )
-
-
-def theta_rate_power_model(params, omega):
-    """:func:`ionchain.heating.theta_rate_model` for params = (amplitude, alpha, offset)."""
-    return theta_rate_model(omega, *params)
 
 
 def fit_theta_power_law(omega0, rates, sigma=None) -> FitResult:
     """Fit decay-parameter growth rates vs trap frequency to a power law.
 
-    Parameters ("amplitude", "alpha", "offset"): the field-noise exponent
-    alpha is bounded to [0, 2] and the offset absorbs frequency-independent
-    heating.  At least 4 frequencies are required; spanning a decade or more
-    is recommended for a well-conditioned exponent.  The
-    ``"degenerate_covariance"`` flag (see :func:`fit_least_squares`) fires
-    when the exponent is unidentifiable, e.g. when the fitted amplitude is
-    zero so that the rates do not depend on alpha; the amplitude's ~1e18
-    scale next to alpha's ~1 does not by itself set it.
+    Parameters ("amplitude", "alpha", "offset") of
+    :func:`ionchain.heating.theta_rate_model`: the field-noise exponent
+    alpha is bounded to [0, 2], and the amplitude and the offset, which
+    absorbs frequency-independent heating, to >= 0.  At least 4 frequencies
+    are required; spanning a decade or more is recommended for a
+    well-conditioned exponent.
+
+    Solved by variable projection: the model is linear in (amplitude,
+    offset) for fixed alpha, so chi^2(alpha) is minimised over the two
+    non-negative linear parameters at each alpha, and alpha by golden
+    section over [0, 2] to 1e-12, the endpoints included.
+    ``n_iterations`` counts the chi^2(alpha) evaluations.  The
+    ``"degenerate_covariance"`` flag (see :func:`_fit_result`) fires when
+    the exponent is unidentifiable, e.g. when the fitted amplitude is zero
+    so that the rates do not depend on alpha.
     """
     data = DataSeries(omega0, rates, sigma, x_label="frequency", y_label="rate")
     if len(data) < 4:
         raise FitError("power-law fit needs at least 4 frequency points")
     if np.any(data.x <= 0):
         raise InputError("frequencies must be positive")
-    offset0 = max(0.5 * float(np.min(data.y)), 0.0)
-    excess = np.maximum(data.y - offset0, 1e-300)
-    slope, intercept = np.polyfit(np.log(data.x), np.log(excess), 1)
-    alpha0 = float(np.clip(-slope - 2.0, 0.0, 2.0))
-    amp0 = float(np.exp(intercept))
-    return fit_least_squares(
-        theta_rate_power_model,
-        data,
-        guess=[amp0, alpha0, offset0],
-        bounds=([0.0, 0.0, 0.0], [np.inf, 2.0, np.inf]),
-        param_names=("amplitude", "alpha", "offset"),
+    sigma = data.sigma if data.sigma is not None else np.ones(len(data))
+    w = 1.0 / sigma
+    # columns in units of the geometric-mean frequency stay O(1); in rad/s
+    # the power-law column is ~1e-18 and lstsq would truncate it
+    omega_ref = math.exp(float(np.mean(np.log(data.x))))
+    log_u = np.log(data.x / omega_ref)
+    wy = w * data.y
+    evaluations = 0
+
+    def project(alpha):
+        """Best non-negative (a, offset) of a u^(-2-alpha) + offset, and chi^2."""
+        nonlocal evaluations
+        evaluations += 1
+        design = np.column_stack([w * np.exp((-2.0 - alpha) * log_u), w])
+        coef = np.linalg.lstsq(design, wy, rcond=None)[0]
+        if np.any(coef < 0):  # optimum on a face: one column, clamped at 0
+            faces = []
+            for k in range(2):
+                col = design[:, k]
+                only = np.zeros(2)
+                only[k] = max(float(col @ wy) / float(col @ col), 0.0)
+                faces.append(only)
+            coef = min(faces, key=lambda c: float(np.sum((design @ c - wy) ** 2)))
+        resid = design @ coef - wy
+        return coef, float(resid @ resid)
+
+    a, b = 0.0, 2.0
+    ends = ((a, project(a)[1]), (b, project(b)[1]))
+    gold = (math.sqrt(5.0) - 1.0) / 2.0
+    c, d = b - gold * (b - a), a + gold * (b - a)
+    fc, fd = project(c)[1], project(d)[1]
+    while b - a > 1e-12:
+        if fc < fd:
+            b, d, fd = d, c, fc
+            c = b - gold * (b - a)
+            fc = project(c)[1]
+        else:
+            a, c, fc = c, d, fd
+            d = a + gold * (b - a)
+            fd = project(d)[1]
+    best_alpha = min(ends + ((c, fc), (d, fd)), key=lambda e: e[1])[0]
+    (a_ref, offset), _ = project(best_alpha)
+    amplitude = a_ref * omega_ref ** (2.0 + best_alpha)
+    residuals = (theta_rate_model(data.x, amplitude, best_alpha, offset) - data.y) / sigma
+    power = data.x ** (-2.0 - best_alpha)
+    jac = w[:, None] * np.column_stack(
+        [power, -amplitude * np.log(data.x) * power, np.ones(len(data))]
+    )
+    return _fit_result(
+        np.array([amplitude, best_alpha, offset]), residuals, jac.T @ jac, data,
+        ("amplitude", "alpha", "offset"), True, evaluations,
     )

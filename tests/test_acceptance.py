@@ -45,11 +45,8 @@ from ionchain import (
     zero_point_spread,
 )
 from ionchain.cli import main as cli_main
-from ionchain.fitting import (
-    damped_rabi_model,
-    gaussian_beam_model,
-    theta_rate_power_model,
-)
+from ionchain.fitting import damped_rabi_model, gaussian_beam_model
+from ionchain.heating import theta_rate_model
 
 SPACING = 4.4e-6
 
@@ -273,7 +270,7 @@ def test_c08_fit_round_trips_and_calibration(rng):
 
     omega = 2 * np.pi * np.geomspace(80e3, 1000e3, 12)
     amp_true = 22.0 * (2 * np.pi * 140e3) ** 2.8
-    power_fit = fit_theta_power_law(omega, theta_rate_power_model((amp_true, 0.8, 0.9), omega))
+    power_fit = fit_theta_power_law(omega, theta_rate_model(omega, amp_true, 0.8, 0.9))
     power_rel = max(
         abs(power_fit["amplitude"] / amp_true - 1.0),
         abs(power_fit["alpha"] / 0.8 - 1.0),
@@ -282,7 +279,7 @@ def test_c08_fit_round_trips_and_calibration(rng):
     noiseless_ok = max(beam_rel, rabi_rel, growth_rel, power_rel) < 1e-6
 
     # noisy recovery at measurement-like noise
-    rates = theta_rate_power_model((amp_true, 0.8, 0.9), omega)
+    rates = theta_rate_model(omega, amp_true, 0.8, 0.9)
     sigma_r = 0.08 * rates
     noisy_fit = fit_theta_power_law(omega, rates + rng.normal(0, sigma_r), sigma_r)
     alpha_err = abs(noisy_fit["alpha"] - 0.8)

@@ -22,6 +22,7 @@ from ionchain.errors import (
     DegenerateChainError,
     DomainError,
     InputError,
+    SolverError,
     UnstableChainError,
 )
 
@@ -124,6 +125,12 @@ class TestFindEquilibrium:
     def test_equispaced_deviation_small(self, n):
         chain = find_equilibrium(YB171, EquispacedLogPotential(n, 4.4e-6))
         assert spacing_deviation(chain) <= 0.02
+
+    def test_deviation_of_non_finite_positions_raises(self):
+        chain = find_equilibrium(YB171, EquispacedLogPotential(5, 4.4e-6))
+        broken = EquilibriumChain(YB171, chain.potential, np.array([0.0, np.nan, 1.0, 2.0, 3.0]))
+        with pytest.raises(SolverError):
+            spacing_deviation(broken)
 
     def test_pure_quartic_converges(self):
         pot = QuadQuarticPotential(a2=0.0, a4=5e-3)

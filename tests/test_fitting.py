@@ -10,7 +10,8 @@ from ionchain import (
     fit_theta_growth,
     fit_theta_power_law,
 )
-from ionchain.fitting import damped_rabi_model, gaussian_beam_model, theta_rate_power_model
+from ionchain.fitting import damped_rabi_model, gaussian_beam_model
+from ionchain.heating import theta_rate_model
 from ionchain.errors import FitError, InputError
 
 
@@ -49,16 +50,33 @@ class TestCore:
             fit_least_squares(lambda p, xx: p[0] * xx[:5], DataSeries(x, x), guess=[1.0])
 
     def test_every_start_raising_chains_the_cause(self):
-        # equal lower and upper bounds make every trust-region start raise
+        # the model accepts the guess check, then raises on every later call
         x = np.linspace(0.0, 1.0, 10)
-        with pytest.raises(FitError, match="ValueError: Each lower bound") as excinfo:
-            fit_least_squares(
-                lambda p, xx: p[0] * xx + p[1],
-                DataSeries(x, x),
-                guess=[1.0, 0.0],
-                bounds=([1.0, -1.0], [1.0, 1.0]),
-            )
+        calls = []
+
+        def model(p, xx):
+            calls.append(1)
+            if len(calls) > 1:
+                raise ValueError("model left its domain")
+            return p[0] * xx + p[1]
+
+        with pytest.raises(FitError, match="ValueError: model left its domain") as excinfo:
+            fit_least_squares(model, DataSeries(x, x), guess=[1.0, 0.0])
         assert isinstance(excinfo.value.__cause__, ValueError)
+
+    def test_empty_bound_interval_rejected_up_front(self):
+        x = np.linspace(0.0, 1.0, 10)
+        calls = []
+
+        def model(p, xx):
+            calls.append(1)
+            return p[0] * xx + p[1]
+
+        with pytest.raises(InputError, match="lower bound"):
+            fit_least_squares(
+                model, DataSeries(x, x), guess=[1.0, 0.0], bounds=([1.0, -1.0], [1.0, 1.0])
+            )
+        assert calls == []
 
     def test_data_series_validation(self):
         with pytest.raises(InputError):
@@ -176,6 +194,19 @@ class TestRabiTraceFit:
         )
         assert thermal_fit.reduced_chisq > 2.0 * matched_fit.reduced_chisq
 
+    @pytest.mark.parametrize("noise_seed", range(8))
+    def test_guess_off_by_half_a_bin_keeps_the_theta_sign(self, noise_seed):
+        # 57.75 kHz lies about half a spectral bin (5 kHz over 200 us) from
+        # the frequency guess; a nearly undamped first step from there fell
+        # into the neighbouring minimum with theta < 0 for 3 of these seeds
+        omega0 = 2 * np.pi * 57.75e3
+        t = np.linspace(0.0, 200e-6, 101)
+        noise = np.random.default_rng(noise_seed).normal(0, 0.01, t.size)
+        p1 = damped_rabi_model([omega0, 0.0262], t) + noise
+        result = fit_rabi_trace(t, p1, sigma=np.full(t.size, 0.01))
+        assert abs(result["rabi_frequency"] - omega0) < 5 * result.uncertainty("rabi_frequency")
+        assert abs(result["theta"] - 0.0262) < 5 * result.uncertainty("theta")
+
     def test_short_trace_rejected(self):
         t = np.linspace(0.0, 10e-6, 30)  # half a period at 50 kHz
         p1 = damped_rabi_model([2 * np.pi * 50e3, 0.05], t)
@@ -218,21 +249,30 @@ class TestThetaPowerLaw:
     def test_noiseless_round_trip(self):
         omega = 2 * np.pi * np.geomspace(80e3, 1000e3, 10)
         truth = (22.0 * (2 * np.pi * 140e3) ** 2.8, 0.8, 0.9)
-        rates = theta_rate_power_model(truth, omega)
+        rates = theta_rate_model(omega, *truth)
         result = fit_theta_power_law(omega, rates)
         assert result["alpha"] == pytest.approx(0.8, abs=1e-6)
         assert result["offset"] == pytest.approx(0.9, rel=1e-5)
+
+    def test_noiseless_round_trip_converges_without_flags(self):
+        omega = 2 * np.pi * np.geomspace(50e3, 500e3, 12)
+        amplitude = 12.0 * (2 * np.pi * 100e3) ** 3.1
+        result = fit_theta_power_law(omega, theta_rate_model(omega, amplitude, 1.1, 0.4))
+        assert result.converged
+        assert result.flags == ()
+        assert 0 < result.n_iterations < 100 * len(result.params)
+        assert result.params == pytest.approx([amplitude, 1.1, 0.4], rel=1e-6)
 
     def test_noiseless_fit_not_flagged_degenerate(self):
         # amplitude (~1e18) and alpha (~1) differ in scale by ~18 orders;
         # that alone must not read as lost identifiability
         omega = 2 * np.pi * np.geomspace(80e3, 1000e3, 10)
-        rates = theta_rate_power_model((22.0 * (2 * np.pi * 140e3) ** 2.8, 0.8, 0.9), omega)
+        rates = theta_rate_model(omega, 22.0 * (2 * np.pi * 140e3) ** 2.8, 0.8, 0.9)
         assert fit_theta_power_law(omega, rates).flags == ()
 
     def test_noisy_recovery_alpha(self, rng):
         omega = 2 * np.pi * np.geomspace(100e3, 1200e3, 12)
-        rates = theta_rate_power_model((22.0 * (2 * np.pi * 140e3) ** 2.8, 0.8, 0.9), omega)
+        rates = theta_rate_model(omega, 22.0 * (2 * np.pi * 140e3) ** 2.8, 0.8, 0.9)
         sigma = 0.08 * rates
         noisy = rates + rng.normal(0, sigma)
         result = fit_theta_power_law(omega, noisy, sigma)
@@ -241,7 +281,7 @@ class TestThetaPowerLaw:
 
     def test_zero_offset_consistent(self):
         omega = 2 * np.pi * np.geomspace(80e3, 1000e3, 10)
-        rates = theta_rate_power_model((22.0 * (2 * np.pi * 140e3) ** 3, 1.0, 0.0), omega)
+        rates = theta_rate_model(omega, 22.0 * (2 * np.pi * 140e3) ** 3, 1.0, 0.0)
         result = fit_theta_power_law(omega, rates)
         assert abs(result["offset"]) <= max(result.uncertainty("offset"), 1e-6)
 
