@@ -197,8 +197,8 @@ class TestRabiTraceFit:
     @pytest.mark.parametrize("noise_seed", range(8))
     def test_guess_off_by_half_a_bin_keeps_the_theta_sign(self, noise_seed):
         # 57.75 kHz lies about half a spectral bin (5 kHz over 200 us) from
-        # the frequency guess; a nearly undamped first step from there fell
-        # into the neighbouring minimum with theta < 0 for 3 of these seeds
+        # the frequency guess; an undamped first step from there falls into
+        # the neighbouring minimum with theta < 0 for seeds 0, 3 and 7
         omega0 = 2 * np.pi * 57.75e3
         t = np.linspace(0.0, 200e-6, 101)
         noise = np.random.default_rng(noise_seed).normal(0, 0.01, t.size)
@@ -254,21 +254,15 @@ class TestThetaPowerLaw:
         assert result["alpha"] == pytest.approx(0.8, abs=1e-6)
         assert result["offset"] == pytest.approx(0.9, rel=1e-5)
 
-    def test_noiseless_round_trip_converges_without_flags(self):
-        omega = 2 * np.pi * np.geomspace(50e3, 500e3, 12)
-        amplitude = 12.0 * (2 * np.pi * 100e3) ** 3.1
-        result = fit_theta_power_law(omega, theta_rate_model(omega, amplitude, 1.1, 0.4))
-        assert result.converged
-        assert result.flags == ()
-        assert 0 < result.n_iterations < 100 * len(result.params)
-        assert result.params == pytest.approx([amplitude, 1.1, 0.4], rel=1e-6)
-
     def test_noiseless_fit_not_flagged_degenerate(self):
         # amplitude (~1e18) and alpha (~1) differ in scale by ~18 orders;
         # that alone must not read as lost identifiability
         omega = 2 * np.pi * np.geomspace(80e3, 1000e3, 10)
         rates = theta_rate_model(omega, 22.0 * (2 * np.pi * 140e3) ** 2.8, 0.8, 0.9)
-        assert fit_theta_power_law(omega, rates).flags == ()
+        result = fit_theta_power_law(omega, rates)
+        assert result.flags == ()
+        assert result.converged
+        assert 0 < result.n_iterations < 100 * len(result.params)
 
     def test_noisy_recovery_alpha(self, rng):
         omega = 2 * np.pi * np.geomspace(100e3, 1200e3, 12)
