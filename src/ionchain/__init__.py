@@ -61,19 +61,14 @@ from .fitting import (
 )
 from .gates import (
     GateFidelityEstimate,
-    SpamMatrix,
-    apply_spam,
     gate_fidelity_bound,
     gate_fidelity_monte_carlo,
-    parity_fidelity,
     spam_adjust_prediction,
-    spam_matrix_from_counts,
 )
 from .heating import (
     NoiseModel,
     gate_error_scaling,
     heating_rate_at,
-    mode_heating_rate,
     theta_rate,
     theta_rate_model,
 )

@@ -593,7 +593,9 @@ def main(argv=None) -> int:
         print(f"ionchain {args.command}: config error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except (SolverError, UnstableChainError, DegenerateChainError, FitError) as exc:
-        print(f"ionchain {args.command}: numerical error: {exc}", file=sys.stderr)
+        residual = getattr(exc, "residual", None)
+        detail = "" if residual is None else f" (residual {residual:.3e})"
+        print(f"ionchain {args.command}: numerical error: {exc}{detail}", file=sys.stderr)
         return EXIT_NUMERICAL
     except InputError as exc:
         print(f"ionchain {args.command}: input error: {exc}", file=sys.stderr)

@@ -29,9 +29,11 @@ numerical check of the closed form.
 from __future__ import annotations
 
 import math
+import os
+import threading
 import warnings
 from dataclasses import dataclass
-from typing import Mapping, Sequence, Union
+from typing import Callable, Mapping, Sequence, Union
 
 import numpy as np
 
@@ -326,16 +328,66 @@ def _thermal_rabi(omega0, thetas, times):
     return 0.5 * (1.0 - contrast * np.cos(omega0 * times - phase)), contrast, phase
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity set, else the CPU count."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _run_strided(n_items: int, work: Callable[[range], None]) -> None:
+    """Run ``work(indices)`` over strided slices of ``range(n_items)``, one per CPU.
+
+    With w = min(n_items, usable CPUs) workers, slice s is
+    ``range(s, n_items, w)``: the caller runs slice 0 and a thread runs each
+    of the others.  numpy releases the GIL inside its ufunc loops and random
+    fills, so the slices run in parallel.  ``work`` must write each item's
+    result to its own place and nowhere else; the results then do not depend
+    on w.  Every thread is joined before this returns, and an exception
+    raised by any slice (the lowest-numbered one if several raise) is
+    re-raised here, so a caller never sees partly filled output.
+    """
+    n_workers = max(1, min(n_items, _usable_cpus()))
+    errors: list[BaseException | None] = [None] * n_workers
+
+    def run(s: int) -> None:
+        try:
+            work(range(s, n_items, n_workers))
+        except BaseException as exc:
+            errors[s] = exc
+
+    threads = [threading.Thread(target=run, args=(s,)) for s in range(1, n_workers)]
+    started = []
+    try:
+        for thread in threads:
+            thread.start()
+            started.append(thread)
+        run(0)
+    finally:
+        for thread in started:
+            thread.join()
+    for exc in errors:
+        if exc is not None:
+            raise exc
+
+
 def _mode_energy_samples(n_modes: int, n_samples: int, seed: int) -> np.ndarray:
     """Unit-mean exponential energy samples, one independent stream per mode.
 
     Stream-splitting rule: mode m uses ``numpy.random.default_rng([seed, m])``
-    (PCG64 seeded from the entropy pair).  Results are therefore independent
-    of any parallel decomposition and bit-reproducible for a given seed.
+    (PCG64 seeded from the entropy pair).  The modes are drawn in parallel,
+    split over the usable CPUs by :func:`_run_strided`; because each row has
+    its own stream, the samples are bit-reproducible for a given seed and do
+    not depend on the CPU count.
     """
     samples = np.empty((n_modes, n_samples))
-    for m in range(n_modes):
-        samples[m] = np.random.default_rng([seed, m]).exponential(1.0, n_samples)
+
+    def draw(modes: range) -> None:
+        for m in modes:
+            samples[m] = np.random.default_rng([seed, m]).exponential(1.0, n_samples)
+
+    _run_strided(n_modes, draw)
     return samples
 
 
@@ -354,8 +406,11 @@ def rabi_trace_monte_carlo(
     oracle for :func:`rabi_trace`; negative frequency samples are kept as-is
     (the average is even in the frequency).
 
-    Deterministic for a given seed; see :func:`_mode_energy_samples` for the
-    per-mode stream-splitting rule.
+    The drive times are split over the usable CPUs by :func:`_run_strided`;
+    each time's mean and standard error come from the same samples in the
+    same summation order whatever the split, so the result is bit-identical
+    for any CPU count.  Deterministic for a given seed; see
+    :func:`_mode_energy_samples` for the per-mode stream-splitting rule.
     """
     if n_samples < 1:
         raise InputError("n_samples must be >= 1")
@@ -366,11 +421,20 @@ def rabi_trace_monte_carlo(
     u = _mode_energy_samples(len(thetas), n_samples, seed)
     factor = 1.0 - thetas @ u  # relative Rabi frequency per sample
     p1 = np.empty_like(times)
-    stderr = np.empty_like(times)
-    for k, t in enumerate(times):
-        values = np.sin(0.5 * omega0 * t * factor) ** 2
-        p1[k] = values.mean()
-        stderr[k] = values.std(ddof=1) / math.sqrt(n_samples) if n_samples > 1 else 0.0
+    stderr = np.zeros_like(times)
+
+    def average(indices: range) -> None:
+        values = np.empty(n_samples)
+        for k in indices:
+            np.multiply(0.5 * omega0 * times[k], factor, out=values)
+            np.square(np.sin(values, out=values), out=values)
+            p1[k] = mean = np.add.reduce(values) / n_samples
+            if n_samples > 1:  # values.std(ddof=1), in place
+                np.square(np.subtract(values, mean, out=values), out=values)
+                variance = np.add.reduce(values) / (n_samples - 1)
+                stderr[k] = math.sqrt(variance) / math.sqrt(n_samples)
+
+    _run_strided(len(times), average)
     return MonteCarloRabiTrace(
         times=times, p1=p1, stderr=stderr, n_samples=n_samples, seed=seed
     )

@@ -22,10 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decoherence import _mode_energy_samples
+from .decoherence import _mode_energy_samples, _run_strided
 from .errors import InputError
-
-SPAM_ROW_SUM_TOL = 1e-9
 
 
 def gate_fidelity_bound(theta_i, theta_j, n_gates: int = 1) -> float:
@@ -96,7 +94,10 @@ def gate_fidelity_monte_carlo(
       fringe contrast of the ensemble.
     - ``f_overlap = (1 + mean cos y) / 2 = <cos^2(y/2)>``.
 
-    Deterministic for a given seed.
+    The cosine and sine of the samples are taken in parallel on up to two
+    CPUs (:func:`ionchain.decoherence._run_strided`), each over every sample,
+    so the estimate is bit-identical for any CPU count.  Deterministic for a
+    given seed.
     """
     if n_gates < 1:
         raise InputError(f"gate count must be >= 1, got {n_gates}")
@@ -109,8 +110,13 @@ def gate_fidelity_monte_carlo(
     joint = ti + tj
     u = _mode_energy_samples(len(joint), n_samples, seed)
     y = (n_gates * math.pi / 2.0) * (joint @ u)
-    cos_y = np.cos(y)
-    sin_y = np.sin(y)
+    cos_y, sin_y = np.empty_like(y), np.empty_like(y)
+
+    def phasor(parts: range) -> None:
+        for k in parts:
+            (np.cos, np.sin)[k](y, out=(cos_y, sin_y)[k])
+
+    _run_strided(2, phasor)
     c, s = cos_y.mean(), sin_y.mean()
     var_c = cos_y.var(ddof=1) / n_samples
     var_s = sin_y.var(ddof=1) / n_samples
@@ -129,73 +135,6 @@ def gate_fidelity_monte_carlo(
         n_samples=n_samples,
         seed=seed,
     )
-
-
-def parity_fidelity(p00: float, p11: float, contrast: float) -> float:
-    """Bell-state fidelity (p00 + p11 + C)/2 from populations and parity contrast."""
-    if not (0.0 <= p00 <= 1.0 and 0.0 <= p11 <= 1.0):
-        raise InputError("populations must lie in [0, 1]")
-    if p00 + p11 > 1.0 + 1e-12:
-        raise InputError("p00 + p11 must not exceed 1")
-    if not 0.0 <= contrast <= 1.0:
-        raise InputError("parity contrast must lie in [0, 1]")
-    return 0.5 * (p00 + p11 + contrast)
-
-
-@dataclass(frozen=True)
-class SpamMatrix:
-    """Row-stochastic confusion matrix between prepared and measured states.
-
-    Rows index the prepared two-qubit states (00, 01, 10, 11); columns the
-    measured outcomes.  ``uncertainty`` holds per-entry binomial standard
-    errors when constructed from counts.
-    """
-
-    matrix: np.ndarray
-    uncertainty: np.ndarray | None = None
-
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=float)
-        object.__setattr__(self, "matrix", m)
-        if m.shape != (4, 4):
-            raise InputError(f"confusion matrix must be 4x4, got {m.shape}")
-        if np.any(m < 0) or np.any(m > 1):
-            raise InputError("confusion-matrix entries must lie in [0, 1]")
-        if np.any(np.abs(m.sum(axis=1) - 1.0) > SPAM_ROW_SUM_TOL):
-            raise InputError("confusion-matrix rows must sum to 1")
-
-    @classmethod
-    def identity(cls) -> "SpamMatrix":
-        return cls(np.eye(4))
-
-
-def spam_matrix_from_counts(counts) -> SpamMatrix:
-    """Build a confusion matrix from a 4x4 table of measurement counts.
-
-    Rows are normalized by their totals; per-entry uncertainties are the
-    binomial standard errors sqrt(p (1 - p) / n_row).
-    """
-    counts = np.asarray(counts, dtype=float)
-    if counts.shape != (4, 4):
-        raise InputError(f"counts table must be 4x4, got {counts.shape}")
-    if np.any(counts < 0):
-        raise InputError("counts must be >= 0")
-    totals = counts.sum(axis=1)
-    if np.any(totals <= 0):
-        raise InputError("every prepared state needs at least one trial")
-    probs = counts / totals[:, None]
-    sigma = np.sqrt(probs * (1.0 - probs) / totals[:, None])
-    return SpamMatrix(matrix=probs, uncertainty=sigma)
-
-
-def apply_spam(populations, spam: SpamMatrix) -> np.ndarray:
-    """Measured populations for ideal ones: row vector times confusion matrix."""
-    p = np.asarray(populations, dtype=float)
-    if p.shape != (4,):
-        raise InputError(f"populations must be a 4-vector, got shape {p.shape}")
-    if abs(p.sum() - 1.0) > 1e-9 or np.any(p < -1e-12):
-        raise InputError("populations must be non-negative and sum to 1")
-    return p @ spam.matrix
 
 
 def spam_adjust_prediction(fidelity: float, spam_error: float) -> float:

@@ -84,17 +84,6 @@ def _mode_heating_rates(noise: NoiseModel, modes: ModeDecomposition) -> np.ndarr
     )
 
 
-def mode_heating_rate(noise: NoiseModel, modes: ModeDecomposition, m: int) -> float:
-    """Heating rate of chain mode m under spatially uniform field noise.
-
-    nbar_rate(omega_m) * (sum_i b_im)^2 * inhomogeneity_factor.  The squared
-    participation sum is the work coupling of a uniform force to the mode.
-    """
-    if not 0 <= m < modes.n_modes:
-        raise InputError(f"mode index {m} outside 0..{modes.n_modes - 1}")
-    return _mode_heating_rates(noise, modes)[m]
-
-
 def theta_rate(
     noise: NoiseModel,
     modes: ModeDecomposition,

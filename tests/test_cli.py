@@ -6,7 +6,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import ionchain.cli
 from ionchain.cli import main
+from ionchain.errors import SolverError
 from ionchain.fitting import gaussian_beam_model
 
 YB = "species:\n  label: 171Yb+\n"
@@ -377,6 +379,29 @@ class TestCooling:
         cfg = write(tmp_path / "c.yaml", self.CFG.format(r=0.5))
         assert run(["cooling", "--config", cfg, "--format", "csv"]) == 2
 
+
+class TestNumericalErrors:
+    def test_stalled_solve_reports_residual(self, monkeypatch, harmonic2, capsys):
+        def stalled(*args, **kwargs):
+            raise SolverError("equilibrium search stalled", residual=2.5e-11)
+
+        monkeypatch.setattr(ionchain.cli, "find_equilibrium", stalled)
+        assert run(["modes", "--config", harmonic2]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.strip() == (
+            "ionchain modes: numerical error: equilibrium search stalled (residual 2.500e-11)"
+        )
+
+    def test_error_without_residual_keeps_its_message(self, monkeypatch, harmonic2, capsys):
+        def failed(*args, **kwargs):
+            raise SolverError("uniform-chain fit failed: positions are not finite")
+
+        monkeypatch.setattr(ionchain.cli, "find_equilibrium", failed)
+        assert run(["modes", "--config", harmonic2]) == 3
+        assert capsys.readouterr().err.strip() == (
+            "ionchain modes: numerical error: uniform-chain fit failed: positions are not finite"
+        )
 
 class TestDeterminismAndPlumbing:
     def test_modes_byte_identical(self, tmp_path, harmonic2):

@@ -1,3 +1,6 @@
+import math
+import sys
+import threading
 import warnings
 
 import numpy as np
@@ -20,6 +23,7 @@ from ionchain import (
     theta_profile_gaussian,
     zero_point_spread,
 )
+from ionchain import decoherence
 from ionchain.errors import DomainError, InputError, LowOccupancyWarning
 
 WAIST = 870e-9
@@ -312,6 +316,86 @@ class TestRabiTraceMonteCarlo:
             closed = rabi_trace(omega0, thetas, t)
             mc = rabi_trace_monte_carlo(omega0, thetas, t, 100_000, seed=500 + trial)
             assert np.max(np.abs(closed.p1 - mc.p1)) < 5e-3
+
+
+def serial_rabi_monte_carlo(omega0, thetas, times, n_samples, seed):
+    """The one-thread Monte-Carlo loop, as it was written before the drive
+    times were split over CPUs: the bit-for-bit reference."""
+    times = np.asarray(times, dtype=float)
+    thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
+    u = np.empty((len(thetas), n_samples))
+    for m in range(len(thetas)):
+        u[m] = np.random.default_rng([seed, m]).exponential(1.0, n_samples)
+    factor = 1.0 - thetas @ u
+    p1 = np.empty_like(times)
+    stderr = np.empty_like(times)
+    for k, t in enumerate(times):
+        values = np.sin(0.5 * omega0 * t * factor) ** 2
+        p1[k] = values.mean()
+        stderr[k] = values.std(ddof=1) / math.sqrt(n_samples) if n_samples > 1 else 0.0
+    return p1, stderr
+
+
+class TestParallelMonteCarlo:
+    @pytest.mark.parametrize("n_samples", [2, 100_000])
+    @pytest.mark.parametrize("n_times", [1, 2, 51])
+    @pytest.mark.parametrize("thetas", [[0.04], [0.08, -0.03, 0.02]])
+    def test_bit_identical_to_serial_loop(self, thetas, n_times, n_samples):
+        # unsorted drive times, t = 0 among them once there are two or more
+        times = np.random.default_rng(n_times).uniform(0.0, 1e-4, n_times)
+        if n_times > 1:
+            times[n_times // 2] = 0.0
+        omega0 = 2 * np.pi * 50e3
+        p1, stderr = serial_rabi_monte_carlo(omega0, thetas, times, n_samples, seed=3)
+        mc = rabi_trace_monte_carlo(omega0, thetas, times, n_samples, seed=3)
+        assert np.array_equal(mc.p1, p1)
+        assert np.array_equal(mc.stderr, stderr)
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3, 8])
+    def test_independent_of_cpu_count(self, monkeypatch, cpus):
+        # more workers than cores, switching threads often: a lost or
+        # misplaced write would break bit-equality
+        monkeypatch.setattr(decoherence, "_usable_cpus", lambda: cpus)
+        times = np.linspace(0.0, 8e-5, 7)[::-1]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            mc = rabi_trace_monte_carlo(
+                2 * np.pi * 50e3, [0.05, 0.01, -0.02], times, 5000, seed=8
+            )
+        finally:
+            sys.setswitchinterval(interval)
+        p1, stderr = serial_rabi_monte_carlo(
+            2 * np.pi * 50e3, [0.05, 0.01, -0.02], times, 5000, seed=8
+        )
+        assert np.array_equal(mc.p1, p1)
+        assert np.array_equal(mc.stderr, stderr)
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3, 8])
+    @pytest.mark.parametrize("n_items", [0, 1, 2, 5, 51])
+    def test_every_item_runs_once(self, monkeypatch, cpus, n_items):
+        monkeypatch.setattr(decoherence, "_usable_cpus", lambda: cpus)
+        seen = []
+        decoherence._run_strided(n_items, seen.extend)
+        assert sorted(seen) == list(range(n_items))
+
+    @pytest.mark.parametrize("failing_slice", [0, 2])
+    def test_worker_exception_reaches_caller(self, monkeypatch, failing_slice):
+        monkeypatch.setattr(decoherence, "_usable_cpus", lambda: 3)
+        before = threading.active_count()
+
+        def work(indices):
+            if indices.start == failing_slice:
+                raise ZeroDivisionError(f"slice {indices.start}")
+
+        with pytest.raises(ZeroDivisionError, match=f"slice {failing_slice}"):
+            decoherence._run_strided(9, work)
+        assert threading.active_count() == before
+
+    def test_no_thread_outlives_a_call(self):
+        before = threading.active_count()
+        rabi_trace_monte_carlo(2 * np.pi * 50e3, [0.05, 0.02], np.linspace(0, 1e-4, 51), 1000)
+        assert threading.active_count() == before
 
 
 # ----------------------------------------------------------------------

@@ -1,28 +1,12 @@
+import math
+import threading
+
 import numpy as np
 import pytest
 
-from ionchain import (
-    SpamMatrix,
-    apply_spam,
-    gate_fidelity_bound,
-    gate_fidelity_monte_carlo,
-    parity_fidelity,
-    spam_adjust_prediction,
-    spam_matrix_from_counts,
-)
+from ionchain import gate_fidelity_bound, gate_fidelity_monte_carlo, spam_adjust_prediction
 from ionchain.errors import InputError
 from ionchain.gates import gate_fidelity_slope
-
-# measured two-qubit confusion matrix used in several tests (percent)
-CONFUSION = np.array(
-    [
-        [99.76, 0.17, 0.07, 0.00],
-        [0.53, 99.34, 0.00, 0.13],
-        [0.36, 0.00, 99.22, 0.42],
-        [0.02, 0.45, 0.48, 99.05],
-    ]
-) / 100.0
-
 
 class TestGateFidelityBound:
     def test_zero_theta_is_unity(self):
@@ -96,81 +80,55 @@ class TestGateFidelityMonteCarlo:
         assert a == b
 
 
-class TestParityFidelity:
-    def test_perfect_bell_state(self):
-        assert parity_fidelity(0.5, 0.5, 1.0) == 1.0
+def serial_gate_monte_carlo(theta_i, theta_j, n_gates, n_samples, seed):
+    """The one-thread gate estimator, as it was written before the cosine and
+    sine were taken in parallel: the bit-for-bit reference."""
+    joint = np.atleast_1d(np.asarray(theta_i, dtype=float)) + np.atleast_1d(
+        np.asarray(theta_j, dtype=float)
+    )
+    u = np.empty((len(joint), n_samples))
+    for m in range(len(joint)):
+        u[m] = np.random.default_rng([seed, m]).exponential(1.0, n_samples)
+    y = (n_gates * math.pi / 2.0) * (joint @ u)
+    cos_y = np.cos(y)
+    sin_y = np.sin(y)
+    c, s = cos_y.mean(), sin_y.mean()
+    var_c = cos_y.var(ddof=1) / n_samples
+    var_s = sin_y.var(ddof=1) / n_samples
+    cov_cs = np.cov(cos_y, sin_y, ddof=1)[0, 1] / n_samples
+    radius = math.hypot(c, s)
+    if radius > 0:
+        var_r = (c * c * var_c + s * s * var_s + 2 * c * s * cov_cs) / (radius * radius)
+    else:
+        var_r = var_c + var_s
+    return (
+        0.5 * (1.0 + radius),
+        0.5 * math.sqrt(max(var_r, 0.0)),
+        0.5 * (1.0 + c),
+        0.5 * math.sqrt(var_c),
+    )
 
-    def test_fully_mixed(self):
-        assert parity_fidelity(0.25, 0.25, 0.0) == 0.25
 
-    def test_arithmetic(self):
-        assert parity_fidelity(0.48, 0.48, 0.94) == pytest.approx(0.95)
+class TestParallelGateMonteCarlo:
+    @pytest.mark.parametrize("n_samples", [2, 100_000])
+    @pytest.mark.parametrize(
+        "theta_i, theta_j", [([0.1], [0.05]), ([0.05, -0.02, 0.04], [0.06, 0.03, -0.01])]
+    )
+    def test_bit_identical_to_serial_estimator(self, theta_i, theta_j, n_samples):
+        est = gate_fidelity_monte_carlo(theta_i, theta_j, 3, n_samples, seed=5)
+        got = (est.f_parity, est.f_parity_stderr, est.f_overlap, est.f_overlap_stderr)
+        assert np.array_equal(got, serial_gate_monte_carlo(theta_i, theta_j, 3, n_samples, 5))
 
-    def test_domain_checks(self):
-        with pytest.raises(InputError):
-            parity_fidelity(0.7, 0.4, 0.5)
-        with pytest.raises(InputError):
-            parity_fidelity(-0.1, 0.5, 0.5)
-        with pytest.raises(InputError):
-            parity_fidelity(0.5, 0.5, 1.2)
+    def test_no_thread_outlives_a_call(self):
+        before = threading.active_count()
+        gate_fidelity_monte_carlo([0.1, 0.02], [0.05, 0.01], 2, n_samples=1000, seed=1)
+        assert threading.active_count() == before
 
 
 class TestSpam:
-    def test_identity_leaves_populations(self):
-        p = np.array([0.1, 0.2, 0.3, 0.4])
-        assert np.allclose(apply_spam(p, SpamMatrix.identity()), p, rtol=1e-15)
-
-    def test_measured_matrix_on_prepared_00(self):
-        spam = SpamMatrix(CONFUSION)
-        measured = apply_spam(np.array([1.0, 0.0, 0.0, 0.0]), spam)
-        assert np.allclose(measured, [0.9976, 0.0017, 0.0007, 0.0], atol=1e-12)
-
-    def test_normalization_preserved(self, rng):
-        spam = SpamMatrix(CONFUSION)
-        for _ in range(20):
-            p = rng.dirichlet(np.ones(4))
-            assert apply_spam(p, spam).sum() == pytest.approx(1.0, abs=1e-12)
-
-    def test_non_stochastic_rejected(self):
-        bad = np.eye(4)
-        bad[0, 0] = 0.9
-        with pytest.raises(InputError):
-            SpamMatrix(bad)
-
-    def test_bad_populations_rejected(self):
-        with pytest.raises(InputError):
-            apply_spam(np.array([0.5, 0.5, 0.5, 0.0]), SpamMatrix.identity())
-
     def test_adjustment(self):
         assert spam_adjust_prediction(1.0, 0.009) == pytest.approx(0.991)
         assert spam_adjust_prediction(0.95, 0.0) == 0.95
         with pytest.raises(InputError):
             spam_adjust_prediction(0.9, 1.5)
-
-
-class TestSpamFromCounts:
-    def test_identity_counts(self):
-        counts = np.eye(4, dtype=int) * 1000
-        spam = spam_matrix_from_counts(counts)
-        assert np.array_equal(spam.matrix, np.eye(4))
-
-    def test_measured_style_row(self):
-        counts = np.eye(4, dtype=int) * 20000
-        counts[0] = [19952, 34, 14, 0]
-        spam = spam_matrix_from_counts(counts)
-        assert np.allclose(spam.matrix[0], [0.9976, 0.0017, 0.0007, 0.0], atol=1e-15)
-        p = 0.9976
-        assert spam.uncertainty[0, 0] == pytest.approx(
-            np.sqrt(p * (1 - p) / 20000), rel=1e-12
-        )
-
-    def test_uniform_counts(self):
-        spam = spam_matrix_from_counts(np.full((4, 4), 500))
-        assert np.allclose(spam.matrix, 0.25, rtol=1e-15)
-
-    def test_zero_row_rejected(self):
-        counts = np.eye(4, dtype=int) * 100
-        counts[2] = 0
-        with pytest.raises(InputError):
-            spam_matrix_from_counts(counts)
 

@@ -14,7 +14,6 @@ from ionchain import (
     fit_theta_power_law,
     gate_error_scaling,
     heating_rate_at,
-    mode_heating_rate,
     normal_modes,
     single_ion_modes,
     theta_rate,
@@ -23,6 +22,7 @@ from ionchain import (
 )
 from ionchain.chain import ModeDecomposition
 from ionchain.errors import InputError
+from ionchain.heating import _mode_heating_rates
 
 NOISE = NoiseModel(alpha=1.0, nbar_rate_ref=88.0, omega_ref=2 * np.pi * 3e6)
 WAIST = 870e-9
@@ -57,11 +57,11 @@ class TestModeHeatingRate:
         n = 6
         modes = normal_modes(find_equilibrium(YB171, HarmonicPotential(2 * np.pi * 200e3), n))
         expected = heating_rate_at(NOISE, modes.frequencies[0]) * n
-        assert mode_heating_rate(NOISE, modes, 0) == pytest.approx(expected, rel=1e-10)
+        assert _mode_heating_rates(NOISE, modes)[0] == pytest.approx(expected, rel=1e-10)
 
     def test_stretch_mode_decouples(self):
         modes = normal_modes(find_equilibrium(YB171, HarmonicPotential(2 * np.pi * 200e3), 4))
-        assert mode_heating_rate(NOISE, modes, 1) < 1e-20
+        assert _mode_heating_rates(NOISE, modes)[1] < 1e-20
 
     def test_uniform_projection_oracle(self):
         modes = normal_modes(find_equilibrium(YB171, EquispacedLogPotential(15, 4.4e-6)))
@@ -77,14 +77,9 @@ class TestModeHeatingRate:
         noisy = NoiseModel(alpha=1.0, nbar_rate_ref=88.0, omega_ref=2 * np.pi * 3e6,
                            inhomogeneity_factor=1.2)
         modes = single_ion_modes(YB171, 2 * np.pi * 200e3)
-        assert mode_heating_rate(noisy, modes, 0) == pytest.approx(
-            1.2 * mode_heating_rate(NOISE, modes, 0), rel=1e-14
+        assert _mode_heating_rates(noisy, modes)[0] == pytest.approx(
+            1.2 * _mode_heating_rates(NOISE, modes)[0], rel=1e-14
         )
-
-    def test_mode_index_checked(self):
-        modes = single_ion_modes(YB171, 2 * np.pi * 200e3)
-        with pytest.raises(InputError):
-            mode_heating_rate(NOISE, modes, 1)
 
 
 class TestThetaRate:
