@@ -63,6 +63,7 @@ from .gates import (
     GateFidelityEstimate,
     gate_fidelity_bound,
     gate_fidelity_monte_carlo,
+    parity_fidelity,
     spam_adjust_prediction,
 )
 from .heating import (
