@@ -1,9 +1,9 @@
 """Weighted nonlinear least squares and the fit recipes used by this package.
 
 The core is a bounded Levenberg-Marquardt loop in numpy (forward-difference
-Jacobian with norm-scaled columns, steps projected onto the bounds) with
-deterministic multi-start: the base guess plus three jittered copies; the
-lowest chi-square wins, ties going to the lowest restart index.  Every fit,
+Jacobian with norm-scaled columns, steps projected onto the bounds), solved
+once from the recipe's guess or, where a recipe asks, also from jittered copies
+of it: the lowest chi-square wins, ties going to the earliest start.  Every fit,
 including the closed-form line and the variable-projection power law,
 ends in one summary step that gives covariance-based parameter
 uncertainties and the diagnostic flags.  When per-point sigmas are supplied
@@ -132,8 +132,7 @@ def fit_least_squares(
     guess,
     bounds=None,
     param_names: Sequence[str] | None = None,
-    n_restarts: int = 3,
-    jitter_scale: float = 0.1,
+    n_restarts: int = 0,
 ) -> FitResult:
     """Weighted least-squares fit of ``model(params, x)`` to a data series.
 
@@ -151,7 +150,7 @@ def fit_least_squares(
     param_names : sequence of str, optional
         Names for lookup on the result.
     n_restarts : int, optional
-        Number of additional deterministically jittered starts.
+        Number of deterministically jittered starts added to the guess; none by default.
 
     Each start runs :func:`_levenberg_marquardt`; ``n_iterations`` is the
     winning start's number of model evaluations outside the Jacobian.  See
@@ -209,8 +208,7 @@ def fit_least_squares(
     scale = np.maximum(np.abs(guess), np.median(np.abs(guess)) + 1e-300)
     starts = [guess]
     for _ in range(n_restarts):
-        jittered = guess + jitter_scale * scale * rng.standard_normal(n_params)
-        starts.append(np.clip(jittered, lo, hi))
+        starts.append(np.clip(guess + 0.1 * scale * rng.standard_normal(n_params), lo, hi))
 
     best = None
     best_cost = np.inf
@@ -486,8 +484,9 @@ def fit_rabi_trace(t, p1, sigma=None, n_shots=None, n_modes: int = 1) -> FitResu
         names = ("rabi_frequency",) + tuple(f"theta_{m}" for m in range(n_modes))
     lo = [0.5 * omega0] + [-np.inf] * n_modes
     hi = [2.0 * omega0] + [np.inf] * n_modes
+    # A multi-mode guess sits on the ridge of equal thetas; only restarts leave it.
     result = fit_least_squares(
-        damped_rabi_model, data, guess, bounds=(lo, hi), param_names=names
+        damped_rabi_model, data, guess, (lo, hi), names, n_restarts=0 if n_modes == 1 else 3
     )
     if abs(result.params[1]) < result.uncertainties[1]:
         result = dataclasses.replace(

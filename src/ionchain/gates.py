@@ -110,27 +110,28 @@ def gate_fidelity_monte_carlo(
     joint = ti + tj
     u = _mode_energy_samples(len(joint), n_samples, seed)
     y = (n_gates * math.pi / 2.0) * (joint @ u)
-    cos_y, sin_y = np.empty_like(y), np.empty_like(y)
+    phasors = np.empty((2, n_samples))
 
     def phasor(parts: range) -> None:
         for k in parts:
-            (np.cos, np.sin)[k](y, out=(cos_y, sin_y)[k])
+            (np.cos, np.sin)[k](y, out=phasors[k])
 
     _run_strided(2, phasor)
-    c, s = cos_y.mean(), sin_y.mean()
-    var_c = cos_y.var(ddof=1) / n_samples
-    var_s = sin_y.var(ddof=1) / n_samples
-    cov_cs = np.cov(cos_y, sin_y, ddof=1)[0, 1] / n_samples
+    # One centred pass: the same sums, gemm and divisions as .mean(), .var(ddof=1), np.cov.
+    c, s = np.add.reduce(phasors, axis=1) / n_samples
+    phasors -= [[c], [s]]
+    dof = n_samples - 1
+    cov_cs = np.dot(phasors, phasors.T)[0, 1] * (1.0 / dof) / n_samples
+    var_c, var_s = np.add.reduce(np.square(phasors, out=phasors), axis=1) / dof / n_samples
     radius = math.hypot(c, s)
     if radius > 0:
         var_r = (c * c * var_c + s * s * var_s + 2 * c * s * cov_cs) / (radius * radius)
     else:
         var_r = var_c + var_s
-    f_overlap = 0.5 * (1.0 + c)
     return GateFidelityEstimate(
         f_parity=0.5 * (1.0 + radius),
         f_parity_stderr=0.5 * math.sqrt(max(var_r, 0.0)),
-        f_overlap=f_overlap,
+        f_overlap=0.5 * (1.0 + c),
         f_overlap_stderr=0.5 * math.sqrt(var_c),
         n_samples=n_samples,
         seed=seed,

@@ -10,6 +10,7 @@ from ionchain import (
     fit_theta_growth,
     fit_theta_power_law,
 )
+from ionchain import fitting
 from ionchain.fitting import damped_rabi_model, gaussian_beam_model
 from ionchain.heating import theta_rate_model
 from ionchain.errors import FitError, InputError
@@ -221,6 +222,80 @@ class TestRabiTraceFit:
         assert result.param_names == ("rabi_frequency", "theta_0", "theta_1")
         fitted = sorted(result.params[1:])
         assert fitted == pytest.approx([0.03, 0.06], abs=1e-6)
+
+
+def beam_scan(rng):
+    """41-point scan with the calibration benchmark's truth ranges and noise."""
+    x = np.linspace(-2.5, 2.5, 41)
+    truth = [rng.uniform(0.8, 1.2), rng.uniform(-0.2, 0.2), rng.uniform(0.8, 1.0)]
+    return x, gaussian_beam_model(truth, x) + rng.normal(0.0, 0.01, x.size)
+
+
+def rabi_trace(rng):
+    """101-point single-mode trace with the calibration benchmark's ranges and noise."""
+    t = np.linspace(0.0, 200e-6, 101)
+    truth = [2 * np.pi * rng.uniform(40e3, 60e3), rng.uniform(0.02, 0.06)]
+    return t, damped_rabi_model(truth, t) + rng.normal(0.0, 0.01, t.size)
+
+
+class TestStarts:
+    """Fits solve once from the recipe's guess; multi-mode Rabi fits add three restarts."""
+
+    @pytest.fixture
+    def solves(self, monkeypatch):
+        calls = []
+        solve = fitting._levenberg_marquardt
+
+        def counted(*args, **kwargs):
+            calls.append(args[1])
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(fitting, "_levenberg_marquardt", counted)
+        return calls
+
+    def test_beam_profile_solves_once(self, solves, rng):
+        fit_beam_profile(*beam_scan(rng), sigma=np.full(41, 0.01))
+        assert len(solves) == 1
+
+    def test_single_mode_rabi_solves_once(self, solves, rng):
+        fit_rabi_trace(*rabi_trace(rng), sigma=np.full(101, 0.01))
+        assert len(solves) == 1
+
+    def test_multimode_rabi_restarts_three_times(self, solves):
+        t = np.linspace(0.0, 120e-6, 240)
+        fit_rabi_trace(t, damped_rabi_model([2 * np.pi * 50e3, 0.06, 0.03], t), n_modes=2)
+        assert len(solves) == 4
+
+    def test_restarts_are_counted(self, solves):
+        x = np.linspace(0.0, 5.0, 9)
+        fit_least_squares(
+            lambda p, xx: p[0] * xx + p[1], DataSeries(x, 0.7 * x - 1.3), [1.0, 0.0],
+            n_restarts=3,
+        )
+        assert len(solves) == 4
+        assert np.array_equal(solves[0], [1.0, 0.0])
+
+    @pytest.mark.parametrize("recipe", ["beam", "rabi"])
+    def test_restarts_find_nothing_better(self, recipe, monkeypatch):
+        # Over the benchmark's truth ranges the jittered starts end in the
+        # base start's minimum; they may only differ within the solver's
+        # stopping tolerance (1e-14 of the cost per step).
+        rng = np.random.default_rng(8)
+        if recipe == "beam":
+            fits = [(fit_beam_profile, *beam_scan(rng), np.full(41, 0.01)) for _ in range(16)]
+        else:
+            fits = [(fit_rabi_trace, *rabi_trace(rng), np.full(101, 0.01)) for _ in range(16)]
+        single = [fit(x, y, sigma) for fit, x, y, sigma in fits]
+        solve = fitting.fit_least_squares
+        monkeypatch.setattr(
+            fitting, "fit_least_squares", lambda *a, **kw: solve(*a, **{**kw, "n_restarts": 3})
+        )
+        for (fit, x, y, sigma), one in zip(fits, single):
+            four = fit(x, y, sigma)
+            one_cost = 0.5 * one.residuals @ one.residuals
+            four_cost = 0.5 * four.residuals @ four.residuals
+            assert four_cost >= one_cost * (1.0 - 1e-13)
+            assert np.all(np.abs(four.params - one.params) <= 1e-5 * one.uncertainties)
 
 
 class TestThetaGrowth:
