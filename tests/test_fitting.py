@@ -280,17 +280,18 @@ class TestStarts:
         # Over the benchmark's truth ranges the jittered starts end in the
         # base start's minimum; they may only differ within the solver's
         # stopping tolerance (1e-14 of the cost per step).
+        fit, make, n_points = {
+            "beam": (fit_beam_profile, beam_scan, 41), "rabi": (fit_rabi_trace, rabi_trace, 101)
+        }[recipe]
         rng = np.random.default_rng(8)
-        if recipe == "beam":
-            fits = [(fit_beam_profile, *beam_scan(rng), np.full(41, 0.01)) for _ in range(16)]
-        else:
-            fits = [(fit_rabi_trace, *rabi_trace(rng), np.full(101, 0.01)) for _ in range(16)]
-        single = [fit(x, y, sigma) for fit, x, y, sigma in fits]
+        data = [make(rng) for _ in range(16)]
+        sigma = np.full(n_points, 0.01)
+        single = [fit(x, y, sigma) for x, y in data]
         solve = fitting.fit_least_squares
         monkeypatch.setattr(
             fitting, "fit_least_squares", lambda *a, **kw: solve(*a, **{**kw, "n_restarts": 3})
         )
-        for (fit, x, y, sigma), one in zip(fits, single):
+        for (x, y), one in zip(data, single):
             four = fit(x, y, sigma)
             one_cost = 0.5 * one.residuals @ one.residuals
             four_cost = 0.5 * four.residuals @ four.residuals
