@@ -247,24 +247,20 @@ def _scaled_trap(potential: TrapPotential, species: IonSpecies):
     return grad_curv, halfwidth
 
 
-def _coulomb_grad(u: np.ndarray) -> np.ndarray:
+def _chain_terms(u: np.ndarray, grad_curv):
+    """Scaled energy gradient, pair distances |u_i - u_j| (inf on the
+    diagonal) and trap curvature at u, from one pass over the pairs."""
+    g_trap, c_trap = grad_curv(u)
     r = u[:, None] - u[None, :]
     np.fill_diagonal(r, np.inf)
-    return -np.sum(np.sign(r) / (r * r), axis=1)
+    a = np.abs(r)
+    return g_trap - np.sum(1.0 / (r * a), axis=1), a, c_trap
 
 
-def _chain_gradient(u, grad_curv) -> np.ndarray:
-    g_trap, _ = grad_curv(u)
-    return g_trap + _coulomb_grad(u)
-
-
-def _chain_hessian(u, grad_curv) -> np.ndarray:
-    _, c_trap = grad_curv(u)
-    r = u[:, None] - u[None, :]
-    np.fill_diagonal(r, np.inf)
-    off = -2.0 / np.abs(r) ** 3
-    H = off.copy()
-    np.fill_diagonal(H, c_trap - off.sum(axis=1))
+def _hessian_from(a: np.ndarray, c_trap) -> np.ndarray:
+    """Scaled Hessian from the pair distances and trap curvature."""
+    H = -2.0 / a**3
+    np.fill_diagonal(H, c_trap - H.sum(axis=1))
     return H
 
 
@@ -290,10 +286,13 @@ def find_equilibrium(
     """Find the classical equilibrium positions of an N-ion chain.
 
     Damped Newton iteration on the energy gradient, starting from a uniformly
-    spaced guess; steps that fail to reduce the gradient norm (or leave the
-    potential domain, or reorder ions) are backtracked, falling back to a
+    spaced guess.  Steps that fail to reduce the largest gradient component
+    (or leave the potential domain, or reorder ions) are halved, with a
     steepest-descent direction when the Newton step is not a descent
-    direction.  Deterministic for given inputs.
+    direction and a steepest-descent rescue when no halving helps.  Each
+    accepted iterate's pair distances and trap curvature give the next
+    Hessian, so every iterate makes one pass over the ion pairs.
+    Deterministic for given inputs.
 
     Parameters
     ----------
@@ -328,63 +327,43 @@ def find_equilibrium(
 
     L = potential.unit_length(species)
     grad_curv, halfwidth = _scaled_trap(potential, species)
-
-    if n_ions == 1:
-        # single ion: minimize the bare trap potential (Newton in 1D)
-        u = 0.0
-        for _ in range(max_iterations):
-            g, c = grad_curv(np.array([u]))
-            if abs(g[0]) < GRADIENT_TOLERANCE:
-                return EquilibriumChain(species, potential, np.array([u * L]), abs(g[0]))
-            u -= g[0] / c[0] if c[0] > 0 else math.copysign(0.1, g[0])
-        raise SolverError("single-ion minimization did not converge", residual=abs(g[0]))
-
     u = _initial_guess(potential, species, n_ions)
 
     def valid(v):
-        return np.all(np.diff(v) > 0) and np.all(np.abs(v) < halfwidth)
+        return (v[1:] > v[:-1]).all() and (np.abs(v) < halfwidth).all()
 
-    g = _chain_gradient(u, grad_curv)
-    res = float(np.max(np.abs(g)))
+    def backtrack(step, scale, tries):
+        """First u + scale * step / 2^k (k < tries) that is valid and lowers
+        the residual, as (positions, kernel terms, residual); else None."""
+        for _ in range(tries):
+            cand = u + scale * step
+            if valid(cand):
+                terms = _chain_terms(cand, grad_curv)
+                r_cand = float(np.abs(terms[0]).max())
+                if r_cand < res:
+                    return cand, terms, r_cand
+            scale *= 0.5
+        return None
+
+    terms = _chain_terms(u, grad_curv)
+    res = float(np.abs(terms[0]).max())
     for _ in range(max_iterations):
         if res < GRADIENT_TOLERANCE:
             return EquilibriumChain(species, potential, u * L, res)
-        H = _chain_hessian(u, grad_curv)
+        g, a, c_trap = terms
         try:
-            step = np.linalg.solve(H, -g)
+            step = np.linalg.solve(_hessian_from(a, c_trap), -g)
         except np.linalg.LinAlgError:
             step = -g
         if np.dot(step, g) >= 0:  # not a descent direction
             step = -g
-        scale = 1.0
-        best = None
-        for _ in range(60):
-            cand = u + scale * step
-            if valid(cand):
-                g_cand = _chain_gradient(cand, grad_curv)
-                r_cand = float(np.max(np.abs(g_cand)))
-                if r_cand < res:
-                    best = (cand, g_cand, r_cand)
-                    break
-            scale *= 0.5
-        if best is None:
-            # gradient-descent rescue with fresh backtracking
-            step = -g
-            scale = 0.5 / max(res, 1.0)
-            for _ in range(80):
-                cand = u + scale * step
-                if valid(cand):
-                    g_cand = _chain_gradient(cand, grad_curv)
-                    r_cand = float(np.max(np.abs(g_cand)))
-                    if r_cand < res:
-                        best = (cand, g_cand, r_cand)
-                        break
-                scale *= 0.5
+        # on failure, a gradient-descent rescue with fresh backtracking
+        best = backtrack(step, 1.0, 60) or backtrack(-g, 0.5 / max(res, 1.0), 80)
         if best is None:
             raise SolverError(
                 "equilibrium search stalled", residual=res, positions=u * L
             )
-        u, g, res = best
+        u, terms, res = best
     if res < GRADIENT_TOLERANCE:
         return EquilibriumChain(species, potential, u * L, res)
     raise SolverError(
@@ -403,11 +382,7 @@ def chain_gradient(chain: EquilibriumChain) -> np.ndarray:
     grad_curv, _ = _scaled_trap(chain.potential, chain.species)
     L = chain.unit_length
     k = chain.species.coulomb_energy_scale
-    u = chain.positions / L
-    if len(u) == 1:
-        g, _ = grad_curv(u)
-        return g * (k / L**2)
-    return _chain_gradient(u, grad_curv) * (k / L**2)
+    return _chain_terms(chain.positions / L, grad_curv)[0] * (k / L**2)
 
 
 def hessian_matrix(chain: EquilibriumChain) -> np.ndarray:
@@ -428,25 +403,18 @@ def hessian_matrix(chain: EquilibriumChain) -> np.ndarray:
         raise DegenerateChainError("coincident ion positions")
     L = chain.unit_length
     grad_curv, _ = _scaled_trap(chain.potential, chain.species)
-    u = x / L
-    if len(u) == 1:
-        _, c = grad_curv(u)
-        return np.array([[c[0]]])
-    return _chain_hessian(u, grad_curv)
+    _, a, c_trap = _chain_terms(x / L, grad_curv)
+    return _hessian_from(a, c_trap)
 
 
 def _fix_signs(vectors: np.ndarray) -> np.ndarray:
-    """Flip eigenvector columns so each column sum is non-negative."""
-    out = vectors.copy()
-    for m in range(out.shape[1]):
-        s = out[:, m].sum()
-        if s < -_SIGN_TIE_EPS:
-            out[:, m] = -out[:, m]
-        elif abs(s) <= _SIGN_TIE_EPS:
-            nonzero = np.nonzero(np.abs(out[:, m]) > _SIGN_TIE_EPS)[0]
-            if len(nonzero) and out[nonzero[0], m] < 0:
-                out[:, m] = -out[:, m]
-    return out
+    """Flip eigenvector columns so each column sum is non-negative; a sum
+    within _SIGN_TIE_EPS of zero makes the first entry above it positive."""
+    sums = vectors.T.copy().sum(axis=1)  # bit-equal to vectors[:, m].sum()
+    first = np.argmax(np.abs(vectors) > _SIGN_TIE_EPS, axis=0)
+    lead = vectors[first, np.arange(vectors.shape[1])]
+    tie = (np.abs(sums) <= _SIGN_TIE_EPS) & (lead < -_SIGN_TIE_EPS)
+    return np.where((sums < -_SIGN_TIE_EPS) | tie, -vectors, vectors)
 
 
 def normal_modes(chain: EquilibriumChain) -> ModeDecomposition:

@@ -596,6 +596,13 @@ def main(argv=None) -> int:
         residual = getattr(exc, "residual", None)
         detail = "" if residual is None else f" (residual {residual:.3e})"
         print(f"ionchain {args.command}: numerical error: {exc}{detail}", file=sys.stderr)
+        positions = getattr(exc, "positions", None)
+        if positions is not None:
+            log.debug(
+                "solver positions at failure (%d ions, um): %s",
+                len(positions),
+                " ".join(f"{x * 1e6:.6g}" for x in positions),
+            )
         return EXIT_NUMERICAL
     except InputError as exc:
         print(f"ionchain {args.command}: input error: {exc}", file=sys.stderr)

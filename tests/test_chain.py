@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import central_diff, chain_hessian_fd, coordinate_descent_minimum
 
@@ -17,6 +19,7 @@ from ionchain import (
     single_ion_modes,
     spacing_deviation,
 )
+from ionchain import chain as chain_module
 from ionchain.constants import IonSpecies, K_COULOMB
 from ionchain.errors import (
     DegenerateChainError,
@@ -161,6 +164,115 @@ class TestFindEquilibrium:
             find_equilibrium(YB171, HARMONIC, 30, max_iterations=2)
         assert excinfo.value.residual is not None
         assert excinfo.value.residual > 0
+
+
+    def test_single_ion_gradient_and_curvature_are_the_trap_terms(self):
+        chain = find_equilibrium(YB171, HARMONIC, 1)
+        _, grad, curv = HARMONIC.evaluate(chain.positions, YB171)
+        assert np.array_equal(chain_gradient(chain), grad)
+        length = chain.unit_length
+        expected = curv * (length**3 / YB171.coulomb_energy_scale)
+        assert np.array_equal(hessian_matrix(chain), expected[None, :])
+
+
+def _patch_first_solve(monkeypatch, first):
+    """Let ``first(solve, H, b)`` stand in for the solver's first Newton
+    solve; later solves are the real ones."""
+    solve = np.linalg.solve
+    calls = []
+
+    def patched(H, b):
+        calls.append(b)
+        return first(solve, H, b) if len(calls) == 1 else solve(H, b)
+
+    monkeypatch.setattr(chain_module.np.linalg, "solve", patched)
+    return calls
+
+
+def _record_kernel_points(monkeypatch):
+    """Positions at which the solver evaluates its gradient kernel."""
+    kernel = chain_module._chain_terms
+    points = []
+
+    def recorded(u, grad_curv):
+        points.append(u.copy())
+        return kernel(u, grad_curv)
+
+    monkeypatch.setattr(chain_module, "_chain_terms", recorded)
+    return points
+
+
+def _is_steepest_descent_from(point, start, g):
+    """point = start - s g for some s > 0."""
+    s = np.dot(start - point, g) / np.dot(g, g)
+    return s > 0 and np.allclose(point, start - s * g, rtol=0, atol=1e-14)
+
+
+class TestNewtonFallbacks:
+    """The solver's fallback paths, each forced on the first iterate."""
+
+    POT, N = HarmonicPotential(OMEGA), 4
+
+    def _solve(self):
+        chain = find_equilibrium(YB171, self.POT, self.N)
+        assert chain.residual < chain_module.GRADIENT_TOLERANCE
+        assert np.all(np.diff(chain.positions) > 0)
+        return chain
+
+    def test_singular_hessian_falls_back_to_steepest_descent(self, monkeypatch):
+        def singular(solve, H, b):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        calls = _patch_first_solve(monkeypatch, singular)
+        points = _record_kernel_points(monkeypatch)
+        chain = self._solve()
+        g0 = -calls[0]
+        assert _is_steepest_descent_from(points[1], points[0], g0)
+        reference = find_equilibrium(YB171, self.POT, self.N)
+        assert np.allclose(chain.positions, reference.positions, rtol=1e-12, atol=0)
+
+    def test_ascent_direction_falls_back_to_steepest_descent(self, monkeypatch):
+        def uphill(solve, H, b):
+            return -solve(H, b)
+
+        calls = _patch_first_solve(monkeypatch, uphill)
+        points = _record_kernel_points(monkeypatch)
+        self._solve()
+        assert _is_steepest_descent_from(points[1], points[0], -calls[0])
+
+    def test_gradient_descent_rescue_after_failed_line_search(self, monkeypatch):
+        def negligible(solve, H, b):
+            # a descent direction too short to move any position
+            return 1e-20 * solve(H, b)
+
+        calls = _patch_first_solve(monkeypatch, negligible)
+        points = _record_kernel_points(monkeypatch)
+        self._solve()
+        start = points[0]
+        # the Newton line search spends its 60 tries on the unmoved start
+        assert all(np.array_equal(p, start) for p in points[1:61])
+        assert _is_steepest_descent_from(points[61], start, -calls[0])
+
+    @pytest.mark.parametrize(
+        "pot,n",
+        [
+            (HarmonicPotential(OMEGA), 5),
+            (EquispacedLogPotential(6, 4.4e-6), 6),
+            (QuadQuarticPotential(a2=-2e-15, a4=5e-3), 4),
+        ],
+    )
+    def test_stall_at_the_roundoff_floor_carries_residual_and_positions(
+        self, monkeypatch, pot, n
+    ):
+        # with no tolerance to meet, the solve runs into the roundoff floor,
+        # where neither the Newton step nor the rescue lowers the residual
+        monkeypatch.setattr(chain_module, "GRADIENT_TOLERANCE", 0.0)
+        with pytest.raises(SolverError, match="equilibrium search stalled") as excinfo:
+            find_equilibrium(YB171, pot, n)
+        error = excinfo.value
+        assert 0 <= error.residual < 1e-12
+        assert len(error.positions) == n
+        assert np.all(np.diff(error.positions) > 0)
 
 
 # ----------------------------------------------------------------------
@@ -310,3 +422,104 @@ class TestLowestModeScan:
     def test_rejects_single_ion(self):
         with pytest.raises(InputError):
             lowest_mode_scan(YB171, 4.4e-6, [1, 5])
+
+
+# ----------------------------------------------------------------------
+# the solver's kernels against the formulas they replace, bit for bit
+# ----------------------------------------------------------------------
+
+def _old_gradient(u, grad_curv):
+    g_trap, _ = grad_curv(u)
+    r = u[:, None] - u[None, :]
+    np.fill_diagonal(r, np.inf)
+    return g_trap + -np.sum(np.sign(r) / (r * r), axis=1)
+
+
+def _old_hessian(u, grad_curv):
+    _, c_trap = grad_curv(u)
+    r = u[:, None] - u[None, :]
+    np.fill_diagonal(r, np.inf)
+    off = -2.0 / np.abs(r) ** 3
+    H = off.copy()
+    np.fill_diagonal(H, c_trap - off.sum(axis=1))
+    return H
+
+
+def _old_fix_signs(vectors):
+    out = vectors.copy()
+    for m in range(out.shape[1]):
+        s = out[:, m].sum()
+        if s < -1e-12:
+            out[:, m] = -out[:, m]
+        elif abs(s) <= 1e-12:
+            nonzero = np.nonzero(np.abs(out[:, m]) > 1e-12)[0]
+            if len(nonzero) and out[nonzero[0], m] < 0:
+                out[:, m] = -out[:, m]
+    return out
+
+
+POTENTIAL_KINDS = {
+    "harmonic": lambda n: HarmonicPotential(2 * np.pi * 100e3),
+    "quad_quartic": lambda n: QuadQuarticPotential(a2=1e-14, a4=2e-3),
+    "pure_quartic": lambda n: QuadQuarticPotential(a2=0.0, a4=1e-3),
+    "double_well": lambda n: QuadQuarticPotential(a2=-2e-15, a4=5e-3),
+    "equispaced": lambda n: EquispacedLogPotential(n, 4.4e-6),
+}
+PROPERTY_SETTINGS = settings(max_examples=60, deadline=None, database=None, derandomize=True)
+
+
+@st.composite
+def scaled_chains(draw):
+    """A potential and N = 2..400 sorted, distinct positions (SI) whose
+    scaled values u = x / L span a drawn width inside the domain."""
+    kind = draw(st.sampled_from(sorted(POTENTIAL_KINDS)))
+    n = draw(st.integers(2, 400))
+    pot = POTENTIAL_KINDS[kind](n)
+    seed = draw(st.integers(0, 2**32 - 1))
+    halfwidth = 0.5 * n * 0.999 if kind == "equispaced" else draw(st.floats(1e-3, 100.0))
+    rng = np.random.default_rng(seed)
+    u = np.unique(rng.uniform(-halfwidth, halfwidth, n))
+    length = pot.unit_length(YB171)
+    x = u * length
+    if len(x) < n or np.any(np.diff(x / length) <= 0):
+        x = np.linspace(-halfwidth, halfwidth, n) * length
+    return EquilibriumChain(YB171, pot, x)
+
+
+class TestKernelsBitForBit:
+    @PROPERTY_SETTINGS
+    @given(scaled_chains())
+    def test_gradient_and_hessian_match_the_old_formulas(self, chain):
+        grad_curv, _ = chain_module._scaled_trap(chain.potential, YB171)
+        length = chain.unit_length
+        u = chain.positions / length
+        force = YB171.coulomb_energy_scale / length**2
+        assert np.array_equal(chain_gradient(chain), _old_gradient(u, grad_curv) * force)
+        assert np.array_equal(hessian_matrix(chain), _old_hessian(u, grad_curv))
+
+    @PROPERTY_SETTINGS
+    @given(
+        n=st.integers(2, 400),
+        seed=st.integers(0, 2**32 - 1),
+        special=st.lists(st.sampled_from(["pair", "lead", "tiny", "flipped"]), max_size=4),
+    )
+    def test_sign_rule_matches_the_column_loop(self, n, seed, special):
+        rng = np.random.default_rng(seed)
+        vectors, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        for m, kind in enumerate(special[:n]):
+            col = np.zeros(n)
+            i, j = rng.choice(n, 2, replace=False)
+            if kind == "pair":  # exact-zero sum, either sign leading
+                col[min(i, j)], col[max(i, j)] = (-1.0, 1.0) if rng.random() < 0.5 else (1.0, -1.0)
+                col *= np.sqrt(0.5)
+            elif kind == "lead":  # a tie behind sub-threshold entries, then -0.5
+                lo, hi = min(i, j), max(i, j)
+                col[:lo] = 1e-13 * (-1.0) ** np.arange(lo)
+                col[lo], col[hi] = -0.5, 0.5
+            elif kind == "tiny":  # every entry at or below the tie threshold
+                col[:] = rng.uniform(-1e-12, 1e-12, n)
+                col[i] = -1e-12
+            else:  # the column of a drawn orthogonal matrix, negated
+                col = -vectors[:, m]
+            vectors[:, m] = col
+        assert np.array_equal(chain_module._fix_signs(vectors), _old_fix_signs(vectors))

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -392,6 +393,36 @@ class TestNumericalErrors:
         assert captured.err.strip() == (
             "ionchain modes: numerical error: equilibrium search stalled (residual 2.500e-11)"
         )
+
+    def test_stalled_solve_logs_positions_at_debug(self, harmonic2):
+        code = (
+            "import sys, numpy as np, ionchain.cli\n"
+            "from ionchain.errors import SolverError\n"
+            "def stalled(*args, **kwargs):\n"
+            "    raise SolverError('equilibrium search stalled', residual=2.5e-11,\n"
+            "                      positions=np.array([-3.1234567e-6, 0.0, 2.5e-6]))\n"
+            "ionchain.cli.find_equilibrium = stalled\n"
+            f"sys.exit(ionchain.cli.main(['modes', '--config', {harmonic2!r}]))\n"
+        )
+        message = "ionchain modes: numerical error: equilibrium search stalled (residual 2.500e-11)"
+        runs = {}
+        for level in ("DEBUG", None):
+            env = {k: v for k, v in os.environ.items() if k != "IONCHAIN_LOG"}
+            if level:
+                env["IONCHAIN_LOG"] = level
+            runs[level] = subprocess.run(
+                [sys.executable, "-c", code], capture_output=True, text=True, env=env
+            )
+        debug, default = runs["DEBUG"], runs[None]
+        assert debug.returncode == default.returncode == 3
+        assert debug.stdout == default.stdout == ""
+        assert default.stderr.strip() == message
+        lines = debug.stderr.strip().splitlines()
+        assert lines[0] == message
+        assert lines[1].endswith(
+            "ionchain DEBUG solver positions at failure (3 ions, um): -3.12346 0 2.5"
+        )
+        assert len(lines) == 2
 
     def test_error_without_residual_keeps_its_message(self, monkeypatch, harmonic2, capsys):
         def failed(*args, **kwargs):
