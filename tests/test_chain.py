@@ -165,7 +165,6 @@ class TestFindEquilibrium:
         assert excinfo.value.residual is not None
         assert excinfo.value.residual > 0
 
-
     def test_single_ion_gradient_and_curvature_are_the_trap_terms(self):
         chain = find_equilibrium(YB171, HARMONIC, 1)
         _, grad, curv = HARMONIC.evaluate(chain.positions, YB171)
