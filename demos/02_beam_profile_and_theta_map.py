@@ -5,6 +5,8 @@ profile; fitting recovers the 1/e^2 intensity radius.  With the confinement
 relaxed, the decay parameter theta(x) follows the beam curvature: largest on
 axis and zero at the inflection points x = +- w/sqrt(2), in sharp contrast
 to pointing-noise models that predict maximal dephasing on the beam slopes.
+The theta map comes from ``decay_parameters`` for one ion in a harmonic
+trap, placed at each scan position in a beam centered on the trap axis.
 
 Run:  python demos/02_beam_profile_and_theta_map.py
 """
@@ -15,10 +17,11 @@ import numpy as np
 
 from ionchain import (
     GaussianBeam,
+    ThermalState,
     YB171,
+    decay_parameters,
     fit_beam_profile,
-    theta_profile_gaussian,
-    zero_point_spread,
+    single_ion_modes,
 )
 
 OUT = pathlib.Path(__file__).parent / "out"
@@ -45,10 +48,12 @@ print(
 )
 
 # --- decay-parameter profile for the weakly confined ion -------------------
-omega0 = 2 * np.pi * 140e3
-nbar = 280.0
-spread = zero_point_spread(YB171, omega0)
-theta = theta_profile_gaussian(x_um * 1e-6, WAIST_UM * 1e-6, spread, nbar)
+modes = single_ion_modes(YB171, 2 * np.pi * 140e3)
+thermal = ThermalState.uniform(1, 280.0)
+axis_beam = GaussianBeam(peak_rabi=1.0, center=0.0, waist=WAIST_UM * 1e-6)
+theta = np.array(
+    [decay_parameters(modes, thermal, {0: axis_beam}, [x])[0, 0] for x in x_um * 1e-6]
+)
 x_zero = WAIST_UM / np.sqrt(2)
 print(f"theta on axis = {theta[np.argmin(np.abs(x_um))]:.4f}, zeros at +-{x_zero:.3f} um")
 

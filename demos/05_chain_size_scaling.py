@@ -6,15 +6,23 @@ the in-phase mode becomes ever easier to heat.  Combined with the heating
 power law this drives the gate error up as roughly N^(4+2*alpha): chains of
 a hundred ions lose several orders of magnitude in error budget relative to
 ten-ion chains unless the axial modes are re-cooled during the circuit.
+Each N solves the equilibrium of the uniform-spacing potential designed for
+that N and takes the lowest eigenfrequency of its normal modes.
 
-Run:  python demos/05_chain_size_scaling.py  (takes ~20 s)
+Run:  python demos/05_chain_size_scaling.py
 """
 
 import pathlib
 
 import numpy as np
 
-from ionchain import YB171, gate_error_scaling, lowest_mode_scan
+from ionchain import (
+    YB171,
+    EquispacedLogPotential,
+    find_equilibrium,
+    gate_error_scaling,
+    normal_modes,
+)
 
 OUT = pathlib.Path(__file__).parent / "out"
 OUT.mkdir(exist_ok=True)
@@ -23,11 +31,17 @@ SPACING = 4.4e-6
 ALPHA = 1.0
 
 n_list = np.unique(np.rint(np.geomspace(4, 250, 40)).astype(int))
-scan = lowest_mode_scan(YB171, SPACING, n_list)
-freq_khz = scan[:, 1] / 2 / np.pi / 1e3
 
-fit_sel = scan[:, 0] >= 10
-slope, intercept = np.polyfit(np.log(scan[fit_sel, 0]), np.log(freq_khz[fit_sel]), 1)
+
+def lowest_mode(n):
+    chain = find_equilibrium(YB171, EquispacedLogPotential(n, SPACING))
+    return normal_modes(chain).frequencies[0]
+
+
+freq_khz = np.array([lowest_mode(n) for n in n_list.tolist()]) / 2 / np.pi / 1e3
+
+fit_sel = n_list >= 10
+slope, intercept = np.polyfit(np.log(n_list[fit_sel]), np.log(freq_khz[fit_sel]), 1)
 print(f"power-law exponent of omega0(N) over N in [10, 250]: {slope:+.3f}")
 
 rel_error = np.array(
@@ -35,7 +49,7 @@ rel_error = np.array(
 )
 np.savetxt(
     OUT / "chain_size_scaling.csv",
-    np.column_stack([scan[:, 0], freq_khz, rel_error]),
+    np.column_stack([n_list, freq_khz, rel_error]),
     delimiter=",",
     header="n_ions,omega0_khz,rel_gate_error",
     comments="",
@@ -51,7 +65,7 @@ except ImportError:
     raise SystemExit(0)
 
 fig, axes = plt.subplots(1, 2, figsize=(9, 3.8))
-axes[0].loglog(scan[:, 0], freq_khz, "ko", ms=3)
+axes[0].loglog(n_list, freq_khz, "ko", ms=3)
 nn = np.geomspace(n_list[0], n_list[-1], 200)
 axes[0].loglog(nn, np.exp(intercept) * nn**slope, "b-", lw=1,
                label=f"N^{slope:+.3f}")

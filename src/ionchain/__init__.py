@@ -17,7 +17,6 @@ from .chain import (
     chain_gradient,
     find_equilibrium,
     hessian_matrix,
-    lowest_mode_scan,
     normal_modes,
     single_ion_modes,
     spacing_deviation,
@@ -35,7 +34,6 @@ from .decoherence import (
     in_phase_theta,
     rabi_trace,
     rabi_trace_monte_carlo,
-    theta_profile_gaussian,
     zero_point_spread,
 )
 from .errors import (

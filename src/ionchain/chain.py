@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Union
 
 import numpy as np
 
@@ -207,9 +207,6 @@ class ModeDecomposition:
     def n_modes(self) -> int:
         return self.participation.shape[1]
 
-    def mode_vector(self, m: int) -> np.ndarray:
-        return self.participation[:, m]
-
     def uniform_drive_weights(self) -> np.ndarray:
         """(sum_i b[i, m])^2 per mode: how strongly a spatially uniform force
         couples to each mode.  Bounded by N, with equality only for a uniform
@@ -247,13 +244,19 @@ def _scaled_trap(potential: TrapPotential, species: IonSpecies):
     return grad_curv, halfwidth
 
 
+def _pair_separations(u: np.ndarray):
+    """Pair separations u_i - u_j and distances |u_i - u_j|, inf on the
+    diagonal."""
+    r = u[:, None] - u[None, :]
+    np.fill_diagonal(r, np.inf)
+    return r, np.abs(r)
+
+
 def _chain_terms(u: np.ndarray, grad_curv):
     """Scaled energy gradient, pair distances |u_i - u_j| (inf on the
     diagonal) and trap curvature at u, from one pass over the pairs."""
     g_trap, c_trap = grad_curv(u)
-    r = u[:, None] - u[None, :]
-    np.fill_diagonal(r, np.inf)
-    a = np.abs(r)
+    r, a = _pair_separations(u)
     return g_trap - np.sum(1.0 / (r * a), axis=1), a, c_trap
 
 
@@ -401,10 +404,9 @@ def hessian_matrix(chain: EquilibriumChain) -> np.ndarray:
     x = np.asarray(chain.positions, dtype=float)
     if len(x) > 1 and np.min(np.diff(np.sort(x))) <= 0.0:
         raise DegenerateChainError("coincident ion positions")
-    L = chain.unit_length
+    u = x / chain.unit_length
     grad_curv, _ = _scaled_trap(chain.potential, chain.species)
-    _, a, c_trap = _chain_terms(x / L, grad_curv)
-    return _hessian_from(a, c_trap)
+    return _hessian_from(_pair_separations(u)[1], grad_curv(u)[1])
 
 
 def _fix_signs(vectors: np.ndarray) -> np.ndarray:
@@ -446,25 +448,6 @@ def normal_modes(chain: EquilibriumChain) -> ModeDecomposition:
         participation=_fix_signs(vectors),
         unit_frequency=omega_u,
     )
-
-
-def lowest_mode_scan(
-    species: IonSpecies, spacing: float, n_list: Sequence[int]
-) -> np.ndarray:
-    """Lowest axial mode frequency vs ion number for equispaced chains.
-
-    Returns an array of shape (len(n_list), 2) with columns (N, omega_0 in
-    rad/s).  Each entry solves the equilibrium for the uniform-spacing
-    potential designed for that N and diagonalizes the resulting Hessian.
-    """
-    rows = []
-    for n in n_list:
-        if n < 2:
-            raise InputError(f"scan requires N >= 2, got {n}")
-        chain = find_equilibrium(species, EquispacedLogPotential(int(n), spacing))
-        modes = normal_modes(chain)
-        rows.append((float(n), modes.frequencies[0]))
-    return np.array(rows)
 
 
 def spacing_deviation(chain: EquilibriumChain) -> float:

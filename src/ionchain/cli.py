@@ -61,8 +61,6 @@ from .decoherence import (
     decay_parameters,
     rabi_trace,
     rabi_trace_monte_carlo,
-    theta_profile_gaussian,
-    zero_point_spread,
 )
 from .errors import (
     ConfigError,
@@ -112,16 +110,17 @@ def _write_text(out: Path | None, text: str):
         Path(out).write_text(text, encoding="utf-8")
 
 
-def write_table(args, columns, rows, extra: dict | None = None):
-    """Emit a table as CSV (default) or JSON, honoring --out."""
+def write_table(args, columns, rows, inputs: dict, **extra):
+    """Emit a table as CSV (default) or JSON, honoring --out.  ``inputs`` and
+    any ``extra`` fields go into JSON output only."""
     if args.format == "json":
         payload = {
             "provenance": provenance(args.command, args.seed),
             "columns": list(columns),
             "rows": [[float(v) for v in row] for row in rows],
+            "inputs": inputs,
+            **extra,
         }
-        if extra:
-            payload.update(extra)
         _write_text(args.out, json.dumps(payload, indent=2) + "\n")
     else:
         _write_text(args.out, render_csv(columns, rows))
@@ -159,17 +158,18 @@ def cmd_modes(args) -> int:
         (m, modes.frequencies[m] / (2 * math.pi) / 1e3, weights[m])
         for m in range(modes.n_modes)
     ]
-    extra = None
-    if args.format == "json":
-        extra = {
-            "inputs": {
-                "species": species.label or species.mass_amu,
-                "potential": type(potential).__name__,
-                "n_ions": n_ions,
-            },
-            "participation": [[float(v) for v in row] for row in modes.participation],
-        }
-    write_table(args, ("mode_index", "freq_khz", "participation_sum_sq"), rows, extra)
+    inputs = {
+        "species": species.label or species.mass_amu,
+        "potential": type(potential).__name__,
+        "n_ions": n_ions,
+    }
+    write_table(
+        args,
+        ("mode_index", "freq_khz", "participation_sum_sq"),
+        rows,
+        inputs,
+        participation=modes.participation.tolist(),
+    )
     if args.out is not None and args.format == "csv":
         part_cols = ["ion_index"] + [f"mode_{m}" for m in range(modes.n_modes)]
         part_rows = [
@@ -179,24 +179,24 @@ def cmd_modes(args) -> int:
     return EXIT_OK
 
 
-def _rabi_thetas(config) -> np.ndarray:
-    """Decay parameters for the rabi command: explicit list or single-ion pipeline."""
-    section = require_section(config, "rabi")
-    thetas = _get_number_list(section, "theta", "rabi")
-    if thetas is not None:
-        return np.asarray(thetas)
+def _single_ion_thetas(config, positions):
+    """Decay parameter of a single ion in a harmonic trap at each position x
+    (m) in its beam, from :func:`decay_parameters`.
+
+    Returns (theta array, beam, trap frequency rad/s, nbar).
+    """
     species = build_species(config)
     potential, n_ions = build_potential(config)
     if not isinstance(potential, HarmonicPotential) or n_ions != 1:
         raise ConfigError(
-            "rabi.theta is required unless the config describes a single ion "
-            "in a harmonic potential (plus beam and thermal sections)"
+            "deriving theta needs a single ion in a harmonic potential (plus "
+            "beam and thermal sections); the rabi command also accepts rabi.theta"
         )
     modes = single_ion_modes(species, potential.omega0)
-    nbar = build_thermal_nbar(config, 1)
-    beam = build_beam(config, default_peak_rabi=1.0)
-    theta = decay_parameters(modes, ThermalState(nbar), {0: beam}, [0.0])
-    return theta[0, :]
+    thermal = ThermalState(build_thermal_nbar(config, 1))
+    beam = build_beam(config)
+    theta = [decay_parameters(modes, thermal, {0: beam}, [x])[0, 0] for x in positions]
+    return np.array(theta), beam, potential.omega0, float(thermal.nbar[0])
 
 
 def cmd_rabi(args) -> int:
@@ -209,7 +209,10 @@ def cmd_rabi(args) -> int:
     t_max_us = _get_number(section, "t_max_us", "rabi", required=True, positive=True)
     n_points = _get_int(section, "n_points", "rabi", default=200, minimum=2)
     n_samples = _get_int(section, "n_samples", "rabi", default=100_000, minimum=2)
-    thetas = _rabi_thetas(config)
+    thetas = _get_number_list(section, "theta", "rabi")
+    if thetas is None:
+        thetas = _single_ion_thetas(config, [0.0])[0]
+    thetas = np.asarray(thetas)
     omega0 = 2 * math.pi * drive_khz * 1e3
     times = np.linspace(0.0, t_max_us * 1e-6, n_points)
     closed = rabi_trace(omega0, thetas, times)
@@ -226,17 +229,13 @@ def cmd_rabi(args) -> int:
             (t * 1e6, closed.p1[k], closed.contrast[k], closed.phase[k])
             for k, t in enumerate(times)
         ]
-    extra = None
-    if args.format == "json":
-        extra = {
-            "inputs": {
-                "drive_khz": drive_khz,
-                "theta": [float(v) for v in thetas],
-                "monte_carlo": bool(args.mc),
-                "n_samples": n_samples if args.mc else None,
-            }
-        }
-    write_table(args, columns, rows, extra)
+    inputs = {
+        "drive_khz": drive_khz,
+        "theta": thetas.tolist(),
+        "monte_carlo": bool(args.mc),
+        "n_samples": n_samples if args.mc else None,
+    }
+    write_table(args, columns, rows, inputs)
     return EXIT_OK
 
 
@@ -249,28 +248,17 @@ def cmd_theta_scan(args) -> int:
     if not x_max > x_min:
         raise ConfigError("scan.x_max_um must exceed scan.x_min_um")
     n_points = _get_int(section, "n_points", "scan", default=121, minimum=2)
-    species = build_species(config)
-    potential, n_ions = build_potential(config)
-    if not isinstance(potential, HarmonicPotential) or n_ions != 1:
-        raise ConfigError("theta-scan expects a single ion in a harmonic potential")
-    beam = build_beam(config, default_peak_rabi=1.0)
+    x = np.linspace(x_min * 1e-6, x_max * 1e-6, n_points)
+    theta, beam, omega0, nbar = _single_ion_thetas(config, x)
     if not isinstance(beam, GaussianBeam):
         raise ConfigError("theta-scan requires a gaussian beam")
-    nbar = float(build_thermal_nbar(config, 1)[0])
-    spread = zero_point_spread(species, potential.omega0)
-    x = np.linspace(x_min * 1e-6, x_max * 1e-6, n_points)
-    theta = theta_profile_gaussian(x - beam.center, beam.waist, spread, nbar)
     rows = [(xi * 1e6, theta[k]) for k, xi in enumerate(x)]
-    extra = None
-    if args.format == "json":
-        extra = {
-            "inputs": {
-                "waist_nm": beam.waist * 1e9,
-                "axial_freq_khz": potential.omega0 / (2 * math.pi) / 1e3,
-                "nbar": nbar,
-            }
-        }
-    write_table(args, ("x_um", "theta"), rows, extra)
+    inputs = {
+        "waist_nm": beam.waist * 1e9,
+        "axial_freq_khz": omega0 / (2 * math.pi) / 1e3,
+        "nbar": nbar,
+    }
+    write_table(args, ("x_um", "theta"), rows, inputs)
     return EXIT_OK
 
 
@@ -382,7 +370,7 @@ def cmd_gate_fidelity(args) -> int:
         noise = build_noise(config)
         chain = find_equilibrium(species, potential, n_ions)
         modes = normal_modes(chain)
-        beam = build_beam(config, default_peak_rabi=1.0)
+        beam = build_beam(config)
         if not isinstance(beam, GaussianBeam):
             raise ConfigError("derived theta rates require a gaussian beam")
         # each addressed ion gets its own copy of the beam, centered on it
@@ -406,20 +394,16 @@ def cmd_gate_fidelity(args) -> int:
         sigma_s = math.hypot(rate_sigmas[0], rate_sigmas[1]) * t
         f_err = (1.0 - spam_error) * gate_fidelity_slope(ti + tj, n_gates) * sigma_s
         rows.append((tw, f_bound, f_spam, f_err))
-    extra = None
-    if args.format == "json":
-        extra = {
-            "inputs": {
-                "ion_i": ion_i,
-                "ion_j": ion_j,
-                "n_gates": n_gates,
-                "spam_error": spam_error,
-                "theta0": theta0,
-                "rates_per_s": [float(r) for r in rates],
-                "rate_sigmas_per_s": rate_sigmas,
-            }
-        }
-    write_table(args, ("tw_ms", "F_bound", "F_spam", "F_err"), rows, extra)
+    inputs = {
+        "ion_i": ion_i,
+        "ion_j": ion_j,
+        "n_gates": n_gates,
+        "spam_error": spam_error,
+        "theta0": theta0,
+        "rates_per_s": [float(r) for r in rates],
+        "rate_sigmas_per_s": rate_sigmas,
+    }
+    write_table(args, ("tw_ms", "F_bound", "F_spam", "F_err"), rows, inputs)
     return EXIT_OK
 
 
@@ -463,12 +447,8 @@ def cmd_scaling(args) -> int:
         else:
             rel_error = gate_error_scaling(n, 1.0, alpha, (n_list[0], 1.0, 1.0))
         rows.append((n, omega0 / (2 * math.pi) / 1e3, rel_error))
-    extra = None
-    if args.format == "json":
-        extra = {
-            "inputs": {"alpha": alpha, "omega0_mode": mode, "spacing_um": spacing}
-        }
-    write_table(args, ("n_ions", "omega0_khz", "rel_gate_error"), rows, extra)
+    inputs = {"alpha": alpha, "omega0_mode": mode, "spacing_um": spacing}
+    write_table(args, ("n_ions", "omega0_khz", "rel_gate_error"), rows, inputs)
     return EXIT_OK
 
 

@@ -226,16 +226,16 @@ def build_potential(config: Mapping) -> tuple[TrapPotential, int]:
     )
 
 
-def build_beam(config: Mapping, default_peak_rabi: float = 0.0):
+def build_beam(config: Mapping):
+    """Beam from the beam section.  A gaussian beam gets unit peak Rabi
+    frequency: theta depends only on the curvature ratio Omega''/Omega."""
     section = require_section(config, "beam")
     kind = section.get("kind", "gaussian")
     if kind == "gaussian":
-        _check_keys(section, ("kind", "waist_nm", "center_um", "peak_rabi_khz"), "beam")
+        _check_keys(section, ("kind", "waist_nm", "center_um"), "beam")
         waist = _get_number(section, "waist_nm", "beam", required=True, positive=True)
         center = _get_number(section, "center_um", "beam", default=0.0)
-        peak_khz = _get_number(section, "peak_rabi_khz", "beam", positive=True)
-        peak = 2 * math.pi * peak_khz * 1e3 if peak_khz is not None else default_peak_rabi
-        return GaussianBeam(peak_rabi=peak, center=center * 1e-6, waist=waist * 1e-9)
+        return GaussianBeam(peak_rabi=1.0, center=center * 1e-6, waist=waist * 1e-9)
     if kind == "tabulated":
         _check_keys(section, ("kind", "csv"), "beam")
         path = section.get("csv")

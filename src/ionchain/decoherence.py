@@ -38,7 +38,7 @@ from typing import Callable, Mapping, Sequence, Union
 import numpy as np
 
 from .chain import ModeDecomposition
-from .constants import HBAR, KB, IonSpecies
+from .constants import HBAR, IonSpecies
 from .errors import DomainError, InputError, LowOccupancyWarning
 
 LOW_OCCUPANCY_THRESHOLD = 10.0
@@ -185,13 +185,6 @@ class ThermalState:
             )
 
     @classmethod
-    def from_temperature(cls, modes: ModeDecomposition, temperature: float) -> "ThermalState":
-        """Equipartition occupancies nbar_m = kB T / (hbar omega_m)."""
-        if not temperature > 0:
-            raise InputError(f"temperature must be positive, got {temperature}")
-        return cls(KB * temperature / (HBAR * modes.frequencies))
-
-    @classmethod
     def uniform(cls, n_modes: int, nbar: float) -> "ThermalState":
         return cls(np.full(n_modes, float(nbar)))
 
@@ -257,20 +250,6 @@ def decay_parameters(
     if len(thermal.nbar) != modes.n_modes:
         raise InputError(f"expected {modes.n_modes} occupancies, got {len(thermal.nbar)}")
     return _beam_coupling(modes, beams, positions) * thermal.nbar
-
-
-def theta_profile_gaussian(x, waist: float, spread: float, nbar: float):
-    """Closed-form decay parameter vs position under a Gaussian beam.
-
-    theta(x) = 2 (xi/w)^2 (1 - 2 x^2/w^2) nbar, with x measured from the
-    beam center: maximal on axis, zero at the beam inflection points
-    x = +- w/sqrt(2), weakly negative beyond.
-    """
-    if not waist > 0:
-        raise InputError(f"beam waist must be positive, got {waist}")
-    x = np.asarray(x, dtype=float)
-    r = spread / waist
-    return 2.0 * r * r * (1.0 - 2.0 * x * x / (waist * waist)) * nbar
 
 
 @dataclass(frozen=True)

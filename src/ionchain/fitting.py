@@ -48,8 +48,6 @@ class DataSeries:
     x: np.ndarray
     y: np.ndarray
     sigma: np.ndarray | None = None
-    x_label: str = "x"
-    y_label: str = "y"
 
     def __post_init__(self):
         x = np.asarray(self.x, dtype=float)
@@ -404,7 +402,7 @@ def fit_beam_profile(x, signal, sigma=None) -> FitResult:
     degenerate data.  Structured residuals (e.g. a non-Gaussian shoulder)
     are flagged as ``"residual_structure"``.
     """
-    data = DataSeries(x, signal, sigma, x_label="position", y_label="signal")
+    data = DataSeries(x, signal, sigma)
     if len(data) < 5:
         raise FitError("beam-profile fit needs at least 5 points spanning the peak")
     span = float(np.max(data.y) - np.min(data.y))
@@ -469,7 +467,7 @@ def fit_rabi_trace(t, p1, sigma=None, n_shots=None, n_modes: int = 1) -> FitResu
         sigma = binomial_sigma(p1, n_shots)
     if n_modes < 1:
         raise InputError("n_modes must be >= 1")
-    data = DataSeries(t, p1, sigma, x_label="time", y_label="p1")
+    data = DataSeries(t, p1, sigma)
     omega0 = _rabi_frequency_guess(t, p1)
     if omega0 <= 0 or omega0 * float(np.max(t)) < 4.0 * math.pi:
         raise FitError("trace must span at least two oscillation periods")
@@ -503,7 +501,7 @@ def fit_theta_growth(t_wait, theta, sigma=None) -> FitResult:
     and is flagged as ``"negative_slope"``.  Solved in closed form (normal
     equations), so two exact points reproduce the line exactly.
     """
-    data = DataSeries(t_wait, theta, sigma, x_label="wait time", y_label="theta")
+    data = DataSeries(t_wait, theta, sigma)
     if len(data) < 2:
         raise FitError("linear growth fit needs at least 2 wait times")
     w = 1.0 / data.sigma**2 if data.sigma is not None else np.ones(len(data))
@@ -541,7 +539,7 @@ def fit_theta_power_law(omega0, rates, sigma=None) -> FitResult:
     the exponent is unidentifiable, e.g. when the fitted amplitude is zero
     so that the rates do not depend on alpha.
     """
-    data = DataSeries(omega0, rates, sigma, x_label="frequency", y_label="rate")
+    data = DataSeries(omega0, rates, sigma)
     if len(data) < 4:
         raise FitError("power-law fit needs at least 4 frequency points")
     if np.any(data.x <= 0):

@@ -112,3 +112,12 @@ def coordinate_descent_minimum(positions0, potential, species, sweeps=400):
         if moved < 1e-13 * scale:
             break
     return np.sort(x)
+
+
+def theta_profile_gaussian(x, waist, spread, nbar):
+    """Closed-form decay parameter of one ion vs its offset x from the center
+    of a Gaussian beam: theta(x) = 2 (xi/w)^2 (1 - 2 x^2/w^2) nbar, maximal
+    on axis, zero at the inflection points x = +- w/sqrt(2)."""
+    x = np.asarray(x, dtype=float)
+    r = spread / waist
+    return 2.0 * r * r * (1.0 - 2.0 * x * x / (waist * waist)) * nbar

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from conftest import record_acceptance
-from helpers import chain_hessian_fd
+from helpers import chain_hessian_fd, theta_profile_gaussian
 
 from ionchain import (
     CoolingConfig,
@@ -40,7 +40,6 @@ from ionchain import (
     rabi_trace_monte_carlo,
     single_ion_modes,
     spacing_deviation,
-    theta_profile_gaussian,
     theta_rate,
     zero_point_spread,
 )

@@ -14,7 +14,6 @@ from ionchain import (
     chain_gradient,
     find_equilibrium,
     hessian_matrix,
-    lowest_mode_scan,
     normal_modes,
     single_ion_modes,
     spacing_deviation,
@@ -400,27 +399,29 @@ class TestNormalModes:
 # ----------------------------------------------------------------------
 
 class TestLowestModeScan:
-    def test_consistent_with_normal_modes(self):
-        scan = lowest_mode_scan(YB171, 4.4e-6, [2])
-        modes = normal_modes(find_equilibrium(YB171, EquispacedLogPotential(2, 4.4e-6)))
-        assert scan[0, 1] == pytest.approx(modes.frequencies[0], rel=1e-14)
+    @staticmethod
+    def lowest_modes(species, spacing, n_list):
+        return np.array(
+            [
+                normal_modes(
+                    find_equilibrium(species, EquispacedLogPotential(n, spacing))
+                ).frequencies[0]
+                for n in n_list
+            ]
+        )
 
     def test_monotone_decreasing(self):
-        scan = lowest_mode_scan(YB171, 4.4e-6, [2, 5, 10, 20, 40])
-        assert np.all(np.diff(scan[:, 1]) < 0)
+        omega = self.lowest_modes(YB171, 4.4e-6, [2, 5, 10, 20, 40])
+        assert np.all(np.diff(omega) < 0)
 
     def test_shape_independent_of_mass_and_spacing(self):
         calcium = IonSpecies.from_amu(39.96259086, label="40Ca+")
         n_list = [3, 8, 21]
-        scan_a = lowest_mode_scan(YB171, 4.4e-6, n_list)
-        scan_b = lowest_mode_scan(calcium, 2.0e-6, n_list)
+        omega_a = self.lowest_modes(YB171, 4.4e-6, n_list)
+        omega_b = self.lowest_modes(calcium, 2.0e-6, n_list)
         unit_a = np.sqrt(YB171.coulomb_energy_scale / (YB171.mass * 4.4e-6**3))
         unit_b = np.sqrt(calcium.coulomb_energy_scale / (calcium.mass * 2.0e-6**3))
-        assert np.allclose(scan_a[:, 1] / unit_a, scan_b[:, 1] / unit_b, rtol=1e-12)
-
-    def test_rejects_single_ion(self):
-        with pytest.raises(InputError):
-            lowest_mode_scan(YB171, 4.4e-6, [1, 5])
+        assert np.allclose(omega_a / unit_a, omega_b / unit_b, rtol=1e-12)
 
 
 # ----------------------------------------------------------------------

@@ -7,9 +7,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from helpers import theta_profile_gaussian
+
 import ionchain.cli
+from ionchain import YB171
 from ionchain.cli import main
-from ionchain.errors import SolverError
+from ionchain.decoherence import zero_point_spread
+from ionchain.errors import LowOccupancyWarning, SolverError
 from ionchain.fitting import gaussian_beam_model
 
 YB = "species:\n  label: 171Yb+\n"
@@ -207,6 +211,59 @@ class TestThetaScan:
         outside = np.abs(x) > crossing + 0.02
         assert np.all(theta[inside] > 0)
         assert np.all(theta[outside] < 0)
+
+    def test_off_center_beam_matches_closed_form(self, tmp_path):
+        cfg = write(
+            tmp_path / "off.yaml",
+            self.CFG.replace("waist_nm: 870.0\n", "waist_nm: 870.0\n  center_um: 0.37\n"),
+        )
+        out = tmp_path / "off.json"
+        assert run(["theta-scan", "--config", cfg, "--out", out, "--format", "json"]) == 0
+        rows = np.array(json.loads(out.read_text())["rows"])
+        x = np.linspace(-1.23 * 1e-6, 1.23 * 1e-6, 123)
+        assert np.array_equal(rows[:, 0], x * 1e6)
+        xi = zero_point_spread(YB171, 2 * np.pi * 140e3)
+        expected = theta_profile_gaussian(x - 0.37e-6, 870e-9, xi, 280.0)
+        assert np.max(np.abs(rows[:, 1] - expected)) < 1e-12 * np.max(np.abs(expected))
+        assert np.argmax(rows[:, 1]) == np.argmin(np.abs(x - 0.37e-6))
+
+    def test_two_ions_rejected_like_rabi(self, tmp_path, capsys):
+        body = (
+            "potential:\n  kind: harmonic\n  axial_freq_khz: 140.0\n  n_ions: 2\n"
+            + "beam:\n  kind: gaussian\n  waist_nm: 870.0\n"
+            + "thermal:\n  nbar: 280.0\n"
+        )
+        scan = write(
+            tmp_path / "scan2.yaml",
+            YB + body + "scan:\n  x_min_um: -1.0\n  x_max_um: 1.0\n",
+        )
+        rabi = write(
+            tmp_path / "rabi2.yaml",
+            YB + body + "rabi:\n  drive_khz: 50.0\n  t_max_us: 10.0\n",
+        )
+        capsys.readouterr()
+        assert run(["theta-scan", "--config", scan]) == 2
+        scan_err = capsys.readouterr().err
+        assert run(["rabi", "--config", rabi]) == 2
+        rabi_err = capsys.readouterr().err
+        assert scan_err.startswith("ionchain theta-scan: config error: ")
+        assert rabi_err.startswith("ionchain rabi: config error: ")
+        message = scan_err.split("config error: ", 1)[1]
+        assert message == rabi_err.split("config error: ", 1)[1]
+        assert "single ion in a harmonic potential" in message
+
+    def test_low_occupancy_warns_like_rabi(self, tmp_path):
+        cfg = write(tmp_path / "cold.yaml", self.CFG.replace("nbar: 280.0", "nbar: 5.0"))
+        with pytest.warns(LowOccupancyWarning):
+            assert run(["theta-scan", "--config", cfg]) == 0
+
+    def test_peak_rabi_key_is_unknown(self, tmp_path, capsys):
+        cfg = write(
+            tmp_path / "peak.yaml",
+            self.CFG.replace("waist_nm: 870.0\n", "waist_nm: 870.0\n  peak_rabi_khz: 50.0\n"),
+        )
+        assert run(["theta-scan", "--config", cfg]) == 2
+        assert "unknown key(s) in beam: peak_rabi_khz" in capsys.readouterr().err
 
 
 class TestFit:
@@ -433,6 +490,31 @@ class TestNumericalErrors:
         assert capsys.readouterr().err.strip() == (
             "ionchain modes: numerical error: uniform-chain fit failed: positions are not finite"
         )
+
+SHIPPED_TABLES = [
+    ["modes", "--config", ROOT / "configs" / "modes.yaml"],
+    ["rabi", "--config", ROOT / "configs" / "rabi.yaml"],
+    ["rabi", "--config", ROOT / "configs" / "rabi.yaml", "--mc", "--seed", "7"],
+    ["theta-scan", "--config", ROOT / "configs" / "theta_scan.yaml"],
+    ["gate-fidelity", "--config", ROOT / "configs" / "gate_fidelity.yaml"],
+    ["scaling", "--config", ROOT / "configs" / "scaling.yaml"],
+]
+
+
+@pytest.mark.parametrize("argv", SHIPPED_TABLES, ids=lambda argv: " ".join(map(str, argv[:1] + argv[3:])))
+def test_json_rows_match_csv(tmp_path, argv):
+    out_csv, out_json = tmp_path / "t.csv", tmp_path / "t.json"
+    assert run(argv + ["--out", out_csv]) == 0
+    assert run(argv + ["--out", out_json, "--format", "json"]) == 0
+    lines = out_csv.read_text().splitlines()
+    payload = json.loads(out_json.read_text())
+    assert payload["columns"] == lines[0].split(",")
+    assert [[format(v, ".12g") for v in row] for row in payload["rows"]] == [
+        line.split(",") for line in lines[1:]
+    ]
+    assert payload["provenance"]["command"] == argv[0]
+    assert isinstance(payload["inputs"], dict) and payload["inputs"]
+
 
 class TestDeterminismAndPlumbing:
     def test_modes_byte_identical(self, tmp_path, harmonic2):

@@ -6,6 +6,8 @@ import warnings
 import numpy as np
 import pytest
 
+from helpers import theta_profile_gaussian
+
 from ionchain import (
     EquispacedLogPotential,
     GaussianBeam,
@@ -20,7 +22,6 @@ from ionchain import (
     rabi_trace,
     rabi_trace_monte_carlo,
     single_ion_modes,
-    theta_profile_gaussian,
     zero_point_spread,
 )
 from ionchain import decoherence
@@ -112,13 +113,6 @@ class TestZeroPointSpread:
     def test_thermal_state_validation(self):
         with pytest.raises(InputError):
             quiet_state([-1.0])
-
-    def test_from_temperature(self):
-        from ionchain.constants import HBAR, KB
-
-        modes = single_ion_modes(YB171, OMEGA_140)
-        state = ThermalState.from_temperature(modes, 1e-3)
-        assert state.nbar[0] == pytest.approx(KB * 1e-3 / (HBAR * OMEGA_140), rel=1e-12)
 
 
 # ----------------------------------------------------------------------
