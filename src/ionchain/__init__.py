@@ -21,7 +21,7 @@ from .chain import (
     single_ion_modes,
     spacing_deviation,
 )
-from .constants import AMU, ECHARGE, EPSILON0, HBAR, KB, KNOWN_SPECIES, YB171, IonSpecies
+from .constants import AMU, ECHARGE, EPSILON0, HBAR, KNOWN_SPECIES, YB171, IonSpecies
 from .cooling import CoolingConfig, crosstalk_rate
 from .decoherence import (
     BeamProfile,

@@ -77,7 +77,7 @@ from .fitting import (
     fit_theta_power_law,
 )
 from .gates import gate_fidelity_bound, gate_fidelity_slope, spam_adjust_prediction
-from .heating import gate_error_scaling, theta_rate, theta_rate_model
+from .heating import NoiseModel, gate_error_scaling, theta_rate
 
 log = logging.getLogger("ionchain")
 
@@ -193,10 +193,11 @@ def _single_ion_thetas(config, positions):
             "beam and thermal sections); the rabi command also accepts rabi.theta"
         )
     modes = single_ion_modes(species, potential.omega0)
-    thermal = ThermalState(build_thermal_nbar(config, 1))
+    nbar = build_thermal_nbar(config)
+    thermal = ThermalState(nbar)
     beam = build_beam(config)
     theta = [decay_parameters(modes, thermal, {0: beam}, [x])[0, 0] for x in positions]
-    return np.array(theta), beam, potential.omega0, float(thermal.nbar[0])
+    return np.array(theta), beam, potential.omega0, nbar
 
 
 def cmd_rabi(args) -> int:
@@ -428,6 +429,9 @@ def cmd_scaling(args) -> int:
         raise ConfigError("scaling.omega0_mode must be exact or inverse_n")
     spacing = _get_number(section, "spacing_um", "scaling", required=True, positive=True)
     species = build_species(config)
+    # only the ratio to the first chain's rate is output, so the noise
+    # anchor and the beam's waist cancel
+    noise = NoiseModel(alpha, nbar_rate_ref=1.0, omega_ref=1.0)
 
     rows = []
     ref = None
@@ -437,10 +441,8 @@ def cmd_scaling(args) -> int:
         omega0 = modes.frequencies[0]
         if mode == "exact":
             center = n // 2
-            coupling = (
-                modes.participation[center, 0] ** 2 * modes.uniform_drive_weights()[0]
-            )
-            rate = theta_rate_model(omega0, coupling, alpha)
+            beam = GaussianBeam(1.0, chain.positions[center], spacing * 1e-6)
+            rate = theta_rate(noise, modes, {center: beam}, chain.positions)[center]
             if ref is None:
                 ref = rate
             rel_error = (rate / ref) ** 2

@@ -257,7 +257,6 @@ def build_noise(config: Mapping) -> NoiseModel:
             "reference_rate_quanta_per_s",
             "reference_freq_mhz",
             "offset_per_s",
-            "inhomogeneity_factor",
         ),
         "noise",
     )
@@ -265,28 +264,20 @@ def build_noise(config: Mapping) -> NoiseModel:
     rate = _get_number(section, "reference_rate_quanta_per_s", "noise", required=True)
     ref_mhz = _get_number(section, "reference_freq_mhz", "noise", required=True, positive=True)
     offset = _get_number(section, "offset_per_s", "noise", default=0.0)
-    inhom = _get_number(section, "inhomogeneity_factor", "noise", default=1.0)
     return NoiseModel(
         alpha=alpha,
         nbar_rate_ref=rate,
         omega_ref=2 * math.pi * ref_mhz * 1e6,
         offset=offset,
-        inhomogeneity_factor=inhom,
     )
 
 
-def build_thermal_nbar(config: Mapping, n_modes: int) -> np.ndarray:
-    """Occupancies from the thermal section, broadcast scalar -> all modes."""
+def build_thermal_nbar(config: Mapping) -> float:
+    """The single-ion occupancy from the thermal section: a number or a
+    one-entry list."""
     section = require_section(config, "thermal")
     _check_keys(section, ("nbar",), "thermal")
-    values = _get_number_list(section, "nbar", "thermal", required=True)
-    if len(values) == 1:
-        return np.full(n_modes, values[0])
-    if len(values) != n_modes:
-        raise ConfigError(
-            f"thermal.nbar needs 1 or {n_modes} entries, got {len(values)}"
-        )
-    return np.array(values)
+    return _get_number_list(section, "nbar", "thermal", required=True, length=1)[0]
 
 
 def build_cooling(config: Mapping) -> CoolingConfig:

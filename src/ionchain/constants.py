@@ -15,9 +15,6 @@ from .errors import InputError
 HBAR = 1.054571817e-34
 """Reduced Planck constant (J s), exact to the digits shown."""
 
-KB = 1.380649e-23
-"""Boltzmann constant (J/K), exact by SI definition."""
-
 ECHARGE = 1.602176634e-19
 """Elementary charge (C), exact by SI definition."""
 

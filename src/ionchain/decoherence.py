@@ -181,7 +181,7 @@ class ThermalState:
                 "thermal occupancy below 10 quanta: the classical "
                 "energy-averaging model assumes nbar >> 1",
                 LowOccupancyWarning,
-                stacklevel=2,
+                stacklevel=3,  # past the generated __init__, to the caller
             )
 
     @classmethod
@@ -419,11 +419,7 @@ def rabi_trace_monte_carlo(
     )
 
 
-def in_phase_theta(
-    modes: ModeDecomposition,
-    theta_single: float,
-    addressed: Sequence[int] | None = None,
-) -> np.ndarray:
+def in_phase_theta(modes: ModeDecomposition, theta_single: float) -> np.ndarray:
     """Per-ion decay parameters when only the lowest axial mode is heated.
 
     Given the decay parameter ``theta_single`` of a single ion in a trap at
@@ -433,20 +429,7 @@ def in_phase_theta(
 
     For a harmonic chain the in-phase mode is the center-of-mass mode with
     b_i0 = N^(-1/2), so theta_i reduces to theta_single for every ion.
-
-    Parameters
-    ----------
-    addressed : sequence of int, optional
-        Ions actually driven; others get theta_i = 0.  Default: all ions.
     """
     b0 = modes.participation[:, 0]
     weight = b0.sum() ** 2
-    theta = b0 * b0 * weight * theta_single
-    if addressed is not None:
-        mask = np.zeros(modes.n_ions, dtype=bool)
-        for i in addressed:
-            if not 0 <= i < modes.n_ions:
-                raise InputError(f"addressed ion {i} outside 0..{modes.n_ions - 1}")
-            mask[i] = True
-        theta = np.where(mask, theta, 0.0)
-    return theta
+    return b0 * b0 * weight * theta_single

@@ -2,13 +2,11 @@
 
 The core is a bounded Levenberg-Marquardt loop in numpy (forward-difference
 Jacobian with norm-scaled columns, steps projected onto the bounds), solved
-once from the recipe's guess or, where a recipe asks, also from jittered copies
-of it: the lowest chi-square wins, ties going to the earliest start.  Every fit,
-including the closed-form line and the variable-projection power law,
-ends in one summary step that gives covariance-based parameter
-uncertainties and the diagnostic flags.  When per-point sigmas are supplied
-the covariance is absolute; otherwise it is scaled by the reduced
-chi-square.
+once from the recipe's guess.  Every fit, including the closed-form line and
+the variable-projection power law, ends in one summary step that gives
+covariance-based parameter uncertainties and the diagnostic flags.  When
+per-point sigmas are supplied the covariance is absolute; otherwise it is
+scaled by the reduced chi-square.
 
 Recipes:
 
@@ -34,9 +32,6 @@ import numpy as np
 from .decoherence import _thermal_rabi
 from .errors import FitError, InputError
 from .heating import theta_rate_model
-
-JITTER_SEED = 1333
-"""Fixed seed for the multi-start jitter; makes every fit deterministic."""
 
 RUNS_TEST_FLAG_Z = 3.0
 
@@ -91,17 +86,17 @@ class FitResult:
         return float(self.uncertainties[self.param_names.index(name)])
 
 
-def binomial_sigma(p, n_shots: int) -> np.ndarray:
+def binomial_sigma(p, shots: int) -> np.ndarray:
     """Per-point standard deviation for shot-sampled probabilities.
 
-    sqrt(p (1 - p) / n_shots), floored at 1/(n_shots + 2) so that points at
+    sqrt(p (1 - p) / shots), floored at 1/(shots + 2) so that points at
     exactly 0 or 1 keep a finite weight.
     """
-    if n_shots < 1:
-        raise InputError("n_shots must be >= 1")
+    if shots < 1:
+        raise InputError("shots must be >= 1")
     p = np.clip(np.asarray(p, dtype=float), 0.0, 1.0)
-    s = np.sqrt(p * (1.0 - p) / n_shots)
-    return np.maximum(s, 1.0 / (n_shots + 2))
+    s = np.sqrt(p * (1.0 - p) / shots)
+    return np.maximum(s, 1.0 / (shots + 2))
 
 
 def _runs_test_z(residuals: np.ndarray, order: np.ndarray) -> float:
@@ -130,7 +125,6 @@ def fit_least_squares(
     guess,
     bounds=None,
     param_names: Sequence[str] | None = None,
-    n_restarts: int = 0,
 ) -> FitResult:
     """Weighted least-squares fit of ``model(params, x)`` to a data series.
 
@@ -147,12 +141,10 @@ def fit_least_squares(
         Per-parameter bounds; each lower bound must lie below its upper one.
     param_names : sequence of str, optional
         Names for lookup on the result.
-    n_restarts : int, optional
-        Number of deterministically jittered starts added to the guess; none by default.
 
-    Each start runs :func:`_levenberg_marquardt`; ``n_iterations`` is the
-    winning start's number of model evaluations outside the Jacobian.  See
-    :func:`_fit_result` for the covariance and the flags.
+    One :func:`_levenberg_marquardt` solve runs from the guess;
+    ``n_iterations`` is its number of model evaluations outside the
+    Jacobian.  See :func:`_fit_result` for the covariance and the flags.
 
     Raises
     ------
@@ -160,9 +152,9 @@ def fit_least_squares(
         If the model's output at the guess does not have the data's shape,
         or the bounds are malformed or exclude the guess.
     FitError
-        If there are fewer points than parameters, or no start converges.
-        The exception carries the best attempt as ``best_result``; when
-        every start raised, it is chained from the last start's exception.
+        If there are fewer points than parameters, or the solve does not
+        converge.  The exception carries the attempt as ``best_result``;
+        when the solve raised, it is chained from that exception.
     """
     guess = np.atleast_1d(np.asarray(guess, dtype=float))
     n_params = len(guess)
@@ -202,36 +194,18 @@ def fit_least_squares(
     def residual_fn(p):
         return (model(p, data.x) - data.y) / sigma
 
-    rng = np.random.default_rng(JITTER_SEED)
-    scale = np.maximum(np.abs(guess), np.median(np.abs(guess)) + 1e-300)
-    starts = [guess]
-    for _ in range(n_restarts):
-        starts.append(np.clip(guess + 0.1 * scale * rng.standard_normal(n_params), lo, hi))
-
-    best = None
-    best_cost = np.inf
-    last_error = None
-    for start in starts:
-        try:
-            solution = _levenberg_marquardt(residual_fn, start, lo, hi, 100 * n_params)
-        except Exception as exc:
-            last_error = exc
-            continue
-        cost = 0.5 * float(solution.residuals @ solution.residuals)
-        if best is None or cost < best_cost - 1e-15 * max(abs(best_cost), 1.0):
-            best = solution
-            best_cost = cost
-    if best is None:
+    try:
+        solution = _levenberg_marquardt(residual_fn, guess, lo, hi, 100 * n_params)
+    except Exception as exc:
         raise FitError(
-            "no least-squares start converged; the last start raised "
-            f"{type(last_error).__name__}: {last_error}"
-        ) from last_error
+            f"the least-squares solve raised {type(exc).__name__}: {exc}"
+        ) from exc
 
     result = _fit_result(
-        best.params, best.residuals, best.jac.T @ best.jac, data, param_names,
-        best.converged, best.nfev,
+        solution.params, solution.residuals, solution.jac.T @ solution.jac, data, param_names,
+        solution.converged, solution.nfev,
     )
-    if not best.converged:
+    if not solution.converged:
         raise FitError("least-squares fit did not converge", best_result=result)
     return result
 
@@ -447,15 +421,14 @@ def _rabi_frequency_guess(t, p1) -> float:
     return 2.0 * math.pi * float(freqs[k])
 
 
-def fit_rabi_trace(t, p1, sigma=None, n_shots=None, n_modes: int = 1) -> FitResult:
+def fit_rabi_trace(t, p1, sigma=None) -> FitResult:
     """Fit a thermally damped Rabi oscillation.
 
-    Parameters ("rabi_frequency", "theta") for the default single effective
-    decay parameter; with ``n_modes > 1`` the thetas are named theta_0..  The
-    initial Rabi-frequency guess comes from the dominant spectral peak of the
-    trace and theta from the late-time envelope, which avoids period-aliased
-    local minima.  If ``n_shots`` is given (and sigma is not), binomial
-    uncertainties with a 1/(n_shots+2) floor are used.
+    Parameters ("rabi_frequency", "theta"): one effective decay parameter.
+    The initial Rabi-frequency guess comes from the dominant spectral peak
+    of the trace and theta from the late-time envelope, which avoids
+    period-aliased local minima.  For shot-sampled data pass
+    ``sigma=binomial_sigma(p1, shots)``.
 
     Adds flag ``"theta_consistent_with_zero"`` when |theta| < its 1-sigma
     uncertainty.  Requires the trace to span at least two oscillation
@@ -463,10 +436,6 @@ def fit_rabi_trace(t, p1, sigma=None, n_shots=None, n_modes: int = 1) -> FitResu
     """
     t = np.asarray(t, dtype=float)
     p1 = np.asarray(p1, dtype=float)
-    if sigma is None and n_shots is not None:
-        sigma = binomial_sigma(p1, n_shots)
-    if n_modes < 1:
-        raise InputError("n_modes must be >= 1")
     data = DataSeries(t, p1, sigma)
     omega0 = _rabi_frequency_guess(t, p1)
     if omega0 <= 0 or omega0 * float(np.max(t)) < 4.0 * math.pi:
@@ -475,16 +444,9 @@ def fit_rabi_trace(t, p1, sigma=None, n_shots=None, n_modes: int = 1) -> FitResu
     c_est = float(np.clip(2.0 * np.max(np.abs(p1[tail] - 0.5)), 0.05, 1.0))
     t_tail = float(np.median(t[tail]))
     theta0 = math.sqrt(max(c_est**-2 - 1.0, 1e-12)) / (omega0 * t_tail)
-    guess = [omega0] + [theta0 / math.sqrt(n_modes)] * n_modes
-    if n_modes == 1:
-        names = ("rabi_frequency", "theta")
-    else:
-        names = ("rabi_frequency",) + tuple(f"theta_{m}" for m in range(n_modes))
-    lo = [0.5 * omega0] + [-np.inf] * n_modes
-    hi = [2.0 * omega0] + [np.inf] * n_modes
-    # A multi-mode guess sits on the ridge of equal thetas; only restarts leave it.
     result = fit_least_squares(
-        damped_rabi_model, data, guess, (lo, hi), names, n_restarts=0 if n_modes == 1 else 3
+        damped_rabi_model, data, [omega0, theta0],
+        ([0.5 * omega0, -np.inf], [2.0 * omega0, np.inf]), ("rabi_frequency", "theta"),
     )
     if abs(result.params[1]) < result.uncertainties[1]:
         result = dataclasses.replace(

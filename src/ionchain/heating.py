@@ -42,16 +42,12 @@ class NoiseModel:
         Constant additive rate (1/s) applied to decay-parameter growth,
         representing heating that does not scale with the axial frequency.
         Fitted empirically; zero by default.
-    inhomogeneity_factor : float, optional
-        Multiplier >= 1 for field gradients across long chains that heat
-        additional modes.  Applied verbatim, not modeled.
     """
 
     alpha: float
     nbar_rate_ref: float
     omega_ref: float
     offset: float = 0.0
-    inhomogeneity_factor: float = 1.0
 
     def __post_init__(self):
         if not 0.0 <= self.alpha <= 2.0:
@@ -62,8 +58,6 @@ class NoiseModel:
             raise InputError("reference frequency must be positive")
         if self.offset < 0:
             raise InputError("rate offset must be >= 0")
-        if self.inhomogeneity_factor < 1.0:
-            raise InputError("inhomogeneity factor must be >= 1")
 
 
 def heating_rate_at(noise: NoiseModel, omega) -> np.ndarray | float:
@@ -76,12 +70,8 @@ def heating_rate_at(noise: NoiseModel, omega) -> np.ndarray | float:
 
 
 def _mode_heating_rates(noise: NoiseModel, modes: ModeDecomposition) -> np.ndarray:
-    """nbar_rate(omega_m) * (sum_i b_im)^2 * inhomogeneity_factor for every mode."""
-    return (
-        heating_rate_at(noise, modes.frequencies)
-        * modes.uniform_drive_weights()
-        * noise.inhomogeneity_factor
-    )
+    """nbar_rate(omega_m) * (sum_i b_im)^2 for every mode."""
+    return heating_rate_at(noise, modes.frequencies) * modes.uniform_drive_weights()
 
 
 def theta_rate(
@@ -96,7 +86,7 @@ def theta_rate(
     For ion i with beam curvature ratio c_i = (Omega''/Omega)(x_i),
 
         dtheta_i/dt = sum_m b_im^2 (sum_j b_jm)^2 xi_m^2 (-c_i)
-                       * nbar_rate(omega_m) * inhomogeneity + offset,
+                       * nbar_rate(omega_m) + offset,
 
     restricted to the lowest mode (m = 0) unless ``all_modes`` is set.  For a
     centered Gaussian beam, -c_i = 2/w^2, so a single ion reduces to

@@ -254,8 +254,9 @@ class TestThetaScan:
 
     def test_low_occupancy_warns_like_rabi(self, tmp_path):
         cfg = write(tmp_path / "cold.yaml", self.CFG.replace("nbar: 280.0", "nbar: 5.0"))
-        with pytest.warns(LowOccupancyWarning):
+        with pytest.warns(LowOccupancyWarning) as record:
             assert run(["theta-scan", "--config", cfg]) == 0
+        assert record[0].filename == ionchain.cli.__file__
 
     def test_peak_rabi_key_is_unknown(self, tmp_path, capsys):
         cfg = write(
@@ -405,6 +406,22 @@ class TestScaling:
         assert run(["scaling", "--config", cfg, "--out", out]) == 0
         _, rows = read_csv(out)
         assert np.all(np.diff(rows[:, 1]) < 0)
+
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, 2.0])
+    def test_exact_exponent_below_inverse_n(self, tmp_path, alpha):
+        # inverse_n's N^(4 + 2 alpha) assumes omega0 ~ 1/N; the exact lowest
+        # mode falls more slowly, so the local exponent only climbs towards it
+        n_list = [5, 10, 15, 25, 50, 100, 200, 300, 400]
+        cfg = write(
+            tmp_path / "s.yaml",
+            YB + f"scaling:\n  n_list: {n_list}\n  alpha: {alpha}\n  spacing_um: 4.4\n",
+        )
+        out = tmp_path / "s.csv"
+        assert run(["scaling", "--config", cfg, "--out", out]) == 0
+        _, rows = read_csv(out)
+        exponents = np.diff(np.log(rows[:, 2])) / np.diff(np.log(rows[:, 0]))
+        assert np.all(np.diff(exponents) > 0)
+        assert exponents[-1] < 4.0 + 2.0 * alpha
 
 
 class TestCooling:

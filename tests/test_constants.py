@@ -2,13 +2,12 @@ import numpy as np
 import pytest
 import scipy.constants
 
-from ionchain import AMU, ECHARGE, EPSILON0, HBAR, KB, YB171, IonSpecies
+from ionchain import AMU, ECHARGE, EPSILON0, HBAR, YB171, IonSpecies
 from ionchain.errors import InputError
 
 
 def test_constants_match_scipy_codata():
     assert HBAR == pytest.approx(scipy.constants.hbar, rel=1e-9)
-    assert KB == pytest.approx(scipy.constants.k, rel=1e-12)
     assert ECHARGE == pytest.approx(scipy.constants.e, rel=1e-12)
     assert EPSILON0 == pytest.approx(scipy.constants.epsilon_0, rel=1e-9)
     assert AMU == pytest.approx(scipy.constants.atomic_mass, rel=1e-9)

@@ -104,8 +104,9 @@ class TestZeroPointSpread:
         assert zero_point_spread(YB171, OMEGA_140) == pytest.approx(expected, rel=1e-12)
 
     def test_low_occupancy_warning(self):
-        with pytest.warns(LowOccupancyWarning):
+        with pytest.warns(LowOccupancyWarning) as record:
             ThermalState([5.0])
+        assert record[0].filename == __file__  # names the caller's line
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             ThermalState([280.0])  # no warning
@@ -416,14 +417,3 @@ class TestInPhaseTheta:
         b0 = modes.participation[:, 0]
         expected = b0**2 * b0.sum() ** 2 * 0.1
         assert np.allclose(theta, expected, rtol=1e-14)
-
-    def test_addressed_subset(self):
-        modes = normal_modes(find_equilibrium(YB171, HarmonicPotential(OMEGA_140), 5))
-        theta = in_phase_theta(modes, 0.1, addressed=[1, 3])
-        assert theta[0] == 0.0 and theta[2] == 0.0 and theta[4] == 0.0
-        assert theta[1] > 0.0 and theta[3] > 0.0
-
-    def test_addressed_bounds_checked(self):
-        modes = single_ion_modes(YB171, OMEGA_140)
-        with pytest.raises(InputError):
-            in_phase_theta(modes, 0.1, addressed=[2])

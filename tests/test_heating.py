@@ -48,8 +48,6 @@ class TestHeatingRate:
             heating_rate_at(NOISE, 0.0)
         with pytest.raises(InputError):
             NoiseModel(alpha=2.5, nbar_rate_ref=1.0, omega_ref=1.0)
-        with pytest.raises(InputError):
-            NoiseModel(alpha=1.0, nbar_rate_ref=1.0, omega_ref=1.0, inhomogeneity_factor=0.5)
 
 
 class TestModeHeatingRate:
@@ -72,14 +70,6 @@ class TestModeHeatingRate:
             assert modes.uniform_drive_weights()[m] == pytest.approx(
                 n * projection**2, abs=1e-12
             )
-
-    def test_inhomogeneity_factor_multiplies(self):
-        noisy = NoiseModel(alpha=1.0, nbar_rate_ref=88.0, omega_ref=2 * np.pi * 3e6,
-                           inhomogeneity_factor=1.2)
-        modes = single_ion_modes(YB171, 2 * np.pi * 200e3)
-        assert _mode_heating_rates(noisy, modes)[0] == pytest.approx(
-            1.2 * _mode_heating_rates(NOISE, modes)[0], rel=1e-14
-        )
 
 
 class TestThetaRate:
@@ -151,7 +141,7 @@ def test_kernel_matches_per_ion_per_mode_loop(beam_kind, all_modes):
     chain = find_equilibrium(YB171, EquispacedLogPotential(6, 4.4e-6))
     modes = normal_modes(chain)
     noise = NoiseModel(alpha=0.7, nbar_rate_ref=88.0, omega_ref=2 * np.pi * 3e6,
-                       offset=0.4, inhomogeneity_factor=1.3)
+                       offset=0.4)
     nbar = np.linspace(150.0, 300.0, modes.n_modes)
     beams = {}
     for i in (0, 2, 3):  # ions 1, 4 and 5 are not driven
@@ -173,7 +163,7 @@ def test_kernel_matches_per_ion_per_mode_loop(beam_kind, all_modes):
             theta[i, m] = -(b**2) * xi_sq[m] * c * nbar[m]
             if m in used:
                 weight = modes.participation[:, m].sum() ** 2
-                rate[i] += (-(b**2) * xi_sq[m] * c * weight * noise.inhomogeneity_factor
+                rate[i] += (-(b**2) * xi_sq[m] * c * weight
                             * heating_rate_at(noise, modes.frequencies[m]))
         rate[i] += noise.offset
 
