@@ -61,7 +61,7 @@ class HarmonicPotential:
         """Return (value J, gradient J/m, curvature J/m^2) at x (array ok)."""
         x = np.asarray(x, dtype=float)
         k = species.mass * self.omega0**2
-        return 0.5 * k * x * x, k * x, np.broadcast_to(k, x.shape).copy()
+        return 0.5 * k * x * x, k * x, np.full(x.shape, k)
 
     def unit_length(self, species: IonSpecies) -> float:
         """Length where Coulomb repulsion balances the trap force,
@@ -235,10 +235,11 @@ def _scaled_trap(potential: TrapPotential, species: IonSpecies):
     """Trap gradient/curvature in units of L and q^2/(4 pi eps0 L)."""
     L = potential.unit_length(species)
     k = species.coulomb_energy_scale
+    g_scale, c_scale = L * L / k, L**3 / k
 
     def grad_curv(u):
         _, g, c = potential.evaluate(u * L, species)
-        return g * (L * L / k), c * (L**3 / k)
+        return g * g_scale, c * c_scale
 
     halfwidth = potential.domain_halfwidth(species) / L
     return grad_curv, halfwidth
@@ -248,7 +249,7 @@ def _pair_separations(u: np.ndarray):
     """Pair separations u_i - u_j and distances |u_i - u_j|, inf on the
     diagonal."""
     r = u[:, None] - u[None, :]
-    np.fill_diagonal(r, np.inf)
+    r.reshape(-1)[:: len(u) + 1] = np.inf  # the diagonal, as a strided view
     return r, np.abs(r)
 
 
@@ -257,13 +258,13 @@ def _chain_terms(u: np.ndarray, grad_curv):
     diagonal) and trap curvature at u, from one pass over the pairs."""
     g_trap, c_trap = grad_curv(u)
     r, a = _pair_separations(u)
-    return g_trap - np.sum(1.0 / (r * a), axis=1), a, c_trap
+    return g_trap - (1.0 / (r * a)).sum(axis=1), a, c_trap
 
 
 def _hessian_from(a: np.ndarray, c_trap) -> np.ndarray:
     """Scaled Hessian from the pair distances and trap curvature."""
     H = -2.0 / a**3
-    np.fill_diagonal(H, c_trap - H.sum(axis=1))
+    H.reshape(-1)[:: len(H) + 1] = c_trap - H.sum(axis=1)
     return H
 
 
@@ -333,7 +334,7 @@ def find_equilibrium(
     u = _initial_guess(potential, species, n_ions)
 
     def valid(v):
-        return (v[1:] > v[:-1]).all() and (np.abs(v) < halfwidth).all()
+        return (v[1:] > v[:-1]).all() and np.abs(v).max() < halfwidth
 
     def backtrack(step, scale, tries):
         """First u + scale * step / 2^k (k < tries) that is valid and lowers
@@ -402,7 +403,7 @@ def hessian_matrix(chain: EquilibriumChain) -> np.ndarray:
         If two positions coincide (Coulomb curvature diverges).
     """
     x = np.asarray(chain.positions, dtype=float)
-    if len(x) > 1 and np.min(np.diff(np.sort(x))) <= 0.0:
+    if len(x) > 1 and np.diff(np.sort(x)).min() <= 0.0:
         raise DegenerateChainError("coincident ion positions")
     u = x / chain.unit_length
     grad_curv, _ = _scaled_trap(chain.potential, chain.species)

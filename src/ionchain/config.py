@@ -44,6 +44,18 @@ def _check_keys(section: Mapping[str, Any], allowed, where: str):
         raise ConfigError(f"unknown key(s) in {where}: {', '.join(unknown)}")
 
 
+def _finite_float(value, name) -> float:
+    """``value`` as a float; ConfigError if it is NaN, infinite or an integer
+    beyond the float range."""
+    try:
+        number = float(value)
+    except OverflowError:
+        number = math.inf if value > 0 else -math.inf
+    if not math.isfinite(number):
+        raise ConfigError(f"{name} must be finite, got {number}")
+    return number
+
+
 def _get_number(section, key, where, required=False, default=None, positive=False):
     if key not in section:
         if required:
@@ -52,9 +64,10 @@ def _get_number(section, key, where, required=False, default=None, positive=Fals
     value = section[key]
     if isinstance(value, bool) or not isinstance(value, _NUMBER):
         raise ConfigError(f"{where}.{key} must be a number, got {value!r}")
-    if positive and not value > 0:
+    number = _finite_float(value, f"{where}.{key}")
+    if positive and not number > 0:
         raise ConfigError(f"{where}.{key} must be positive, got {value}")
-    return float(value)
+    return number
 
 
 def _get_int(section, key, where, required=False, default=None, minimum=None):
@@ -84,7 +97,7 @@ def _get_number_list(section, key, where, required=False, length=None):
     for i, item in enumerate(value):
         if isinstance(item, bool) or not isinstance(item, _NUMBER):
             raise ConfigError(f"{where}.{key}[{i}] must be a number, got {item!r}")
-        out.append(float(item))
+        out.append(_finite_float(item, f"{where}.{key}[{i}]"))
     if length is not None and len(out) != length:
         raise ConfigError(f"{where}.{key} must have length {length}, got {len(out)}")
     return out

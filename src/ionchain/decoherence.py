@@ -72,8 +72,13 @@ class GaussianBeam:
 
         Negative at the beam center, zero at |x - c| = w/sqrt(2).
         """
-        s = (np.asarray(x, dtype=float) - self.center) / self.waist
-        return (4.0 * s * s - 2.0) / (self.waist * self.waist)
+        return _gaussian_curvature_ratio(np.asarray(x, dtype=float), self.center, self.waist)
+
+
+def _gaussian_curvature_ratio(x, center, waist):
+    """:meth:`GaussianBeam.curvature_ratio`, elementwise over centres and waists."""
+    s = (x - center) / waist
+    return (4.0 * s * s - 2.0) / (waist * waist)
 
 
 class TabulatedBeam:
@@ -172,7 +177,20 @@ class ThermalState:
     nbar: np.ndarray
 
     def __post_init__(self):
-        nbar = np.atleast_1d(np.asarray(self.nbar, dtype=float))
+        self._set_nbar(self.nbar, stacklevel=4)  # past the generated __init__
+
+    @classmethod
+    def uniform(cls, n_modes: int, nbar: float) -> "ThermalState":
+        """Every one of ``n_modes`` modes at occupancy ``nbar``.  Built without
+        the generated ``__init__``, so a warning names this method's caller."""
+        state = cls.__new__(cls)
+        state._set_nbar(np.full(n_modes, float(nbar)), stacklevel=3)
+        return state
+
+    def _set_nbar(self, nbar, stacklevel: int) -> None:
+        """Store and check the occupancies; a low-occupancy warning names the
+        frame ``stacklevel`` levels up, the code that asked for the state."""
+        nbar = np.atleast_1d(np.asarray(nbar, dtype=float))
         object.__setattr__(self, "nbar", nbar)
         if np.any(nbar < 0):
             raise InputError("mode occupancies must be >= 0")
@@ -181,12 +199,8 @@ class ThermalState:
                 "thermal occupancy below 10 quanta: the classical "
                 "energy-averaging model assumes nbar >> 1",
                 LowOccupancyWarning,
-                stacklevel=3,  # past the generated __init__, to the caller
+                stacklevel=stacklevel,
             )
-
-    @classmethod
-    def uniform(cls, n_modes: int, nbar: float) -> "ThermalState":
-        return cls(np.full(n_modes, float(nbar)))
 
 
 def zero_point_spread(species: IonSpecies, omega: float) -> float:
@@ -205,17 +219,29 @@ def _beam_coupling(
 
     The per-quantum decay parameter, shared by :func:`decay_parameters` and
     the heating-rate growth in :mod:`ionchain.heating`.  Ions without a beam
-    get a zero row.
+    get a zero row.  The Gaussian beams' curvature ratios come from one array
+    expression over their centres and waists, bit-equal to one
+    :meth:`GaussianBeam.curvature_ratio` call per ion.
     """
     positions = np.asarray(positions, dtype=float)
     n = modes.n_ions
     if len(positions) != n:
         raise InputError(f"expected {n} positions, got {len(positions)}")
     neg_curvature = np.zeros(n)
+    gaussian, centers, waists = [], [], []
     for i, beam in beams.items():
         if not 0 <= i < n:
             raise InputError(f"beam assigned to ion {i}, outside 0..{n - 1}")
-        neg_curvature[i] = -float(beam.curvature_ratio(positions[i]))
+        if isinstance(beam, GaussianBeam):
+            gaussian.append(i)
+            centers.append(beam.center)
+            waists.append(beam.waist)
+        else:
+            neg_curvature[i] = -float(beam.curvature_ratio(positions[i]))
+    if gaussian:
+        neg_curvature[gaussian] = -_gaussian_curvature_ratio(
+            positions[gaussian], np.array(centers, dtype=float), np.array(waists, dtype=float)
+        )
     spreads_sq = HBAR / (2.0 * modes.species.mass * modes.frequencies)
     return modes.participation**2 * spreads_sq * neg_curvature[:, None]
 
@@ -302,8 +328,8 @@ def _thermal_rabi(omega0, thetas, times):
     """Closed-form (p1, contrast, phase) of :func:`rabi_trace`, unvalidated."""
     thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
     a = thetas[:, None] * omega0 * times[None, :]
-    contrast = np.prod(1.0 / np.sqrt(1.0 + a * a), axis=0)
-    phase = np.sum(np.arctan(a), axis=0)
+    contrast = (1.0 / np.sqrt(1.0 + a * a)).prod(axis=0)
+    phase = np.arctan(a).sum(axis=0)
     return 0.5 * (1.0 - contrast * np.cos(omega0 * times - phase)), contrast, phase
 
 

@@ -41,11 +41,7 @@ class UnstableChainError(IonChainError, RuntimeError):
 
 
 class FitError(IonChainError, RuntimeError):
-    """A least-squares fit failed. ``best_result`` holds the best attempt."""
-
-    def __init__(self, message, best_result=None):
-        super().__init__(message)
-        self.best_result = best_result
+    """A least-squares fit failed."""
 
 
 class LowOccupancyWarning(UserWarning):

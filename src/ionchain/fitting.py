@@ -153,8 +153,7 @@ def fit_least_squares(
         or the bounds are malformed or exclude the guess.
     FitError
         If there are fewer points than parameters, or the solve does not
-        converge.  The exception carries the attempt as ``best_result``;
-        when the solve raised, it is chained from that exception.
+        converge.  When the solve raised, it is chained from that exception.
     """
     guess = np.atleast_1d(np.asarray(guess, dtype=float))
     n_params = len(guess)
@@ -201,13 +200,12 @@ def fit_least_squares(
             f"the least-squares solve raised {type(exc).__name__}: {exc}"
         ) from exc
 
-    result = _fit_result(
+    if not solution.converged:
+        raise FitError("least-squares fit did not converge")
+    return _fit_result(
         solution.params, solution.residuals, solution.jac.T @ solution.jac, data, param_names,
         solution.converged, solution.nfev,
     )
-    if not solution.converged:
-        raise FitError("least-squares fit did not converge", best_result=result)
-    return result
 
 
 @dataclass(frozen=True)

@@ -41,7 +41,7 @@ def gate_fidelity_bound(theta_i, theta_j, n_gates: int = 1) -> float:
     if ti.shape != tj.shape:
         raise InputError("theta lists must have equal length")
     a = (n_gates * math.pi / 2.0) * (ti + tj)
-    return 0.5 + 0.5 * float(np.prod(1.0 / np.sqrt(1.0 + a * a)))
+    return 0.5 + 0.5 * float((1.0 / np.sqrt(1.0 + a * a)).prod())
 
 
 def gate_fidelity_slope(joint_theta: float, n_gates: int = 1) -> float:

@@ -469,12 +469,12 @@ PROPERTY_SETTINGS = settings(max_examples=60, deadline=None, database=None, dera
 
 
 @st.composite
-def scaled_chains(draw):
-    """A potential and N = 2..400 sorted, distinct positions (SI) whose
+def scaled_chains(draw, min_n=2):
+    """A potential and N = min_n..400 sorted, distinct positions (SI) whose
     scaled values u = x / L span a drawn width inside the domain."""
     kind = draw(st.sampled_from(sorted(POTENTIAL_KINDS)))
-    n = draw(st.integers(2, 400))
-    pot = POTENTIAL_KINDS[kind](n)
+    n = draw(st.integers(min_n, 400))
+    pot = POTENTIAL_KINDS[kind](max(n, 2))
     seed = draw(st.integers(0, 2**32 - 1))
     halfwidth = 0.5 * n * 0.999 if kind == "equispaced" else draw(st.floats(1e-3, 100.0))
     rng = np.random.default_rng(seed)
@@ -486,7 +486,55 @@ def scaled_chains(draw):
     return EquilibriumChain(YB171, pot, x)
 
 
+def _per_iterate_scaled_trap(potential, species):
+    """_scaled_trap's gradient/curvature with the unit ratios formed per call,
+    and the harmonic curvature column built by broadcast_to().copy()."""
+    L = potential.unit_length(species)
+    k = species.coulomb_energy_scale
+
+    def evaluate(x):
+        if isinstance(potential, HarmonicPotential):
+            kh = species.mass * potential.omega0**2
+            return 0.5 * kh * x * x, kh * x, np.broadcast_to(kh, x.shape).copy()
+        return potential.evaluate(x, species)
+
+    def grad_curv(u):
+        _, g, c = evaluate(u * L)
+        return g * (L * L / k), c * (L**3 / k)
+
+    return grad_curv
+
+
 class TestKernelsBitForBit:
+    @PROPERTY_SETTINGS
+    @given(scaled_chains(min_n=1))
+    def test_chain_terms_and_hessian_match_the_old_formulas(self, chain):
+        u = chain.positions / chain.unit_length
+        grad_curv, _ = chain_module._scaled_trap(chain.potential, YB171)
+        old_grad_curv = _per_iterate_scaled_trap(chain.potential, YB171)
+        for new, old in zip(grad_curv(u), old_grad_curv(u)):
+            assert new.dtype == old.dtype and np.array_equal(new, old)
+        g, a, c_trap = chain_module._chain_terms(u, grad_curv)
+        assert np.array_equal(g, _old_gradient(u, old_grad_curv))
+        assert np.array_equal(chain_module._hessian_from(a, c_trap), _old_hessian(u, old_grad_curv))
+
+    @PROPERTY_SETTINGS
+    @given(
+        st.integers(1, 400),
+        st.integers(0, 2**32 - 1),
+        st.floats(1e-9, 1e-4),
+        st.floats(2 * np.pi * 1e4, 2 * np.pi * 1e7),
+    )
+    def test_harmonic_curvature_column_is_the_broadcast_copy(self, n, seed, width, omega0):
+        x = np.random.default_rng(seed).uniform(-width, width, n)
+        trap = HarmonicPotential(omega0)
+        value, grad, curv = trap.evaluate(x, YB171)
+        k = YB171.mass * omega0**2
+        expected = np.broadcast_to(k, x.shape).copy()
+        assert curv.dtype == expected.dtype and np.array_equal(curv, expected)
+        assert curv.flags.writeable
+        assert np.array_equal(value, 0.5 * k * x * x) and np.array_equal(grad, k * x)
+
     @PROPERTY_SETTINGS
     @given(scaled_chains())
     def test_gradient_and_hessian_match_the_old_formulas(self, chain):

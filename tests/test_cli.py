@@ -267,6 +267,44 @@ class TestThetaScan:
         assert "unknown key(s) in beam: peak_rabi_khz" in capsys.readouterr().err
 
 
+RABI_BEAM = (
+    YB
+    + "potential:\n  kind: harmonic\n  axial_freq_khz: 140.0\n  n_ions: 1\n"
+    + "beam:\n  kind: gaussian\n  waist_nm: 870.0\n  center_um: 0.0\n"
+    + "thermal:\n  nbar: 280.0\n"
+    + "rabi:\n  drive_khz: 50.0\n  t_max_us: 80.0\n  n_points: 81\n"
+)
+EQUISPACED_MODES = YB + "potential:\n  kind: equispaced_log\n  n_ions: 5\n  spacing_um: 4.4\n"
+
+
+class TestNonFiniteConfig:
+    @pytest.mark.parametrize(
+        "command, text, old, new, key",
+        [
+            ("rabi", RABI_BEAM, "center_um: 0.0", "center_um: .nan", "beam.center_um"),
+            ("rabi", RABI_BEAM, "waist_nm: 870.0", "waist_nm: .inf", "beam.waist_nm"),
+            ("modes", EQUISPACED_MODES, "spacing_um: 4.4", "spacing_um: .inf", "potential.spacing_um"),
+            ("rabi", RABI_EXPLICIT.format(theta=0.01), "[0.01]", "[0.01, .nan]", "rabi.theta[1]"),
+            ("rabi", RABI_BEAM, "nbar: 280.0", "nbar: -.inf", "thermal.nbar[0]"),
+            ("modes", EQUISPACED_MODES, "spacing_um: 4.4", "spacing_um: 1" + "0" * 400, "potential.spacing_um"),
+            ("rabi", RABI_BEAM, "nbar: 280.0", "nbar: [-1" + "0" * 400 + "]", "thermal.nbar[0]"),
+        ],
+        ids=[
+            "center_nan", "waist_inf", "spacing_inf", "theta_list_nan", "nbar_minus_inf",
+            "spacing_huge_int", "nbar_list_huge_int",
+        ],
+    )
+    def test_rejected_with_the_key(self, tmp_path, capsys, command, text, old, new, key):
+        assert text.count(old) == 1
+        cfg = write(tmp_path / "nonfinite.yaml", text.replace(old, new))
+        out = tmp_path / "out.csv"
+        capsys.readouterr()
+        assert run([command, "--config", cfg, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"ionchain {command}: config error: {key} must be finite, got ")
+        assert not out.exists()
+
+
 class TestFit:
     def test_beam_round_trip(self, tmp_path, rng):
         x = np.linspace(-2.0, 2.0, 41)

@@ -5,6 +5,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import theta_profile_gaussian
 
@@ -12,6 +14,7 @@ from ionchain import (
     EquispacedLogPotential,
     GaussianBeam,
     HarmonicPotential,
+    ModeDecomposition,
     TabulatedBeam,
     ThermalState,
     YB171,
@@ -25,10 +28,12 @@ from ionchain import (
     zero_point_spread,
 )
 from ionchain import decoherence
+from ionchain.constants import HBAR
 from ionchain.errors import DomainError, InputError, LowOccupancyWarning
 
 WAIST = 870e-9
 OMEGA_140 = 2 * np.pi * 140e3
+PROPERTY_SETTINGS = settings(max_examples=60, deadline=None, database=None, derandomize=True)
 
 
 def quiet_state(nbar):
@@ -110,6 +115,19 @@ class TestZeroPointSpread:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             ThermalState([280.0])  # no warning
+
+    def test_uniform_state_warns_at_the_caller(self):
+        with pytest.warns(LowOccupancyWarning) as record:
+            state = ThermalState.uniform(1, 5.0)
+        assert record[0].filename == __file__
+        assert np.array_equal(state.nbar, [5.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            state = ThermalState.uniform(3, 280.0)  # no warning
+        assert isinstance(state, ThermalState)
+        assert state.nbar.dtype == float and np.array_equal(state.nbar, [280.0] * 3)
+        with pytest.raises(InputError):
+            ThermalState.uniform(2, -1.0)
 
     def test_thermal_state_validation(self):
         with pytest.raises(InputError):
@@ -216,11 +234,90 @@ class TestThetaProfile:
         assert np.max(np.abs(profile - matrix_route)) < 1e-12 * np.max(np.abs(profile))
 
 
+def _per_ion_coupling(modes, beams, positions):
+    """_beam_coupling with one curvature-ratio evaluation per ion, the Gaussian
+    one in its scalar form."""
+    neg_curvature = np.zeros(modes.n_ions)
+    for i, beam in beams.items():
+        x = np.asarray(positions[i], dtype=float)
+        if isinstance(beam, GaussianBeam):
+            s = (x - beam.center) / beam.waist
+            ratio = (4.0 * s * s - 2.0) / (beam.waist * beam.waist)
+        else:
+            ratio = beam.curvature_ratio(x)
+        neg_curvature[i] = -float(ratio)
+    spreads_sq = HBAR / (2.0 * modes.species.mass * modes.frequencies)
+    return modes.participation**2 * spreads_sq * neg_curvature[:, None]
+
+
+@st.composite
+def addressed_chains(draw):
+    """Synthetic modes of N = 1..400 ions, their positions and a beam dict:
+    a Gaussian beam on every ion, a tabulated one on every ion, a mix of the
+    two, or a mix on a subset, the ions in shuffled order."""
+    n = draw(st.integers(1, 400))
+    kind = draw(st.sampled_from(["gaussian", "tabulated", "mixed", "subset"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    spacing = rng.uniform(1e-6, 6e-6)
+    x = (np.arange(n) - 0.5 * (n - 1) + rng.uniform(-0.2, 0.2, n)) * spacing
+    frequencies = np.sort(rng.uniform(1.0, 10.0, n)) * OMEGA_140
+    modes = ModeDecomposition(YB171, frequencies, rng.standard_normal((n, n)), frequencies[0])
+    grid = np.linspace(x[0] - spacing, x[-1] + spacing, 4 * n + 8)
+    tabulated = TabulatedBeam(grid, 1.0 + 0.5 * np.cos(grid / (3.0 * spacing)))
+    ions = rng.permutation(n)
+    if kind == "subset":
+        ions = ions[: rng.integers(0, n + 1)]
+    beams = {}
+    for i in ions:
+        use_gaussian = kind == "gaussian" or (kind != "tabulated" and rng.random() < 0.5)
+        if use_gaussian:
+            center = x[i] + rng.normal(0.0, 0.5) * spacing
+            beams[int(i)] = GaussianBeam(1.0, float(center), rng.uniform(0.5e-6, 2e-6))
+        else:
+            beams[int(i)] = tabulated
+    return modes, beams, x
+
+
+class TestBeamCouplingBitForBit:
+    @PROPERTY_SETTINGS
+    @given(addressed_chains())
+    def test_matches_the_per_ion_loop(self, case):
+        modes, beams, x = case
+        coupling = decoherence._beam_coupling(modes, beams, x)
+        assert np.array_equal(coupling, _per_ion_coupling(modes, beams, x))
+
+    @pytest.mark.parametrize("ion", [-1, 3])
+    @pytest.mark.parametrize("tabulated", [False, True])
+    def test_out_of_range_ion_rejected(self, ion, tabulated):
+        chain = find_equilibrium(YB171, HarmonicPotential(OMEGA_140), 3)
+        modes = normal_modes(chain)
+        grid = np.linspace(-2e-4, 2e-4, 41)
+        beam = TabulatedBeam(grid, np.ones(41)) if tabulated else GaussianBeam(1.0, 0.0, WAIST)
+        beams = {0: GaussianBeam(1.0, 0.0, WAIST), ion: beam}
+        with pytest.raises(InputError, match=f"beam assigned to ion {ion}, outside 0..2"):
+            decoherence._beam_coupling(modes, beams, chain.positions)
+
+
 # ----------------------------------------------------------------------
 # Rabi traces
 # ----------------------------------------------------------------------
 
 class TestRabiTrace:
+    @PROPERTY_SETTINGS
+    @given(st.integers(1, 400), st.integers(1, 120), st.integers(0, 2**32 - 1))
+    def test_closed_form_matches_the_wrapper_form(self, n_modes, n_times, seed):
+        rng = np.random.default_rng(seed)
+        thetas = rng.uniform(-1.0, 1.0, n_modes) * 10.0 ** rng.uniform(-5.0, 0.0, n_modes)
+        times = np.sort(rng.uniform(0.0, 300e-6, n_times))
+        omega0 = 2 * np.pi * rng.uniform(10e3, 100e3)
+        p1, contrast, phase = decoherence._thermal_rabi(omega0, thetas, times)
+        a = thetas[:, None] * omega0 * times[None, :]
+        old_contrast = np.prod(1.0 / np.sqrt(1.0 + a * a), axis=0)
+        old_phase = np.sum(np.arctan(a), axis=0)
+        assert np.array_equal(contrast, old_contrast)
+        assert np.array_equal(phase, old_phase)
+        assert np.array_equal(p1, 0.5 * (1.0 - old_contrast * np.cos(omega0 * times - old_phase)))
+
     def test_undamped_limit(self):
         omega0 = 2 * np.pi * 50e3
         t = np.linspace(0.0, 100e-6, 57)

@@ -3,6 +3,8 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ionchain import (
     gate_fidelity_bound,
@@ -55,6 +57,16 @@ class TestGateFidelityBound:
     def test_length_mismatch(self):
         with pytest.raises(InputError):
             gate_fidelity_bound([0.1, 0.2], [0.1], 1)
+
+    @settings(max_examples=60, deadline=None, database=None, derandomize=True)
+    @given(st.integers(1, 400), st.integers(1, 50), st.integers(0, 2**32 - 1))
+    def test_matches_the_wrapper_form(self, n_modes, n_gates, seed):
+        rng = np.random.default_rng(seed)
+        # |a| stays below 2, so the product of 400 factors cannot underflow
+        ti, tj = rng.uniform(-1.0, 1.0, (2, n_modes)) * 10.0 ** rng.uniform(-6.0, -2.0, (2, n_modes))
+        a = (n_gates * math.pi / 2.0) * (ti + tj)
+        expected = 0.5 + 0.5 * float(np.prod(1.0 / np.sqrt(1.0 + a * a)))
+        assert gate_fidelity_bound(ti, tj, n_gates) == expected
 
 
 class TestGateFidelityMonteCarlo:
