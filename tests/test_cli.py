@@ -6,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
 from helpers import theta_profile_gaussian
 
@@ -303,6 +304,102 @@ class TestNonFiniteConfig:
         err = capsys.readouterr().err
         assert err.startswith(f"ionchain {command}: config error: {key} must be finite, got ")
         assert not out.exists()
+
+
+_SPECIES = {"label": "171Yb+"}
+_ONE_ION = {
+    "species": _SPECIES,
+    "potential": {"kind": "harmonic", "axial_freq_khz": 140.0, "n_ions": 1},
+    "beam": {"kind": "gaussian", "waist_nm": 870.0},
+    "thermal": {"nbar": 280.0},
+    "rabi": {"drive_khz": 50.0, "t_max_us": 10.0, "n_points": 11},
+}
+_DERIVED_GATE = {
+    "species": _SPECIES,
+    "potential": {"kind": "harmonic", "axial_freq_khz": 500.0, "n_ions": 2},
+    "beam": {"kind": "gaussian", "waist_nm": 870.0},
+    "noise": {"alpha": 1.0, "reference_rate_quanta_per_s": 88.0, "reference_freq_mhz": 3.0},
+    "gate": {"ion_i": 0, "ion_j": 1, "tw_list_ms": [0.0, 1.0]},
+}
+_COOLING = {
+    "coolant_fraction": 0.5, "spacing_um": 4.0, "wavelength_nm": 297.0,
+    "linewidth_mhz": 4.3, "isotope_splitting_ghz": 2.4,
+}
+# (section, id, command, valid config, keys whose absence is "missing required key")
+CONFIG_SCHEMA = [
+    ("species", "species", "modes", {"species": _SPECIES, "potential": _ONE_ION["potential"]}, ()),
+    ("potential", "potential-harmonic", "modes", _ONE_ION, ("axial_freq_khz",)),
+    (
+        "potential", "potential-equispaced_log", "modes",
+        {"species": _SPECIES, "potential": {"kind": "equispaced_log", "n_ions": 3, "spacing_um": 4.4}},
+        ("n_ions", "spacing_um"),
+    ),
+    (
+        "potential", "potential-quad_quartic", "modes",
+        {"species": _SPECIES, "potential": {"kind": "quad_quartic", "a2_j_per_m2": 1.0e-14, "n_ions": 3}},
+        (),
+    ),
+    ("beam", "beam-gaussian", "rabi", _ONE_ION, ("waist_nm",)),
+    ("beam", "beam-tabulated", "rabi", {**_ONE_ION, "beam": {"kind": "tabulated", "csv": None}}, ()),
+    ("thermal", "thermal", "rabi", _ONE_ION, ("nbar",)),
+    ("noise", "noise", "gate-fidelity", _DERIVED_GATE, ("alpha", "reference_rate_quanta_per_s", "reference_freq_mhz")),
+    ("rabi", "rabi", "rabi", {"rabi": {"drive_khz": 50.0, "t_max_us": 10.0, "theta": [0.1]}}, ("drive_khz", "t_max_us")),
+    ("scan", "scan", "theta-scan", {**_ONE_ION, "scan": {"x_min_um": -1.0, "x_max_um": 1.0}}, ("x_min_um", "x_max_um")),
+    ("gate", "gate", "gate-fidelity", _DERIVED_GATE, ("ion_i", "ion_j")),
+    (
+        "scaling", "scaling", "scaling",
+        {"species": _SPECIES, "scaling": {"n_list": [3], "alpha": 1.0, "spacing_um": 4.4}},
+        ("n_list", "alpha", "spacing_um"),
+    ),
+    ("cooling", "cooling", "cooling", {"cooling": _COOLING}, tuple(_COOLING)),
+]
+
+
+class TestConfigSchema:
+    """Every section (and kind) rejects an extra key and each missing required key."""
+
+    @staticmethod
+    def run_edited(tmp_path, capsys, command, config, section, edit):
+        config = {name: dict(body) for name, body in config.items()}
+        if config.get("beam", {}).get("kind") == "tabulated":
+            x_um = np.linspace(-2.0, 2.0, 41)
+            lines = ["x_um,rabi_khz"] + [f"{a},{50.0 * np.exp(-a * a)}" for a in x_um]
+            beam_csv = tmp_path / "beam.csv"
+            beam_csv.write_text("\n".join(lines) + "\n")
+            config["beam"]["csv"] = str(beam_csv)
+        edit(config[section])
+        cfg = write(tmp_path / "schema.yaml", yaml.safe_dump(config))
+        capsys.readouterr()
+        code = run([command, "--config", cfg])
+        return code, capsys.readouterr().err.strip()
+
+    @pytest.mark.parametrize(
+        "section, command, config", [case[:1] + case[2:4] for case in CONFIG_SCHEMA],
+        ids=[case[1] for case in CONFIG_SCHEMA],
+    )
+    def test_extra_key(self, tmp_path, capsys, section, command, config):
+        code, err = self.run_edited(
+            tmp_path, capsys, command, config, section, lambda body: body.update(zz_extra=1)
+        )
+        assert code == 2
+        assert err == f"ionchain {command}: config error: unknown key(s) in {section}: zz_extra"
+
+    @pytest.mark.parametrize(
+        "section, command, config, key",
+        [case[:1] + case[2:4] + (key,) for case in CONFIG_SCHEMA for key in case[4]],
+        ids=[f"{case[1]}-{key}" for case in CONFIG_SCHEMA for key in case[4]],
+    )
+    def test_missing_required_key(self, tmp_path, capsys, section, command, config, key):
+        code, err = self.run_edited(
+            tmp_path, capsys, command, config, section, lambda body: body.pop(key)
+        )
+        assert code == 2
+        assert err == f"ionchain {command}: config error: missing required key {section}.{key}"
+
+    def test_unedited_configs_run(self, tmp_path, capsys):
+        for section, _, command, config, _ in CONFIG_SCHEMA:
+            edit = lambda body: None
+            assert self.run_edited(tmp_path, capsys, command, config, section, edit) == (0, "")
 
 
 class TestFit:
