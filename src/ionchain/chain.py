@@ -54,8 +54,8 @@ class HarmonicPotential:
     omega0: float
 
     def __post_init__(self):
-        if not self.omega0 > 0:
-            raise InputError(f"harmonic frequency must be positive, got {self.omega0}")
+        if not 0 < self.omega0 < math.inf:
+            raise InputError(f"harmonic frequency must be positive and finite, got {self.omega0}")
 
     def evaluate(self, x, species: IonSpecies):
         """Return (value J, gradient J/m, curvature J/m^2) at x (array ok)."""
@@ -84,6 +84,8 @@ class QuadQuarticPotential:
     a4: float
 
     def __post_init__(self):
+        if not (math.isfinite(self.a2) and math.isfinite(self.a4)):
+            raise InputError(f"a2 and a4 must be finite, got {self.a2}, {self.a4}")
         if not (self.a2 > 0 or self.a4 > 0):
             raise InputError("need a2 > 0 or a4 > 0 for axial confinement")
 
@@ -123,8 +125,8 @@ class EquispacedLogPotential:
     def __post_init__(self):
         if self.n_ions < 2:
             raise InputError(f"equispaced potential needs n_ions >= 2, got {self.n_ions}")
-        if not self.spacing > 0:
-            raise InputError(f"ion spacing must be positive, got {self.spacing}")
+        if not 0 < self.spacing < math.inf:
+            raise InputError(f"ion spacing must be positive and finite, got {self.spacing}")
 
     def evaluate(self, x, species: IonSpecies):
         x = np.asarray(x, dtype=float)

@@ -47,12 +47,11 @@ from .config import (
     build_species,
     build_thermal_nbar,
     load_config,
+    read_gate,
     read_numeric_csv,
-    require_section,
-    _check_keys,
-    _get_int,
-    _get_number,
-    _get_number_list,
+    read_rabi,
+    read_scaling,
+    read_scan,
 )
 from .cooling import crosstalk_rate
 from .decoherence import (
@@ -179,11 +178,11 @@ def cmd_modes(args) -> int:
     return EXIT_OK
 
 
-def _single_ion_thetas(config, positions):
+def _single_ion_thetas(config, positions, beam):
     """Decay parameter of a single ion in a harmonic trap at each position x
-    (m) in its beam, from :func:`decay_parameters`.
+    (m) in ``beam``, from :func:`decay_parameters`.
 
-    Returns (theta array, beam, trap frequency rad/s, nbar).
+    Returns (theta array, trap frequency rad/s, nbar).
     """
     species = build_species(config)
     potential, n_ions = build_potential(config)
@@ -195,24 +194,15 @@ def _single_ion_thetas(config, positions):
     modes = single_ion_modes(species, potential.omega0)
     nbar = build_thermal_nbar(config)
     thermal = ThermalState(nbar)
-    beam = build_beam(config)
     theta = [decay_parameters(modes, thermal, {0: beam}, [x])[0, 0] for x in positions]
-    return np.array(theta), beam, potential.omega0, nbar
+    return np.array(theta), potential.omega0, nbar
 
 
 def cmd_rabi(args) -> int:
     config = _load_required_config(args)
-    section = require_section(config, "rabi")
-    _check_keys(
-        section, ("drive_khz", "t_max_us", "n_points", "n_samples", "theta"), "rabi"
-    )
-    drive_khz = _get_number(section, "drive_khz", "rabi", required=True, positive=True)
-    t_max_us = _get_number(section, "t_max_us", "rabi", required=True, positive=True)
-    n_points = _get_int(section, "n_points", "rabi", default=200, minimum=2)
-    n_samples = _get_int(section, "n_samples", "rabi", default=100_000, minimum=2)
-    thetas = _get_number_list(section, "theta", "rabi")
+    drive_khz, t_max_us, n_points, n_samples, thetas = read_rabi(config)
     if thetas is None:
-        thetas = _single_ion_thetas(config, [0.0])[0]
+        thetas = _single_ion_thetas(config, [0.0], build_beam(config))[0]
     thetas = np.asarray(thetas)
     omega0 = 2 * math.pi * drive_khz * 1e3
     times = np.linspace(0.0, t_max_us * 1e-6, n_points)
@@ -242,17 +232,12 @@ def cmd_rabi(args) -> int:
 
 def cmd_theta_scan(args) -> int:
     config = _load_required_config(args)
-    section = require_section(config, "scan")
-    _check_keys(section, ("x_min_um", "x_max_um", "n_points"), "scan")
-    x_min = _get_number(section, "x_min_um", "scan", required=True)
-    x_max = _get_number(section, "x_max_um", "scan", required=True)
-    if not x_max > x_min:
-        raise ConfigError("scan.x_max_um must exceed scan.x_min_um")
-    n_points = _get_int(section, "n_points", "scan", default=121, minimum=2)
-    x = np.linspace(x_min * 1e-6, x_max * 1e-6, n_points)
-    theta, beam, omega0, nbar = _single_ion_thetas(config, x)
+    x_min, x_max, n_points = read_scan(config)
+    beam = build_beam(config)
     if not isinstance(beam, GaussianBeam):
         raise ConfigError("theta-scan requires a gaussian beam")
+    x = np.linspace(x_min * 1e-6, x_max * 1e-6, n_points)
+    theta, omega0, nbar = _single_ion_thetas(config, x, beam)
     rows = [(xi * 1e6, theta[k]) for k, xi in enumerate(x)]
     inputs = {
         "waist_nm": beam.waist * 1e9,
@@ -332,48 +317,20 @@ def cmd_fit(args) -> int:
 
 def cmd_gate_fidelity(args) -> int:
     config = _load_required_config(args)
-    section = require_section(config, "gate")
-    _check_keys(
-        section,
-        (
-            "ion_i",
-            "ion_j",
-            "n_gates",
-            "spam_error",
-            "theta0",
-            "rates_per_s",
-            "rate_sigmas_per_s",
-            "tw_list_ms",
-        ),
-        "gate",
+    ion_i, ion_j, n_gates, spam_error, theta0, rates, rate_sigmas, tw_ms = read_gate(
+        config, args.tw_list
     )
-    ion_i = _get_int(section, "ion_i", "gate", required=True, minimum=0)
-    ion_j = _get_int(section, "ion_j", "gate", required=True, minimum=0)
-    if ion_i == ion_j:
-        raise ConfigError("gate.ion_i and gate.ion_j must differ")
-    n_gates = _get_int(section, "n_gates", "gate", default=1, minimum=1)
-    spam_error = _get_number(section, "spam_error", "gate", default=0.0)
-    theta0 = _get_number_list(section, "theta0", "gate", length=2) or [0.0, 0.0]
-    rates = _get_number_list(section, "rates_per_s", "gate", length=2)
-    rate_sigmas = _get_number_list(section, "rate_sigmas_per_s", "gate", length=2) or [0.0, 0.0]
-    if args.tw_list is not None:
-        tw_ms = args.tw_list
-    else:
-        tw_ms = _get_number_list(section, "tw_list_ms", "gate")
-        if tw_ms is None:
-            raise ConfigError("provide --tw-list or gate.tw_list_ms")
-
     if rates is None:
         species = build_species(config)
         potential, n_ions = build_potential(config)
         if max(ion_i, ion_j) >= n_ions:
             raise ConfigError("gate ions outside the chain")
         noise = build_noise(config)
-        chain = find_equilibrium(species, potential, n_ions)
-        modes = normal_modes(chain)
         beam = build_beam(config)
         if not isinstance(beam, GaussianBeam):
             raise ConfigError("derived theta rates require a gaussian beam")
+        chain = find_equilibrium(species, potential, n_ions)
+        modes = normal_modes(chain)
         # each addressed ion gets its own copy of the beam, centered on it
         beams = {
             idx: GaussianBeam(beam.peak_rabi, center=chain.positions[idx], waist=beam.waist)
@@ -385,8 +342,6 @@ def cmd_gate_fidelity(args) -> int:
 
     rows = []
     for tw in tw_ms:
-        if tw < 0:
-            raise ConfigError("wait times must be >= 0")
         t = tw * 1e-3
         ti = theta0[0] + rates[0] * t
         tj = theta0[1] + rates[1] * t
@@ -410,24 +365,7 @@ def cmd_gate_fidelity(args) -> int:
 
 def cmd_scaling(args) -> int:
     config = _load_required_config(args)
-    section = require_section(config, "scaling")
-    _check_keys(section, ("n_list", "alpha", "omega0_mode", "spacing_um"), "scaling")
-    if args.n_list is not None:
-        n_list = args.n_list
-    else:
-        raw = _get_number_list(section, "n_list", "scaling", required=True)
-        n_list = [int(n) for n in raw]
-        if any(n != int(n) for n in raw):
-            raise ConfigError("scaling.n_list must contain integers")
-    if any(n < 2 for n in n_list):
-        raise ConfigError("scaling.n_list entries must be >= 2")
-    alpha = _get_number(section, "alpha", "scaling", required=True)
-    if not 0.0 <= alpha <= 2.0:
-        raise ConfigError("scaling.alpha must lie in [0, 2]")
-    mode = section.get("omega0_mode", "exact")
-    if mode not in ("exact", "inverse_n"):
-        raise ConfigError("scaling.omega0_mode must be exact or inverse_n")
-    spacing = _get_number(section, "spacing_um", "scaling", required=True, positive=True)
+    n_list, alpha, mode, spacing = read_scaling(config, args.n_list)
     species = build_species(config)
     # only the ratio to the first chain's rate is output, so the noise
     # anchor and the beam's waist cancel

@@ -2,17 +2,19 @@
 
 Configurations are YAML mappings with one section per concern (species,
 potential, beam, thermal, noise, rabi, scan, gate, scaling, cooling).  Keys
-carry their unit in the name (``axial_freq_khz``, ``spacing_um``); unknown
-sections or keys are rejected before any computation runs.  Frequencies given
-in kHz/MHz/GHz refer to ordinary frequencies and are converted to angular
-frequencies internally.
+carry their unit in the name (``axial_freq_khz``, ``spacing_um``).  Each
+section (each ``kind`` of potential and beam) is declared once, every key
+with its type, default or requirement and range; one reader checks a section
+against its declaration and rejects unknown keys.  Every value check runs
+before any chain is solved.  Frequencies given in kHz/MHz/GHz refer to
+ordinary frequencies and are converted to angular frequencies internally.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from typing import Any, Mapping
+from typing import Any, Mapping, NamedTuple
 
 import numpy as np
 import yaml
@@ -32,21 +34,106 @@ from .heating import NoiseModel
 _NUMBER = (int, float)
 
 
+class _Key(NamedTuple):
+    """One config key: its type (float, int, str, list of floats, or a tuple
+    of the allowed strings), whether it must be given, its default and range."""
+
+    type: Any
+    required: bool = False
+    default: Any = None
+    positive: bool = False
+    minimum: int | None = None
+    length: int | None = None
+
+
+# Every key of every section, declared once; the sections of _DEFAULT_KIND
+# declare their keys per kind.
+_SECTIONS = {
+    "species": {
+        "label": _Key(str),
+        "mass_amu": _Key(float, positive=True),
+        "charge": _Key(int, default=1, minimum=1),
+    },
+    "potential": {
+        "harmonic": {
+            "axial_freq_khz": _Key(float, required=True, positive=True),
+            "n_ions": _Key(int, default=1, minimum=1),
+        },
+        "equispaced_log": {
+            "n_ions": _Key(int, required=True, minimum=2),
+            "spacing_um": _Key(float, required=True, positive=True),
+        },
+        "quad_quartic": {
+            "a2_j_per_m2": _Key(float, default=0.0),
+            "a4_j_per_m4": _Key(float, default=0.0),
+            "n_ions": _Key(int, default=1, minimum=1),
+        },
+    },
+    "beam": {
+        "gaussian": {
+            "waist_nm": _Key(float, required=True, positive=True),
+            "center_um": _Key(float, default=0.0),
+        },
+        "tabulated": {"csv": _Key(str, required=True)},
+    },
+    "thermal": {"nbar": _Key(list, required=True, length=1)},
+    "noise": {
+        "alpha": _Key(float, required=True),
+        "reference_rate_quanta_per_s": _Key(float, required=True),
+        "reference_freq_mhz": _Key(float, required=True, positive=True),
+        "offset_per_s": _Key(float, default=0.0),
+    },
+    "rabi": {
+        "drive_khz": _Key(float, required=True, positive=True),
+        "t_max_us": _Key(float, required=True, positive=True),
+        "n_points": _Key(int, default=200, minimum=2),
+        "n_samples": _Key(int, default=100_000, minimum=2),
+        "theta": _Key(list),
+    },
+    "scan": {
+        "x_min_um": _Key(float, required=True),
+        "x_max_um": _Key(float, required=True),
+        "n_points": _Key(int, default=121, minimum=2),
+    },
+    "gate": {
+        "ion_i": _Key(int, required=True, minimum=0),
+        "ion_j": _Key(int, required=True, minimum=0),
+        "n_gates": _Key(int, default=1, minimum=1),
+        "spam_error": _Key(float, default=0.0),
+        "theta0": _Key(list, default=[0.0, 0.0], length=2),
+        "rates_per_s": _Key(list, length=2),
+        "rate_sigmas_per_s": _Key(list, default=[0.0, 0.0], length=2),
+        "tw_list_ms": _Key(list),
+    },
+    "scaling": {
+        "n_list": _Key(list, required=True),
+        "alpha": _Key(float, required=True),
+        "omega0_mode": _Key(("exact", "inverse_n"), default="exact"),
+        "spacing_um": _Key(float, required=True, positive=True),
+    },
+    "cooling": {
+        "coolant_fraction": _Key(float, required=True),
+        "spacing_um": _Key(float, required=True, positive=True),
+        "wavelength_nm": _Key(float, required=True, positive=True),
+        "linewidth_mhz": _Key(float, required=True, positive=True),
+        "isotope_splitting_ghz": _Key(float, required=True, positive=True),
+    },
+}
+
+_DEFAULT_KIND = {"potential": None, "beam": "gaussian"}
+KNOWN_SECTIONS = tuple(_SECTIONS)
+
+
 def _require_mapping(obj, where: str) -> Mapping[str, Any]:
     if not isinstance(obj, Mapping):
         raise ConfigError(f"{where} must be a mapping, got {type(obj).__name__}")
     return obj
 
 
-def _check_keys(section: Mapping[str, Any], allowed, where: str):
-    unknown = sorted(set(section) - set(allowed))
-    if unknown:
-        raise ConfigError(f"unknown key(s) in {where}: {', '.join(unknown)}")
-
-
-def _finite_float(value, name) -> float:
-    """``value`` as a float; ConfigError if it is NaN, infinite or an integer
-    beyond the float range."""
+def _number(value, name) -> float:
+    """``value`` as a finite float; an integer beyond the float range is infinite."""
+    if isinstance(value, bool) or not isinstance(value, _NUMBER):
+        raise ConfigError(f"{name} must be a number, got {value!r}")
     try:
         number = float(value)
     except OverflowError:
@@ -56,51 +143,62 @@ def _finite_float(value, name) -> float:
     return number
 
 
-def _get_number(section, key, where, required=False, default=None, positive=False):
+def _value(section, key: str, spec: _Key, where: str):
+    """The value of ``key`` in ``section`` checked against ``spec``."""
+    name = f"{where}.{key}"
     if key not in section:
-        if required:
-            raise ConfigError(f"missing required key {where}.{key}")
-        return default
+        if spec.required:
+            raise ConfigError(f"missing required key {name}")
+        return spec.default
     value = section[key]
-    if isinstance(value, bool) or not isinstance(value, _NUMBER):
-        raise ConfigError(f"{where}.{key} must be a number, got {value!r}")
-    number = _finite_float(value, f"{where}.{key}")
-    if positive and not number > 0:
-        raise ConfigError(f"{where}.{key} must be positive, got {value}")
+    if spec.type is list:
+        if isinstance(value, _NUMBER) and not isinstance(value, bool):
+            value = [value]
+        if not isinstance(value, list) or not value:
+            raise ConfigError(f"{name} must be a non-empty list of numbers")
+        out = [_number(item, f"{name}[{i}]") for i, item in enumerate(value)]
+        if spec.length is not None and len(out) != spec.length:
+            raise ConfigError(f"{name} must have length {spec.length}, got {len(out)}")
+        return out
+    if isinstance(spec.type, tuple):
+        if value not in spec.type:
+            raise ConfigError(f"{name} must be one of {', '.join(spec.type)}; got {value!r}")
+        return value
+    if spec.type is str:
+        if not isinstance(value, str):
+            raise ConfigError(f"{name} must be a string, got {value!r}")
+        return value
+    if spec.type is int:
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ConfigError(f"{name} must be an integer, got {value!r}")
+        if spec.minimum is not None and value < spec.minimum:
+            raise ConfigError(f"{name} must be >= {spec.minimum}, got {value}")
+        return value
+    number = _number(value, name)
+    if spec.positive and not number > 0:
+        raise ConfigError(f"{name} must be positive, got {value}")
     return number
 
 
-def _get_int(section, key, where, required=False, default=None, minimum=None):
-    if key not in section:
-        if required:
-            raise ConfigError(f"missing required key {where}.{key}")
-        return default
-    value = section[key]
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{where}.{key} must be an integer, got {value!r}")
-    if minimum is not None and value < minimum:
-        raise ConfigError(f"{where}.{key} must be >= {minimum}, got {value}")
-    return value
-
-
-def _get_number_list(section, key, where, required=False, length=None):
-    if key not in section:
-        if required:
-            raise ConfigError(f"missing required key {where}.{key}")
-        return None
-    value = section[key]
-    if isinstance(value, _NUMBER) and not isinstance(value, bool):
-        value = [value]
-    if not isinstance(value, list) or not value:
-        raise ConfigError(f"{where}.{key} must be a non-empty list of numbers")
-    out = []
-    for i, item in enumerate(value):
-        if isinstance(item, bool) or not isinstance(item, _NUMBER):
-            raise ConfigError(f"{where}.{key}[{i}] must be a number, got {item!r}")
-        out.append(_finite_float(item, f"{where}.{key}[{i}]"))
-    if length is not None and len(out) != length:
-        raise ConfigError(f"{where}.{key} must have length {length}, got {len(out)}")
-    return out
+def _read(config: Mapping, name: str, **overrides) -> tuple:
+    """The values of section ``name`` in declaration order, led by the kind
+    for a section with kinds.  Overrides that are not None replace the
+    section's value of the same key."""
+    if name not in config:
+        raise ConfigError(f"command requires a '{name}' section in the config")
+    section = config[name]
+    keys = allowed = _SECTIONS[name]
+    head = ()
+    if name in _DEFAULT_KIND:
+        default = _DEFAULT_KIND[name]
+        head = (_value(section, "kind", _Key(tuple(keys), default is None, default), name),)
+        keys = keys[head[0]]
+        allowed = {"kind", *keys}
+    unknown = sorted(set(section) - set(allowed))
+    if unknown:
+        raise ConfigError(f"unknown key(s) in {name}: {', '.join(unknown)}")
+    section = {**section, **{k: v for k, v in overrides.items() if v is not None}}
+    return head + tuple(_value(section, key, spec, name) for key, spec in keys.items())
 
 
 def read_numeric_csv(path, expected=None, optional_sigma=False):
@@ -154,19 +252,6 @@ def read_numeric_csv(path, expected=None, optional_sigma=False):
     return header, rows
 
 
-KNOWN_SECTIONS = (
-    "species",
-    "potential",
-    "beam",
-    "thermal",
-    "noise",
-    "rabi",
-    "scan",
-    "gate",
-    "scaling",
-    "cooling",
-)
-
 
 def load_config(path) -> dict:
     """Read and structurally validate a YAML run configuration."""
@@ -180,26 +265,16 @@ def load_config(path) -> dict:
     if raw is None:
         raw = {}
     config = _require_mapping(raw, "config")
-    _check_keys(config, KNOWN_SECTIONS, "config")
+    unknown = sorted(set(config) - set(_SECTIONS))
+    if unknown:
+        raise ConfigError(f"unknown key(s) in config: {', '.join(unknown)}")
     for name in config:
         _require_mapping(config[name], f"config.{name}")
     return dict(config)
 
 
-def require_section(config: Mapping, name: str) -> Mapping[str, Any]:
-    if name not in config:
-        raise ConfigError(f"command requires a '{name}' section in the config")
-    return config[name]
-
-
 def build_species(config: Mapping) -> IonSpecies:
-    section = require_section(config, "species")
-    _check_keys(section, ("label", "mass_amu", "charge"), "species")
-    label = section.get("label")
-    if label is not None and not isinstance(label, str):
-        raise ConfigError(f"species.label must be a string, got {label!r}")
-    mass_amu = _get_number(section, "mass_amu", "species", positive=True)
-    charge = _get_int(section, "charge", "species", default=1, minimum=1)
+    label, mass_amu, charge = _read(config, "species")
     if mass_amu is not None:
         return IonSpecies.from_amu(mass_amu, charge=charge, label=label or "")
     if label is None:
@@ -215,68 +290,32 @@ def build_species(config: Mapping) -> IonSpecies:
 
 def build_potential(config: Mapping) -> tuple[TrapPotential, int]:
     """Return (potential, n_ions) from the potential section."""
-    section = require_section(config, "potential")
-    kind = section.get("kind")
+    kind, *values = _read(config, "potential")
     if kind == "harmonic":
-        _check_keys(section, ("kind", "axial_freq_khz", "n_ions"), "potential")
-        freq = _get_number(section, "axial_freq_khz", "potential", required=True, positive=True)
-        n_ions = _get_int(section, "n_ions", "potential", default=1, minimum=1)
+        freq, n_ions = values
         return HarmonicPotential(omega0=2 * math.pi * freq * 1e3), n_ions
     if kind == "equispaced_log":
-        _check_keys(section, ("kind", "n_ions", "spacing_um"), "potential")
-        n_ions = _get_int(section, "n_ions", "potential", required=True, minimum=2)
-        spacing = _get_number(section, "spacing_um", "potential", required=True, positive=True)
+        n_ions, spacing = values
         return EquispacedLogPotential(n_ions=n_ions, spacing=spacing * 1e-6), n_ions
-    if kind == "quad_quartic":
-        _check_keys(section, ("kind", "a2_j_per_m2", "a4_j_per_m4", "n_ions"), "potential")
-        a2 = _get_number(section, "a2_j_per_m2", "potential", default=0.0)
-        a4 = _get_number(section, "a4_j_per_m4", "potential", default=0.0)
-        n_ions = _get_int(section, "n_ions", "potential", default=1, minimum=1)
-        return QuadQuarticPotential(a2=a2, a4=a4), n_ions
-    raise ConfigError(
-        "potential.kind must be one of harmonic, equispaced_log, quad_quartic; "
-        f"got {kind!r}"
-    )
+    a2, a4, n_ions = values
+    return QuadQuarticPotential(a2=a2, a4=a4), n_ions
 
 
 def build_beam(config: Mapping):
     """Beam from the beam section.  A gaussian beam gets unit peak Rabi
     frequency: theta depends only on the curvature ratio Omega''/Omega."""
-    section = require_section(config, "beam")
-    kind = section.get("kind", "gaussian")
+    kind, *values = _read(config, "beam")
     if kind == "gaussian":
-        _check_keys(section, ("kind", "waist_nm", "center_um"), "beam")
-        waist = _get_number(section, "waist_nm", "beam", required=True, positive=True)
-        center = _get_number(section, "center_um", "beam", default=0.0)
+        waist, center = values
         return GaussianBeam(peak_rabi=1.0, center=center * 1e-6, waist=waist * 1e-9)
-    if kind == "tabulated":
-        _check_keys(section, ("kind", "csv"), "beam")
-        path = section.get("csv")
-        if not isinstance(path, str):
-            raise ConfigError("beam.csv must be a file path string")
-        columns, rows = read_numeric_csv(path, expected=("x_um", "rabi_khz"))
-        x = np.array([r[0] for r in rows]) * 1e-6
-        rabi = np.array([r[1] for r in rows]) * 2 * math.pi * 1e3
-        return TabulatedBeam(x, rabi)
-    raise ConfigError(f"beam.kind must be gaussian or tabulated, got {kind!r}")
+    columns, rows = read_numeric_csv(values[0], expected=("x_um", "rabi_khz"))
+    x = np.array([r[0] for r in rows]) * 1e-6
+    rabi = np.array([r[1] for r in rows]) * 2 * math.pi * 1e3
+    return TabulatedBeam(x, rabi)
 
 
 def build_noise(config: Mapping) -> NoiseModel:
-    section = require_section(config, "noise")
-    _check_keys(
-        section,
-        (
-            "alpha",
-            "reference_rate_quanta_per_s",
-            "reference_freq_mhz",
-            "offset_per_s",
-        ),
-        "noise",
-    )
-    alpha = _get_number(section, "alpha", "noise", required=True)
-    rate = _get_number(section, "reference_rate_quanta_per_s", "noise", required=True)
-    ref_mhz = _get_number(section, "reference_freq_mhz", "noise", required=True, positive=True)
-    offset = _get_number(section, "offset_per_s", "noise", default=0.0)
+    alpha, rate, ref_mhz, offset = _read(config, "noise")
     return NoiseModel(
         alpha=alpha,
         nbar_rate_ref=rate,
@@ -288,31 +327,11 @@ def build_noise(config: Mapping) -> NoiseModel:
 def build_thermal_nbar(config: Mapping) -> float:
     """The single-ion occupancy from the thermal section: a number or a
     one-entry list."""
-    section = require_section(config, "thermal")
-    _check_keys(section, ("nbar",), "thermal")
-    return _get_number_list(section, "nbar", "thermal", required=True, length=1)[0]
+    return _read(config, "thermal")[0][0]
 
 
 def build_cooling(config: Mapping) -> CoolingConfig:
-    section = require_section(config, "cooling")
-    _check_keys(
-        section,
-        (
-            "coolant_fraction",
-            "spacing_um",
-            "wavelength_nm",
-            "linewidth_mhz",
-            "isotope_splitting_ghz",
-        ),
-        "cooling",
-    )
-    fraction = _get_number(section, "coolant_fraction", "cooling", required=True)
-    spacing = _get_number(section, "spacing_um", "cooling", required=True, positive=True)
-    wavelength = _get_number(section, "wavelength_nm", "cooling", required=True, positive=True)
-    linewidth = _get_number(section, "linewidth_mhz", "cooling", required=True, positive=True)
-    splitting = _get_number(
-        section, "isotope_splitting_ghz", "cooling", required=True, positive=True
-    )
+    fraction, spacing, wavelength, linewidth, splitting = _read(config, "cooling")
     return CoolingConfig(
         coolant_fraction=fraction,
         spacing=spacing * 1e-6,
@@ -320,3 +339,45 @@ def build_cooling(config: Mapping) -> CoolingConfig:
         linewidth=2 * math.pi * linewidth * 1e6,
         isotope_splitting=2 * math.pi * splitting * 1e9,
     )
+
+
+def read_rabi(config: Mapping) -> tuple:
+    """(drive_khz, t_max_us, n_points, n_samples, theta list or None)."""
+    return _read(config, "rabi")
+
+
+def read_scan(config: Mapping) -> tuple:
+    """(x_min_um, x_max_um, n_points) of a theta scan."""
+    x_min, x_max, n_points = _read(config, "scan")
+    if not x_max > x_min:
+        raise ConfigError("scan.x_max_um must exceed scan.x_min_um")
+    return x_min, x_max, n_points
+
+
+def read_gate(config: Mapping, tw_list_ms=None) -> tuple:
+    """(ion_i, ion_j, n_gates, spam_error, theta0, rates_per_s or None,
+    rate_sigmas_per_s, tw_list_ms); a given ``tw_list_ms`` replaces the
+    section's wait times."""
+    values = _read(config, "gate", tw_list_ms=tw_list_ms)
+    ion_i, ion_j, *_, tw_ms = values
+    if ion_i == ion_j:
+        raise ConfigError("gate.ion_i and gate.ion_j must differ")
+    if tw_ms is None:
+        raise ConfigError("provide --tw-list or gate.tw_list_ms")
+    if any(tw < 0 for tw in tw_ms):
+        raise ConfigError("wait times must be >= 0")
+    return values
+
+
+def read_scaling(config: Mapping, n_list=None) -> tuple:
+    """(n_list, alpha, omega0_mode, spacing_um); a given ``n_list`` replaces
+    the section's chain sizes."""
+    raw, alpha, mode, spacing = _read(config, "scaling", n_list=n_list)
+    n_list = [int(n) for n in raw]
+    if n_list != raw:
+        raise ConfigError("scaling.n_list must contain integers")
+    if any(n < 2 for n in n_list):
+        raise ConfigError("scaling.n_list entries must be >= 2")
+    if not 0.0 <= alpha <= 2.0:
+        raise ConfigError("scaling.alpha must lie in [0, 2]")
+    return n_list, alpha, mode, spacing

@@ -16,6 +16,7 @@ smaller.  The bound is reported as-is; no correction factor is applied.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .errors import InputError
@@ -35,8 +36,8 @@ class CoolingConfig:
         if not 0.0 <= self.coolant_fraction <= 1.0:
             raise InputError("coolant fraction must lie in [0, 1]")
         for name in ("spacing", "wavelength", "linewidth", "isotope_splitting"):
-            if not getattr(self, name) > 0:
-                raise InputError(f"{name} must be positive")
+            if not 0 < getattr(self, name) < math.inf:
+                raise InputError(f"{name} must be positive and finite")
 
 
 def crosstalk_rate(cfg: CoolingConfig) -> float:

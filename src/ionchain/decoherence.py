@@ -57,10 +57,12 @@ class GaussianBeam:
     waist: float
 
     def __post_init__(self):
-        if not self.waist > 0:
-            raise InputError(f"beam waist must be positive, got {self.waist}")
-        if self.peak_rabi < 0:
-            raise InputError(f"peak Rabi frequency must be >= 0, got {self.peak_rabi}")
+        if not 0 < self.waist < math.inf:
+            raise InputError(f"beam waist must be positive and finite, got {self.waist}")
+        if not 0 <= self.peak_rabi < math.inf:
+            raise InputError(f"peak Rabi frequency must be in [0, inf), got {self.peak_rabi}")
+        if not math.isfinite(self.center):
+            raise InputError(f"beam center must be finite, got {self.center}")
 
     def rabi_at(self, x):
         """Rabi frequency Omega(x) in rad/s."""
@@ -192,8 +194,8 @@ class ThermalState:
         frame ``stacklevel`` levels up, the code that asked for the state."""
         nbar = np.atleast_1d(np.asarray(nbar, dtype=float))
         object.__setattr__(self, "nbar", nbar)
-        if np.any(nbar < 0):
-            raise InputError("mode occupancies must be >= 0")
+        if not np.all((nbar >= 0) & (nbar < np.inf)):
+            raise InputError("mode occupancies must be finite and >= 0")
         if np.any(nbar < LOW_OCCUPANCY_THRESHOLD):
             warnings.warn(
                 "thermal occupancy below 10 quanta: the classical "

@@ -138,17 +138,6 @@ def gate_fidelity_monte_carlo(
     )
 
 
-def parity_fidelity(p00: float, p11: float, contrast: float) -> float:
-    """Bell-state fidelity (p00 + p11 + C)/2 from populations and parity contrast."""
-    if not (0.0 <= p00 <= 1.0 and 0.0 <= p11 <= 1.0):
-        raise InputError("populations must lie in [0, 1]")
-    if p00 + p11 > 1.0 + 1e-12:
-        raise InputError("p00 + p11 must not exceed 1")
-    if not 0.0 <= contrast <= 1.0:
-        raise InputError("parity contrast must lie in [0, 1]")
-    return 0.5 * (p00 + p11 + contrast)
-
-
 def spam_adjust_prediction(fidelity: float, spam_error: float) -> float:
     """Scale a predicted fidelity down by a combined SPAM error fraction.
 

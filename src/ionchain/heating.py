@@ -52,12 +52,12 @@ class NoiseModel:
     def __post_init__(self):
         if not 0.0 <= self.alpha <= 2.0:
             raise InputError(f"noise exponent must be in [0, 2], got {self.alpha}")
-        if self.nbar_rate_ref < 0:
-            raise InputError("reference heating rate must be >= 0")
-        if not self.omega_ref > 0:
-            raise InputError("reference frequency must be positive")
-        if self.offset < 0:
-            raise InputError("rate offset must be >= 0")
+        if not 0 <= self.nbar_rate_ref < np.inf:
+            raise InputError("reference heating rate must be finite and >= 0")
+        if not 0 < self.omega_ref < np.inf:
+            raise InputError("reference frequency must be positive and finite")
+        if not 0 <= self.offset < np.inf:
+            raise InputError("rate offset must be finite and >= 0")
 
 
 def heating_rate_at(noise: NoiseModel, omega) -> np.ndarray | float:

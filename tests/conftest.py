@@ -1,7 +1,14 @@
 """Shared fixtures and the acceptance-criteria summary hook."""
 
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
+
+# Python processes that the tests start import the package from this checkout too.
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
 
 ACCEPTANCE_RESULTS = []
 

@@ -402,6 +402,78 @@ class TestConfigSchema:
             assert self.run_edited(tmp_path, capsys, command, config, section, edit) == (0, "")
 
 
+class TestChecksBeforeSolve:
+    """Bad list overrides, wait times and beams are rejected before any chain
+    is solved or any decay parameter computed."""
+
+    @pytest.fixture(autouse=True)
+    def no_solve(self, monkeypatch):
+        def solve(*args, **kwargs):
+            raise AssertionError("solved before the inputs were checked")
+
+        monkeypatch.setattr(ionchain.cli, "find_equilibrium", solve)
+        monkeypatch.setattr(ionchain.cli, "decay_parameters", solve)
+
+    def run_flags(self, tmp_path, capsys, command, config, *flags):
+        cfg = write(tmp_path / "flags.yaml", yaml.safe_dump(config))
+        capsys.readouterr()
+        code = run([command, "--config", cfg, *flags])
+        return code, capsys.readouterr()
+
+    @pytest.mark.parametrize(
+        "command, config, flag, key",
+        [
+            (
+                "scaling", {"species": _SPECIES, "scaling": {"alpha": 1.0, "spacing_um": 4.4}},
+                "--n-list", "scaling.n_list",
+            ),
+            ("gate-fidelity", _DERIVED_GATE, "--tw-list", "gate.tw_list_ms"),
+        ],
+        ids=["n_list", "tw_list"],
+    )
+    def test_empty_list_override(self, tmp_path, capsys, command, config, flag, key):
+        code, captured = self.run_flags(tmp_path, capsys, command, config, flag, ",")
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.strip() == (
+            f"ionchain {command}: config error: {key} must be a non-empty list of numbers"
+        )
+
+    def test_negative_wait_override(self, tmp_path, capsys):
+        code, captured = self.run_flags(
+            tmp_path, capsys, "gate-fidelity", _DERIVED_GATE, "--tw-list", "0,-1"
+        )
+        assert (code, captured.out) == (2, "")
+        assert captured.err.strip() == "ionchain gate-fidelity: config error: wait times must be >= 0"
+
+    @pytest.mark.parametrize(
+        "command, config, section, edit, message",
+        [
+            (
+                "gate-fidelity", _DERIVED_GATE, "gate",
+                lambda body: body.update(tw_list_ms=[0.0, -1.0]), "wait times must be >= 0",
+            ),
+            (
+                "gate-fidelity", {**_DERIVED_GATE, "beam": {"kind": "tabulated", "csv": None}},
+                "beam", lambda body: None, "derived theta rates require a gaussian beam",
+            ),
+            (
+                "theta-scan",
+                {
+                    **_ONE_ION,
+                    "beam": {"kind": "tabulated", "csv": None},
+                    "scan": {"x_min_um": -1.0, "x_max_um": 1.0},
+                },
+                "beam", lambda body: None, "theta-scan requires a gaussian beam",
+            ),
+        ],
+        ids=["negative_wait", "tabulated_gate_beam", "tabulated_scan_beam"],
+    )
+    def test_config_rejected(self, tmp_path, capsys, command, config, section, edit, message):
+        code, err = TestConfigSchema.run_edited(tmp_path, capsys, command, config, section, edit)
+        assert (code, err) == (2, f"ionchain {command}: config error: {message}")
+
+
 class TestFit:
     def test_beam_round_trip(self, tmp_path, rng):
         x = np.linspace(-2.0, 2.0, 41)

@@ -11,10 +11,13 @@ from hypothesis import strategies as st
 from helpers import theta_profile_gaussian
 
 from ionchain import (
+    CoolingConfig,
     EquispacedLogPotential,
     GaussianBeam,
     HarmonicPotential,
     ModeDecomposition,
+    NoiseModel,
+    QuadQuarticPotential,
     TabulatedBeam,
     ThermalState,
     YB171,
@@ -85,6 +88,30 @@ class TestBeams:
             TabulatedBeam([0, 1, 1, 2], [1, 1, 1, 1])  # not strictly increasing
         with pytest.raises(InputError):
             GaussianBeam(peak_rabi=1.0, center=0.0, waist=0.0)
+
+
+NON_FINITE = {
+    "beam_center_nan": lambda: GaussianBeam(1.0, math.nan, WAIST),
+    "beam_peak_nan": lambda: GaussianBeam(math.nan, 0.0, WAIST),
+    "beam_waist_inf": lambda: GaussianBeam(1.0, 0.0, math.inf),
+    "nbar_nan": lambda: ThermalState([math.nan]),
+    "nbar_inf": lambda: ThermalState([math.inf]),
+    "uniform_nbar_nan": lambda: ThermalState.uniform(3, math.nan),
+    "harmonic_inf": lambda: HarmonicPotential(math.inf),
+    "quartic_a2_nan": lambda: QuadQuarticPotential(math.nan, 1.0),
+    "quartic_a4_inf": lambda: QuadQuarticPotential(1.0, math.inf),
+    "equispaced_spacing_inf": lambda: EquispacedLogPotential(5, math.inf),
+    "noise_rate_nan": lambda: NoiseModel(1.0, nbar_rate_ref=math.nan, omega_ref=1.0),
+    "noise_omega_inf": lambda: NoiseModel(1.0, nbar_rate_ref=1.0, omega_ref=math.inf),
+    "noise_offset_nan": lambda: NoiseModel(1.0, 1.0, 1.0, offset=math.nan),
+    "cooling_spacing_inf": lambda: CoolingConfig(0.5, math.inf, 297e-9, 1.0, 1.0),
+}
+
+
+@pytest.mark.parametrize("build", NON_FINITE.values(), ids=NON_FINITE.keys())
+def test_constructor_rejects_non_finite(build):
+    with pytest.raises(InputError):
+        build()
 
 
 # ----------------------------------------------------------------------

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from ionchain import (
     gate_fidelity_bound,
     gate_fidelity_monte_carlo,
-    parity_fidelity,
     spam_adjust_prediction,
 )
 from ionchain.errors import InputError
@@ -140,25 +139,6 @@ class TestParallelGateMonteCarlo:
         before = threading.active_count()
         gate_fidelity_monte_carlo([0.1, 0.02], [0.05, 0.01], 2, n_samples=1000, seed=1)
         assert threading.active_count() == before
-
-
-class TestParityFidelity:
-    def test_perfect_bell_state(self):
-        assert parity_fidelity(0.5, 0.5, 1.0) == 1.0
-
-    def test_fully_mixed(self):
-        assert parity_fidelity(0.25, 0.25, 0.0) == 0.25
-
-    def test_arithmetic(self):
-        assert parity_fidelity(0.48, 0.48, 0.94) == pytest.approx(0.95)
-
-    def test_domain_checks(self):
-        with pytest.raises(InputError):
-            parity_fidelity(0.7, 0.4, 0.5)
-        with pytest.raises(InputError):
-            parity_fidelity(-0.1, 0.5, 0.5)
-        with pytest.raises(InputError):
-            parity_fidelity(0.5, 0.5, 1.2)
 
 
 class TestSpam:
