@@ -342,23 +342,22 @@ def build_cooling(config: Mapping) -> CoolingConfig:
 
 
 def read_rabi(config: Mapping) -> tuple:
-    """(drive_khz, t_max_us, n_points, n_samples, theta list or None)."""
+    """The rabi section's values in declaration order."""
     return _read(config, "rabi")
 
 
 def read_scan(config: Mapping) -> tuple:
-    """(x_min_um, x_max_um, n_points) of a theta scan."""
+    """The scan section's values in declaration order."""
     x_min, x_max, n_points = _read(config, "scan")
     if not x_max > x_min:
         raise ConfigError("scan.x_max_um must exceed scan.x_min_um")
     return x_min, x_max, n_points
 
 
-def read_gate(config: Mapping, tw_list_ms=None) -> tuple:
-    """(ion_i, ion_j, n_gates, spam_error, theta0, rates_per_s or None,
-    rate_sigmas_per_s, tw_list_ms); a given ``tw_list_ms`` replaces the
-    section's wait times."""
-    values = _read(config, "gate", tw_list_ms=tw_list_ms)
+def read_gate(config: Mapping, wait_times_ms=None) -> tuple:
+    """The gate section's values in declaration order; given
+    ``wait_times_ms`` replace the section's wait times."""
+    values = _read(config, "gate", tw_list_ms=wait_times_ms)
     ion_i, ion_j, *_, tw_ms = values
     if ion_i == ion_j:
         raise ConfigError("gate.ion_i and gate.ion_j must differ")
@@ -369,10 +368,10 @@ def read_gate(config: Mapping, tw_list_ms=None) -> tuple:
     return values
 
 
-def read_scaling(config: Mapping, n_list=None) -> tuple:
-    """(n_list, alpha, omega0_mode, spacing_um); a given ``n_list`` replaces
-    the section's chain sizes."""
-    raw, alpha, mode, spacing = _read(config, "scaling", n_list=n_list)
+def read_scaling(config: Mapping, chain_sizes=None) -> tuple:
+    """The scaling section's values in declaration order, the chain sizes as
+    ints; given ``chain_sizes`` replace the section's."""
+    raw, alpha, mode, spacing = _read(config, "scaling", n_list=chain_sizes)
     n_list = [int(n) for n in raw]
     if n_list != raw:
         raise ConfigError("scaling.n_list must contain integers")

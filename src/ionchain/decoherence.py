@@ -98,6 +98,8 @@ class TabulatedBeam:
             raise InputError("x and rabi samples must be 1-d arrays of equal length")
         if len(x) < 4:
             raise InputError("tabulated beam needs at least 4 samples")
+        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(rabi))):
+            raise InputError("tabulated beam samples must be finite")
         if np.any(np.diff(x) <= 0):
             raise InputError("tabulated beam samples must be strictly increasing in x")
         self.x = x

@@ -93,7 +93,10 @@ class TestBeams:
 NON_FINITE = {
     "beam_center_nan": lambda: GaussianBeam(1.0, math.nan, WAIST),
     "beam_peak_nan": lambda: GaussianBeam(math.nan, 0.0, WAIST),
+    "beam_peak_inf": lambda: GaussianBeam(math.inf, 0.0, WAIST),
     "beam_waist_inf": lambda: GaussianBeam(1.0, 0.0, math.inf),
+    "tabulated_rabi_nan": lambda: TabulatedBeam(np.arange(5.0), [0.0, 1.0, math.nan, 1.0, 0.0]),
+    "tabulated_x_inf": lambda: TabulatedBeam([0.0, 1.0, 2.0, 3.0, math.inf], np.ones(5)),
     "nbar_nan": lambda: ThermalState([math.nan]),
     "nbar_inf": lambda: ThermalState([math.inf]),
     "uniform_nbar_nan": lambda: ThermalState.uniform(3, math.nan),
@@ -102,8 +105,9 @@ NON_FINITE = {
     "quartic_a4_inf": lambda: QuadQuarticPotential(1.0, math.inf),
     "equispaced_spacing_inf": lambda: EquispacedLogPotential(5, math.inf),
     "noise_rate_nan": lambda: NoiseModel(1.0, nbar_rate_ref=math.nan, omega_ref=1.0),
+    "noise_rate_inf": lambda: NoiseModel(1.0, nbar_rate_ref=math.inf, omega_ref=1.0),
     "noise_omega_inf": lambda: NoiseModel(1.0, nbar_rate_ref=1.0, omega_ref=math.inf),
-    "noise_offset_nan": lambda: NoiseModel(1.0, 1.0, 1.0, offset=math.nan),
+    "noise_offset_inf": lambda: NoiseModel(1.0, 1.0, 1.0, offset=math.inf),
     "cooling_spacing_inf": lambda: CoolingConfig(0.5, math.inf, 297e-9, 1.0, 1.0),
 }
 
