@@ -19,6 +19,7 @@ from ionchain import (
     gate_fidelity_monte_carlo,
     spam_adjust_prediction,
 )
+from ionchain.gates import gate_fidelity_slope
 
 OUT = pathlib.Path(__file__).parent / "out"
 OUT.mkdir(exist_ok=True)
@@ -31,14 +32,12 @@ SPAM_ERROR = 0.009
 tw = np.linspace(0.0, 10e-3, 41)
 rows = []
 for n_gates in (1, 3):
-    k = n_gates * np.pi / 2
     for t in tw:
         ti, tj = RATE_I * t, RATE_J * t
         f = gate_fidelity_bound([ti], [tj], n_gates)
         f_spam = spam_adjust_prediction(f, SPAM_ERROR)
-        s = ti + tj
         sig_s = np.hypot(SIGMA_I, SIGMA_J) * t
-        err = (1 - SPAM_ERROR) * 0.5 * k**2 * abs(s) * (1 + k**2 * s**2) ** -1.5 * sig_s
+        err = (1 - SPAM_ERROR) * gate_fidelity_slope(ti + tj, n_gates) * sig_s
         rows.append((n_gates, t * 1e3, f, f_spam, err))
 
 # spot-check the bound against the thermal Monte Carlo at the largest theta

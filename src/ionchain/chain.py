@@ -170,10 +170,6 @@ class EquilibriumChain:
     residual: float = 0.0
 
     @property
-    def n_ions(self) -> int:
-        return len(self.positions)
-
-    @property
     def unit_length(self) -> float:
         return self.potential.unit_length(self.species)
 
@@ -219,8 +215,8 @@ class ModeDecomposition:
 
 def single_ion_modes(species: IonSpecies, omega0: float) -> ModeDecomposition:
     """Trivial one-ion decomposition: one mode at the trap frequency."""
-    if not omega0 > 0:
-        raise InputError(f"trap frequency must be positive, got {omega0}")
+    if not 0 < omega0 < math.inf:
+        raise InputError(f"trap frequency must be positive and finite, got {omega0}")
     return ModeDecomposition(
         species=species,
         frequencies=np.array([omega0]),

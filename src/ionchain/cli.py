@@ -28,6 +28,7 @@ import math
 import os
 import sys
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -85,20 +86,12 @@ EXIT_INPUT = 2
 EXIT_NUMERICAL = 3
 
 
-def _fmt(value) -> str:
-    return format(float(value), ".12g")
-
-
-def provenance(command: str, seed: int) -> dict:
-    return {"tool": "ionchain", "version": __version__, "command": command, "seed": seed}
-
-
 def render_csv(columns, rows) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(columns)
     for row in rows:
-        writer.writerow([_fmt(v) for v in row])
+        writer.writerow([format(float(v), ".12g") for v in row])
     return buf.getvalue()
 
 
@@ -113,41 +106,28 @@ def write_table(args, columns, rows, inputs: dict, **extra):
     """Emit a table as CSV (default) or JSON, honoring --out.  ``inputs`` and
     any ``extra`` fields go into JSON output only."""
     if args.format == "json":
-        payload = {
-            "provenance": provenance(args.command, args.seed),
-            "columns": list(columns),
-            "rows": [[float(v) for v in row] for row in rows],
-            "inputs": inputs,
-            **extra,
-        }
-        _write_text(args.out, json.dumps(payload, indent=2) + "\n")
+        columns, rows = list(columns), [[float(v) for v in row] for row in rows]
+        write_json_payload(args, {"columns": columns, "rows": rows, "inputs": inputs, **extra})
     else:
         _write_text(args.out, render_csv(columns, rows))
 
 
 def write_json_payload(args, payload: dict):
-    body = {"provenance": provenance(args.command, args.seed)}
-    body.update(payload)
-    _write_text(args.out, json.dumps(body, indent=2) + "\n")
+    """Write ``payload`` as JSON after the run's provenance, honoring --out."""
+    provenance = dict(tool="ionchain", version=__version__, command=args.command, seed=args.seed)
+    _write_text(args.out, json.dumps({"provenance": provenance, **payload}, indent=2) + "\n")
 
 
-def sibling_path(out: Path, suffix: str) -> Path:
-    out = Path(out)
-    return out.with_name(out.stem + suffix)
-
-
-def _load_required_config(args) -> dict:
-    if not args.config:
-        raise ConfigError("this command requires --config <file>")
-    return load_config(args.config)
+def write_sibling_csv(args, suffix: str, columns, rows):
+    """Write a CSV table next to --out, as ``<stem><suffix>``."""
+    _write_text(args.out.with_name(args.out.stem + suffix), render_csv(columns, rows))
 
 
 # ----------------------------------------------------------------------
 # commands
 # ----------------------------------------------------------------------
 
-def cmd_modes(args) -> int:
-    config = _load_required_config(args)
+def cmd_modes(args, config) -> None:
     species = build_species(config)
     potential, n_ions = build_potential(config)
     chain = find_equilibrium(species, potential, n_ions)
@@ -174,8 +154,7 @@ def cmd_modes(args) -> int:
         part_rows = [
             [i] + list(modes.participation[i, :]) for i in range(modes.n_ions)
         ]
-        _write_text(sibling_path(args.out, ".participation.csv"), render_csv(part_cols, part_rows))
-    return EXIT_OK
+        write_sibling_csv(args, ".participation.csv", part_cols, part_rows)
 
 
 def _single_ion_thetas(config, positions, beam):
@@ -198,8 +177,7 @@ def _single_ion_thetas(config, positions, beam):
     return np.array(theta), potential.omega0, nbar
 
 
-def cmd_rabi(args) -> int:
-    config = _load_required_config(args)
+def cmd_rabi(args, config) -> None:
     drive_khz, t_max_us, n_points, n_samples, thetas = read_rabi(config)
     if thetas is None:
         thetas = _single_ion_thetas(config, [0.0], build_beam(config))[0]
@@ -207,31 +185,22 @@ def cmd_rabi(args) -> int:
     omega0 = 2 * math.pi * drive_khz * 1e3
     times = np.linspace(0.0, t_max_us * 1e-6, n_points)
     closed = rabi_trace(omega0, thetas, times)
-    columns = ["t_us", "p1", "contrast", "phase_rad"]
+    columns = {
+        "t_us": times * 1e6, "p1": closed.p1, "contrast": closed.contrast, "phase_rad": closed.phase
+    }
     if args.mc:
         mc = rabi_trace_monte_carlo(omega0, thetas, times, n_samples, seed=args.seed)
-        columns.append("mc_stderr")
-        rows = [
-            (t * 1e6, mc.p1[k], closed.contrast[k], closed.phase[k], mc.stderr[k])
-            for k, t in enumerate(times)
-        ]
-    else:
-        rows = [
-            (t * 1e6, closed.p1[k], closed.contrast[k], closed.phase[k])
-            for k, t in enumerate(times)
-        ]
+        columns.update(p1=mc.p1, mc_stderr=mc.stderr)
     inputs = {
         "drive_khz": drive_khz,
         "theta": thetas.tolist(),
         "monte_carlo": bool(args.mc),
         "n_samples": n_samples if args.mc else None,
     }
-    write_table(args, columns, rows, inputs)
-    return EXIT_OK
+    write_table(args, columns, zip(*columns.values()), inputs)
 
 
-def cmd_theta_scan(args) -> int:
-    config = _load_required_config(args)
+def cmd_theta_scan(args, config) -> None:
     x_min, x_max, n_points = read_scan(config)
     beam = build_beam(config)
     if not isinstance(beam, GaussianBeam):
@@ -245,54 +214,54 @@ def cmd_theta_scan(args) -> int:
         "nbar": nbar,
     }
     write_table(args, ("x_um", "theta"), rows, inputs)
-    return EXIT_OK
 
 
-_FIT_INPUTS = {
-    "beam": ("x_um", "signal"),
-    "rabi": ("t_us", "p1"),
-    "theta-growth": ("tw_ms", "theta"),
-    "power-law": ("freq_khz", "rate_per_s"),
+class _Recipe(NamedTuple):
+    """One fit recipe: the CSV's x and y columns, the fit, x converted to the
+    fit's units, and the output parameters with the factor each is scaled by."""
+
+    columns: tuple
+    fit: Callable
+    fit_x: Callable
+    names: tuple
+    scale: tuple
+
+
+_FIT_RECIPES = {
+    "beam": _Recipe(
+        ("x_um", "signal"), fit_beam_profile, lambda x: x,
+        ("amplitude", "center_um", "waist_um"), (1.0, 1.0, 1.0),
+    ),
+    "rabi": _Recipe(
+        ("t_us", "p1"), fit_rabi_trace, lambda x: x * 1e-6,
+        ("rabi_freq_khz", "theta"), (1.0 / (2 * math.pi * 1e3), 1.0),
+    ),
+    "theta-growth": _Recipe(
+        ("tw_ms", "theta"), fit_theta_growth, lambda x: x * 1e-3,
+        ("theta0", "rate_per_s"), (1.0, 1.0),
+    ),
+    "power-law": _Recipe(
+        ("freq_khz", "rate_per_s"), fit_theta_power_law, lambda x: 2 * math.pi * x * 1e3,
+        ("amplitude_rad_s", "alpha", "offset_per_s"), (1.0, 1.0, 1.0),
+    ),
 }
 
 
-def cmd_fit(args) -> int:
-    if args.format == "csv":
-        raise ConfigError("fit emits JSON; use --format json (the default here)")
-    header, rows = read_numeric_csv(
-        args.data, expected=_FIT_INPUTS[args.recipe], optional_sigma=True
-    )
+def cmd_fit(args, config) -> None:
+    recipe = _FIT_RECIPES[args.recipe]
+    header, rows = read_numeric_csv(args.data, recipe.columns, optional_sigma=True)
     data = np.array(rows)
     x, y = data[:, 0], data[:, 1]
     sigma = data[:, 2] if data.shape[1] > 2 else None
-
-    if args.recipe == "beam":
-        result = fit_beam_profile(x, y, sigma)
-        names = ("amplitude", "center_um", "waist_um")
-        values = result.params
-        sigmas = result.uncertainties
-    elif args.recipe == "rabi":
-        result = fit_rabi_trace(x * 1e-6, y, sigma=sigma)
-        names = ("rabi_freq_khz", "theta")
-        scale = np.array([1.0 / (2 * math.pi * 1e3), 1.0])
-        values = result.params * scale
-        sigmas = result.uncertainties * scale
-    elif args.recipe == "theta-growth":
-        result = fit_theta_growth(x * 1e-3, y, sigma)
-        names = ("theta0", "rate_per_s")
-        values = result.params
-        sigmas = result.uncertainties
-    else:  # power-law
-        result = fit_theta_power_law(2 * math.pi * x * 1e3, y, sigma)
-        names = ("amplitude_rad_s", "alpha", "offset_per_s")
-        values = result.params
-        sigmas = result.uncertainties
+    result = recipe.fit(recipe.fit_x(x), y, sigma)
+    values = result.params * np.array(recipe.scale)
+    sigmas = result.uncertainties * np.array(recipe.scale)
 
     payload = {
         "recipe": args.recipe,
         "parameters": {
             name: {"value": float(v), "sigma": float(s)}
-            for name, v, s in zip(names, values, sigmas)
+            for name, v, s in zip(recipe.names, values, sigmas)
         },
         "reduced_chisq": None
         if not np.isfinite(result.reduced_chisq)
@@ -308,15 +277,11 @@ def cmd_fit(args) -> int:
         res_rows = [
             (x[k], y[k], model_y[k], y[k] - model_y[k]) for k in range(len(x))
         ]
-        _write_text(
-            sibling_path(args.out, ".residuals.csv"),
-            render_csv((header[0], header[1], "model", "residual"), res_rows),
-        )
-    return EXIT_OK
+        res_cols = (header[0], header[1], "model", "residual")
+        write_sibling_csv(args, ".residuals.csv", res_cols, res_rows)
 
 
-def cmd_gate_fidelity(args) -> int:
-    config = _load_required_config(args)
+def cmd_gate_fidelity(args, config) -> None:
     ion_i, ion_j, n_gates, spam_error, theta0, rates, rate_sigmas, tw_ms = read_gate(
         config, args.tw_list
     )
@@ -331,9 +296,9 @@ def cmd_gate_fidelity(args) -> int:
             raise ConfigError("derived theta rates require a gaussian beam")
         chain = find_equilibrium(species, potential, n_ions)
         modes = normal_modes(chain)
-        # each addressed ion gets its own copy of the beam, centered on it
+        # each addressed ion gets its own copy of the beam, offset from it by beam.center
         beams = {
-            idx: GaussianBeam(beam.peak_rabi, center=chain.positions[idx], waist=beam.waist)
+            idx: GaussianBeam(beam.peak_rabi, chain.positions[idx] + beam.center, beam.waist)
             for idx in (ion_i, ion_j)
         }
         all_rates = theta_rate(noise, modes, beams, chain.positions)
@@ -360,11 +325,9 @@ def cmd_gate_fidelity(args) -> int:
         "rate_sigmas_per_s": rate_sigmas,
     }
     write_table(args, ("tw_ms", "F_bound", "F_spam", "F_err"), rows, inputs)
-    return EXIT_OK
 
 
-def cmd_scaling(args) -> int:
-    config = _load_required_config(args)
+def cmd_scaling(args, config) -> None:
     n_list, alpha, mode, spacing = read_scaling(config, args.n_list)
     species = build_species(config)
     # only the ratio to the first chain's rate is output, so the noise
@@ -389,13 +352,9 @@ def cmd_scaling(args) -> int:
         rows.append((n, omega0 / (2 * math.pi) / 1e3, rel_error))
     inputs = {"alpha": alpha, "omega0_mode": mode, "spacing_um": spacing}
     write_table(args, ("n_ions", "omega0_khz", "rel_gate_error"), rows, inputs)
-    return EXIT_OK
 
 
-def cmd_cooling(args) -> int:
-    if args.format == "csv":
-        raise ConfigError("cooling emits JSON; use --format json (the default here)")
-    config = _load_required_config(args)
+def cmd_cooling(args, config) -> None:
     cfg = build_cooling(config)
     rate = crosstalk_rate(cfg)
     write_json_payload(
@@ -416,7 +375,6 @@ def cmd_cooling(args) -> int:
             ),
         },
     )
-    return EXIT_OK
 
 
 # ----------------------------------------------------------------------
@@ -433,7 +391,43 @@ def _comma_list(cast, what):
     return parse
 
 
+class _Command(NamedTuple):
+    """One subcommand: its function, its help line, whether it emits JSON
+    only, whether it reads --config, and its own arguments as (name, options)."""
+
+    run: Callable
+    help: str
+    json_only: bool = False
+    needs_config: bool = True
+    arguments: tuple = ()
+
+
+_COMMANDS = {
+    "modes": _Command(cmd_modes, "chain normal-mode table"),
+    "rabi": _Command(cmd_rabi, "thermal Rabi trace", arguments=(
+        ("--mc", dict(
+            action="store_true", help="Monte-Carlo thermal average (default: closed form)"
+        )),
+    )),
+    "theta-scan": _Command(cmd_theta_scan, "decay parameter vs position"),
+    "fit": _Command(
+        cmd_fit, "least-squares fits", json_only=True, needs_config=False, arguments=(
+            ("recipe", dict(choices=tuple(_FIT_RECIPES))),
+            ("data", dict(help="CSV data file")),
+        ),
+    ),
+    "gate-fidelity": _Command(cmd_gate_fidelity, "fidelity bound vs wait time", arguments=(
+        ("--tw-list", dict(type=_comma_list(float, "numbers"), help="wait times in ms")),
+    )),
+    "scaling": _Command(cmd_scaling, "lowest mode and gate error vs chain size", arguments=(
+        ("--n-list", dict(type=_comma_list(int, "integers"), help="chain sizes")),
+    )),
+    "cooling": _Command(cmd_cooling, "cooling crosstalk bound", json_only=True),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
+    json_only = " and ".join(name for name, command in _COMMANDS.items() if command.json_only)
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="YAML run configuration")
     common.add_argument("--out", type=Path, help="output file (default: stdout)")
@@ -442,7 +436,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--format",
         choices=("csv", "json"),
         default=None,
-        help="table output format (default csv; fit and cooling are json)",
+        help=f"table output format (default csv; {json_only} are json)",
     )
 
     parser = argparse.ArgumentParser(
@@ -451,47 +445,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"ionchain {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    sub.add_parser("modes", parents=[common], help="chain normal-mode table")
-
-    p_rabi = sub.add_parser("rabi", parents=[common], help="thermal Rabi trace")
-    p_rabi.add_argument(
-        "--mc", action="store_true", help="Monte-Carlo thermal average (default: closed form)"
-    )
-
-    sub.add_parser("theta-scan", parents=[common], help="decay parameter vs position")
-
-    p_fit = sub.add_parser("fit", parents=[common], help="least-squares fits")
-    p_fit.add_argument("recipe", choices=tuple(_FIT_INPUTS))
-    p_fit.add_argument("data", help="CSV data file")
-
-    p_gate = sub.add_parser(
-        "gate-fidelity", parents=[common], help="fidelity bound vs wait time"
-    )
-    p_gate.add_argument(
-        "--tw-list", type=_comma_list(float, "numbers"), help="wait times in ms"
-    )
-
-    p_scaling = sub.add_parser(
-        "scaling", parents=[common], help="lowest mode and gate error vs chain size"
-    )
-    p_scaling.add_argument(
-        "--n-list", type=_comma_list(int, "integers"), help="chain sizes"
-    )
-
-    sub.add_parser("cooling", parents=[common], help="cooling crosstalk bound")
+    for name, command in _COMMANDS.items():
+        command_parser = sub.add_parser(name, parents=[common], help=command.help)
+        for argument, options in command.arguments:
+            command_parser.add_argument(argument, **options)
     return parser
-
-
-_COMMANDS = {
-    "modes": cmd_modes,
-    "rabi": cmd_rabi,
-    "theta-scan": cmd_theta_scan,
-    "fit": cmd_fit,
-    "gate-fidelity": cmd_gate_fidelity,
-    "scaling": cmd_scaling,
-    "cooling": cmd_cooling,
-}
 
 
 def main(argv=None) -> int:
@@ -505,10 +463,16 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.seed < 0:
         parser.error("--seed must be >= 0")
+    command = _COMMANDS[args.command]
     if args.format is None:
-        args.format = "json" if args.command in ("fit", "cooling") else "csv"
+        args.format = "json" if command.json_only else "csv"
     try:
-        return _COMMANDS[args.command](args)
+        if command.json_only and args.format == "csv":
+            raise ConfigError(f"{args.command} emits JSON; use --format json (the default here)")
+        if command.needs_config and not args.config:
+            raise ConfigError("this command requires --config <file>")
+        command.run(args, load_config(args.config) if command.needs_config else None)
+        return EXIT_OK
     except ConfigError as exc:
         print(f"ionchain {args.command}: config error: {exc}", file=sys.stderr)
         return EXIT_INPUT

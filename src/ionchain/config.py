@@ -201,7 +201,7 @@ def _read(config: Mapping, name: str, **overrides) -> tuple:
     return head + tuple(_value(section, key, spec, name) for key, spec in keys.items())
 
 
-def read_numeric_csv(path, expected=None, optional_sigma=False):
+def read_numeric_csv(path, expected, optional_sigma=False):
     """Read a small numeric CSV with a header row.
 
     Returns (header, rows of floats).  Raises ConfigError with row/column
@@ -215,18 +215,15 @@ def read_numeric_csv(path, expected=None, optional_sigma=False):
             except StopIteration:
                 raise ConfigError(f"{path}: empty file")
             header = [h.strip() for h in header]
-            if expected is not None:
-                want = list(expected)
-                ok = header[: len(want)] == want and (
-                    len(header) == len(want)
-                    or (optional_sigma and header[len(want):] == ["sigma"])
+            want = list(expected)
+            ok = header[: len(want)] == want and (
+                len(header) == len(want) or (optional_sigma and header[len(want):] == ["sigma"])
+            )
+            if not ok:
+                suffix = " [,sigma]" if optional_sigma else ""
+                raise ConfigError(
+                    f"{path}: expected header {','.join(want)}{suffix}, got {','.join(header)}"
                 )
-                if not ok:
-                    suffix = " [,sigma]" if optional_sigma else ""
-                    raise ConfigError(
-                        f"{path}: expected header {','.join(want)}{suffix}, "
-                        f"got {','.join(header)}"
-                    )
             rows = []
             for line_no, row in enumerate(reader, start=2):
                 if not row or all(not cell.strip() for cell in row):
@@ -308,7 +305,7 @@ def build_beam(config: Mapping):
     if kind == "gaussian":
         waist, center = values
         return GaussianBeam(peak_rabi=1.0, center=center * 1e-6, waist=waist * 1e-9)
-    columns, rows = read_numeric_csv(values[0], expected=("x_um", "rabi_khz"))
+    columns, rows = read_numeric_csv(values[0], ("x_um", "rabi_khz"))
     x = np.array([r[0] for r in rows]) * 1e-6
     rabi = np.array([r[1] for r in rows]) * 2 * math.pi * 1e3
     return TabulatedBeam(x, rabi)
@@ -358,9 +355,13 @@ def read_gate(config: Mapping, wait_times_ms=None) -> tuple:
     """The gate section's values in declaration order; given
     ``wait_times_ms`` replace the section's wait times."""
     values = _read(config, "gate", tw_list_ms=wait_times_ms)
-    ion_i, ion_j, *_, tw_ms = values
+    ion_i, ion_j, _, spam_error, _, _, rate_sigmas, tw_ms = values
     if ion_i == ion_j:
         raise ConfigError("gate.ion_i and gate.ion_j must differ")
+    if not 0.0 <= spam_error < 1.0:
+        raise ConfigError("gate.spam_error must lie in [0, 1)")
+    if any(s < 0 for s in rate_sigmas):
+        raise ConfigError("gate.rate_sigmas_per_s must be >= 0")
     if tw_ms is None:
         raise ConfigError("provide --tw-list or gate.tw_list_ms")
     if any(tw < 0 for tw in tw_ms):

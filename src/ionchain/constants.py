@@ -35,7 +35,7 @@ class IonSpecies:
     Parameters
     ----------
     mass : float
-        Ion mass in kg, > 0.
+        Ion mass in kg, positive and finite.
     charge : int, optional
         Charge state in units of the elementary charge, >= 1.
     label : str, optional
@@ -47,8 +47,8 @@ class IonSpecies:
     label: str = ""
 
     def __post_init__(self):
-        if not self.mass > 0:
-            raise InputError(f"ion mass must be positive, got {self.mass}")
+        if not 0 < self.mass < math.inf:
+            raise InputError(f"ion mass must be positive and finite, got {self.mass}")
         if self.charge < 1:
             raise InputError(f"ion charge must be >= 1, got {self.charge}")
 

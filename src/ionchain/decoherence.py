@@ -209,8 +209,8 @@ class ThermalState:
 
 def zero_point_spread(species: IonSpecies, omega: float) -> float:
     """Ground-state positional spread sqrt(hbar / (2 M omega)) in meters."""
-    if not omega > 0:
-        raise InputError(f"mode frequency must be positive, got {omega}")
+    if not 0 < omega < math.inf:
+        raise InputError(f"mode frequency must be positive and finite, got {omega}")
     return math.sqrt(HBAR / (2.0 * species.mass * omega))
 
 

@@ -71,7 +71,6 @@ class FitResult:
 
     params: np.ndarray
     uncertainties: np.ndarray
-    covariance: np.ndarray
     reduced_chisq: float
     residuals: np.ndarray
     converged: bool
@@ -345,7 +344,6 @@ def _fit_result(
     return FitResult(
         params=params,
         uncertainties=np.sqrt(np.abs(np.diag(cov))),
-        covariance=cov,
         reduced_chisq=reduced,
         residuals=residuals,
         converged=converged,

@@ -458,6 +458,15 @@ class TestChecksBeforeSolve:
                 "beam", lambda body: None, "derived theta rates require a gaussian beam",
             ),
             (
+                "gate-fidelity", _DERIVED_GATE, "gate",
+                lambda body: body.update(spam_error=1.5), "gate.spam_error must lie in [0, 1)",
+            ),
+            (
+                "gate-fidelity", _DERIVED_GATE, "gate",
+                lambda body: body.update(rate_sigmas_per_s=[0.5, -0.5]),
+                "gate.rate_sigmas_per_s must be >= 0",
+            ),
+            (
                 "theta-scan",
                 {
                     **_ONE_ION,
@@ -467,7 +476,10 @@ class TestChecksBeforeSolve:
                 "beam", lambda body: None, "theta-scan requires a gaussian beam",
             ),
         ],
-        ids=["negative_wait", "tabulated_gate_beam", "tabulated_scan_beam"],
+        ids=[
+            "negative_wait", "tabulated_gate_beam", "spam_error", "negative_rate_sigma",
+            "tabulated_scan_beam",
+        ],
     )
     def test_config_rejected(self, tmp_path, capsys, command, config, section, edit, message):
         code, err = TestConfigSchema.run_edited(tmp_path, capsys, command, config, section, edit)
@@ -569,6 +581,22 @@ class TestGateFidelity:
         _, rows = read_csv(out)
         assert rows[0, 1] == 1.0
         assert np.all(np.diff(rows[:, 1]) < 0)
+
+    @pytest.mark.parametrize(
+        "center_um, flat", [(0.0, False), (0.87 / np.sqrt(2), True)], ids=["centered", "flat"]
+    )
+    def test_beam_center_offsets_each_gated_ion(self, tmp_path, center_um, flat):
+        # a gaussian beam's curvature vanishes at waist/sqrt(2) from its centre
+        beam = {**_DERIVED_GATE["beam"], "center_um": float(center_um)}
+        gate = {**_DERIVED_GATE["gate"], "tw_list_ms": [0.0, 5.0, 10.0]}
+        cfg = write(tmp_path / "g.yaml", yaml.safe_dump({**_DERIVED_GATE, "beam": beam, "gate": gate}))
+        out = tmp_path / "g.json"
+        assert run(["gate-fidelity", "--config", cfg, "--format", "json", "--out", out]) == 0
+        f_bound = np.array(json.loads(out.read_text())["rows"])[:, 1]
+        if flat:
+            np.testing.assert_allclose(f_bound, 1.0, rtol=0, atol=1e-12)
+        else:
+            assert np.all(f_bound[1:] < 1.0 - 1e-6)
 
     def test_tw_list_override(self, tmp_path):
         cfg = write(tmp_path / "g.yaml", GATE_CFG.format(n_gates=1))
@@ -738,6 +766,85 @@ def test_json_rows_match_csv(tmp_path, argv):
     ]
     assert payload["provenance"]["command"] == argv[0]
     assert isinstance(payload["inputs"], dict) and payload["inputs"]
+
+
+class TestCliContract:
+    """The messages and exit codes every command shares, pinned verbatim."""
+
+    @staticmethod
+    def run_captured(capsys, argv):
+        capsys.readouterr()
+        try:
+            code = run(argv)
+        except SystemExit as exc:
+            code = exc.code
+        return code, capsys.readouterr()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["fit", "beam", ROOT / "tests" / "golden" / "data" / "beam.csv"],
+            ["cooling", "--config", ROOT / "configs" / "cooling.yaml"],
+        ],
+        ids=["fit", "cooling"],
+    )
+    def test_csv_rejected_for_json_commands(self, tmp_path, capsys, argv):
+        out = tmp_path / "out.csv"
+        code, captured = self.run_captured(capsys, argv + ["--format", "csv", "--out", out])
+        assert (code, captured.out) == (2, "")
+        assert captured.err == (
+            f"ionchain {argv[0]}: config error: "
+            f"{argv[0]} emits JSON; use --format json (the default here)\n"
+        )
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "command", ["modes", "rabi", "theta-scan", "gate-fidelity", "scaling", "cooling"]
+    )
+    def test_missing_config(self, capsys, command):
+        code, captured = self.run_captured(capsys, [command])
+        assert (code, captured.out) == (2, "")
+        assert captured.err == (
+            f"ionchain {command}: config error: this command requires --config <file>\n"
+        )
+
+    def test_negative_seed(self, capsys, harmonic2):
+        code, captured = self.run_captured(capsys, ["modes", "--config", harmonic2, "--seed", "-1"])
+        assert (code, captured.out) == (2, "")
+        assert captured.err.endswith("\nionchain: error: --seed must be >= 0\n")
+
+    def test_out_into_missing_directory(self, tmp_path, capsys, harmonic2):
+        out = tmp_path / "missing" / "m.csv"
+        code, captured = self.run_captured(capsys, ["modes", "--config", harmonic2, "--out", out])
+        assert (code, captured.out) == (2, "")
+        assert captured.err == (
+            f"ionchain modes: i/o error: [Errno 2] No such file or directory: {str(out)!r}\n"
+        )
+
+    def test_gate_ions_outside_chain(self, tmp_path, capsys):
+        config = {**_DERIVED_GATE, "gate": {**_DERIVED_GATE["gate"], "ion_j": 2}}
+        cfg = write(tmp_path / "g.yaml", yaml.safe_dump(config))
+        code, captured = self.run_captured(capsys, ["gate-fidelity", "--config", cfg])
+        assert (code, captured.out) == (2, "")
+        assert captured.err == "ionchain gate-fidelity: config error: gate ions outside the chain\n"
+
+    def test_help_lists_commands(self, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        code, captured = self.run_captured(capsys, ["--help"])
+        assert code == 0
+        commands = "{modes,rabi,theta-scan,fit,gate-fidelity,scaling,cooling}"
+        assert captured.out.startswith(f"usage: ionchain [-h] [--version]\n{' ' * 16}{commands} ...\n")
+        block = (
+            f"positional arguments:\n  {commands}\n"
+            "    modes               chain normal-mode table\n"
+            "    rabi                thermal Rabi trace\n"
+            "    theta-scan          decay parameter vs position\n"
+            "    fit                 least-squares fits\n"
+            "    gate-fidelity       fidelity bound vs wait time\n"
+            "    scaling             lowest mode and gate error vs chain size\n"
+            "    cooling             cooling crosstalk bound\n"
+        )
+        assert block in captured.out
 
 
 class TestDeterminismAndPlumbing:

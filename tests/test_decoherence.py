@@ -15,6 +15,7 @@ from ionchain import (
     EquispacedLogPotential,
     GaussianBeam,
     HarmonicPotential,
+    IonSpecies,
     ModeDecomposition,
     NoiseModel,
     QuadQuarticPotential,
@@ -116,6 +117,20 @@ NON_FINITE = {
 def test_constructor_rejects_non_finite(build):
     with pytest.raises(InputError):
         build()
+
+
+INFINITE_SCALE = {
+    "species_mass": (lambda: IonSpecies(mass=math.inf), "ion mass"),
+    "single_ion_trap_frequency": (lambda: single_ion_modes(YB171, math.inf), "trap frequency"),
+    "zero_point_mode_frequency": (lambda: zero_point_spread(YB171, math.inf), "mode frequency"),
+}
+
+
+@pytest.mark.parametrize("build, name", INFINITE_SCALE.values(), ids=INFINITE_SCALE.keys())
+def test_infinite_mass_or_frequency_rejected(build, name):
+    with pytest.raises(InputError) as excinfo:
+        build()
+    assert str(excinfo.value) == f"{name} must be positive and finite, got inf"
 
 
 # ----------------------------------------------------------------------

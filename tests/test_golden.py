@@ -24,7 +24,9 @@ CASES = {
     "modes.csv": ["modes", "--config", CONFIGS / "modes.yaml"],
     "rabi.csv": ["rabi", "--config", CONFIGS / "rabi.yaml"],
     "rabi_mc.csv": ["rabi", "--config", CONFIGS / "rabi.yaml", "--mc", "--seed", "7"],
+    "rabi.json": ["rabi", "--config", CONFIGS / "rabi.yaml", "--format", "json"],
     "theta_scan.csv": ["theta-scan", "--config", CONFIGS / "theta_scan.yaml"],
+    "theta_scan.json": ["theta-scan", "--config", CONFIGS / "theta_scan.yaml", "--format", "json"],
     "gate_fidelity.csv": ["gate-fidelity", "--config", CONFIGS / "gate_fidelity.yaml"],
     "gate_fidelity_rates.csv": ["gate-fidelity", "--config", DATA / "gate_rates.yaml"],
     "scaling.csv": ["scaling", "--config", CONFIGS / "scaling.yaml"],
