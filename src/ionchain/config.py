@@ -217,12 +217,14 @@ def read_numeric_csv(path, expected, optional_sigma=False):
             header = [h.strip() for h in header]
             want = list(expected)
             ok = header[: len(want)] == want and (
-                len(header) == len(want) or (optional_sigma and header[len(want):] == ["sigma"])
+                len(header) == len(want)
+                or (optional_sigma and header[len(want):] == ["sigma"])
             )
             if not ok:
                 suffix = " [,sigma]" if optional_sigma else ""
                 raise ConfigError(
-                    f"{path}: expected header {','.join(want)}{suffix}, got {','.join(header)}"
+                    f"{path}: expected header {','.join(want)}{suffix}, "
+                    f"got {','.join(header)}"
                 )
             rows = []
             for line_no, row in enumerate(reader, start=2):
