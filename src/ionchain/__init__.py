@@ -50,7 +50,6 @@ from .errors import (
 from .fitting import (
     DataSeries,
     FitResult,
-    binomial_sigma,
     fit_beam_profile,
     fit_least_squares,
     fit_rabi_trace,

@@ -132,11 +132,8 @@ def cmd_modes(args, config) -> None:
     potential, n_ions = build_potential(config)
     chain = find_equilibrium(species, potential, n_ions)
     modes = normal_modes(chain)
-    weights = modes.uniform_drive_weights()
-    rows = [
-        (m, modes.frequencies[m] / (2 * math.pi) / 1e3, weights[m])
-        for m in range(modes.n_modes)
-    ]
+    freq_khz = modes.frequencies / (2 * math.pi) / 1e3
+    rows = zip(range(modes.n_modes), freq_khz, modes.uniform_drive_weights())
     inputs = {
         "species": species.label or species.mass_amu,
         "potential": type(potential).__name__,
@@ -151,9 +148,7 @@ def cmd_modes(args, config) -> None:
     )
     if args.out is not None and args.format == "csv":
         part_cols = ["ion_index"] + [f"mode_{m}" for m in range(modes.n_modes)]
-        part_rows = [
-            [i] + list(modes.participation[i, :]) for i in range(modes.n_ions)
-        ]
+        part_rows = [[i, *modes.participation[i]] for i in range(modes.n_ions)]
         write_sibling_csv(args, ".participation.csv", part_cols, part_rows)
 
 
@@ -263,9 +258,7 @@ def cmd_fit(args, config) -> None:
             name: {"value": float(v), "sigma": float(s)}
             for name, v, s in zip(recipe.names, values, sigmas)
         },
-        "reduced_chisq": None
-        if not np.isfinite(result.reduced_chisq)
-        else float(result.reduced_chisq),
+        "reduced_chisq": float(result.reduced_chisq) if np.isfinite(result.reduced_chisq) else None,
         "converged": result.converged,
         "n_points": int(len(x)),
         "flags": list(result.flags),
@@ -274,11 +267,8 @@ def cmd_fit(args, config) -> None:
     if args.out is not None:
         weights = sigma if sigma is not None else np.ones_like(y)
         model_y = y + result.residuals * weights  # residuals are (model - y)/sigma
-        res_rows = [
-            (x[k], y[k], model_y[k], y[k] - model_y[k]) for k in range(len(x))
-        ]
         res_cols = (header[0], header[1], "model", "residual")
-        write_sibling_csv(args, ".residuals.csv", res_cols, res_rows)
+        write_sibling_csv(args, ".residuals.csv", res_cols, zip(x, y, model_y, y - model_y))
 
 
 def cmd_gate_fidelity(args, config) -> None:
@@ -428,8 +418,9 @@ _COMMANDS = {
 
 def build_parser() -> argparse.ArgumentParser:
     json_only = " and ".join(name for name, command in _COMMANDS.items() if command.json_only)
+    config = argparse.ArgumentParser(add_help=False)
+    config.add_argument("--config", help="YAML run configuration")
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="YAML run configuration")
     common.add_argument("--out", type=Path, help="output file (default: stdout)")
     common.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
     common.add_argument(
@@ -446,7 +437,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"ionchain {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, command in _COMMANDS.items():
-        command_parser = sub.add_parser(name, parents=[common], help=command.help)
+        parents = [config, common] if command.needs_config else [common]
+        command_parser = sub.add_parser(name, parents=parents, help=command.help)
         for argument, options in command.arguments:
             command_parser.add_argument(argument, **options)
     return parser

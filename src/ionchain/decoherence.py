@@ -66,8 +66,8 @@ class GaussianBeam:
 
     def rabi_at(self, x):
         """Rabi frequency Omega(x) in rad/s."""
-        s = (np.asarray(x, dtype=float) - self.center) / self.waist
-        return self.peak_rabi * np.exp(-s * s)
+        params = (self.peak_rabi, self.center, self.waist)
+        return gaussian_beam_model(params, np.asarray(x, dtype=float))
 
     def curvature_ratio(self, x):
         """Omega''(x)/Omega(x) in 1/m^2: (4 s^2 - 2)/w^2 with s=(x-c)/w.
@@ -75,6 +75,14 @@ class GaussianBeam:
         Negative at the beam center, zero at |x - c| = w/sqrt(2).
         """
         return _gaussian_curvature_ratio(np.asarray(x, dtype=float), self.center, self.waist)
+
+
+def gaussian_beam_model(params, x):
+    """amplitude * exp(-(x - center)^2 / waist^2), unvalidated: the profile of
+    :meth:`GaussianBeam.rabi_at` and the model of :func:`ionchain.fitting.fit_beam_profile`."""
+    amplitude, center, waist = params
+    s = (x - center) / waist
+    return amplitude * np.exp(-s * s)
 
 
 def _gaussian_curvature_ratio(x, center, waist):
@@ -211,7 +219,12 @@ def zero_point_spread(species: IonSpecies, omega: float) -> float:
     """Ground-state positional spread sqrt(hbar / (2 M omega)) in meters."""
     if not 0 < omega < math.inf:
         raise InputError(f"mode frequency must be positive and finite, got {omega}")
-    return math.sqrt(HBAR / (2.0 * species.mass * omega))
+    return math.sqrt(_spread_sq(species.mass, omega))
+
+
+def _spread_sq(mass, omega):
+    """Squared zero-point spread hbar / (2 M omega), elementwise over omega."""
+    return HBAR / (2.0 * mass * omega)
 
 
 def _beam_coupling(
@@ -246,7 +259,7 @@ def _beam_coupling(
         neg_curvature[gaussian] = -_gaussian_curvature_ratio(
             positions[gaussian], np.array(centers, dtype=float), np.array(waists, dtype=float)
         )
-    spreads_sq = HBAR / (2.0 * modes.species.mass * modes.frequencies)
+    spreads_sq = _spread_sq(modes.species.mass, modes.frequencies)
     return modes.participation**2 * spreads_sq * neg_curvature[:, None]
 
 
@@ -321,18 +334,28 @@ def rabi_trace(omega0: float, thetas, times) -> RabiTrace:
         ``p1 = (1 - C cos(omega0 t - phi)) / 2`` with contrast C in (0, 1]
         and phase lag ``phi = sum_m arctan(theta_m omega0 t)``.
     """
+    times = _drive_times(times)
+    return RabiTrace(times, *_thermal_rabi(omega0, thetas, times))
+
+
+def _drive_times(times) -> np.ndarray:
+    """Drive durations as a float array, checked to be >= 0."""
     times = np.asarray(times, dtype=float)
     if np.any(times < 0):
         raise InputError("drive times must be >= 0")
-    p1, contrast, phase = _thermal_rabi(omega0, thetas, times)
-    return RabiTrace(times=times, p1=p1, contrast=contrast, phase=phase)
+    return times
+
+
+def _thermal_contrast(a):
+    """Thermal contrast prod_m (1 + a_m^2)^(-1/2) over axis 0, a_m = theta_m Omega0 t."""
+    return (1.0 / np.sqrt(1.0 + a * a)).prod(axis=0)
 
 
 def _thermal_rabi(omega0, thetas, times):
     """Closed-form (p1, contrast, phase) of :func:`rabi_trace`, unvalidated."""
     thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
     a = thetas[:, None] * omega0 * times[None, :]
-    contrast = (1.0 / np.sqrt(1.0 + a * a)).prod(axis=0)
+    contrast = _thermal_contrast(a)
     phase = np.arctan(a).sum(axis=0)
     return 0.5 * (1.0 - contrast * np.cos(omega0 * times - phase)), contrast, phase
 
@@ -423,9 +446,7 @@ def rabi_trace_monte_carlo(
     """
     if n_samples < 1:
         raise InputError("n_samples must be >= 1")
-    times = np.asarray(times, dtype=float)
-    if np.any(times < 0):
-        raise InputError("drive times must be >= 0")
+    times = _drive_times(times)
     thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
     u = _mode_energy_samples(len(thetas), n_samples, seed)
     factor = 1.0 - thetas @ u  # relative Rabi frequency per sample

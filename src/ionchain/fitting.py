@@ -29,7 +29,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .decoherence import _thermal_rabi
+from .decoherence import _thermal_rabi, gaussian_beam_model
 from .errors import FitError, InputError
 from .heating import theta_rate_model
 
@@ -83,19 +83,6 @@ class FitResult:
 
     def uncertainty(self, name: str) -> float:
         return float(self.uncertainties[self.param_names.index(name)])
-
-
-def binomial_sigma(p, shots: int) -> np.ndarray:
-    """Per-point standard deviation for shot-sampled probabilities.
-
-    sqrt(p (1 - p) / shots), floored at 1/(shots + 2) so that points at
-    exactly 0 or 1 keep a finite weight.
-    """
-    if shots < 1:
-        raise InputError("shots must be >= 1")
-    p = np.clip(np.asarray(p, dtype=float), 0.0, 1.0)
-    s = np.sqrt(p * (1.0 - p) / shots)
-    return np.maximum(s, 1.0 / (shots + 2))
 
 
 def _runs_test_z(residuals: np.ndarray, order: np.ndarray) -> float:
@@ -357,13 +344,6 @@ def _fit_result(
 # recipes
 # ----------------------------------------------------------------------
 
-def gaussian_beam_model(params, x):
-    """amplitude * exp(-(x - center)^2 / waist^2)."""
-    amplitude, center, waist = params
-    s = (x - center) / waist
-    return amplitude * np.exp(-s * s)
-
-
 def fit_beam_profile(x, signal, sigma=None) -> FitResult:
     """Fit a Gaussian to a beam-profile scan (Rabi angle or rate vs position).
 
@@ -423,8 +403,9 @@ def fit_rabi_trace(t, p1, sigma=None) -> FitResult:
     Parameters ("rabi_frequency", "theta"): one effective decay parameter.
     The initial Rabi-frequency guess comes from the dominant spectral peak
     of the trace and theta from the late-time envelope, which avoids
-    period-aliased local minima.  For shot-sampled data pass
-    ``sigma=binomial_sigma(p1, shots)``.
+    period-aliased local minima.  For data sampled with ``shots`` shots per
+    point, pass sigma = sqrt(p1 (1 - p1) / shots), floored at 1/(shots + 2)
+    so that points at exactly 0 or 1 keep a finite weight.
 
     Adds flag ``"theta_consistent_with_zero"`` when |theta| < its 1-sigma
     uncertainty.  Requires the trace to span at least two oscillation

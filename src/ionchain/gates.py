@@ -22,8 +22,23 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decoherence import _mode_energy_samples, _run_strided
+from .decoherence import _mode_energy_samples, _run_strided, _thermal_contrast
 from .errors import InputError
+
+
+def _gate_angle(n_gates: int) -> float:
+    """k = n_gates pi/2, the Rabi-angle equivalent of ``n_gates`` entangling gates."""
+    if n_gates < 1:
+        raise InputError(f"gate count must be >= 1, got {n_gates}")
+    return n_gates * math.pi / 2.0
+
+
+def _joint_theta(theta_i, theta_j) -> np.ndarray:
+    """theta_im + theta_jm of the two addressed ions, checked for equal length."""
+    ti, tj = (np.atleast_1d(np.asarray(t, dtype=float)) for t in (theta_i, theta_j))
+    if ti.shape != tj.shape:
+        raise InputError("theta lists must have equal length")
+    return ti + tj
 
 
 def gate_fidelity_bound(theta_i, theta_j, n_gates: int = 1) -> float:
@@ -32,16 +47,11 @@ def gate_fidelity_bound(theta_i, theta_j, n_gates: int = 1) -> float:
     ``theta_i`` and ``theta_j`` are the per-mode decay parameters of the two
     addressed ions (equal length).  Modes with theta_im = -theta_jm cancel
     exactly; the bound is 1 at zero theta and decreases monotonically in
-    |theta_im + theta_jm| and in the gate count.
+    |theta_im + theta_jm| and in the gate count.  The product is the thermal
+    Rabi contrast of the joint decay parameters at Omega0 t = n_gates pi/2.
     """
-    if n_gates < 1:
-        raise InputError(f"gate count must be >= 1, got {n_gates}")
-    ti = np.atleast_1d(np.asarray(theta_i, dtype=float))
-    tj = np.atleast_1d(np.asarray(theta_j, dtype=float))
-    if ti.shape != tj.shape:
-        raise InputError("theta lists must have equal length")
-    a = (n_gates * math.pi / 2.0) * (ti + tj)
-    return 0.5 + 0.5 * float((1.0 / np.sqrt(1.0 + a * a)).prod())
+    a = _gate_angle(n_gates) * _joint_theta(theta_i, theta_j)
+    return 0.5 + 0.5 * float(_thermal_contrast(a.ravel()))  # product over every entry
 
 
 def gate_fidelity_slope(joint_theta: float, n_gates: int = 1) -> float:
@@ -51,9 +61,7 @@ def gate_fidelity_slope(joint_theta: float, n_gates: int = 1) -> float:
     |dF/dtheta| = k^2 |theta| (1 + k^2 theta^2)^(-3/2) / 2.  Multiplying by
     the standard deviation of theta propagates it to the bound.
     """
-    if n_gates < 1:
-        raise InputError(f"gate count must be >= 1, got {n_gates}")
-    k = n_gates * math.pi / 2.0
+    k = _gate_angle(n_gates)
     return 0.5 * k * k * abs(joint_theta) * (1.0 + k * k * joint_theta * joint_theta) ** -1.5
 
 
@@ -99,17 +107,12 @@ def gate_fidelity_monte_carlo(
     so the estimate is bit-identical for any CPU count.  Deterministic for a
     given seed.
     """
-    if n_gates < 1:
-        raise InputError(f"gate count must be >= 1, got {n_gates}")
+    k = _gate_angle(n_gates)
     if n_samples < 2:
         raise InputError("n_samples must be >= 2")
-    ti = np.atleast_1d(np.asarray(theta_i, dtype=float))
-    tj = np.atleast_1d(np.asarray(theta_j, dtype=float))
-    if ti.shape != tj.shape:
-        raise InputError("theta lists must have equal length")
-    joint = ti + tj
+    joint = _joint_theta(theta_i, theta_j)
     u = _mode_energy_samples(len(joint), n_samples, seed)
-    y = (n_gates * math.pi / 2.0) * (joint @ u)
+    y = k * (joint @ u)
     phasors = np.empty((2, n_samples))
 
     def phasor(parts: range) -> None:

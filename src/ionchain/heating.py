@@ -60,11 +60,17 @@ class NoiseModel:
             raise InputError("rate offset must be finite and >= 0")
 
 
-def heating_rate_at(noise: NoiseModel, omega) -> np.ndarray | float:
-    """Single-ion heating rate nbar_rate_ref * (omega_ref/omega)^(1+alpha)."""
+def _positive_frequency(omega) -> np.ndarray:
+    """Angular frequencies as a float array, checked to be positive."""
     omega = np.asarray(omega, dtype=float)
     if np.any(omega <= 0):
         raise InputError("frequency must be positive")
+    return omega
+
+
+def heating_rate_at(noise: NoiseModel, omega) -> np.ndarray | float:
+    """Single-ion heating rate nbar_rate_ref * (omega_ref/omega)^(1+alpha)."""
+    omega = _positive_frequency(omega)
     out = noise.nbar_rate_ref * (noise.omega_ref / omega) ** (1.0 + noise.alpha)
     return float(out) if out.ndim == 0 else out
 
@@ -109,10 +115,7 @@ def theta_rate_model(omega0, amplitude: float, alpha: float, offset: float = 0.0
     function for frequency-sweep fits; the fitted B absorbs frequency-
     independent contributions.
     """
-    omega0 = np.asarray(omega0, dtype=float)
-    if np.any(omega0 <= 0):
-        raise InputError("frequency must be positive")
-    out = amplitude * omega0 ** (-2.0 - alpha) + offset
+    out = amplitude * _positive_frequency(omega0) ** (-2.0 - alpha) + offset
     return float(out) if out.ndim == 0 else out
 
 

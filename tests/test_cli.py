@@ -808,6 +808,24 @@ class TestCliContract:
             f"ionchain {command}: config error: this command requires --config <file>\n"
         )
 
+    def test_fit_rejects_config(self, capsys):
+        data = ROOT / "tests" / "golden" / "data" / "beam.csv"
+        argv = ["fit", "beam", data, "--config", "/nonexistent.yaml"]
+        code, captured = self.run_captured(capsys, argv)
+        assert (code, captured.out) == (2, "")
+        assert captured.err.endswith(
+            "ionchain: error: unrecognized arguments: --config /nonexistent.yaml\n"
+        )
+
+    @pytest.mark.parametrize("command", list(ionchain.cli._COMMANDS))
+    def test_help_lists_config_only_where_read(self, capsys, monkeypatch, command):
+        monkeypatch.setenv("COLUMNS", "80")
+        code, captured = self.run_captured(capsys, [command, "--help"])
+        assert code == 0
+        listed = ("[--config CONFIG]" in captured.out, "YAML run configuration" in captured.out)
+        assert listed == (command != "fit",) * 2
+        assert "[--out OUT]" in captured.out
+
     def test_negative_seed(self, capsys, harmonic2):
         code, captured = self.run_captured(capsys, ["modes", "--config", harmonic2, "--seed", "-1"])
         assert (code, captured.out) == (2, "")

@@ -32,6 +32,7 @@ from ionchain import (
     zero_point_spread,
 )
 from ionchain import decoherence
+from ionchain.fitting import gaussian_beam_model
 from ionchain.constants import HBAR
 from ionchain.errors import DomainError, InputError, LowOccupancyWarning
 
@@ -342,6 +343,46 @@ class TestBeamCouplingBitForBit:
         beams = {0: GaussianBeam(1.0, 0.0, WAIST), ion: beam}
         with pytest.raises(InputError, match=f"beam assigned to ion {ion}, outside 0..2"):
             decoherence._beam_coupling(modes, beams, chain.positions)
+
+
+class TestSharedKernelsBitForBit:
+    """The Gaussian profile and hbar / (2 M omega) each have one implementation;
+    these pin it to the expressions its callers used to write out."""
+
+    @PROPERTY_SETTINGS
+    @given(
+        st.floats(0.0, 1e8),
+        st.floats(-1e-4, 1e-4),
+        st.floats(1e-8, 1e-4),
+        st.lists(st.floats(-2e-4, 2e-4), min_size=1, max_size=50),
+    )
+    def test_gaussian_model_is_the_beam_profile(self, peak, center, waist, xs):
+        x = np.array(xs)
+        s = (x - center) / waist
+        old = peak * np.exp(-s * s)
+        assert np.array_equal(GaussianBeam(peak, center, waist).rabi_at(x), old)
+        assert np.array_equal(gaussian_beam_model((peak, center, waist), x), old)
+        assert gaussian_beam_model is decoherence.gaussian_beam_model
+
+    @PROPERTY_SETTINGS
+    @given(
+        st.floats(1.0, 300.0),
+        st.lists(st.floats(1e3, 1e9), min_size=1, max_size=40),
+        st.floats(1e-7, 1e-5),
+    )
+    def test_zero_point_spread_and_coupling_share_one_spread(self, mass_amu, omegas, waist):
+        species = IonSpecies.from_amu(mass_amu)
+        frequencies = np.array(omegas)
+        old_sq = HBAR / (2.0 * species.mass * frequencies)
+        for omega, sq in zip(omegas, old_sq):
+            old = math.sqrt(HBAR / (2.0 * species.mass * omega))
+            assert zero_point_spread(species, omega) == old == math.sqrt(sq)
+        # one ion at the centre of its beam, participation 1 in every mode:
+        # the coupling row is xi_m^2 times -Omega''/Omega = 2 / w^2
+        n = len(omegas)
+        modes = ModeDecomposition(species, frequencies, np.ones((1, n)), frequencies[0])
+        coupling = decoherence._beam_coupling(modes, {0: GaussianBeam(1.0, 0.0, waist)}, [0.0])
+        assert np.array_equal(coupling[0], old_sq * (2.0 / (waist * waist)))
 
 
 # ----------------------------------------------------------------------

@@ -3,7 +3,6 @@ import pytest
 
 from ionchain import (
     DataSeries,
-    binomial_sigma,
     fit_beam_profile,
     fit_least_squares,
     fit_rabi_trace,
@@ -95,12 +94,6 @@ class TestCore:
         shuffled = fit_beam_profile(x[perm], y[perm])
         assert np.allclose(forward.params, shuffled.params, rtol=1e-8)
 
-    def test_binomial_sigma_floor(self):
-        s = binomial_sigma(np.array([0.0, 0.5, 1.0]), 200)
-        assert s[0] == pytest.approx(1.0 / 202)
-        assert s[2] == pytest.approx(1.0 / 202)
-        assert s[1] == pytest.approx(np.sqrt(0.25 / 200))
-
 
 class TestBeamProfile:
     def test_noiseless_round_trip(self):
@@ -154,7 +147,8 @@ class TestRabiTraceFit:
     def test_binomial_noise_recovery(self, rng):
         omega0 = 2 * np.pi * 50e3
         t, p1 = self.make_trace(omega0, 0.08, rng=rng, shots=200)
-        result = fit_rabi_trace(t, p1, sigma=binomial_sigma(p1, 200))
+        sigma = np.maximum(np.sqrt(p1 * (1.0 - p1) / 200), 1.0 / 202)  # shot noise, floored
+        result = fit_rabi_trace(t, p1, sigma=sigma)
         assert abs(result["theta"] - 0.08) < 3.0 * result.uncertainty("theta")
         assert abs(result["rabi_frequency"] - omega0) < 3.0 * result.uncertainty(
             "rabi_frequency"
@@ -163,7 +157,8 @@ class TestRabiTraceFit:
     def test_zero_theta_flagged(self, rng):
         omega0 = 2 * np.pi * 50e3
         t, p1 = self.make_trace(omega0, 0.0, rng=rng, shots=2000)
-        result = fit_rabi_trace(t, p1, sigma=binomial_sigma(p1, 2000))
+        sigma = np.maximum(np.sqrt(p1 * (1.0 - p1) / 2000), 1.0 / 2002)  # shot noise, floored
+        result = fit_rabi_trace(t, p1, sigma=sigma)
         assert "theta_consistent_with_zero" in result.flags
         assert abs(result["rabi_frequency"] - omega0) < 5 * result.uncertainty(
             "rabi_frequency"

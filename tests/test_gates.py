@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from ionchain import (
     gate_fidelity_bound,
     gate_fidelity_monte_carlo,
+    rabi_trace,
     spam_adjust_prediction,
 )
 from ionchain.errors import InputError
@@ -52,6 +53,22 @@ class TestGateFidelityBound:
             - gate_fidelity_bound([joint - h], [0.0], n_gates)
         ) / (2 * h)
         assert gate_fidelity_slope(joint, n_gates) == pytest.approx(abs(fd), rel=1e-6, abs=1e-9)
+
+    @settings(max_examples=60, deadline=None, database=None, derandomize=True)
+    @given(
+        st.lists(st.tuples(st.floats(-10.0, 10.0), st.floats(-10.0, 10.0)), min_size=1, max_size=60),
+        st.integers(1, 3),
+    )
+    def test_is_the_thermal_contrast_at_the_gate_angle(self, pairs, n_gates):
+        ti, tj = np.array(pairs).T
+        a = (n_gates * math.pi / 2.0) * (ti + tj)
+        old = 0.5 + 0.5 * float((1.0 / np.sqrt(1.0 + a * a)).prod())
+        bound = gate_fidelity_bound(list(ti), list(tj), n_gates)
+        assert bound == old
+        assert gate_fidelity_bound(ti[None, :], tj[None, :], n_gates) == old  # every entry
+        # the contrast of the joint thetas at Omega0 t = n_gates pi/2, Omega0 = 1
+        contrast = rabi_trace(1.0, ti + tj, [n_gates * math.pi / 2.0]).contrast[0]
+        assert bound == 0.5 + 0.5 * float(contrast)
 
     def test_length_mismatch(self):
         with pytest.raises(InputError):
