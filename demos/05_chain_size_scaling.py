@@ -44,9 +44,7 @@ fit_sel = n_list >= 10
 slope, intercept = np.polyfit(np.log(n_list[fit_sel]), np.log(freq_khz[fit_sel]), 1)
 print(f"power-law exponent of omega0(N) over N in [10, 250]: {slope:+.3f}")
 
-rel_error = np.array(
-    [gate_error_scaling(int(n), 1.0, ALPHA, (int(n_list[0]), 1.0, 1.0)) for n in n_list]
-)
+rel_error = np.array([gate_error_scaling(int(n), int(n_list[0]), ALPHA) for n in n_list])
 np.savetxt(
     OUT / "chain_size_scaling.csv",
     np.column_stack([n_list, freq_khz, rel_error]),

@@ -14,7 +14,6 @@ from .chain import (
     ModeDecomposition,
     QuadQuarticPotential,
     TrapPotential,
-    chain_gradient,
     find_equilibrium,
     hessian_matrix,
     normal_modes,

@@ -37,6 +37,9 @@ GRADIENT_TOLERANCE = 1e-12
 """Equilibrium criterion: max |dE/dx_i| below this, in characteristic-force
 units q^2/(4 pi eps0 L^2)."""
 
+MAX_ITERATIONS = 200
+"""Newton iterations :func:`find_equilibrium` takes before it gives up."""
+
 _SIGN_TIE_EPS = 1e-12
 
 
@@ -48,7 +51,7 @@ class HarmonicPotential:
     ----------
     omega0 : float
         Angular trap frequency in rad/s, > 0.  A single ion (and the
-        center-of-mass mode of any chain) oscillates at exactly omega0.
+        center-of-mass mode of any chain) oscillates at omega0, to round-off.
     """
 
     omega0: float
@@ -188,14 +191,11 @@ class ModeDecomposition:
         Orthonormal eigenvectors b[i, m] (ion i, mode m).  Signs are fixed so
         that sum_i b[i, m] >= 0; exact ties fall back to making the first
         component of magnitude above 1e-12 positive.
-    unit_frequency : float
-        omega_u such that frequencies = omega_u * sqrt(eigenvalues).
     """
 
     species: IonSpecies
     frequencies: np.ndarray
     participation: np.ndarray
-    unit_frequency: float
 
     @property
     def n_ions(self) -> int:
@@ -221,7 +221,6 @@ def single_ion_modes(species: IonSpecies, omega0: float) -> ModeDecomposition:
         species=species,
         frequencies=np.array([omega0]),
         participation=np.array([[1.0]]),
-        unit_frequency=omega0,
     )
 
 
@@ -283,7 +282,6 @@ def find_equilibrium(
     species: IonSpecies,
     potential: TrapPotential,
     n_ions: int | None = None,
-    max_iterations: int = 200,
 ) -> EquilibriumChain:
     """Find the classical equilibrium positions of an N-ion chain.
 
@@ -313,7 +311,7 @@ def find_equilibrium(
     Raises
     ------
     SolverError
-        If the residual tolerance is not met within ``max_iterations``.
+        If the residual tolerance is not met within :data:`MAX_ITERATIONS`.
     """
     if isinstance(potential, EquispacedLogPotential):
         if n_ions is None:
@@ -349,7 +347,7 @@ def find_equilibrium(
 
     terms = _chain_terms(u, grad_curv)
     res = float(np.abs(terms[0]).max())
-    for _ in range(max_iterations):
+    for _ in range(MAX_ITERATIONS):
         if res < GRADIENT_TOLERANCE:
             return EquilibriumChain(species, potential, u * L, res)
         g, a, c_trap = terms
@@ -369,22 +367,10 @@ def find_equilibrium(
     if res < GRADIENT_TOLERANCE:
         return EquilibriumChain(species, potential, u * L, res)
     raise SolverError(
-        f"equilibrium not converged after {max_iterations} iterations",
+        f"equilibrium not converged after {MAX_ITERATIONS} iterations",
         residual=res,
         positions=u * L,
     )
-
-
-def chain_gradient(chain: EquilibriumChain) -> np.ndarray:
-    """Energy gradient dE/dx_i at the chain positions, in N (SI).
-
-    Provided so that callers and tests can audit equilibrium quality
-    independently of the solver.
-    """
-    grad_curv, _ = _scaled_trap(chain.potential, chain.species)
-    L = chain.unit_length
-    k = chain.species.coulomb_energy_scale
-    return _chain_terms(chain.positions / L, grad_curv)[0] * (k / L**2)
 
 
 def hessian_matrix(chain: EquilibriumChain) -> np.ndarray:
@@ -424,7 +410,7 @@ def normal_modes(chain: EquilibriumChain) -> ModeDecomposition:
     Frequencies are ``omega_u * sqrt(lambda_m)`` with ``omega_u =
     sqrt(q^2/(4 pi eps0 M L^3))``; for a harmonic trap the unit length makes
     omega_u equal the trap frequency, so the lowest mode is the
-    center-of-mass mode at exactly omega0 with uniform participation.
+    center-of-mass mode at omega0 (to round-off) with uniform participation.
 
     Raises
     ------
@@ -445,7 +431,6 @@ def normal_modes(chain: EquilibriumChain) -> ModeDecomposition:
         species=chain.species,
         frequencies=omega_u * np.sqrt(eigenvalues),
         participation=_fix_signs(vectors),
-        unit_frequency=omega_u,
     )
 
 

@@ -338,7 +338,7 @@ def cmd_scaling(args, config) -> None:
                 ref = rate
             rel_error = (rate / ref) ** 2
         else:
-            rel_error = gate_error_scaling(n, 1.0, alpha, (n_list[0], 1.0, 1.0))
+            rel_error = gate_error_scaling(n, n_list[0], alpha)
         rows.append((n, omega0 / (2 * math.pi) / 1e3, rel_error))
     inputs = {"alpha": alpha, "omega0_mode": mode, "spacing_um": spacing}
     write_table(args, ("n_ions", "omega0_khz", "rel_gate_error"), rows, inputs)

@@ -121,7 +121,6 @@ _SECTIONS = {
 }
 
 _DEFAULT_KIND = {"potential": None, "beam": "gaussian"}
-KNOWN_SECTIONS = tuple(_SECTIONS)
 
 
 def _require_mapping(obj, where: str) -> Mapping[str, Any]:

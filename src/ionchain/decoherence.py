@@ -183,7 +183,8 @@ class ThermalState:
     """Mean thermal occupancies nbar_m of the axial modes.
 
     The classical energy-averaging model assumes nbar >> 1; constructing a
-    state with any nbar below 10 emits :class:`LowOccupancyWarning`.
+    state with any nbar below :data:`LOW_OCCUPANCY_THRESHOLD` emits
+    :class:`LowOccupancyWarning`.
     """
 
     nbar: np.ndarray
@@ -208,7 +209,7 @@ class ThermalState:
             raise InputError("mode occupancies must be finite and >= 0")
         if np.any(nbar < LOW_OCCUPANCY_THRESHOLD):
             warnings.warn(
-                "thermal occupancy below 10 quanta: the classical "
+                f"thermal occupancy below {LOW_OCCUPANCY_THRESHOLD:g} quanta: the classical "
                 "energy-averaging model assumes nbar >> 1",
                 LowOccupancyWarning,
                 stacklevel=stacklevel,
@@ -299,7 +300,6 @@ def decay_parameters(
 class RabiTrace:
     """Closed-form thermally averaged Rabi oscillation."""
 
-    times: np.ndarray
     p1: np.ndarray
     contrast: np.ndarray
     phase: np.ndarray
@@ -309,11 +309,8 @@ class RabiTrace:
 class MonteCarloRabiTrace:
     """Monte-Carlo estimate of the thermally averaged Rabi oscillation."""
 
-    times: np.ndarray
     p1: np.ndarray
     stderr: np.ndarray
-    n_samples: int
-    seed: int
 
 
 def rabi_trace(omega0: float, thetas, times) -> RabiTrace:
@@ -334,8 +331,7 @@ def rabi_trace(omega0: float, thetas, times) -> RabiTrace:
         ``p1 = (1 - C cos(omega0 t - phi)) / 2`` with contrast C in (0, 1]
         and phase lag ``phi = sum_m arctan(theta_m omega0 t)``.
     """
-    times = _drive_times(times)
-    return RabiTrace(times, *_thermal_rabi(omega0, thetas, times))
+    return RabiTrace(*_thermal_rabi(omega0, thetas, _drive_times(times)))
 
 
 def _drive_times(times) -> np.ndarray:
@@ -465,9 +461,7 @@ def rabi_trace_monte_carlo(
                 stderr[k] = math.sqrt(variance) / math.sqrt(n_samples)
 
     _run_strided(len(times), average)
-    return MonteCarloRabiTrace(
-        times=times, p1=p1, stderr=stderr, n_samples=n_samples, seed=seed
-    )
+    return MonteCarloRabiTrace(p1, stderr)
 
 
 def in_phase_theta(modes: ModeDecomposition, theta_single: float) -> np.ndarray:

@@ -31,7 +31,7 @@ import numpy as np
 
 from .decoherence import _thermal_rabi, gaussian_beam_model
 from .errors import FitError, InputError
-from .heating import theta_rate_model
+from .heating import _positive_frequency, theta_rate_model
 
 RUNS_TEST_FLAG_Z = 3.0
 
@@ -109,8 +109,8 @@ def fit_least_squares(
     model: Callable,
     data: DataSeries,
     guess,
-    bounds=None,
-    param_names: Sequence[str] | None = None,
+    bounds,
+    param_names: Sequence[str],
 ) -> FitResult:
     """Weighted least-squares fit of ``model(params, x)`` to a data series.
 
@@ -123,10 +123,11 @@ def fit_least_squares(
     guess : array
         Starting parameters; must produce finite model values of the data's
         shape.
-    bounds : (lower, upper), optional
-        Per-parameter bounds; each lower bound must lie below its upper one.
-    param_names : sequence of str, optional
-        Names for lookup on the result.
+    bounds : (lower, upper)
+        Per-parameter bounds, +-inf where a side is free; each lower bound
+        must lie below its upper one.
+    param_names : sequence of str
+        Names for lookup on the result, one per parameter.
 
     One :func:`_levenberg_marquardt` solve runs from the guess;
     ``n_iterations`` is its number of model evaluations outside the
@@ -143,27 +144,19 @@ def fit_least_squares(
     """
     guess = np.atleast_1d(np.asarray(guess, dtype=float))
     n_params = len(guess)
-    if param_names is None:
-        param_names = tuple(f"p{i}" for i in range(n_params))
-    else:
-        param_names = tuple(param_names)
-        if len(param_names) != n_params:
-            raise InputError("param_names must match the number of parameters")
+    if len(param_names) != n_params:
+        raise InputError("param_names must match the number of parameters")
     if len(data) < n_params:
         raise FitError(
             f"need at least {n_params} points to fit {n_params} parameters, "
             f"got {len(data)}"
         )
-    if bounds is None:
-        lo = np.full(n_params, -np.inf)
-        hi = np.full(n_params, np.inf)
-    else:
-        try:
-            lo, hi = (np.broadcast_to(np.asarray(b, dtype=float), (n_params,)) for b in bounds)
-        except ValueError:
-            raise InputError("bounds must be (lower, upper), one value per parameter")
-        if not np.all(lo < hi):
-            raise InputError("every lower bound must be below its upper bound")
+    try:
+        lo, hi = (np.broadcast_to(np.asarray(b, dtype=float), (n_params,)) for b in bounds)
+    except ValueError:
+        raise InputError("bounds must be (lower, upper), one value per parameter")
+    if not np.all(lo < hi):
+        raise InputError("every lower bound must be below its upper bound")
     if np.any(guess < lo) or np.any(guess > hi):
         raise InputError("initial guess violates the bounds")
     sigma = data.sigma if data.sigma is not None else np.ones(len(data))
@@ -190,7 +183,7 @@ def fit_least_squares(
         raise FitError("least-squares fit did not converge")
     return _fit_result(
         solution.params, solution.residuals, solution.jac.T @ solution.jac, data, param_names,
-        solution.converged, solution.nfev,
+        solution.nfev,
     )
 
 
@@ -287,8 +280,7 @@ def _levenberg_marquardt(residual_fn, x0, lo, hi, max_nfev, tol=1e-14) -> _Solut
 
 
 def _fit_result(
-    params, residuals, jtj, data: DataSeries, param_names, converged, n_iterations,
-    flags=(),
+    params, residuals, jtj, data: DataSeries, param_names, n_iterations, flags=(),
 ) -> FitResult:
     """Chi-square, covariance, uncertainties and flags at a solution.
 
@@ -333,7 +325,7 @@ def _fit_result(
         uncertainties=np.sqrt(np.abs(np.diag(cov))),
         reduced_chisq=reduced,
         residuals=residuals,
-        converged=converged,
+        converged=True,
         n_iterations=int(n_iterations),
         param_names=tuple(param_names),
         flags=tuple(flags),
@@ -409,11 +401,12 @@ def fit_rabi_trace(t, p1, sigma=None) -> FitResult:
 
     Adds flag ``"theta_consistent_with_zero"`` when |theta| < its 1-sigma
     uncertainty.  Requires the trace to span at least two oscillation
-    periods.
+    periods.  The points may come in any order: the guesses are taken from
+    a time-sorted copy, and the residuals keep the input order.
     """
-    t = np.asarray(t, dtype=float)
-    p1 = np.asarray(p1, dtype=float)
     data = DataSeries(t, p1, sigma)
+    order = np.argsort(data.x, kind="stable")
+    t, p1 = data.x[order], data.y[order]
     omega0 = _rabi_frequency_guess(t, p1)
     if omega0 <= 0 or omega0 * float(np.max(t)) < 4.0 * math.pi:
         raise FitError("trace must span at least two oscillation periods")
@@ -454,7 +447,7 @@ def fit_theta_growth(t_wait, theta, sigma=None) -> FitResult:
     scaled_sigma = data.sigma if data.sigma is not None else np.ones(len(data))
     residuals = (A @ params - data.y) / scaled_sigma
     return _fit_result(
-        params, residuals, jtj, data, ("intercept", "slope"), True, 1,
+        params, residuals, jtj, data, ("intercept", "slope"), 1,
         flags=("negative_slope",) if params[1] < 0 else (),
     )
 
@@ -481,8 +474,7 @@ def fit_theta_power_law(omega0, rates, sigma=None) -> FitResult:
     data = DataSeries(omega0, rates, sigma)
     if len(data) < 4:
         raise FitError("power-law fit needs at least 4 frequency points")
-    if np.any(data.x <= 0):
-        raise InputError("frequencies must be positive")
+    _positive_frequency(data.x)
     sigma = data.sigma if data.sigma is not None else np.ones(len(data))
     w = 1.0 / sigma
     # columns in units of the geometric-mean frequency stay O(1); in rad/s
@@ -533,5 +525,5 @@ def fit_theta_power_law(omega0, rates, sigma=None) -> FitResult:
     )
     return _fit_result(
         np.array([amplitude, best_alpha, offset]), residuals, jac.T @ jac, data,
-        ("amplitude", "alpha", "offset"), True, evaluations,
+        ("amplitude", "alpha", "offset"), evaluations,
     )

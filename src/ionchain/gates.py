@@ -80,8 +80,6 @@ class GateFidelityEstimate:
     f_parity_stderr: float
     f_overlap: float
     f_overlap_stderr: float
-    n_samples: int
-    seed: int
 
 
 def gate_fidelity_monte_carlo(
@@ -136,8 +134,6 @@ def gate_fidelity_monte_carlo(
         f_parity_stderr=0.5 * math.sqrt(max(var_r, 0.0)),
         f_overlap=0.5 * (1.0 + c),
         f_overlap_stderr=0.5 * math.sqrt(var_c),
-        n_samples=n_samples,
-        seed=seed,
     )
 
 

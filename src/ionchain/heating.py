@@ -71,8 +71,7 @@ def _positive_frequency(omega) -> np.ndarray:
 def heating_rate_at(noise: NoiseModel, omega) -> np.ndarray | float:
     """Single-ion heating rate nbar_rate_ref * (omega_ref/omega)^(1+alpha)."""
     omega = _positive_frequency(omega)
-    out = noise.nbar_rate_ref * (noise.omega_ref / omega) ** (1.0 + noise.alpha)
-    return float(out) if out.ndim == 0 else out
+    return noise.nbar_rate_ref * (noise.omega_ref / omega) ** (1.0 + noise.alpha)
 
 
 def _mode_heating_rates(noise: NoiseModel, modes: ModeDecomposition) -> np.ndarray:
@@ -115,25 +114,16 @@ def theta_rate_model(omega0, amplitude: float, alpha: float, offset: float = 0.0
     function for frequency-sweep fits; the fitted B absorbs frequency-
     independent contributions.
     """
-    out = amplitude * _positive_frequency(omega0) ** (-2.0 - alpha) + offset
-    return float(out) if out.ndim == 0 else out
+    return amplitude * _positive_frequency(omega0) ** (-2.0 - alpha) + offset
 
 
-def gate_error_scaling(
-    n_ions: int,
-    t_wait: float,
-    alpha: float,
-    reference: tuple[int, float, float],
-) -> float:
-    """Relative two-qubit gate error from one calibrated reference point.
+def gate_error_scaling(n_ions: int, n_ref: int, alpha: float) -> float:
+    """Two-qubit gate error of an ``n_ions`` chain relative to an ``n_ref`` one
+    at the same wait time, (n_ions / n_ref)^(4 + 2 alpha).
 
-    error = ref_error * (t_wait / t_ref)^2 * (n_ions / n_ref)^(4 + 2 alpha),
-    valid when the lowest axial frequency scales roughly as 1/N.  For
+    Valid when the lowest axial frequency scales roughly as 1/N.  For
     alpha = 1 the chain-size exponent is 6.
     """
-    n_ref, t_ref, err_ref = reference
     if n_ions < 1 or n_ref < 1:
         raise InputError("ion numbers must be >= 1")
-    if t_wait < 0 or t_ref <= 0:
-        raise InputError("wait times must be >= 0 (reference > 0)")
-    return err_ref * (t_wait / t_ref) ** 2 * (n_ions / n_ref) ** (4.0 + 2.0 * alpha)
+    return (n_ions / n_ref) ** (4.0 + 2.0 * alpha)

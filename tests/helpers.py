@@ -28,38 +28,28 @@ def chain_energy(positions, potential, species):
     return energy
 
 
-def chain_gradient_fd(positions, potential, species, h):
-    """Centered finite-difference gradient of the total energy."""
-    positions = np.asarray(positions, dtype=float)
-    grad = np.zeros_like(positions)
-    for i in range(len(positions)):
-        up = positions.copy()
-        dn = positions.copy()
-        up[i] += h
-        dn[i] -= h
-        grad[i] = (chain_energy(up, potential, species) - chain_energy(dn, potential, species)) / (2 * h)
-    return grad
+def chain_gradient_direct(positions, potential, species):
+    """Energy gradient dE/dx_i in N (SI), assembled from the closed-form trap
+    gradient and direct Coulomb sums (not the package's solver internals)."""
+    x = np.asarray(positions, dtype=float)
+    kq = K_COULOMB * (species.charge_coulomb) ** 2
+    _, g_trap, _ = potential.evaluate(x, species)
+    g = np.array(g_trap, dtype=float, copy=True)
+    n = len(x)
+    for i in range(n):
+        for j in range(n):
+            if i != j:
+                r = x[i] - x[j]
+                g[i] -= kq * np.sign(r) / r**2
+    return g
 
 
 def chain_hessian_fd(positions, potential, species, h):
-    """Centered finite differences of the analytic-form gradient.
-
-    The gradient itself is assembled here from the closed-form trap gradient
-    and direct Coulomb sums (not the package's solver internals).
-    """
+    """Centered finite differences of :func:`chain_gradient_direct`."""
     positions = np.asarray(positions, dtype=float)
-    kq = K_COULOMB * (species.charge_coulomb) ** 2
 
     def gradient(x):
-        _, g_trap, _ = potential.evaluate(x, species)
-        g = np.array(g_trap, dtype=float, copy=True)
-        n = len(x)
-        for i in range(n):
-            for j in range(n):
-                if i != j:
-                    r = x[i] - x[j]
-                    g[i] -= kq * np.sign(r) / r**2
-        return g
+        return chain_gradient_direct(x, potential, species)
 
     n = len(positions)
     hess = np.zeros((n, n))

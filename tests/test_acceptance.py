@@ -449,5 +449,6 @@ def test_equispaced_hessian_independent_oracle():
     fd = chain_hessian_fd(chain.positions, chain.potential, YB171, h=1e-5 * length)
     fd_lowest = np.linalg.eigvalsh(fd * length**3 / YB171.coulomb_energy_scale)[0]
     modes = normal_modes(chain)
-    lam0 = (modes.frequencies[0] / modes.unit_frequency) ** 2
+    omega_u = np.sqrt(YB171.coulomb_energy_scale / (YB171.mass * length**3))
+    lam0 = (modes.frequencies[0] / omega_u) ** 2
     assert fd_lowest == pytest.approx(lam0, rel=1e-7)

@@ -3,7 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import central_diff, chain_hessian_fd, coordinate_descent_minimum
+from helpers import (
+    central_diff,
+    chain_gradient_direct,
+    chain_hessian_fd,
+    coordinate_descent_minimum,
+)
 
 from ionchain import (
     EquilibriumChain,
@@ -11,7 +16,6 @@ from ionchain import (
     HarmonicPotential,
     QuadQuarticPotential,
     YB171,
-    chain_gradient,
     find_equilibrium,
     hessian_matrix,
     normal_modes,
@@ -114,7 +118,8 @@ class TestFindEquilibrium:
         ]:
             chain = find_equilibrium(YB171, pot, n)
             scale = YB171.coulomb_energy_scale / pot.unit_length(YB171) ** 2
-            assert np.max(np.abs(chain_gradient(chain))) < 1e-12 * scale
+            grad = chain_gradient_direct(chain.positions, pot, YB171)
+            assert np.max(np.abs(grad)) < 1e-12 * scale
 
     def test_harmonic_five_ions_vs_coordinate_descent(self):
         chain = find_equilibrium(YB171, HARMONIC, 5)
@@ -156,19 +161,20 @@ class TestFindEquilibrium:
         chain = find_equilibrium(YB171, EquispacedLogPotential(9, 4.4e-6))
         assert np.all(np.diff(chain.positions) > 0)
 
-    def test_non_convergence_reports_residual(self):
-        from ionchain.errors import SolverError
-
+    def test_non_convergence_reports_residual(self, monkeypatch):
+        monkeypatch.setattr(chain_module, "MAX_ITERATIONS", 2)
         with pytest.raises(SolverError) as excinfo:
-            find_equilibrium(YB171, HARMONIC, 30, max_iterations=2)
+            find_equilibrium(YB171, HARMONIC, 30)
         assert excinfo.value.residual is not None
         assert excinfo.value.residual > 0
 
     def test_single_ion_gradient_and_curvature_are_the_trap_terms(self):
         chain = find_equilibrium(YB171, HARMONIC, 1)
         _, grad, curv = HARMONIC.evaluate(chain.positions, YB171)
-        assert np.array_equal(chain_gradient(chain), grad)
         length = chain.unit_length
+        grad_curv, _ = chain_module._scaled_trap(HARMONIC, YB171)
+        kernel_grad = chain_module._chain_terms(chain.positions / length, grad_curv)[0]
+        assert np.array_equal(kernel_grad * (YB171.coulomb_energy_scale / length**2), grad)
         expected = curv * (length**3 / YB171.coulomb_energy_scale)
         assert np.array_equal(hessian_matrix(chain), expected[None, :])
 
@@ -382,7 +388,7 @@ class TestNormalModes:
         chain = EquilibriumChain(
             species=YB171, potential=pot, positions=np.array([-s, s])
         )
-        residual = np.max(np.abs(chain_gradient(chain)))
+        residual = np.max(np.abs(chain_gradient_direct(chain.positions, pot, YB171)))
         assert residual < 1e-20  # genuinely stationary by construction
         with pytest.raises(UnstableChainError):
             normal_modes(chain)
@@ -541,8 +547,8 @@ class TestKernelsBitForBit:
         grad_curv, _ = chain_module._scaled_trap(chain.potential, YB171)
         length = chain.unit_length
         u = chain.positions / length
-        force = YB171.coulomb_energy_scale / length**2
-        assert np.array_equal(chain_gradient(chain), _old_gradient(u, grad_curv) * force)
+        g = chain_module._chain_terms(u, grad_curv)[0]
+        assert np.array_equal(g, _old_gradient(u, grad_curv))
         assert np.array_equal(hessian_matrix(chain), _old_hessian(u, grad_curv))
 
     @PROPERTY_SETTINGS

@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -514,6 +515,23 @@ class TestFit:
         payload = json.loads(out.read_text())
         assert payload["parameters"]["alpha"]["value"] == pytest.approx(0.8, abs=1e-4)
         assert payload["parameters"]["offset_per_s"]["value"] == pytest.approx(0.9, rel=1e-3)
+
+    def test_rabi_rows_in_any_order(self, tmp_path):
+        golden = ROOT / "tests/golden/data/rabi.csv"
+        header, *rows = golden.read_text().splitlines()
+        random.Random(1).shuffle(rows)
+        shuffled = write(tmp_path / "shuffled.csv", "\n".join([header, *rows]) + "\n")
+        for data, out in ((golden, "a.json"), (shuffled, "b.json")):
+            assert run(["fit", "rabi", data, "--out", tmp_path / out]) == 0
+        sorted_fit, shuffled_fit = (
+            json.loads((tmp_path / name).read_text())["parameters"] for name in ("a.json", "b.json")
+        )
+        for name, param in sorted_fit.items():
+            assert shuffled_fit[name]["value"] == pytest.approx(param["value"], rel=1e-12)
+            assert shuffled_fit[name]["sigma"] == pytest.approx(param["sigma"], rel=1e-9)
+        # the residual rows follow the input rows
+        _, residual_rows = read_csv(tmp_path / "b.residuals.csv")
+        assert [format(t, "g") for t in residual_rows[:, 0]] == [r.split(",")[0] for r in rows]
 
     def test_missing_file_exits_2(self, tmp_path):
         assert run(["fit", "beam", tmp_path / "absent.csv"]) == 2

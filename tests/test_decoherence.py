@@ -159,6 +159,10 @@ class TestZeroPointSpread:
         with pytest.warns(LowOccupancyWarning) as record:
             ThermalState([5.0])
         assert record[0].filename == __file__  # names the caller's line
+        assert str(record[0].message) == (
+            "thermal occupancy below 10 quanta: the classical "
+            "energy-averaging model assumes nbar >> 1"
+        )
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             ThermalState([280.0])  # no warning
@@ -308,7 +312,7 @@ def addressed_chains(draw):
     spacing = rng.uniform(1e-6, 6e-6)
     x = (np.arange(n) - 0.5 * (n - 1) + rng.uniform(-0.2, 0.2, n)) * spacing
     frequencies = np.sort(rng.uniform(1.0, 10.0, n)) * OMEGA_140
-    modes = ModeDecomposition(YB171, frequencies, rng.standard_normal((n, n)), frequencies[0])
+    modes = ModeDecomposition(YB171, frequencies, rng.standard_normal((n, n)))
     grid = np.linspace(x[0] - spacing, x[-1] + spacing, 4 * n + 8)
     tabulated = TabulatedBeam(grid, 1.0 + 0.5 * np.cos(grid / (3.0 * spacing)))
     ions = rng.permutation(n)
@@ -380,7 +384,7 @@ class TestSharedKernelsBitForBit:
         # one ion at the centre of its beam, participation 1 in every mode:
         # the coupling row is xi_m^2 times -Omega''/Omega = 2 / w^2
         n = len(omegas)
-        modes = ModeDecomposition(species, frequencies, np.ones((1, n)), frequencies[0])
+        modes = ModeDecomposition(species, frequencies, np.ones((1, n)))
         coupling = decoherence._beam_coupling(modes, {0: GaussianBeam(1.0, 0.0, waist)}, [0.0])
         assert np.array_equal(coupling[0], old_sq * (2.0 / (waist * waist)))
 

@@ -14,13 +14,16 @@ from ionchain.fitting import damped_rabi_model, gaussian_beam_model
 from ionchain.heating import theta_rate_model
 from ionchain.errors import FitError, InputError
 
+UNBOUNDED = (-np.inf, np.inf)  # broadcast to every parameter
+LINE = ("slope", "intercept")
+
 
 class TestCore:
     def test_noiseless_line_recovered_exactly(self):
         x = np.linspace(0.0, 5.0, 9)
         y = 0.7 * x - 1.3
         result = fit_least_squares(
-            lambda p, xx: p[0] * xx + p[1], DataSeries(x, y), guess=[1.0, 0.0]
+            lambda p, xx: p[0] * xx + p[1], DataSeries(x, y), [1.0, 0.0], UNBOUNDED, LINE
         )
         assert result.params == pytest.approx([0.7, -1.3], abs=1e-9)
 
@@ -31,7 +34,9 @@ class TestCore:
         result = fit_least_squares(
             lambda p, xx: p[0] * xx**2 + p[1] * xx + p[2],
             DataSeries(x, y, np.full(x.size, 0.01)),
-            guess=[1.0, 0.0, 1.0],
+            [1.0, 0.0, 1.0],
+            UNBOUNDED,
+            ("a", "b", "c"),
         )
         assert np.all(np.abs(result.params - truth) < 3.0 * result.uncertainties)
         assert 0.3 < result.reduced_chisq < 2.5
@@ -41,13 +46,17 @@ class TestCore:
             fit_least_squares(
                 lambda p, xx: p[0] * xx + p[1],
                 DataSeries(np.array([1.0]), np.array([2.0])),
-                guess=[1.0, 0.0],
+                [1.0, 0.0],
+                UNBOUNDED,
+                LINE,
             )
 
     def test_model_shape_mismatch_names_both_shapes(self):
         x = np.linspace(0.0, 1.0, 10)
         with pytest.raises(InputError, match=r"\(5,\).*\(10,\)"):
-            fit_least_squares(lambda p, xx: p[0] * xx[:5], DataSeries(x, x), guess=[1.0])
+            fit_least_squares(
+                lambda p, xx: p[0] * xx[:5], DataSeries(x, x), [1.0], UNBOUNDED, ("a",)
+            )
 
     def test_every_start_raising_chains_the_cause(self):
         # the model accepts the guess check, then raises on every later call
@@ -61,7 +70,7 @@ class TestCore:
             return p[0] * xx + p[1]
 
         with pytest.raises(FitError, match="ValueError: model left its domain") as excinfo:
-            fit_least_squares(model, DataSeries(x, x), guess=[1.0, 0.0])
+            fit_least_squares(model, DataSeries(x, x), [1.0, 0.0], UNBOUNDED, LINE)
         assert isinstance(excinfo.value.__cause__, ValueError)
 
     def test_empty_bound_interval_rejected_up_front(self):
@@ -73,9 +82,7 @@ class TestCore:
             return p[0] * xx + p[1]
 
         with pytest.raises(InputError, match="lower bound"):
-            fit_least_squares(
-                model, DataSeries(x, x), guess=[1.0, 0.0], bounds=([1.0, -1.0], [1.0, 1.0])
-            )
+            fit_least_squares(model, DataSeries(x, x), [1.0, 0.0], ([1.0, -1.0], [1.0, 1.0]), LINE)
         assert calls == []
 
     def test_data_series_validation(self):
@@ -185,8 +192,9 @@ class TestRabiTraceFit:
         matched_fit = fit_least_squares(
             damping_model,
             DataSeries(t, y, sigma),
-            guess=[omega0, 1.5e4],
-            param_names=("rabi_frequency", "gamma"),
+            [omega0, 1.5e4],
+            UNBOUNDED,
+            ("rabi_frequency", "gamma"),
         )
         assert thermal_fit.reduced_chisq > 2.0 * matched_fit.reduced_chisq
 

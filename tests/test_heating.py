@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ionchain import (
     EquispacedLogPotential,
@@ -98,7 +100,6 @@ class TestThetaRate:
             species=modes.species,
             frequencies=modes.frequencies,
             participation=-modes.participation,
-            unit_frequency=modes.unit_frequency,
         )
         beams = {i: GaussianBeam(1.0, chain.positions[i], WAIST) for i in range(7)}
         a = theta_rate(NOISE, modes, beams, chain.positions)
@@ -194,20 +195,26 @@ class TestThetaRateModel:
         assert fit["offset"] == pytest.approx(0.9, rel=1e-3)
 
 
+def _old_gate_error_scaling(n_ions, t_wait, alpha, reference):
+    """The five-argument form with a reference error and wait times."""
+    n_ref, t_ref, err_ref = reference
+    return err_ref * (t_wait / t_ref) ** 2 * (n_ions / n_ref) ** (4.0 + 2.0 * alpha)
+
+
 class TestGateErrorScaling:
-    def test_reference_point(self):
-        assert gate_error_scaling(10, 1e-3, 1.0, (10, 1e-3, 0.01)) == pytest.approx(0.01)
-
     def test_alpha_one_gives_sixth_power(self):
-        ratio = gate_error_scaling(20, 1e-3, 1.0, (10, 1e-3, 1.0))
+        ratio = gate_error_scaling(20, 10, 1.0)
         assert ratio == pytest.approx(2.0**6, rel=1e-12)
-
-    def test_doubling_wait_quadruples(self):
-        ratio = gate_error_scaling(10, 2e-3, 1.0, (10, 1e-3, 1.0))
-        assert ratio == pytest.approx(4.0, rel=1e-12)
 
     def test_validation(self):
         with pytest.raises(InputError):
-            gate_error_scaling(0, 1e-3, 1.0, (10, 1e-3, 1.0))
+            gate_error_scaling(0, 10, 1.0)
         with pytest.raises(InputError):
-            gate_error_scaling(10, -1e-3, 1.0, (10, 1e-3, 1.0))
+            gate_error_scaling(10, 0, 1.0)
+
+    @settings(max_examples=200, deadline=None, database=None, derandomize=True)
+    @given(st.integers(1, 1000), st.integers(1, 1000), st.floats(0.0, 2.0))
+    def test_bit_identical_to_the_unit_reference_form(self, n_ions, n_ref, alpha):
+        # every caller passed t_wait = t_ref = err_ref = 1.0
+        old = _old_gate_error_scaling(n_ions, 1.0, alpha, (n_ref, 1.0, 1.0))
+        assert gate_error_scaling(n_ions, n_ref, alpha) == old
