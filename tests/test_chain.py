@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -173,7 +175,7 @@ class TestFindEquilibrium:
         _, grad, curv = HARMONIC.evaluate(chain.positions, YB171)
         length = chain.unit_length
         grad_curv, _ = chain_module._scaled_trap(HARMONIC, YB171)
-        kernel_grad = chain_module._chain_terms(chain.positions / length, grad_curv)[0]
+        kernel_grad = chain_module._chain_terms(chain.positions / length, grad_curv, 1)[0]
         assert np.array_equal(kernel_grad * (YB171.coulomb_energy_scale / length**2), grad)
         expected = curv * (length**3 / YB171.coulomb_energy_scale)
         assert np.array_equal(hessian_matrix(chain), expected[None, :])
@@ -198,9 +200,9 @@ def _record_kernel_points(monkeypatch):
     kernel = chain_module._chain_terms
     points = []
 
-    def recorded(u, grad_curv):
+    def recorded(u, grad_curv, n_rows):
         points.append(u.copy())
-        return kernel(u, grad_curv)
+        return kernel(u, grad_curv, n_rows)
 
     monkeypatch.setattr(chain_module, "_chain_terms", recorded)
     return points
@@ -269,14 +271,39 @@ class TestNewtonFallbacks:
         self, monkeypatch, pot, n
     ):
         # with no tolerance to meet, the solve runs into the roundoff floor,
-        # where neither the Newton step nor the rescue lowers the residual
+        # where neither the Newton step nor the rescue lowers the residual;
+        # it returns that iterate and says which criterion it met
         monkeypatch.setattr(chain_module, "GRADIENT_TOLERANCE", 0.0)
+        chain = find_equilibrium(YB171, pot, n)
+        assert chain.criterion == "roundoff_floor"
+        u = chain.positions / chain.unit_length
+        grad_curv, _ = chain_module._scaled_trap(pot, YB171)
+        g_trap = grad_curv(u)[0]
+        r = u[:, None] - u[None, :]
+        np.fill_diagonal(r, np.inf)
+        floor = n * np.finfo(float).eps * np.max(np.abs(g_trap) + np.sum(1.0 / (r * r), axis=1))
+        assert 0 <= chain.residual <= floor
+        assert len(chain.positions) == n
+        assert np.all(np.diff(chain.positions) > 0)
+
+    def test_stall_above_the_roundoff_floor_raises_with_residual_and_positions(self, monkeypatch):
+        # every trial point reports an infinite gradient, so the solve stalls
+        # at its uniformly spaced start, far above the roundoff floor
+        kernel = chain_module._chain_terms
+        starts = []
+
+        def refusing(u, grad_curv, n_rows):
+            g, a, c_trap = kernel(u, grad_curv, n_rows)
+            starts.append((u.copy(), float(np.abs(g).max())))
+            return (g if len(starts) == 1 else np.full_like(g, np.inf)), a, c_trap
+
+        monkeypatch.setattr(chain_module, "_chain_terms", refusing)
         with pytest.raises(SolverError, match="equilibrium search stalled") as excinfo:
-            find_equilibrium(YB171, pot, n)
+            find_equilibrium(YB171, self.POT, self.N)
         error = excinfo.value
-        assert 0 <= error.residual < 1e-12
-        assert len(error.positions) == n
-        assert np.all(np.diff(error.positions) > 0)
+        (start, residual), length = starts[0], self.POT.unit_length(YB171)
+        assert error.residual == residual > 1e-6
+        assert np.array_equal(error.positions, start * length)
 
 
 # ----------------------------------------------------------------------
@@ -520,7 +547,7 @@ class TestKernelsBitForBit:
         old_grad_curv = _per_iterate_scaled_trap(chain.potential, YB171)
         for new, old in zip(grad_curv(u), old_grad_curv(u)):
             assert new.dtype == old.dtype and np.array_equal(new, old)
-        g, a, c_trap = chain_module._chain_terms(u, grad_curv)
+        g, a, c_trap = chain_module._chain_terms(u, grad_curv, len(u))
         assert np.array_equal(g, _old_gradient(u, old_grad_curv))
         assert np.array_equal(chain_module._hessian_from(a, c_trap), _old_hessian(u, old_grad_curv))
 
@@ -547,9 +574,22 @@ class TestKernelsBitForBit:
         grad_curv, _ = chain_module._scaled_trap(chain.potential, YB171)
         length = chain.unit_length
         u = chain.positions / length
-        g = chain_module._chain_terms(u, grad_curv)[0]
+        g = chain_module._chain_terms(u, grad_curv, len(u))[0]
         assert np.array_equal(g, _old_gradient(u, grad_curv))
         assert np.array_equal(hessian_matrix(chain), _old_hessian(u, grad_curv))
+
+    @PROPERTY_SETTINGS
+    @given(scaled_chains(), st.floats(0.0, 1.0))
+    def test_kernel_rows_are_the_last_rows_of_the_whole_kernel(self, chain, share):
+        u = chain.positions / chain.unit_length
+        grad_curv, _ = chain_module._scaled_trap(chain.potential, YB171)
+        n_rows = max(1, round(share * len(u)))
+        g, a, c_trap = chain_module._chain_terms(u, grad_curv, n_rows)
+        g_all, a_all, c_all = chain_module._chain_terms(u, grad_curv, len(u))
+        assert np.array_equal(g, g_all[-n_rows:]) and np.array_equal(c_trap, c_all[-n_rows:])
+        H, H_all = chain_module._hessian_from(a, c_trap), chain_module._hessian_from(a_all, c_all)
+        assert np.array_equal(H, H_all[-n_rows:])
+        assert np.array_equal(chain_module._hessian_rows(chain, n_rows), hessian_matrix(chain)[-n_rows:])
 
     @PROPERTY_SETTINGS
     @given(
@@ -577,3 +617,91 @@ class TestKernelsBitForBit:
                 col = -vectors[:, m]
             vectors[:, m] = col
         assert np.array_equal(chain_module._fix_signs(vectors), _old_fix_signs(vectors))
+
+
+# ----------------------------------------------------------------------
+# the parity-reduced path against the full path
+# ----------------------------------------------------------------------
+
+EPS = np.finfo(float).eps
+
+
+def _on_both_paths(f, *args):
+    """f(*args) as the library runs it, then with every chain on the full
+    path (no parity reduction at any size)."""
+    result = f(*args)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(chain_module, "_PARITY_MIN_IONS", math.inf)
+        return result, f(*args)
+
+
+def _has_mirror_parity(column):
+    return np.array_equal(column[::-1], column) or np.array_equal(column[::-1], -column)
+
+
+class TestParityPath:
+    @settings(max_examples=16, deadline=None, database=None, derandomize=True)
+    @given(
+        st.sampled_from(sorted(POTENTIAL_KINDS)),
+        st.integers(chain_module._PARITY_MIN_IONS, 500),
+    )
+    def test_parity_path_matches_the_full_path(self, kind, n):
+        pot = POTENTIAL_KINDS[kind](n)
+        chain, full_chain = _on_both_paths(find_equilibrium, YB171, pot, n)
+        # both converge (find_equilibrium raises otherwise), possibly at the
+        # roundoff floor, and agree to roundoff of the chain extent
+        x = chain.positions
+        assert np.array_equal(x, -x[::-1])
+        assert np.max(np.abs(x - full_chain.positions)) <= 1e-12 * (x[-1] - x[0])
+
+        modes, full_modes = _on_both_paths(normal_modes, chain)
+        lam = np.linalg.eigvalsh(hessian_matrix(chain))
+        # Each eigh is backward stable, exact for a matrix within N eps |Q|
+        # of Q (LAPACK's bound p(N) eps |Q|, with p(N) = N), so by Weyl's
+        # inequality the two eigenvalue sets differ by at most 2 N eps |Q|;
+        # |Q| = lam[-1] for the positive definite Q, and on omega ~
+        # sqrt(lambda) the relative difference is half that on lambda.
+        spread = 2 * n * EPS * lam[-1]
+        allowed = np.maximum(1e-12, 0.5 * spread / lam)
+        assert np.all(np.abs(modes.frequencies / full_modes.frequencies - 1) <= allowed)
+
+        # Participation agrees as subspaces: modes closer than sqrt(eps) |Q|
+        # form one cluster, and by the Davis-Kahan sin-theta theorem the
+        # angle between the two clusters' spans, |(1 - P) P_full|, is at
+        # most spread / (gap to the other modes).
+        b, b_full = modes.participation, full_modes.participation
+        cuts = np.flatnonzero(np.diff(lam) > math.sqrt(EPS) * lam[-1]) + 1
+        for cluster in np.split(np.arange(n), cuts):
+            lo, hi = cluster[0], cluster[-1]
+            gap = min(lam[lo] - lam[lo - 1] if lo else np.inf, lam[hi + 1] - lam[hi] if hi < n - 1 else np.inf)
+            span, span_full = b[:, cluster], b_full[:, cluster]
+            outside = span_full - span @ (span.T @ span_full)
+            assert np.linalg.norm(outside, 2) <= spread / gap
+
+        # every mode vector has exact mirror parity, and the odd ones sum to
+        # zero within the sign rule's tie threshold
+        assert all(_has_mirror_parity(b[:, m]) for m in range(n))
+        odd = [m for m in range(n) if np.array_equal(b[::-1, m], -b[:, m])]
+        assert len(odd) == n // 2
+        assert np.all(np.abs(b[:, odd].sum(axis=0)) <= chain_module._SIGN_TIE_EPS)
+
+    def test_below_the_crossover_every_chain_takes_the_full_path(self):
+        # the crossover keeps the golden chains (N <= 25 at full precision)
+        # on the full path, bit for bit
+        assert chain_module._PARITY_MIN_IONS > 25
+        for kind in sorted(POTENTIAL_KINDS):
+            for n in range(2, chain_module._PARITY_MIN_IONS):
+                pot = POTENTIAL_KINDS[kind](n)
+                chain, full_chain = _on_both_paths(find_equilibrium, YB171, pot, n)
+                assert np.array_equal(chain.positions, full_chain.positions)
+                modes, full_modes = _on_both_paths(normal_modes, chain)
+                assert np.array_equal(modes.frequencies, full_modes.frequencies)
+                assert np.array_equal(modes.participation, full_modes.participation)
+
+    @pytest.mark.parametrize("n", [40, 41])
+    def test_asymmetric_or_hand_built_chains_take_the_full_path(self, n):
+        chain = find_equilibrium(YB171, EquispacedLogPotential(n, 4.4e-6))
+        shifted = EquilibriumChain(YB171, chain.potential, chain.positions + 1e-9)
+        modes, full_modes = _on_both_paths(normal_modes, shifted)
+        assert np.array_equal(modes.participation, full_modes.participation)
+        assert not all(_has_mirror_parity(c) for c in modes.participation.T)
