@@ -166,10 +166,11 @@ _EVEN_POTENTIALS = (HarmonicPotential, QuadQuarticPotential, EquispacedLogPotent
 _PARITY_MIN_IONS = 40
 """Chains of at least this many ions in one of the even potentials above are
 solved and diagonalized on their mirror half (see :func:`find_equilibrium`
-and :func:`normal_modes`).  Measured with one BLAS thread on a 2-core host,
-solve plus modes on the parity path costs about the same as the full path
-up to 24 ions and 13-30 % less from 36 ions on; 40 keeps every chain of the
-paper's sizes (N <= 25) on the full path."""
+and :func:`normal_modes`).  Measured with one BLAS thread on a 2-core host
+(geometric mean over four traps), solve plus modes on the parity path costs
+about the same as the full path up to 24 ions, 5 % less at 28-30 ions and
+13-30 % less from 36 ions on; 40 keeps every chain of the paper's sizes
+(N <= 25) on the full path."""
 
 
 def _takes_parity_path(potential: TrapPotential, n_ions: int) -> bool:

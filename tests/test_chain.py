@@ -288,7 +288,8 @@ class TestNewtonFallbacks:
 
     def test_stall_above_the_roundoff_floor_raises_with_residual_and_positions(self, monkeypatch):
         # every trial point reports an infinite gradient, so the solve stalls
-        # at its uniformly spaced start, far above the roundoff floor
+        # at its uniformly spaced start, far above the roundoff floor (about
+        # 1e-15 for these four ions)
         kernel = chain_module._chain_terms
         starts = []
 
@@ -656,11 +657,14 @@ class TestParityPath:
 
         modes, full_modes = _on_both_paths(normal_modes, chain)
         lam = np.linalg.eigvalsh(hessian_matrix(chain))
-        # Each eigh is backward stable, exact for a matrix within N eps |Q|
-        # of Q (LAPACK's bound p(N) eps |Q|, with p(N) = N), so by Weyl's
-        # inequality the two eigenvalue sets differ by at most 2 N eps |Q|;
-        # |Q| = lam[-1] for the positive definite Q, and on omega ~
-        # sqrt(lambda) the relative difference is half that on lambda.
+        # eigh is backward stable: its eigenvalues are exact for a matrix
+        # within p(N) eps |Q| of Q (LAPACK Users' Guide, section 4.7), taken
+        # here as p(N) = N.  The parity path's two half-size eigh calls
+        # (N/2 each) plus the one rounding of A +- B.J and of the sqrt 2
+        # scalings stay inside that, so by Weyl's inequality the two paths'
+        # eigenvalues differ by at most 2 N eps |Q|, c = 2 for two solves.
+        # |Q| = lam[-1] for the positive definite Q, and omega ~ sqrt(lambda)
+        # moves by half of lambda's relative change.
         spread = 2 * n * EPS * lam[-1]
         allowed = np.maximum(1e-12, 0.5 * spread / lam)
         assert np.all(np.abs(modes.frequencies / full_modes.frequencies - 1) <= allowed)
@@ -699,7 +703,7 @@ class TestParityPath:
                 assert np.array_equal(modes.participation, full_modes.participation)
 
     @pytest.mark.parametrize("n", [40, 41])
-    def test_asymmetric_or_hand_built_chains_take_the_full_path(self, n):
+    def test_a_chain_that_is_not_exactly_antisymmetric_takes_the_full_path(self, n):
         chain = find_equilibrium(YB171, EquispacedLogPotential(n, 4.4e-6))
         shifted = EquilibriumChain(YB171, chain.potential, chain.positions + 1e-9)
         modes, full_modes = _on_both_paths(normal_modes, shifted)
