@@ -394,15 +394,18 @@ def find_equilibrium(
     def backtrack(step, scale, tries):
         """First u + scale * step / 2^k (k < tries) that is valid and lowers
         the residual, as (positions, kernel terms, residual); else None."""
-        step = whole_chain(step)
+        step, failed = whole_chain(step), None
         for _ in range(tries):
-            cand = u + scale * step
-            if valid(cand):
+            cand, scale = u + scale * step, 0.5 * scale
+            if failed is not None and np.array_equal(cand, u):  # so does every shorter step
+                return None
+            # a try that rounds to the point that just failed is not evaluated again
+            if (failed is None or not np.array_equal(cand, failed)) and valid(cand):
                 terms = _chain_terms(cand, grad_curv, n_rows)
                 r_cand = float(np.abs(terms[0]).max())
                 if r_cand < res:
                     return cand, terms, r_cand
-            scale *= 0.5
+            failed = cand
         return None
 
     terms = _chain_terms(u, grad_curv, n_rows)

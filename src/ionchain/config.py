@@ -250,7 +250,6 @@ def read_numeric_csv(path, expected, optional_sigma=False):
     return header, rows
 
 
-
 def load_config(path) -> dict:
     """Read and structurally validate a YAML run configuration."""
     try:

@@ -2,10 +2,14 @@
 
 Everything here is deliberately written from first principles (finite
 differences, coordinate descent, direct energy sums) so that it shares no
-code path with the implementations it checks.
+code path with the implementations it checks.  ``trig_arguments`` is the
+hypothesis strategy for angles that the trigonometric forms are tested on.
 """
 
+import math
+
 import numpy as np
+from hypothesis import strategies as st
 
 from ionchain.constants import K_COULOMB
 
@@ -111,3 +115,23 @@ def theta_profile_gaussian(x, waist, spread, nbar):
     x = np.asarray(x, dtype=float)
     r = spread / waist
     return 2.0 * r * r * (1.0 - 2.0 * x * x / (waist * waist)) * nbar
+
+
+def _nudged(x, steps):
+    """x moved by |steps| floats, up for steps > 0 and down for steps < 0."""
+    for _ in range(abs(steps)):
+        x = np.nextafter(x, math.copysign(math.inf, steps))
+    return float(x)
+
+
+def trig_arguments(limit=1e6):
+    """Hypothesis strategy for angles with |x| <= limit: any float in range
+    (subnormals included), +-0, and the floats within three steps of a
+    multiple k pi / 2, where sin, cos and tan reach 0, +-1 and +-inf."""
+    k_max = int(limit / (math.pi / 2))
+    quarter_turns = st.builds(
+        lambda k, steps: _nudged(k * (math.pi / 2), steps),
+        st.integers(-k_max, k_max),
+        st.integers(-3, 3),
+    )
+    return st.one_of(st.floats(-limit, limit), st.sampled_from([0.0, -0.0]), quarter_turns)

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -255,9 +256,11 @@ class TestNewtonFallbacks:
         points = _record_kernel_points(monkeypatch)
         self._solve()
         start = points[0]
-        # the Newton line search spends its 60 tries on the unmoved start
-        assert all(np.array_equal(p, start) for p in points[1:61])
-        assert _is_steepest_descent_from(points[61], start, -calls[0])
+        # the Newton line search gives up at its first unmoved try, since
+        # every shorter step rounds back to the start too
+        unmoved = next(k for k, p in enumerate(points[1:]) if not np.array_equal(p, start))
+        assert unmoved <= 1
+        assert _is_steepest_descent_from(points[1 + unmoved], start, -calls[0])
 
     @pytest.mark.parametrize(
         "pot,n",
@@ -285,6 +288,42 @@ class TestNewtonFallbacks:
         assert 0 <= chain.residual <= floor
         assert len(chain.positions) == n
         assert np.all(np.diff(chain.positions) > 0)
+
+    @settings(max_examples=12, deadline=None, database=None, derandomize=True)
+    @given(
+        kind=st.sampled_from(["harmonic", "quad_quartic", "pure_quartic", "equispaced"]),
+        n=st.integers(2, 120),
+    )
+    def test_no_backtrack_evaluates_the_kernel_twice_at_one_point(self, kind, n):
+        # with no tolerance to meet, the solve runs into the roundoff floor,
+        # where a line search's halved steps round back onto the iterate
+        pot = {
+            "harmonic": HarmonicPotential(2 * np.pi * 100e3),
+            "quad_quartic": QuadQuarticPotential(1e-14, 2e-3),
+            "pure_quartic": QuadQuarticPotential(0.0, 1e-3),
+            "equispaced": EquispacedLogPotential(n, 4.4e-6),
+        }[kind]
+        kernel = chain_module._chain_terms
+        searches = {}  # one line search (a backtrack call) -> its kernel points
+
+        def recorded(u, grad_curv, n_rows):
+            caller = sys._getframe(1)
+            if caller.f_code.co_name == "backtrack":  # held, so no id is reused
+                searches.setdefault(id(caller), (caller, []))[1].append(u.tobytes())
+            return kernel(u, grad_curv, n_rows)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(chain_module, "GRADIENT_TOLERANCE", 0.0)
+            patch.setattr(chain_module, "_chain_terms", recorded)
+            try:
+                assert find_equilibrium(YB171, pot, n).criterion == "roundoff_floor"
+            except SolverError as error:
+                # or it runs out of iterations while the residual still falls
+                # by a few percent a step (an odd chain's centre ion near 1e-18)
+                assert "not converged" in str(error)
+        assert searches
+        for _, points in searches.values():
+            assert len(set(points)) == len(points)
 
     def test_stall_above_the_roundoff_floor_raises_with_residual_and_positions(self, monkeypatch):
         # every trial point reports an infinite gradient, so the solve stalls

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import theta_profile_gaussian
+from helpers import theta_profile_gaussian, trig_arguments
 
 from ionchain import (
     CoolingConfig,
@@ -501,9 +501,16 @@ class TestRabiTraceMonteCarlo:
             assert np.max(np.abs(closed.p1 - mc.p1)) < 5e-3
 
 
-def serial_rabi_monte_carlo(omega0, thetas, times, n_samples, seed):
+def tan_sin_squared(x):
+    """sin^2 x as 1 / (1 + 1 / tan^2 x), 0 at x = 0."""
+    with np.errstate(divide="ignore", over="ignore"):
+        return 1.0 / (1.0 + 1.0 / np.tan(x) ** 2)
+
+
+def serial_rabi_monte_carlo(omega0, thetas, times, n_samples, seed, sin_squared=tan_sin_squared):
     """The one-thread Monte-Carlo loop, as it was written before the drive
-    times were split over CPUs: the bit-for-bit reference."""
+    times were split over CPUs: with the default ``sin_squared``, the
+    bit-for-bit reference."""
     times = np.asarray(times, dtype=float)
     thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
     u = np.empty((len(thetas), n_samples))
@@ -513,7 +520,7 @@ def serial_rabi_monte_carlo(omega0, thetas, times, n_samples, seed):
     p1 = np.empty_like(times)
     stderr = np.empty_like(times)
     for k, t in enumerate(times):
-        values = np.sin(0.5 * omega0 * t * factor) ** 2
+        values = sin_squared(0.5 * omega0 * t * factor)
         p1[k] = values.mean()
         stderr[k] = values.std(ddof=1) / math.sqrt(n_samples) if n_samples > 1 else 0.0
     return p1, stderr
@@ -579,6 +586,37 @@ class TestParallelMonteCarlo:
         before = threading.active_count()
         rabi_trace_monte_carlo(2 * np.pi * 50e3, [0.05, 0.02], np.linspace(0, 1e-4, 51), 1000)
         assert threading.active_count() == before
+
+
+class TestTangentForm:
+    """sin^2 x from tan x against numpy's libm sin, which it replaces."""
+
+    @settings(max_examples=200, deadline=None, database=None, derandomize=True)
+    @given(st.lists(trig_arguments(), min_size=1, max_size=40))
+    def test_within_six_ulp_of_libm_sin_squared(self, xs):
+        x = np.array(xs)
+        got = np.empty_like(x)
+        # with theta 0 every frequency sample is omega0, so one sample at drive
+        # time |x| under omega0 = +-2 is sin^2 x itself; drive times are >= 0
+        for negative in (False, True):
+            side = np.signbit(x) == negative
+            omega0 = -2.0 if negative else 2.0
+            got[side] = rabi_trace_monte_carlo(omega0, [0.0], np.abs(x[side]), n_samples=1).p1
+        expected = np.sin(x) ** 2
+        assert np.all(np.abs(got - expected) <= np.maximum(6 * np.spacing(expected), 1e-300))
+
+    @settings(max_examples=4, deadline=None, database=None, derandomize=True)
+    @given(
+        thetas=st.lists(st.floats(-0.2, 0.2), min_size=1, max_size=3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_estimate_within_1e_15_of_libm_estimate(self, thetas, seed):
+        omega0, times = 2 * np.pi * 50e3, np.linspace(0.0, 2e-4, 51)
+        mc = rabi_trace_monte_carlo(omega0, thetas, times, 100_000, seed)
+        libm, _ = serial_rabi_monte_carlo(
+            omega0, thetas, times, 100_000, seed, sin_squared=lambda x: np.sin(x) ** 2
+        )
+        assert np.max(np.abs(mc.p1 - libm)) <= 1e-15
 
 
 # ----------------------------------------------------------------------

@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import trig_arguments
+
 from ionchain import (
     gate_fidelity_bound,
     gate_fidelity_monte_carlo,
@@ -113,9 +115,16 @@ class TestGateFidelityMonteCarlo:
         assert a == b
 
 
-def serial_gate_monte_carlo(theta_i, theta_j, n_gates, n_samples, seed):
-    """The one-thread gate estimator, as it was written before the cosine and
-    sine were taken in parallel: the bit-for-bit reference."""
+def half_angle_phasor(y):
+    """(cos y, sin y) from t = tan(y/2): w = 2 / (1 + t^2), cos y = w - 1, sin y = t w."""
+    t = np.tan(y / 2)
+    w = 2.0 / (1.0 + t**2)
+    return w - 1.0, t * w
+
+
+def serial_gate_monte_carlo(theta_i, theta_j, n_gates, n_samples, seed, phasor=half_angle_phasor):
+    """The one-thread gate estimator: with the default ``phasor``, the
+    bit-for-bit reference."""
     joint = np.atleast_1d(np.asarray(theta_i, dtype=float)) + np.atleast_1d(
         np.asarray(theta_j, dtype=float)
     )
@@ -123,8 +132,7 @@ def serial_gate_monte_carlo(theta_i, theta_j, n_gates, n_samples, seed):
     for m in range(len(joint)):
         u[m] = np.random.default_rng([seed, m]).exponential(1.0, n_samples)
     y = (n_gates * math.pi / 2.0) * (joint @ u)
-    cos_y = np.cos(y)
-    sin_y = np.sin(y)
+    cos_y, sin_y = phasor(y)
     c, s = cos_y.mean(), sin_y.mean()
     var_c = cos_y.var(ddof=1) / n_samples
     var_s = sin_y.var(ddof=1) / n_samples
@@ -156,6 +164,28 @@ class TestParallelGateMonteCarlo:
         before = threading.active_count()
         gate_fidelity_monte_carlo([0.1, 0.02], [0.05, 0.01], 2, n_samples=1000, seed=1)
         assert threading.active_count() == before
+
+
+class TestHalfAngleForm:
+    """The phasor from tan(y/2) against numpy's libm cos and sin, which it replaces."""
+
+    @settings(max_examples=200, deadline=None, database=None, derandomize=True)
+    @given(st.lists(trig_arguments(), min_size=1, max_size=40))
+    def test_within_four_eps_of_libm(self, ys):
+        y = np.array(ys)
+        cos_y, sin_y = half_angle_phasor(y)
+        eps = np.finfo(float).eps
+        assert np.all(np.abs(cos_y - np.cos(y)) <= 4 * eps)
+        assert np.all(np.abs(sin_y - np.sin(y)) <= 4 * eps)
+
+    def test_estimate_within_1e_15_of_libm_estimate(self):
+        theta_i, theta_j = [0.05, -0.02, 0.04], [0.06, 0.03, -0.01]
+        est = gate_fidelity_monte_carlo(theta_i, theta_j, 3, 100_000, seed=5)
+        libm = serial_gate_monte_carlo(
+            theta_i, theta_j, 3, 100_000, 5, phasor=lambda y: (np.cos(y), np.sin(y))
+        )
+        assert abs(est.f_parity - libm[0]) <= 1e-15
+        assert abs(est.f_overlap - libm[2]) <= 1e-15
 
 
 class TestSpam:

@@ -9,6 +9,9 @@ with ``--out tests/golden/<name>``; do that only for an intended change of
 output, and record it in CHANGES.md.
 """
 
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -55,3 +58,17 @@ def test_output_matches_golden(tmp_path, name):
     for file_name in expected:
         produced = (tmp_path / file_name).read_bytes()
         assert produced == (GOLDEN / file_name).read_bytes(), file_name
+
+
+def test_monte_carlo_golden_without_avx512_dispatch(tmp_path):
+    # the Monte-Carlo oracle's tan runs on numpy's AVX-512 loop where the CPU
+    # has one; with that dispatch switched off it runs on libm, and the
+    # printed trace must not change
+    env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"}
+    out = tmp_path / "rabi_mc.csv"
+    argv = [str(a) for a in CASES["rabi_mc.csv"]] + ["--out", str(out)]
+    result = subprocess.run(
+        [sys.executable, "-m", "ionchain.cli", *argv], capture_output=True, text=True, env=env
+    )
+    assert result.returncode == 0, result.stderr  # stderr may carry numpy's dispatch warnings
+    assert out.read_bytes() == (GOLDEN / "rabi_mc.csv").read_bytes()
