@@ -19,6 +19,7 @@ the characteristic Coulomb force q^2/(4 pi eps0 L^2).
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Union
 
@@ -113,6 +114,14 @@ class QuadQuarticPotential:
         return math.inf
 
 
+def _ion_count(n_ions) -> int:
+    """``n_ions`` as an int: numpy integers pass, 2.5 and 15.0 do not."""
+    try:
+        return operator.index(n_ions)
+    except TypeError:
+        raise InputError(f"the number of ions must be an integer, got {n_ions!r}") from None
+
+
 @dataclass(frozen=True)
 class EquispacedLogPotential:
     """The axial potential that holds an N-ion chain at uniform spacing d.
@@ -129,6 +138,7 @@ class EquispacedLogPotential:
     spacing: float
 
     def __post_init__(self):
+        object.__setattr__(self, "n_ions", _ion_count(self.n_ions))
         if self.n_ions < 2:
             raise InputError(f"equispaced potential needs n_ions >= 2, got {self.n_ions}")
         if not 0 < self.spacing < math.inf:
@@ -370,6 +380,7 @@ def find_equilibrium(
             )
     if n_ions is None:
         raise InputError("n_ions is required for this potential")
+    n_ions = _ion_count(n_ions)
     if n_ions < 1:
         raise InputError(f"need at least one ion, got {n_ions}")
 

@@ -46,13 +46,12 @@ from .config import (
     build_noise,
     build_potential,
     build_species,
-    build_thermal_nbar,
     load_config,
     read_gate,
     read_numeric_csv,
-    read_rabi,
     read_scaling,
     read_scan,
+    read_section,
 )
 from .cooling import crosstalk_rate
 from .decoherence import (
@@ -166,41 +165,41 @@ def _single_ion_thetas(config, positions, beam):
             "beam and thermal sections); the rabi command also accepts rabi.theta"
         )
     modes = single_ion_modes(species, potential.omega0)
-    nbar = build_thermal_nbar(config)
+    nbar = read_section(config, "thermal").nbar[0]
     thermal = ThermalState(nbar)
     theta = [decay_parameters(modes, thermal, {0: beam}, [x])[0, 0] for x in positions]
     return np.array(theta), potential.omega0, nbar
 
 
 def cmd_rabi(args, config) -> None:
-    drive_khz, t_max_us, n_points, n_samples, thetas = read_rabi(config)
-    if thetas is None:
-        thetas = _single_ion_thetas(config, [0.0], build_beam(config))[0]
-    thetas = np.asarray(thetas)
-    omega0 = 2 * math.pi * drive_khz * 1e3
-    times = np.linspace(0.0, t_max_us * 1e-6, n_points)
+    rabi = read_section(config, "rabi")
+    if rabi.theta is None:
+        rabi.theta = _single_ion_thetas(config, [0.0], build_beam(config))[0]
+    thetas = np.asarray(rabi.theta)
+    omega0 = 2 * math.pi * rabi.drive_khz * 1e3
+    times = np.linspace(0.0, rabi.t_max_us * 1e-6, rabi.n_points)
     closed = rabi_trace(omega0, thetas, times)
     columns = {
         "t_us": times * 1e6, "p1": closed.p1, "contrast": closed.contrast, "phase_rad": closed.phase
     }
     if args.mc:
-        mc = rabi_trace_monte_carlo(omega0, thetas, times, n_samples, seed=args.seed)
+        mc = rabi_trace_monte_carlo(omega0, thetas, times, rabi.n_samples, seed=args.seed)
         columns.update(p1=mc.p1, mc_stderr=mc.stderr)
     inputs = {
-        "drive_khz": drive_khz,
+        "drive_khz": rabi.drive_khz,
         "theta": thetas.tolist(),
         "monte_carlo": bool(args.mc),
-        "n_samples": n_samples if args.mc else None,
+        "n_samples": rabi.n_samples if args.mc else None,
     }
     write_table(args, columns, zip(*columns.values()), inputs)
 
 
 def cmd_theta_scan(args, config) -> None:
-    x_min, x_max, n_points = read_scan(config)
+    scan = read_scan(config)
     beam = build_beam(config)
     if not isinstance(beam, GaussianBeam):
         raise ConfigError("theta-scan requires a gaussian beam")
-    x = np.linspace(x_min * 1e-6, x_max * 1e-6, n_points)
+    x = np.linspace(scan.x_min_um * 1e-6, scan.x_max_um * 1e-6, scan.n_points)
     theta, omega0, nbar = _single_ion_thetas(config, x, beam)
     rows = [(xi * 1e6, theta[k]) for k, xi in enumerate(x)]
     inputs = {
@@ -272,13 +271,12 @@ def cmd_fit(args, config) -> None:
 
 
 def cmd_gate_fidelity(args, config) -> None:
-    ion_i, ion_j, n_gates, spam_error, theta0, rates, rate_sigmas, tw_ms = read_gate(
-        config, args.tw_list
-    )
-    if rates is None:
+    gate = read_gate(config, args.tw_list)
+    pair = (gate.ion_i, gate.ion_j)
+    if gate.rates_per_s is None:
         species = build_species(config)
         potential, n_ions = build_potential(config)
-        if max(ion_i, ion_j) >= n_ions:
+        if max(pair) >= n_ions:
             raise ConfigError("gate ions outside the chain")
         noise = build_noise(config)
         beam = build_beam(config)
@@ -289,40 +287,40 @@ def cmd_gate_fidelity(args, config) -> None:
         # each addressed ion gets its own copy of the beam, offset from it by beam.center
         beams = {
             idx: GaussianBeam(beam.peak_rabi, chain.positions[idx] + beam.center, beam.waist)
-            for idx in (ion_i, ion_j)
+            for idx in pair
         }
         all_rates = theta_rate(noise, modes, beams, chain.positions)
-        rates = [all_rates[ion_i], all_rates[ion_j]]
-        log.info("derived theta rates: %s /s", rates)
+        gate.rates_per_s = [all_rates[idx] for idx in pair]
+        log.info("derived theta rates: %s /s", gate.rates_per_s)
 
     rows = []
-    for tw in tw_ms:
+    for tw in gate.tw_list_ms:
         t = tw * 1e-3
-        ti = theta0[0] + rates[0] * t
-        tj = theta0[1] + rates[1] * t
-        f_bound = gate_fidelity_bound([ti], [tj], n_gates)
-        f_spam = spam_adjust_prediction(f_bound, spam_error)
-        sigma_s = math.hypot(rate_sigmas[0], rate_sigmas[1]) * t
-        f_err = (1.0 - spam_error) * gate_fidelity_slope(ti + tj, n_gates) * sigma_s
+        ti, tj = (theta0 + rate * t for theta0, rate in zip(gate.theta0, gate.rates_per_s))
+        f_bound = gate_fidelity_bound([ti], [tj], gate.n_gates)
+        f_spam = spam_adjust_prediction(f_bound, gate.spam_error)
+        sigma_s = math.hypot(*gate.rate_sigmas_per_s) * t
+        f_err = (1.0 - gate.spam_error) * gate_fidelity_slope(ti + tj, gate.n_gates) * sigma_s
         rows.append((tw, f_bound, f_spam, f_err))
     inputs = {
-        "ion_i": ion_i,
-        "ion_j": ion_j,
-        "n_gates": n_gates,
-        "spam_error": spam_error,
-        "theta0": theta0,
-        "rates_per_s": [float(r) for r in rates],
-        "rate_sigmas_per_s": rate_sigmas,
+        "ion_i": gate.ion_i,
+        "ion_j": gate.ion_j,
+        "n_gates": gate.n_gates,
+        "spam_error": gate.spam_error,
+        "theta0": gate.theta0,
+        "rates_per_s": [float(r) for r in gate.rates_per_s],
+        "rate_sigmas_per_s": gate.rate_sigmas_per_s,
     }
     write_table(args, ("tw_ms", "F_bound", "F_spam", "F_err"), rows, inputs)
 
 
 def cmd_scaling(args, config) -> None:
-    n_list, alpha, mode, spacing = read_scaling(config, args.n_list)
+    scaling = read_scaling(config, args.n_list)
+    n_list, spacing = scaling.n_list, scaling.spacing_um
     species = build_species(config)
     # only the ratio to the first chain's rate is output, so the noise
     # anchor and the beam's waist cancel
-    noise = NoiseModel(alpha, nbar_rate_ref=1.0, omega_ref=1.0)
+    noise = NoiseModel(scaling.alpha, nbar_rate_ref=1.0, omega_ref=1.0)
 
     rows = []
     ref = None
@@ -330,7 +328,7 @@ def cmd_scaling(args, config) -> None:
         chain = find_equilibrium(species, EquispacedLogPotential(n, spacing * 1e-6))
         modes = normal_modes(chain)
         omega0 = modes.frequencies[0]
-        if mode == "exact":
+        if scaling.omega0_mode == "exact":
             center = n // 2
             beam = GaussianBeam(1.0, chain.positions[center], spacing * 1e-6)
             rate = theta_rate(noise, modes, {center: beam}, chain.positions)[center]
@@ -338,9 +336,9 @@ def cmd_scaling(args, config) -> None:
                 ref = rate
             rel_error = (rate / ref) ** 2
         else:
-            rel_error = gate_error_scaling(n, n_list[0], alpha)
+            rel_error = gate_error_scaling(n, n_list[0], scaling.alpha)
         rows.append((n, omega0 / (2 * math.pi) / 1e3, rel_error))
-    inputs = {"alpha": alpha, "omega0_mode": mode, "spacing_um": spacing}
+    inputs = {"alpha": scaling.alpha, "omega0_mode": scaling.omega0_mode, "spacing_um": spacing}
     write_table(args, ("n_ions", "omega0_khz", "rel_gate_error"), rows, inputs)
 
 

@@ -5,15 +5,16 @@ potential, beam, thermal, noise, rabi, scan, gate, scaling, cooling).  Keys
 carry their unit in the name (``axial_freq_khz``, ``spacing_um``).  Each
 section (each ``kind`` of potential and beam) is declared once, every key
 with its type, default or requirement and range; one reader checks a section
-against its declaration and rejects unknown keys.  Every value check runs
-before any chain is solved.  Frequencies given in kHz/MHz/GHz refer to
-ordinary frequencies and are converted to angular frequencies internally.
+against its declaration, rejects unknown keys and returns a record named by
+its keys.  Every value check runs before any chain is solved.  Frequencies
+given in kHz/MHz/GHz are ordinary frequencies, converted to angular ones.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+from types import SimpleNamespace
 from typing import Any, Mapping, NamedTuple
 
 import numpy as np
@@ -179,25 +180,26 @@ def _value(section, key: str, spec: _Key, where: str):
     return number
 
 
-def _read(config: Mapping, name: str, **overrides) -> tuple:
-    """The values of section ``name`` in declaration order, led by the kind
-    for a section with kinds.  Overrides that are not None replace the
-    section's value of the same key."""
+def read_section(config: Mapping, name: str, **overrides) -> SimpleNamespace:
+    """Section ``name`` checked against its declaration, as a record with one
+    attribute per declared key, and ``kind`` for a section with kinds.
+    Overrides that are not None replace the section's value of the same key."""
     if name not in config:
         raise ConfigError(f"command requires a '{name}' section in the config")
     section = config[name]
     keys = allowed = _SECTIONS[name]
-    head = ()
+    record = SimpleNamespace()
     if name in _DEFAULT_KIND:
         default = _DEFAULT_KIND[name]
-        head = (_value(section, "kind", _Key(tuple(keys), default is None, default), name),)
-        keys = keys[head[0]]
+        record.kind = _value(section, "kind", _Key(tuple(keys), default is None, default), name)
+        keys = keys[record.kind]
         allowed = {"kind", *keys}
     unknown = sorted(set(section) - set(allowed))
     if unknown:
         raise ConfigError(f"unknown key(s) in {name}: {', '.join(unknown)}")
     section = {**section, **{k: v for k, v in overrides.items() if v is not None}}
-    return head + tuple(_value(section, key, spec, name) for key, spec in keys.items())
+    vars(record).update((key, _value(section, key, spec, name)) for key, spec in keys.items())
+    return record
 
 
 def read_numeric_csv(path, expected, optional_sigma=False):
@@ -271,9 +273,10 @@ def load_config(path) -> dict:
 
 
 def build_species(config: Mapping) -> IonSpecies:
-    label, mass_amu, charge = _read(config, "species")
-    if mass_amu is not None:
-        return IonSpecies.from_amu(mass_amu, charge=charge, label=label or "")
+    species = read_section(config, "species")
+    label, charge = species.label, species.charge
+    if species.mass_amu is not None:
+        return IonSpecies.from_amu(species.mass_amu, charge=charge, label=label or "")
     if label is None:
         raise ConfigError("species needs either a known label or mass_amu")
     if label not in KNOWN_SPECIES:
@@ -287,97 +290,80 @@ def build_species(config: Mapping) -> IonSpecies:
 
 def build_potential(config: Mapping) -> tuple[TrapPotential, int]:
     """Return (potential, n_ions) from the potential section."""
-    kind, *values = _read(config, "potential")
-    if kind == "harmonic":
-        freq, n_ions = values
-        return HarmonicPotential(omega0=2 * math.pi * freq * 1e3), n_ions
-    if kind == "equispaced_log":
-        n_ions, spacing = values
-        return EquispacedLogPotential(n_ions=n_ions, spacing=spacing * 1e-6), n_ions
-    a2, a4, n_ions = values
-    return QuadQuarticPotential(a2=a2, a4=a4), n_ions
+    p = read_section(config, "potential")
+    if p.kind == "harmonic":
+        return HarmonicPotential(omega0=2 * math.pi * p.axial_freq_khz * 1e3), p.n_ions
+    if p.kind == "equispaced_log":
+        return EquispacedLogPotential(n_ions=p.n_ions, spacing=p.spacing_um * 1e-6), p.n_ions
+    return QuadQuarticPotential(a2=p.a2_j_per_m2, a4=p.a4_j_per_m4), p.n_ions
 
 
 def build_beam(config: Mapping):
     """Beam from the beam section.  A gaussian beam gets unit peak Rabi
     frequency: theta depends only on the curvature ratio Omega''/Omega."""
-    kind, *values = _read(config, "beam")
-    if kind == "gaussian":
-        waist, center = values
-        return GaussianBeam(peak_rabi=1.0, center=center * 1e-6, waist=waist * 1e-9)
-    columns, rows = read_numeric_csv(values[0], ("x_um", "rabi_khz"))
-    x = np.array([r[0] for r in rows]) * 1e-6
-    rabi = np.array([r[1] for r in rows]) * 2 * math.pi * 1e3
-    return TabulatedBeam(x, rabi)
+    beam = read_section(config, "beam")
+    if beam.kind == "gaussian":
+        return GaussianBeam(peak_rabi=1.0, center=beam.center_um * 1e-6, waist=beam.waist_nm * 1e-9)
+    x_um, rabi_khz = np.array(read_numeric_csv(beam.csv, ("x_um", "rabi_khz"))[1]).T
+    return TabulatedBeam(x_um * 1e-6, rabi_khz * 2 * math.pi * 1e3)
 
 
 def build_noise(config: Mapping) -> NoiseModel:
-    alpha, rate, ref_mhz, offset = _read(config, "noise")
+    noise = read_section(config, "noise")
     return NoiseModel(
-        alpha=alpha,
-        nbar_rate_ref=rate,
-        omega_ref=2 * math.pi * ref_mhz * 1e6,
-        offset=offset,
+        alpha=noise.alpha,
+        nbar_rate_ref=noise.reference_rate_quanta_per_s,
+        omega_ref=2 * math.pi * noise.reference_freq_mhz * 1e6,
+        offset=noise.offset_per_s,
     )
-
-
-def build_thermal_nbar(config: Mapping) -> float:
-    """The single-ion occupancy from the thermal section: a number or a
-    one-entry list."""
-    return _read(config, "thermal")[0][0]
 
 
 def build_cooling(config: Mapping) -> CoolingConfig:
-    fraction, spacing, wavelength, linewidth, splitting = _read(config, "cooling")
+    cooling = read_section(config, "cooling")
     return CoolingConfig(
-        coolant_fraction=fraction,
-        spacing=spacing * 1e-6,
-        wavelength=wavelength * 1e-9,
-        linewidth=2 * math.pi * linewidth * 1e6,
-        isotope_splitting=2 * math.pi * splitting * 1e9,
+        coolant_fraction=cooling.coolant_fraction,
+        spacing=cooling.spacing_um * 1e-6,
+        wavelength=cooling.wavelength_nm * 1e-9,
+        linewidth=2 * math.pi * cooling.linewidth_mhz * 1e6,
+        isotope_splitting=2 * math.pi * cooling.isotope_splitting_ghz * 1e9,
     )
 
 
-def read_rabi(config: Mapping) -> tuple:
-    """The rabi section's values in declaration order."""
-    return _read(config, "rabi")
-
-
-def read_scan(config: Mapping) -> tuple:
-    """The scan section's values in declaration order."""
-    x_min, x_max, n_points = _read(config, "scan")
-    if not x_max > x_min:
+def read_scan(config: Mapping) -> SimpleNamespace:
+    """The scan section, checked."""
+    scan = read_section(config, "scan")
+    if not scan.x_max_um > scan.x_min_um:
         raise ConfigError("scan.x_max_um must exceed scan.x_min_um")
-    return x_min, x_max, n_points
+    return scan
 
 
-def read_gate(config: Mapping, wait_times_ms=None) -> tuple:
-    """The gate section's values in declaration order; given
-    ``wait_times_ms`` replace the section's wait times."""
-    values = _read(config, "gate", tw_list_ms=wait_times_ms)
-    ion_i, ion_j, _, spam_error, _, _, rate_sigmas, tw_ms = values
-    if ion_i == ion_j:
+def read_gate(config: Mapping, wait_times_ms=None) -> SimpleNamespace:
+    """The gate section, checked; given ``wait_times_ms`` replace the
+    section's wait times."""
+    gate = read_section(config, "gate", tw_list_ms=wait_times_ms)
+    if gate.ion_i == gate.ion_j:
         raise ConfigError("gate.ion_i and gate.ion_j must differ")
-    if not 0.0 <= spam_error < 1.0:
+    if not 0.0 <= gate.spam_error < 1.0:
         raise ConfigError("gate.spam_error must lie in [0, 1)")
-    if any(s < 0 for s in rate_sigmas):
+    if any(s < 0 for s in gate.rate_sigmas_per_s):
         raise ConfigError("gate.rate_sigmas_per_s must be >= 0")
-    if tw_ms is None:
+    if gate.tw_list_ms is None:
         raise ConfigError("provide --tw-list or gate.tw_list_ms")
-    if any(tw < 0 for tw in tw_ms):
+    if any(tw < 0 for tw in gate.tw_list_ms):
         raise ConfigError("wait times must be >= 0")
-    return values
+    return gate
 
 
-def read_scaling(config: Mapping, chain_sizes=None) -> tuple:
-    """The scaling section's values in declaration order, the chain sizes as
-    ints; given ``chain_sizes`` replace the section's."""
-    raw, alpha, mode, spacing = _read(config, "scaling", n_list=chain_sizes)
-    n_list = [int(n) for n in raw]
-    if n_list != raw:
+def read_scaling(config: Mapping, chain_sizes=None) -> SimpleNamespace:
+    """The scaling section, checked, with the chain sizes as ints; given
+    ``chain_sizes`` replace the section's."""
+    scaling = read_section(config, "scaling", n_list=chain_sizes)
+    n_list = [int(n) for n in scaling.n_list]
+    if n_list != scaling.n_list:
         raise ConfigError("scaling.n_list must contain integers")
     if any(n < 2 for n in n_list):
         raise ConfigError("scaling.n_list entries must be >= 2")
-    if not 0.0 <= alpha <= 2.0:
+    if not 0.0 <= scaling.alpha <= 2.0:
         raise ConfigError("scaling.alpha must lie in [0, 2]")
-    return n_list, alpha, mode, spacing
+    scaling.n_list = n_list
+    return scaling

@@ -404,18 +404,12 @@ def _mode_energy_samples(n_modes: int, n_samples: int, seed: int) -> np.ndarray:
     """Unit-mean exponential energy samples, one independent stream per mode.
 
     Stream-splitting rule: mode m uses ``numpy.random.default_rng([seed, m])``
-    (PCG64 seeded from the entropy pair).  The modes are drawn in parallel,
-    split over the usable CPUs by :func:`_run_strided`; because each row has
-    its own stream, the samples are bit-reproducible for a given seed and do
-    not depend on the CPU count.
+    (PCG64 seeded from the entropy pair), so the samples are bit-reproducible
+    for a given seed and each mode's row does not depend on the mode count.
     """
     samples = np.empty((n_modes, n_samples))
-
-    def draw(modes: range) -> None:
-        for m in modes:
-            samples[m] = np.random.default_rng([seed, m]).exponential(1.0, n_samples)
-
-    _run_strided(n_modes, draw)
+    for m in range(n_modes):
+        samples[m] = np.random.default_rng([seed, m]).exponential(1.0, n_samples)
     return samples
 
 

@@ -160,6 +160,25 @@ class TestFindEquilibrium:
         with pytest.raises(InputError):
             find_equilibrium(YB171, EquispacedLogPotential(10, 4.4e-6), 12)
 
+    @pytest.mark.parametrize("n", [2.5, 40.0, 15.0])
+    def test_non_integer_ion_count_rejected(self, n):
+        with pytest.raises(InputError, match=repr(n)):
+            find_equilibrium(YB171, HARMONIC, n)
+
+    def test_non_integer_equispaced_ion_count_rejected(self):
+        with pytest.raises(InputError, match="15.5"):
+            EquispacedLogPotential(15.5, 4.4e-6)
+        with pytest.raises(InputError, match="15.0"):
+            find_equilibrium(YB171, EquispacedLogPotential(15, 4.4e-6), 15.0)
+
+    def test_numpy_integer_ion_count_solves_as_int(self):
+        for pot, n in [(HARMONIC, 15), (EquispacedLogPotential(15, 4.4e-6), 15)]:
+            want = find_equilibrium(YB171, pot, n).positions
+            assert np.array_equal(find_equilibrium(YB171, pot, np.int64(n)).positions, want)
+        want = find_equilibrium(YB171, EquispacedLogPotential(15, 4.4e-6)).positions
+        got = find_equilibrium(YB171, EquispacedLogPotential(np.int64(15), 4.4e-6)).positions
+        assert np.array_equal(got, want)
+
     def test_positions_sorted(self):
         chain = find_equilibrium(YB171, EquispacedLogPotential(9, 4.4e-6))
         assert np.all(np.diff(chain.positions) > 0)

@@ -16,6 +16,7 @@ from pathlib import Path
 
 import pytest
 
+from ionchain import config
 from ionchain.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -58,6 +59,21 @@ def test_output_matches_golden(tmp_path, name):
     for file_name in expected:
         produced = (tmp_path / file_name).read_bytes()
         assert produced == (GOLDEN / file_name).read_bytes(), file_name
+
+
+def _reversed(declaration):
+    """``declaration`` with its keys, and the keys of each nested mapping, in
+    reverse order."""
+    return {
+        key: _reversed(value) if isinstance(value, dict) else value
+        for key, value in reversed(declaration.items())
+    }
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_output_does_not_depend_on_declaration_order(tmp_path, monkeypatch, name):
+    monkeypatch.setattr(config, "_SECTIONS", _reversed(config._SECTIONS))
+    test_output_matches_golden(tmp_path, name)
 
 
 def test_monte_carlo_golden_without_avx512_dispatch(tmp_path):
