@@ -289,13 +289,16 @@ def _chain_terms(u: np.ndarray, grad_curv, n_rows: int):
     curvature of the last n_rows ions of u, from one pass over their pairs."""
     g_trap, c_trap = grad_curv(u[len(u) - n_rows :])
     r, a = _pair_separations(u, n_rows)
-    return g_trap - (1.0 / (r * a)).sum(axis=1), a, c_trap
+    r *= a
+    np.reciprocal(r, out=r)  # 1 / (r |r|) in r's own buffer, bit-equal to 1.0 / r
+    return g_trap - r.sum(axis=1), a, c_trap
 
 
 def _hessian_from(a: np.ndarray, c_trap) -> np.ndarray:
     """Rows of the scaled Hessian from the rows' pair distances and trap
     curvature."""
-    H = -2.0 / a**3
+    H = np.power(a, 3)  # not a * a * a, which rounds differently
+    np.divide(-2.0, H, out=H)
     n_rows, n = H.shape
     H.reshape(-1)[n - n_rows :: n + 1] = c_trap - H.sum(axis=1)
     return H
@@ -479,15 +482,15 @@ def _hessian_rows(chain: EquilibriumChain, n_rows: int) -> np.ndarray:
     return _hessian_from(_pair_separations(u, n_rows)[1], grad_curv(u[len(u) - n_rows :])[1])
 
 
-def _parity_eigh(chain: EquilibriumChain):
-    """``eigh`` of the Hessian of a mirror-antisymmetric chain from its two
-    half-size parity blocks, eigenvalues ascending.
+def _parity_blocks_eigh(chain: EquilibriumChain):
+    """``eigh`` of the even and odd parity blocks of :func:`_parity_eigh`.
 
     With A and B.J the positive half's rows against the positive half and
     against the mirrored negative half, modes even under reversal solve
     A + B.J and odd ones A - B.J, for the positive half's entries times
     sqrt 2.  The centre ion of an odd chain moves only in even modes: its row
-    and column border the even block, scaled by sqrt 2.
+    and column border the even block, scaled by sqrt 2.  The Hessian rows
+    are freed on return, before the caller assembles the N x N result.
     """
     n_ions = len(chain.positions)
     half = n_ions // 2
@@ -496,35 +499,59 @@ def _parity_eigh(chain: EquilibriumChain):
     H = rows[odd_n:]
     A, BJ = H[:, n_ions - half :], H[:, half - 1 :: -1]
     even = np.empty((half + odd_n, half + odd_n))
-    even[odd_n:, odd_n:] = A + BJ
+    np.add(A, BJ, out=even[odd_n:, odd_n:])
     if odd_n:
         even[0, 0] = rows[0, half]
         even[0, 1:] = even[1:, 0] = math.sqrt(2.0) * H[:, half]
-    even_values, even_vectors = np.linalg.eigh(even)
-    odd_values, odd_vectors = np.linalg.eigh(A - BJ)
+    return np.linalg.eigh(even), np.linalg.eigh(A - BJ)
 
-    vectors = np.zeros((n_ions, n_ions))
-    positive = math.sqrt(0.5) * even_vectors[odd_n:]
-    vectors[n_ions - half :, : half + odd_n] = positive
-    vectors[:half, : half + odd_n] = positive[::-1]
-    if odd_n:
-        vectors[half, : half + 1] = even_vectors[0]
-    positive = math.sqrt(0.5) * odd_vectors
-    vectors[n_ions - half :, half + odd_n :] = positive
-    vectors[:half, half + odd_n :] = -positive[::-1]
+
+def _parity_eigh(chain: EquilibriumChain):
+    """``eigh`` of the Hessian of a mirror-antisymmetric chain from its two
+    half-size parity blocks (see :func:`_parity_blocks_eigh`), eigenvalues
+    ascending.
+
+    Each block's columns are scattered straight to their ascending places in
+    one F-ordered matrix, with no zero fill and no gather.  F order is the
+    layout the gather ``vectors[:, order]`` returned before: the column sums
+    in ``uniform_drive_weights`` depend on the layout in their last bit.
+    """
+    n_ions = len(chain.positions)
+    half = n_ions // 2
+    odd_n = n_ions % 2
+    (even_values, even_vectors), (odd_values, odd_vectors) = _parity_blocks_eigh(chain)
     eigenvalues = np.concatenate([even_values, odd_values])
     order = np.argsort(eigenvalues, kind="stable")
-    return eigenvalues[order], vectors[:, order]
+    place = np.empty(n_ions, dtype=np.intp)
+    place[order] = np.arange(n_ions)  # place[k]: where block column k goes
+    even_cols, odd_cols = place[: half + odd_n], place[half + odd_n :]
+    vectors = np.empty((n_ions, n_ions), order="F")
+    positive = even_vectors[odd_n:]
+    positive *= math.sqrt(0.5)
+    vectors[n_ions - half :, even_cols] = positive
+    vectors[:half, even_cols] = positive[::-1]
+    if odd_n:
+        vectors[half, even_cols] = even_vectors[0]
+        vectors[half, odd_cols] = 0.0
+    odd_vectors *= math.sqrt(0.5)
+    vectors[n_ions - half :, odd_cols] = odd_vectors
+    vectors[:half, odd_cols] = np.negative(odd_vectors, out=odd_vectors)[::-1]
+    return eigenvalues[order], vectors
 
 
 def _fix_signs(vectors: np.ndarray) -> np.ndarray:
-    """Flip eigenvector columns so each column sum is non-negative; a sum
-    within _SIGN_TIE_EPS of zero makes the first entry above it positive."""
-    sums = vectors.T.copy().sum(axis=1)  # bit-equal to vectors[:, m].sum()
-    first = np.argmax(np.abs(vectors) > _SIGN_TIE_EPS, axis=0)
+    """Flip eigenvector columns in place so each column sum is non-negative;
+    a sum within _SIGN_TIE_EPS of zero makes the first entry above it
+    positive.  Returns ``vectors``, whose layout it keeps; its one caller,
+    :func:`normal_modes`, passes the fresh matrix ``eigh`` or
+    :func:`_parity_eigh` returned."""
+    sums = np.ascontiguousarray(vectors.T).sum(axis=1)  # bit-equal to vectors[:, m].sum()
+    above = (vectors > _SIGN_TIE_EPS) | (vectors < -_SIGN_TIE_EPS)  # |b| > eps, no float copy
+    first = np.argmax(above, axis=0)
     lead = vectors[first, np.arange(vectors.shape[1])]
     tie = (np.abs(sums) <= _SIGN_TIE_EPS) & (lead < -_SIGN_TIE_EPS)
-    return np.where((sums < -_SIGN_TIE_EPS) | tie, -vectors, vectors)
+    np.negative(vectors, out=vectors, where=(sums < -_SIGN_TIE_EPS) | tie)
+    return vectors
 
 
 def normal_modes(chain: EquilibriumChain) -> ModeDecomposition:

@@ -149,7 +149,8 @@ def _value(section, key: str, spec: _Key, where: str):
     if key not in section:
         if spec.required:
             raise ConfigError(f"missing required key {name}")
-        return spec.default
+        # a list default is copied, so records never share (and mutate) it
+        return list(spec.default) if isinstance(spec.default, list) else spec.default
     value = section[key]
     if spec.type is list:
         if isinstance(value, _NUMBER) and not isinstance(value, bool):

@@ -260,8 +260,10 @@ def _beam_coupling(
         neg_curvature[gaussian] = -_gaussian_curvature_ratio(
             positions[gaussian], np.array(centers, dtype=float), np.array(waists, dtype=float)
         )
-    spreads_sq = _spread_sq(modes.species.mass, modes.frequencies)
-    return modes.participation**2 * spreads_sq * neg_curvature[:, None]
+    coupling = np.square(modes.participation, dtype=float)  # a float buffer even for integer b
+    coupling *= _spread_sq(modes.species.mass, modes.frequencies)
+    coupling *= neg_curvature[:, None]
+    return coupling
 
 
 def decay_parameters(
@@ -293,7 +295,9 @@ def decay_parameters(
     """
     if len(thermal.nbar) != modes.n_modes:
         raise InputError(f"expected {modes.n_modes} occupancies, got {len(thermal.nbar)}")
-    return _beam_coupling(modes, beams, positions) * thermal.nbar
+    theta = _beam_coupling(modes, beams, positions)
+    theta *= thermal.nbar
+    return theta
 
 
 @dataclass(frozen=True)
@@ -344,7 +348,11 @@ def _drive_times(times) -> np.ndarray:
 
 def _thermal_contrast(a):
     """Thermal contrast prod_m (1 + a_m^2)^(-1/2) over axis 0, a_m = theta_m Omega0 t."""
-    return (1.0 / np.sqrt(1.0 + a * a)).prod(axis=0)
+    c = a * a
+    c += 1.0
+    np.sqrt(c, out=c)
+    np.reciprocal(c, out=c)
+    return c.prod(axis=0)
 
 
 def _thermal_rabi(omega0, thetas, times):
@@ -352,7 +360,7 @@ def _thermal_rabi(omega0, thetas, times):
     thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
     a = thetas[:, None] * omega0 * times[None, :]
     contrast = _thermal_contrast(a)
-    phase = np.arctan(a).sum(axis=0)
+    phase = np.arctan(a, out=a).sum(axis=0)
     return 0.5 * (1.0 - contrast * np.cos(omega0 * times - phase)), contrast, phase
 
 

@@ -99,9 +99,10 @@ def theta_rate(
     The result depends only on b^2 and (sum b)^2, so it is invariant under
     any eigenvector sign convention.
     """
-    coupling = _beam_coupling(modes, beams, positions)
     used = slice(None) if all_modes else slice(1)
-    rates = (coupling[:, used] * _mode_heating_rates(noise, modes)[used]).sum(axis=1)
+    coupling = _beam_coupling(modes, beams, positions)[:, used]
+    coupling *= _mode_heating_rates(noise, modes)[used]
+    rates = coupling.sum(axis=1)
     rates[list(beams)] += noise.offset
     return rates
 

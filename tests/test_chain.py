@@ -655,8 +655,9 @@ class TestKernelsBitForBit:
         n=st.integers(2, 400),
         seed=st.integers(0, 2**32 - 1),
         special=st.lists(st.sampled_from(["pair", "lead", "tiny", "flipped"]), max_size=4),
+        layout=st.sampled_from("CF"),
     )
-    def test_sign_rule_matches_the_column_loop(self, n, seed, special):
+    def test_sign_rule_matches_the_column_loop(self, n, seed, special, layout):
         rng = np.random.default_rng(seed)
         vectors, _ = np.linalg.qr(rng.standard_normal((n, n)))
         for m, kind in enumerate(special[:n]):
@@ -675,7 +676,12 @@ class TestKernelsBitForBit:
             else:  # the column of a drawn orthogonal matrix, negated
                 col = -vectors[:, m]
             vectors[:, m] = col
-        assert np.array_equal(chain_module._fix_signs(vectors), _old_fix_signs(vectors))
+        vectors = np.asarray(vectors, order=layout)
+        expected = _old_fix_signs(vectors)  # before _fix_signs flips vectors in place
+        out = chain_module._fix_signs(vectors)
+        assert out is vectors and np.array_equal(out, expected)
+        assert out.flags.c_contiguous == (layout == "C")
+        assert out.flags.f_contiguous == (layout == "F")
 
 
 # ----------------------------------------------------------------------

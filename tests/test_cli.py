@@ -14,6 +14,7 @@ from helpers import theta_profile_gaussian
 import ionchain.cli
 from ionchain import YB171
 from ionchain.cli import main
+from ionchain.config import read_section
 from ionchain.decoherence import zero_point_spread
 from ionchain.errors import LowOccupancyWarning, SolverError
 from ionchain.fitting import gaussian_beam_model
@@ -396,6 +397,12 @@ class TestConfigSchema:
         )
         assert code == 2
         assert err == f"ionchain {command}: config error: missing required key {section}.{key}"
+
+    @pytest.mark.parametrize("key", ["theta0", "rate_sigmas_per_s"])
+    def test_a_mutated_list_default_leaves_the_next_read_unchanged(self, key):
+        section = {"gate": {"ion_i": 0, "ion_j": 1}}
+        getattr(read_section(section, "gate"), key)[0] = 9.0
+        assert getattr(read_section(section, "gate"), key) == [0.0, 0.0]
 
     def test_unedited_configs_run(self, tmp_path, capsys):
         for section, _, command, config, _ in CONFIG_SCHEMA:
