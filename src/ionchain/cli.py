@@ -15,6 +15,12 @@ Outputs are deterministic: identical config and seed give byte-identical
 files.  Exit codes: 0 success, 2 input or configuration error, 3 numerical
 or solver failure.  Set IONCHAIN_LOG=DEBUG (or INFO, ...) for diagnostics on
 standard error.
+
+A command imports only the modules it runs: the chain, decay-parameter and
+config readers every config-driven command shares are imported here, the
+fits, gate bounds, heating and cooling models inside the commands that use
+them, and ``logging`` only when IONCHAIN_LOG is set or the process already
+has it.
 """
 
 from __future__ import annotations
@@ -22,8 +28,6 @@ from __future__ import annotations
 import argparse
 import csv
 import io
-import json
-import logging
 import math
 import os
 import sys
@@ -53,7 +57,6 @@ from .config import (
     read_scan,
     read_section,
 )
-from .cooling import crosstalk_rate
 from .decoherence import (
     GaussianBeam,
     ThermalState,
@@ -69,20 +72,19 @@ from .errors import (
     SolverError,
     UnstableChainError,
 )
-from .fitting import (
-    fit_beam_profile,
-    fit_rabi_trace,
-    fit_theta_growth,
-    fit_theta_power_law,
-)
-from .gates import gate_fidelity_bound, gate_fidelity_slope, spam_adjust_prediction
-from .heating import NoiseModel, gate_error_scaling, theta_rate
-
-log = logging.getLogger("ionchain")
 
 EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_NUMERICAL = 3
+
+
+def _log(method: str, message: str, *args) -> None:
+    """Log ``message`` at level ``method`` ("info", "debug") on the "ionchain"
+    logger when logging is loaded; :func:`main` loads it only for IONCHAIN_LOG,
+    without which nothing below WARNING would be shown anyway."""
+    logging = sys.modules.get("logging")
+    if logging is not None:
+        getattr(logging.getLogger("ionchain"), method)(message, *args)
 
 
 def render_csv(columns, rows) -> str:
@@ -113,6 +115,8 @@ def write_table(args, columns, rows, inputs: dict, **extra):
 
 def write_json_payload(args, payload: dict):
     """Write ``payload`` as JSON after the run's provenance, honoring --out."""
+    import json
+
     provenance = dict(tool="ionchain", version=__version__, command=args.command, seed=args.seed)
     _write_text(args.out, json.dumps({"provenance": provenance, **payload}, indent=2) + "\n")
 
@@ -211,11 +215,12 @@ def cmd_theta_scan(args, config) -> None:
 
 
 class _Recipe(NamedTuple):
-    """One fit recipe: the CSV's x and y columns, the fit, x converted to the
-    fit's units, and the output parameters with the factor each is scaled by."""
+    """One fit recipe: the CSV's x and y columns, the fit's name in
+    :mod:`ionchain.fitting`, x converted to the fit's units, and the output
+    parameters with the factor each is scaled by."""
 
     columns: tuple
-    fit: Callable
+    fit: str
     fit_x: Callable
     names: tuple
     scale: tuple
@@ -223,31 +228,33 @@ class _Recipe(NamedTuple):
 
 _FIT_RECIPES = {
     "beam": _Recipe(
-        ("x_um", "signal"), fit_beam_profile, lambda x: x,
+        ("x_um", "signal"), "fit_beam_profile", lambda x: x,
         ("amplitude", "center_um", "waist_um"), (1.0, 1.0, 1.0),
     ),
     "rabi": _Recipe(
-        ("t_us", "p1"), fit_rabi_trace, lambda x: x * 1e-6,
+        ("t_us", "p1"), "fit_rabi_trace", lambda x: x * 1e-6,
         ("rabi_freq_khz", "theta"), (1.0 / (2 * math.pi * 1e3), 1.0),
     ),
     "theta-growth": _Recipe(
-        ("tw_ms", "theta"), fit_theta_growth, lambda x: x * 1e-3,
+        ("tw_ms", "theta"), "fit_theta_growth", lambda x: x * 1e-3,
         ("theta0", "rate_per_s"), (1.0, 1.0),
     ),
     "power-law": _Recipe(
-        ("freq_khz", "rate_per_s"), fit_theta_power_law, lambda x: 2 * math.pi * x * 1e3,
+        ("freq_khz", "rate_per_s"), "fit_theta_power_law", lambda x: 2 * math.pi * x * 1e3,
         ("amplitude_rad_s", "alpha", "offset_per_s"), (1.0, 1.0, 1.0),
     ),
 }
 
 
 def cmd_fit(args, config) -> None:
+    from . import fitting
+
     recipe = _FIT_RECIPES[args.recipe]
     header, rows = read_numeric_csv(args.data, recipe.columns, optional_sigma=True)
     data = np.array(rows)
     x, y = data[:, 0], data[:, 1]
     sigma = data[:, 2] if data.shape[1] > 2 else None
-    result = recipe.fit(recipe.fit_x(x), y, sigma)
+    result = getattr(fitting, recipe.fit)(recipe.fit_x(x), y, sigma)
     values = result.params * np.array(recipe.scale)
     sigmas = result.uncertainties * np.array(recipe.scale)
 
@@ -271,9 +278,13 @@ def cmd_fit(args, config) -> None:
 
 
 def cmd_gate_fidelity(args, config) -> None:
+    from .gates import gate_fidelity_bound, gate_fidelity_slope, spam_adjust_prediction
+
     gate = read_gate(config, args.tw_list)
     pair = (gate.ion_i, gate.ion_j)
     if gate.rates_per_s is None:
+        from .heating import theta_rate
+
         species = build_species(config)
         potential, n_ions = build_potential(config)
         if max(pair) >= n_ions:
@@ -291,7 +302,7 @@ def cmd_gate_fidelity(args, config) -> None:
         }
         all_rates = theta_rate(noise, modes, beams, chain.positions)
         gate.rates_per_s = [all_rates[idx] for idx in pair]
-        log.info("derived theta rates: %s /s", gate.rates_per_s)
+        _log("info", "derived theta rates: %s /s", gate.rates_per_s)
 
     rows = []
     for tw in gate.tw_list_ms:
@@ -315,6 +326,8 @@ def cmd_gate_fidelity(args, config) -> None:
 
 
 def cmd_scaling(args, config) -> None:
+    from .heating import NoiseModel, gate_error_scaling, theta_rate
+
     scaling = read_scaling(config, args.n_list)
     n_list, spacing = scaling.n_list, scaling.spacing_um
     species = build_species(config)
@@ -343,6 +356,8 @@ def cmd_scaling(args, config) -> None:
 
 
 def cmd_cooling(args, config) -> None:
+    from .cooling import crosstalk_rate
+
     cfg = build_cooling(config)
     rate = crosstalk_rate(cfg)
     write_json_payload(
@@ -442,13 +457,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv=None) -> int:
-    level = os.environ.get("IONCHAIN_LOG", "WARNING").upper()
+def _configure_logging() -> None:
+    """Send log records to stderr at the IONCHAIN_LOG level (default WARNING),
+    importing ``logging`` only when that is set or already imported."""
+    level = os.environ.get("IONCHAIN_LOG")
+    if level is None and "logging" not in sys.modules:
+        return
+    import logging
+
     logging.basicConfig(
-        level=getattr(logging, level, logging.WARNING),
+        level=getattr(logging, (level or "WARNING").upper(), logging.WARNING),
         stream=sys.stderr,
         format="%(asctime)s %(name)s %(levelname)s %(message)s",
     )
+
+
+def main(argv=None) -> int:
+    _configure_logging()
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.seed < 0:
@@ -472,7 +497,8 @@ def main(argv=None) -> int:
         print(f"ionchain {args.command}: numerical error: {exc}{detail}", file=sys.stderr)
         positions = getattr(exc, "positions", None)
         if positions is not None:
-            log.debug(
+            _log(
+                "debug",
                 "solver positions at failure (%d ions, um): %s",
                 len(positions),
                 " ".join(f"{x * 1e6:.6g}" for x in positions),

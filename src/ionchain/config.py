@@ -15,10 +15,9 @@ from __future__ import annotations
 import csv
 import math
 from types import SimpleNamespace
-from typing import Any, Mapping, NamedTuple
+from typing import TYPE_CHECKING, Any, Mapping, NamedTuple
 
 import numpy as np
-import yaml
 
 from .chain import (
     EquispacedLogPotential,
@@ -27,10 +26,12 @@ from .chain import (
     TrapPotential,
 )
 from .constants import KNOWN_SPECIES, IonSpecies
-from .cooling import CoolingConfig
 from .decoherence import GaussianBeam, TabulatedBeam
 from .errors import ConfigError
-from .heating import NoiseModel
+
+if TYPE_CHECKING:
+    from .cooling import CoolingConfig
+    from .heating import NoiseModel
 
 _NUMBER = (int, float)
 
@@ -255,6 +256,8 @@ def read_numeric_csv(path, expected, optional_sigma=False):
 
 def load_config(path) -> dict:
     """Read and structurally validate a YAML run configuration."""
+    import yaml  # only the commands that read a config pay for the parser
+
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = yaml.safe_load(fh)
@@ -310,6 +313,8 @@ def build_beam(config: Mapping):
 
 
 def build_noise(config: Mapping) -> NoiseModel:
+    from .heating import NoiseModel
+
     noise = read_section(config, "noise")
     return NoiseModel(
         alpha=noise.alpha,
@@ -320,6 +325,8 @@ def build_noise(config: Mapping) -> NoiseModel:
 
 
 def build_cooling(config: Mapping) -> CoolingConfig:
+    from .cooling import CoolingConfig
+
     cooling = read_section(config, "cooling")
     return CoolingConfig(
         coolant_fraction=cooling.coolant_fraction,

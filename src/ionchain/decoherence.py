@@ -232,8 +232,10 @@ def _beam_coupling(
     modes: ModeDecomposition,
     beams: Mapping[int, BeamProfile],
     positions: Sequence[float],
+    used: slice = slice(None),
 ) -> np.ndarray:
-    """b_im^2 xi_m^2 (-c_i) for every ion i and mode m, c_i = (Omega''/Omega)(x_i).
+    """b_im^2 xi_m^2 (-c_i) for every ion i and the modes m in ``used`` (all by
+    default), c_i = (Omega''/Omega)(x_i).
 
     The per-quantum decay parameter, shared by :func:`decay_parameters` and
     the heating-rate growth in :mod:`ionchain.heating`.  Ions without a beam
@@ -260,8 +262,9 @@ def _beam_coupling(
         neg_curvature[gaussian] = -_gaussian_curvature_ratio(
             positions[gaussian], np.array(centers, dtype=float), np.array(waists, dtype=float)
         )
-    coupling = np.square(modes.participation, dtype=float)  # a float buffer even for integer b
-    coupling *= _spread_sq(modes.species.mass, modes.frequencies)
+    # a float buffer even for integer b, with only the used modes' columns
+    coupling = np.square(modes.participation[:, used], dtype=float)
+    coupling *= _spread_sq(modes.species.mass, modes.frequencies[used])
     coupling *= neg_curvature[:, None]
     return coupling
 

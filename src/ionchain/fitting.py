@@ -173,7 +173,9 @@ def fit_least_squares(
         return (model(p, data.x) - data.y) / sigma
 
     try:
-        solution = _levenberg_marquardt(residual_fn, guess, lo, hi, 100 * n_params)
+        solution = _levenberg_marquardt(
+            residual_fn, guess, (at_guess - data.y) / sigma, lo, hi, 100 * n_params
+        )
     except Exception as exc:
         raise FitError(
             f"the least-squares solve raised {type(exc).__name__}: {exc}"
@@ -209,8 +211,10 @@ def _forward_jacobian(residual_fn, x, r, lo, hi) -> np.ndarray:
     return jac
 
 
-def _levenberg_marquardt(residual_fn, x0, lo, hi, max_nfev, tol=1e-14) -> _Solution:
-    """Bounded Levenberg-Marquardt minimisation of |residual_fn(x)|^2 / 2.
+def _levenberg_marquardt(residual_fn, x0, r, lo, hi, max_nfev, tol=1e-14) -> _Solution:
+    """Bounded Levenberg-Marquardt minimisation of |residual_fn(x)|^2 / 2
+    from ``x0``, whose residuals ``r`` the caller has already evaluated (they
+    count as the first evaluation).
 
     Each iteration scales the Jacobian's columns by their largest norm so
     far, leaves out the parameters held at a bound by the gradient, solves
@@ -226,7 +230,6 @@ def _levenberg_marquardt(residual_fn, x0, lo, hi, max_nfev, tol=1e-14) -> _Solut
     ``max_nfev`` evaluations (the Jacobian's not counted) is not convergence.
     """
     x = np.array(x0, dtype=float)
-    r = residual_fn(x)
     if not np.all(np.isfinite(r)):
         raise FitError("residuals are not finite at the start")
     nfev = 1

@@ -100,7 +100,7 @@ def theta_rate(
     any eigenvector sign convention.
     """
     used = slice(None) if all_modes else slice(1)
-    coupling = _beam_coupling(modes, beams, positions)[:, used]
+    coupling = _beam_coupling(modes, beams, positions, used)
     coupling *= _mode_heating_rates(noise, modes)[used]
     rates = coupling.sum(axis=1)
     rates[list(beams)] += noise.offset

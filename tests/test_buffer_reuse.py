@@ -1,7 +1,8 @@
 """The long-chain pipeline's N x N steps reuse their own buffers.
 
 The chain kernels, the parity assembly, the sign rule, the beam coupling and
-the thermal contrast each work in a buffer they already own.  These tests pin
+the thermal contrast each work in a buffer they already own, and the lowest-
+mode theta rate builds only the coupling column it uses.  These tests pin
 every output to the one-line formulas they replaced, bit for bit and in the
 same memory layout, check that no caller's input is written to, and hold each
 stage's peak transient memory (numpy reports its data to ``tracemalloc``)
@@ -278,3 +279,44 @@ def test_long_chain_stages_stay_within_their_memory_budgets():
     }
     over = {stage: round(peaks[stage], 3) for stage in budgets if peaks[stage] > budgets[stage]}
     assert not over, f"peaks over budget {budgets}: {over}"
+
+
+# ----------------------------------------------------------------------
+# the lowest-mode theta rate builds one coupling column
+# ----------------------------------------------------------------------
+
+def _old_lowest_mode_theta_rate(modes, beams, x):
+    """theta_rate's default path as it was: the whole N x N coupling, then
+    its first column."""
+    coupling = decoherence._beam_coupling(modes, beams, x)[:, :1]
+    coupling *= heating._mode_heating_rates(NOISE, modes)[:1]
+    rates = coupling.sum(axis=1)
+    rates[list(beams)] += NOISE.offset
+    return rates
+
+
+@pytest.mark.parametrize("n", [5, 25, 60, 301])
+def test_lowest_mode_theta_rate_matches_the_whole_coupling_bit_for_bit(n):
+    chain = find_equilibrium(YB171, EquispacedLogPotential(n, 4.4e-6))
+    parity = []
+    with pytest.MonkeyPatch.context() as patch:
+        eigh = chain_module._parity_eigh
+        patch.setattr(chain_module, "_parity_eigh", lambda c: parity.append(c) or eigh(c))
+        modes = normal_modes(chain)
+    assert bool(parity) == (n >= chain_module._PARITY_MIN_IONS)
+    x = chain.positions
+    for beams in (_beams(x), {n // 2: _beams(x)[n // 2]}):
+        new = theta_rate(NOISE, modes, beams, x)
+        old = _old_lowest_mode_theta_rate(modes, beams, x)
+        assert new.dtype == old.dtype and new.shape == old.shape == (n,)
+        assert np.array_equal(new, old)
+
+
+def test_lowest_mode_theta_rate_stays_within_its_memory_budget():
+    """Peak at equispaced N = 300 in units of one N x N float64 matrix:
+    measured 0.038; building the whole coupling, as before, took 1.11."""
+    chain = find_equilibrium(YB171, EquispacedLogPotential(N_MEMORY, 4.4e-6))
+    modes = normal_modes(chain)
+    beams = _beams(chain.positions)
+    peak = _peak_bytes(theta_rate, NOISE, modes, beams, chain.positions) / MATRIX_BYTES
+    assert peak <= 0.05

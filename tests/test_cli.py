@@ -768,14 +768,23 @@ class TestNumericalErrors:
             "ionchain modes: numerical error: uniform-chain fit failed: positions are not finite"
         )
 
-SHIPPED_TABLES = [
-    ["modes", "--config", ROOT / "configs" / "modes.yaml"],
-    ["rabi", "--config", ROOT / "configs" / "rabi.yaml"],
-    ["rabi", "--config", ROOT / "configs" / "rabi.yaml", "--mc", "--seed", "7"],
-    ["theta-scan", "--config", ROOT / "configs" / "theta_scan.yaml"],
-    ["gate-fidelity", "--config", ROOT / "configs" / "gate_fidelity.yaml"],
-    ["scaling", "--config", ROOT / "configs" / "scaling.yaml"],
-]
+
+CONFIGS = ROOT / "configs"
+GOLDEN_DATA = ROOT / "tests" / "golden" / "data"
+SHIPPED_COMMANDS = {
+    "modes": ["modes", "--config", CONFIGS / "modes.yaml"],
+    "rabi": ["rabi", "--config", CONFIGS / "rabi.yaml"],
+    "rabi --mc": ["rabi", "--config", CONFIGS / "rabi.yaml", "--mc", "--seed", "7"],
+    "theta-scan": ["theta-scan", "--config", CONFIGS / "theta_scan.yaml"],
+    "gate-fidelity": ["gate-fidelity", "--config", CONFIGS / "gate_fidelity.yaml"],
+    "scaling": ["scaling", "--config", CONFIGS / "scaling.yaml"],
+    "cooling": ["cooling", "--config", CONFIGS / "cooling.yaml"],
+}
+FIT_COMMANDS = {
+    f"fit {recipe}": ["fit", recipe, GOLDEN_DATA / f"{recipe.replace('-', '_')}.csv"]
+    for recipe in ("beam", "rabi", "theta-growth", "power-law")
+}
+SHIPPED_TABLES = [argv for name, argv in SHIPPED_COMMANDS.items() if name != "cooling"]
 
 
 @pytest.mark.parametrize("argv", SHIPPED_TABLES, ids=lambda argv: " ".join(map(str, argv[:1] + argv[3:])))
@@ -942,22 +951,38 @@ class TestDeterminismAndPlumbing:
         run_fresh(code)
 
 
+def with_out(argvs, out_dir, stem):
+    """Each argv as strings, writing to its own file in ``out_dir``."""
+    return [
+        [str(a) for a in argv] + ["--out", str(out_dir / f"{stem}{k}")]
+        for k, argv in enumerate(argvs)
+    ]
+
+
+def modules_loaded(code, **env):
+    """The ``ionchain.*`` modules, ``yaml`` and ``logging`` that a new
+    interpreter has loaded once it has run ``code``; IONCHAIN_LOG is unset
+    unless given in ``env``."""
+    environ = {k: v for k, v in os.environ.items() if k != "IONCHAIN_LOG"}
+    environ.update(env)
+    code += (
+        "\nimport sys\nprint(*sorted(m for m in sys.modules"
+        " if m.startswith('ionchain.') or m in ('yaml', 'logging')))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=environ
+    )
+    assert result.returncode == 0, result.stderr
+    return set(result.stdout.split())
+
+
+def run_main(argv):
+    return f"import ionchain.cli\nassert ionchain.cli.main({argv!r}) == 0\n"
+
+
 class TestImportBudget:
     def test_shipped_configs_run_without_scipy(self, tmp_path):
-        configs = ROOT / "configs"
-        commands = [
-            ["modes", "--config", configs / "modes.yaml"],
-            ["rabi", "--config", configs / "rabi.yaml"],
-            ["rabi", "--config", configs / "rabi.yaml", "--mc", "--seed", "7"],
-            ["theta-scan", "--config", configs / "theta_scan.yaml"],
-            ["gate-fidelity", "--config", configs / "gate_fidelity.yaml"],
-            ["scaling", "--config", configs / "scaling.yaml"],
-            ["cooling", "--config", configs / "cooling.yaml"],
-        ]
-        argvs = [
-            [str(a) for a in argv] + ["--out", str(tmp_path / f"out{k}")]
-            for k, argv in enumerate(commands)
-        ]
+        argvs = with_out(SHIPPED_COMMANDS.values(), tmp_path, "out")
         run_fresh(
             "import sys, ionchain, ionchain.cli\n"
             f"for argv in {argvs!r}:\n"
@@ -968,17 +993,7 @@ class TestImportBudget:
 
     def test_scipy_users_still_work(self, tmp_path):
         # every fit recipe, the tabulated beam and the line fit once used scipy
-        data = ROOT / "tests" / "golden" / "data"
-        commands = [
-            ["fit", "beam", data / "beam.csv"],
-            ["fit", "rabi", data / "rabi.csv"],
-            ["fit", "theta-growth", data / "theta_growth.csv"],
-            ["fit", "power-law", data / "power_law.csv"],
-        ]
-        argvs = [
-            [str(a) for a in argv] + ["--out", str(tmp_path / f"fit{k}")]
-            for k, argv in enumerate(commands)
-        ]
+        argvs = with_out(FIT_COMMANDS.values(), tmp_path, "fit")
         run_fresh(
             "import sys, numpy as np\n"
             "from ionchain import (HarmonicPotential, TabulatedBeam, YB171,\n"
@@ -993,3 +1008,28 @@ class TestImportBudget:
             f"loaded = {SCIPY_LOADED}\n"
             "assert loaded == [], loaded\n"
         )
+
+    @pytest.fixture(scope="class")
+    def loaded(self, tmp_path_factory):
+        """The modules each shipped command and fit recipe has loaded after
+        ``main``, each run in its own new interpreter."""
+        commands = {**SHIPPED_COMMANDS, **FIT_COMMANDS}
+        argvs = with_out(commands.values(), tmp_path_factory.mktemp("budget"), "out")
+        return {name: modules_loaded(run_main(argv)) for name, argv in zip(commands, argvs)}
+
+    def test_bare_import_loads_no_submodule(self):
+        assert modules_loaded("import ionchain") == set()
+
+    @pytest.mark.parametrize("name", FIT_COMMANDS)
+    def test_fits_load_no_config_parser_logging_gates_or_cooling(self, loaded, name):
+        assert not loaded[name] & {"yaml", "logging", "ionchain.gates", "ionchain.cooling"}
+
+    @pytest.mark.parametrize("name", ["modes", "rabi", "rabi --mc", "theta-scan"])
+    def test_chain_and_trace_commands_load_no_fits_gates_heating_or_cooling(self, loaded, name):
+        unused = {"ionchain.fitting", "ionchain.gates", "ionchain.heating", "ionchain.cooling"}
+        assert not loaded[name] & unused
+
+    def test_logging_loads_only_for_ionchain_log(self, loaded, tmp_path):
+        assert [name for name, modules in loaded.items() if "logging" in modules] == []
+        argv = with_out([SHIPPED_COMMANDS["modes"]], tmp_path, "out")[0]
+        assert "logging" in modules_loaded(run_main(argv), IONCHAIN_LOG="INFO")

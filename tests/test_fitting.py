@@ -51,6 +51,28 @@ class TestCore:
                 LINE,
             )
 
+    def test_the_guess_is_evaluated_once(self, monkeypatch):
+        # the shape check's evaluation is the solve's starting residual: the
+        # model runs once per counted evaluation and once per Jacobian column
+        calls, jacobians = [], []
+
+        def model(p, xx):
+            calls.append(p.copy())
+            return p[0] * xx**2 + p[1]
+
+        jacobian = fitting._forward_jacobian
+
+        def counted(*args):
+            jacobians.append(args[1].copy())
+            return jacobian(*args)
+
+        monkeypatch.setattr(fitting, "_forward_jacobian", counted)
+        x = np.linspace(-1.0, 1.0, 11)
+        guess = [1.0, 0.0]
+        result = fit_least_squares(model, DataSeries(x, 0.3 * x**2 + 0.2), guess, UNBOUNDED, LINE)
+        assert len(calls) == result.n_iterations + len(guess) * len(jacobians)
+        assert sum(np.array_equal(p, guess) for p in calls) == 1
+
     def test_model_shape_mismatch_names_both_shapes(self):
         x = np.linspace(0.0, 1.0, 10)
         with pytest.raises(InputError, match=r"\(5,\).*\(10,\)"):
