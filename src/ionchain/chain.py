@@ -37,9 +37,9 @@ from .errors import (
 GRADIENT_TOLERANCE = 1e-12
 """Equilibrium criterion: max |dE/dx_i| below this, in characteristic-force
 units q^2/(4 pi eps0 L^2).  L is the potential's unit length, so the same
-tolerance is a different force for each trap; a solve that cannot lower the
-residual any further stops at the round-off floor instead (see
-:func:`find_equilibrium`)."""
+tolerance is a different force for each trap; a solve whose Newton step is
+below round-off before the residual gets there stops at the round-off floor
+instead (see :func:`find_equilibrium`)."""
 
 MAX_ITERATIONS = 200
 """Newton iterations :func:`find_equilibrium` takes before it gives up."""
@@ -195,8 +195,9 @@ class EquilibriumChain:
     characteristic-force units q^2/(4 pi eps0 L^2), so its unit depends on
     the potential's unit length L.  ``criterion`` says how
     ``find_equilibrium`` stopped: ``"tolerance"`` when the residual is below
-    :data:`GRADIENT_TOLERANCE`, ``"roundoff_floor"`` when no step lowered it
-    any further and it was at the round-off floor of the gradient.
+    :data:`GRADIENT_TOLERANCE`, ``"roundoff_floor"`` when no fraction of the
+    Newton step lowered it and that step was at most N eps max|u|, below
+    round-off of the positions.
     """
 
     species: IonSpecies
@@ -304,15 +305,7 @@ def _hessian_from(a: np.ndarray, c_trap) -> np.ndarray:
     return H
 
 
-def _roundoff_floor(u: np.ndarray, a: np.ndarray, grad_curv) -> float:
-    """Round-off level of the scaled gradient rows with pair distances a:
-    N eps max_i (|g_trap,i| + sum_j 1/u_ij^2)."""
-    g_trap, _ = grad_curv(u[len(u) - len(a) :])
-    terms = np.abs(g_trap) + (1.0 / (a * a)).sum(axis=1)
-    return len(u) * np.finfo(float).eps * float(terms.max())
-
-
-def _initial_guess(potential: TrapPotential, species: IonSpecies, n: int) -> np.ndarray:
+def _initial_guess(potential: TrapPotential, n: int) -> np.ndarray:
     """Uniform-spacing starting configuration in units of L."""
     idx = np.arange(n) - 0.5 * (n - 1)
     if isinstance(potential, EquispacedLogPotential):
@@ -333,13 +326,13 @@ def find_equilibrium(
     """Find the classical equilibrium positions of an N-ion chain.
 
     Damped Newton iteration on the energy gradient, starting from a uniformly
-    spaced guess.  Steps that fail to reduce the largest gradient component
-    (or leave the potential domain, or reorder ions) are halved, with a
-    steepest-descent direction when the Newton step is not a descent
-    direction and a steepest-descent rescue when no halving helps.  Each
-    accepted iterate's pair distances and trap curvature give the next
-    Hessian, so every iterate makes one pass over the ion pairs.
-    Deterministic for given inputs.
+    spaced guess.  Each iterate runs one backtracking line search: steps
+    that fail to reduce the largest gradient component (or leave the
+    potential domain, or reorder ions) are halved, up to 60 times, with a
+    steepest-descent direction when the Newton step is singular or not a
+    descent direction.  Each accepted iterate's pair distances and trap
+    curvature give the next Hessian, so every iterate makes one pass over
+    the ion pairs.  Deterministic for given inputs.
 
     The three trap potentials are even, so the equilibrium is mirror
     antisymmetric.  From ``_PARITY_MIN_IONS`` (40) ions on, the unknowns are
@@ -349,10 +342,12 @@ def find_equilibrium(
     is the half-size block ``H[i, k] - H[i, mirror(k)]``.  Smaller chains
     solve for every position; both run the same iteration.
 
-    If neither the Newton step nor the rescue lowers the residual, the solve
-    stops at the iterate when the residual is at the round-off floor of the
-    gradient, ``N eps max_i (|g_trap,i| + sum_j 1/u_ij^2)`` in scaled units,
-    and records ``criterion="roundoff_floor"``.
+    If the line search fails, the solve stops at the iterate when the step
+    it tried is below round-off of the positions, ``max|step| <= N eps
+    max|u|`` with u in units of L, and records ``criterion="roundoff_floor"``.
+    Newton's method is affine invariant, so the step's size relative to the
+    positions does not depend on L and this stop needs no tuned tolerance.
+    A failed step longer than that is a stall.
 
     Parameters
     ----------
@@ -366,13 +361,14 @@ def find_equilibrium(
     -------
     EquilibriumChain
         Positions sorted ascending with max scaled gradient below
-        :data:`GRADIENT_TOLERANCE`, or at the round-off floor.
+        :data:`GRADIENT_TOLERANCE`, or where the Newton step is below
+        round-off.
 
     Raises
     ------
     SolverError
-        If the residual stalls above the round-off floor, or the tolerance is
-        not met within :data:`MAX_ITERATIONS`.
+        If the line search fails while the step it tried is above round-off,
+        or the tolerance is not met within :data:`MAX_ITERATIONS`.
     """
     if isinstance(potential, EquispacedLogPotential):
         if n_ions is None:
@@ -389,7 +385,7 @@ def find_equilibrium(
 
     L = potential.unit_length(species)
     grad_curv, halfwidth = _scaled_trap(potential, species)
-    u = _initial_guess(potential, species, n_ions)
+    u = _initial_guess(potential, n_ions)
     parity = _takes_parity_path(potential, n_ions)
     # the unknowns are the last n_free positions; the kernel's rows add the
     # centre ion of an odd chain, whose gradient vanishes by symmetry
@@ -405,11 +401,11 @@ def find_equilibrium(
     def valid(v):
         return (v[1:] > v[:-1]).all() and np.abs(v).max() < halfwidth
 
-    def backtrack(step, scale, tries):
-        """First u + scale * step / 2^k (k < tries) that is valid and lowers
-        the residual, as (positions, kernel terms, residual); else None."""
-        step, failed = whole_chain(step), None
-        for _ in range(tries):
+    def backtrack(step):
+        """First u + step / 2^k (k < 60) that is valid and lowers the
+        residual, as (positions, kernel terms, residual); else None."""
+        step, scale, failed = whole_chain(step), 1.0, None
+        for _ in range(60):
             cand, scale = u + scale * step, 0.5 * scale
             if failed is not None and np.array_equal(cand, u):  # so does every shorter step
                 return None
@@ -438,10 +434,9 @@ def find_equilibrium(
             step = -g
         if np.dot(step, g) >= 0:  # not a descent direction
             step = -g
-        # on failure, a gradient-descent rescue with fresh backtracking
-        best = backtrack(step, 1.0, 60) or backtrack(-g, 0.5 / max(res, 1.0), 80)
+        best = backtrack(step)
         if best is None:
-            if res <= _roundoff_floor(u, a, grad_curv):
+            if np.abs(step).max() <= n_ions * np.finfo(float).eps * np.abs(u).max():
                 return EquilibriumChain(species, potential, u * L, res, "roundoff_floor")
             raise SolverError(
                 "equilibrium search stalled", residual=res, positions=u * L
