@@ -404,9 +404,9 @@ def find_equilibrium(
     def backtrack(step):
         """First u + step / 2^k (k < 60) that is valid and lowers the
         residual, as (positions, kernel terms, residual); else None."""
-        step, scale, failed = whole_chain(step), 1.0, None
-        for _ in range(60):
-            cand, scale = u + scale * step, 0.5 * scale
+        step, failed = whole_chain(step), None
+        for k in range(60):
+            cand = u + 0.5**k * step
             if failed is not None and np.array_equal(cand, u):  # so does every shorter step
                 return None
             # a try that rounds to the point that just failed is not evaluated again
