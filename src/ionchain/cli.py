@@ -21,9 +21,26 @@ config readers every config-driven command shares are imported here, the
 fits, gate bounds, heating and cooling models inside the commands that use
 them, and ``logging`` only when IONCHAIN_LOG is set or the process already
 has it.
+
+Garbage collection: what a command process allocates at import time (numpy,
+PyYAML, the ``ionchain`` modules) lives until exit, so the cyclic
+collector's passes over it find nothing.  Run as ``python -m ionchain.cli``,
+this module disables the collector before its first heavy import, for the
+whole command.  :func:`entrypoint` freezes every tracked object
+(``gc.freeze``) once :func:`main` returns, so the collections of
+interpreter teardown skip them; the process still exits through
+``sys.exit``, so atexit handlers, logging shutdown and the flush of stdout
+and stderr run as usual.  The ``ionchain`` console script imports this
+module under its own name, so it gets the freeze only.  :func:`main` leaves
+the collector alone, so tests and notebooks can call it in process.
 """
 
 from __future__ import annotations
+
+import gc
+
+if __name__ == "__main__":
+    gc.disable()
 
 import argparse
 import csv
@@ -513,7 +530,9 @@ def main(argv=None) -> int:
 
 
 def entrypoint():
-    sys.exit(main())
+    code = main()
+    gc.freeze()
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -392,6 +392,14 @@ def _rabi_frequency_guess(t, p1) -> float:
     return 2.0 * math.pi * float(freqs[k])
 
 
+def _sorted_median(values) -> float:
+    """Median of a sorted, finite, non-empty array, bit-equal to np.median
+    (the mean of the two middle values for an even length), without the
+    import of numpy.ma that np.median makes on first use."""
+    lo, hi = values[(len(values) - 1) // 2], values[len(values) // 2]
+    return float(0.5 * (lo + hi))
+
+
 def fit_rabi_trace(t, p1, sigma=None) -> FitResult:
     """Fit a thermally damped Rabi oscillation.
 
@@ -415,7 +423,7 @@ def fit_rabi_trace(t, p1, sigma=None) -> FitResult:
         raise FitError("trace must span at least two oscillation periods")
     tail = slice(3 * len(t) // 4, None)
     c_est = float(np.clip(2.0 * np.max(np.abs(p1[tail] - 0.5)), 0.05, 1.0))
-    t_tail = float(np.median(t[tail]))
+    t_tail = _sorted_median(t[tail])
     theta0 = math.sqrt(max(c_est**-2 - 1.0, 1e-12)) / (omega0 * t_tail)
     result = fit_least_squares(
         damped_rabi_model, data, [omega0, theta0],

@@ -3,10 +3,14 @@
 Everything here is deliberately written from first principles (finite
 differences, coordinate descent, direct energy sums) so that it shares no
 code path with the implementations it checks.  ``trig_arguments`` is the
-hypothesis strategy for angles that the trigonometric forms are tested on.
+hypothesis strategy for angles that the trigonometric forms are tested on,
+and ``run_module`` runs the CLI in a fresh process.
 """
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 from hypothesis import strategies as st
@@ -135,3 +139,14 @@ def trig_arguments(limit=1e6):
         st.integers(-3, 3),
     )
     return st.one_of(st.floats(-limit, limit), st.sampled_from([0.0, -0.0]), quarter_turns)
+
+
+def run_module(argv, **env):
+    """Run ``python -m ionchain.cli`` with ``argv`` in a new interpreter;
+    IONCHAIN_LOG is unset unless given in ``env``."""
+    environ = {k: v for k, v in os.environ.items() if k != "IONCHAIN_LOG"}
+    environ.update(env)
+    return subprocess.run(
+        [sys.executable, "-m", "ionchain.cli", *map(str, argv)],
+        capture_output=True, text=True, env=environ,
+    )

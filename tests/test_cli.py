@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import random
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 import yaml
 
-from helpers import theta_profile_gaussian
+from helpers import run_module, theta_profile_gaussian
 
 import ionchain.cli
 from ionchain import YB171
@@ -951,6 +952,81 @@ class TestDeterminismAndPlumbing:
         run_fresh(code)
 
 
+class TestCollectorPolicy:
+    """A command process runs without cyclic collections and freezes its
+    objects before exit; ``main`` in process and a plain import leave the
+    collector as they found it."""
+
+    def test_main_leaves_the_collector_alone(self, tmp_path, harmonic2):
+        frozen = gc.get_freeze_count()
+        assert run(["modes", "--config", harmonic2, "--out", tmp_path / "m.csv"]) == 0
+        assert run(["modes"]) == 2
+        assert gc.isenabled()
+        assert gc.get_freeze_count() == frozen
+
+    def test_import_leaves_the_collector_enabled(self):
+        run_fresh(
+            "import gc, ionchain.cli\n"
+            "assert gc.isenabled()\n"
+            "assert gc.get_freeze_count() == 0\n"
+        )
+
+    def test_entrypoint_freezes_before_exit(self, monkeypatch, harmonic2, capsys):
+        monkeypatch.setattr(sys, "argv", ["ionchain", "modes", "--config", harmonic2])
+        try:
+            with pytest.raises(SystemExit) as excinfo:
+                ionchain.cli.entrypoint()
+            frozen = gc.get_freeze_count()
+        finally:
+            gc.unfreeze()
+        assert excinfo.value.code == 0
+        assert frozen > 0
+        assert gc.isenabled()
+        assert capsys.readouterr().out.startswith("mode_index,")
+
+    def test_module_runs_uncollected_and_exits_frozen(self, harmonic2):
+        # as ``python -m ionchain.cli``: an atexit handler still runs and sees
+        # the collector off and the objects frozen, and stdout is flushed
+        result = subprocess.run(
+            [
+                sys.executable, "-c",
+                "import atexit, gc, runpy, sys\n"
+                "atexit.register(lambda: print(gc.isenabled(), gc.get_freeze_count() > 0,"
+                " file=sys.stderr))\n"
+                f"sys.argv = ['ionchain', 'modes', '--config', {harmonic2!r}]\n"
+                "runpy.run_module('ionchain.cli', run_name='__main__', alter_sys=True)\n",
+            ],
+            capture_output=True, text=True,
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.startswith("mode_index,")
+        assert result.stderr == "False True\n"
+
+    def test_bad_config_exits_2(self, tmp_path, harmonic2):
+        bad = write(tmp_path / "bad.yaml", Path(harmonic2).read_text() + "extra: 1\n")
+        result = run_module(["modes", "--config", bad, "--out", tmp_path / "m.csv"])
+        assert (result.returncode, result.stdout) == (2, "")
+        assert result.stderr.startswith("ionchain modes: config error: ")
+        assert not (tmp_path / "m.csv").exists()
+
+    def test_solver_failure_exits_3(self, tmp_path):
+        data = tmp_path / "flat.csv"
+        rows = "\n".join(f"{x},0.5" for x in np.linspace(-1, 1, 21))
+        data.write_text("x_um,signal\n" + rows + "\n")
+        result = run_module(["fit", "beam", data])
+        assert (result.returncode, result.stdout) == (3, "")
+        assert result.stderr.startswith("ionchain fit: numerical error: ")
+
+    def test_log_lines_reach_stderr(self, tmp_path):
+        # ``modes`` logs nothing when it succeeds; ``gate-fidelity`` logs the
+        # rates it derives
+        argv = ["gate-fidelity", "--config", CONFIGS / "gate_fidelity.yaml"]
+        result = run_module(argv + ["--out", tmp_path / "g.csv"], IONCHAIN_LOG="DEBUG")
+        assert (result.returncode, result.stdout) == (0, ""), result.stderr
+        assert " ionchain INFO derived theta rates: " in result.stderr
+        assert run_module(argv + ["--out", tmp_path / "h.csv"]).stderr == ""
+
+
 def with_out(argvs, out_dir, stem):
     """Each argv as strings, writing to its own file in ``out_dir``."""
     return [
@@ -960,14 +1036,14 @@ def with_out(argvs, out_dir, stem):
 
 
 def modules_loaded(code, **env):
-    """The ``ionchain.*`` modules, ``yaml`` and ``logging`` that a new
-    interpreter has loaded once it has run ``code``; IONCHAIN_LOG is unset
-    unless given in ``env``."""
+    """The ``ionchain.*`` modules, ``yaml``, ``logging`` and ``numpy.ma`` that
+    a new interpreter has loaded once it has run ``code``; IONCHAIN_LOG is
+    unset unless given in ``env``."""
     environ = {k: v for k, v in os.environ.items() if k != "IONCHAIN_LOG"}
     environ.update(env)
     code += (
         "\nimport sys\nprint(*sorted(m for m in sys.modules"
-        " if m.startswith('ionchain.') or m in ('yaml', 'logging')))"
+        " if m.startswith('ionchain.') or m in ('yaml', 'logging', 'numpy.ma')))"
     )
     result = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, env=environ
@@ -1028,6 +1104,9 @@ class TestImportBudget:
     def test_chain_and_trace_commands_load_no_fits_gates_heating_or_cooling(self, loaded, name):
         unused = {"ionchain.fitting", "ionchain.gates", "ionchain.heating", "ionchain.cooling"}
         assert not loaded[name] & unused
+
+    def test_no_command_loads_numpy_ma(self, loaded):
+        assert [name for name, modules in loaded.items() if "numpy.ma" in modules] == []
 
     def test_logging_loads_only_for_ionchain_log(self, loaded, tmp_path):
         assert [name for name, modules in loaded.items() if "logging" in modules] == []

@@ -233,6 +233,12 @@ class TestRabiTraceFit:
         assert abs(result["rabi_frequency"] - omega0) < 5 * result.uncertainty("rabi_frequency")
         assert abs(result["theta"] - 0.0262) < 5 * result.uncertainty("theta")
 
+    @pytest.mark.parametrize("length", range(1, 7))
+    def test_tail_median_bit_equal_to_np_median(self, rng, length):
+        for scale in (1e-6, 1.0, 1e300):
+            values = np.sort(rng.uniform(-scale, scale, length))
+            assert fitting._sorted_median(values) == np.median(values)
+
     def test_short_trace_rejected(self):
         t = np.linspace(0.0, 10e-6, 30)  # half a period at 50 kHz
         p1 = damped_rabi_model([2 * np.pi * 50e3, 0.05], t)

@@ -1,7 +1,8 @@
 """Byte-for-byte golden outputs of every shipped config and fit recipe.
 
-Each case runs one CLI command with ``--out`` into a temporary directory and
-compares every file it writes (including the ``.participation.csv`` and
+Each case runs one CLI command with ``--out`` into a temporary directory, in
+process through ``main`` and in a fresh ``python -m ionchain.cli`` process,
+and compares every file it writes (including the ``.participation.csv`` and
 ``.residuals.csv`` siblings) with the file of the same name under
 ``tests/golden/``.  The fit inputs are the small fixed CSVs in
 ``tests/golden/data/``.  A golden is regenerated by running the same command
@@ -9,12 +10,11 @@ with ``--out tests/golden/<name>``; do that only for an intended change of
 output, and record it in CHANGES.md.
 """
 
-import os
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
+
+from helpers import run_module
 
 from ionchain import config
 from ionchain.cli import main
@@ -50,15 +50,30 @@ SIBLINGS = {
 }
 
 
+def golden_argv(name, out_dir):
+    return [str(a) for a in CASES[name]] + ["--out", str(out_dir / name)]
+
+
+def assert_matches_golden(out_dir, name):
+    expected = [name] + SIBLINGS.get(name, [])
+    assert sorted(p.name for p in out_dir.iterdir()) == sorted(expected)
+    for file_name in expected:
+        produced = (out_dir / file_name).read_bytes()
+        assert produced == (GOLDEN / file_name).read_bytes(), file_name
+
+
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_output_matches_golden(tmp_path, name):
-    argv = [str(a) for a in CASES[name]] + ["--out", str(tmp_path / name)]
-    assert main(argv) == 0
-    expected = [name] + SIBLINGS.get(name, [])
-    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(expected)
-    for file_name in expected:
-        produced = (tmp_path / file_name).read_bytes()
-        assert produced == (GOLDEN / file_name).read_bytes(), file_name
+    assert main(golden_argv(name, tmp_path)) == 0
+    assert_matches_golden(tmp_path, name)
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_fresh_process_output_matches_golden(tmp_path, name):
+    # a command process runs without cyclic collections and exits frozen
+    result = run_module(golden_argv(name, tmp_path))
+    assert (result.returncode, result.stdout) == (0, ""), result.stderr
+    assert_matches_golden(tmp_path, name)
 
 
 def _reversed(declaration):
@@ -80,11 +95,7 @@ def test_monte_carlo_golden_without_avx512_dispatch(tmp_path):
     # the Monte-Carlo oracle's tan runs on numpy's AVX-512 loop where the CPU
     # has one; with that dispatch switched off it runs on libm, and the
     # printed trace must not change
-    env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"}
-    out = tmp_path / "rabi_mc.csv"
-    argv = [str(a) for a in CASES["rabi_mc.csv"]] + ["--out", str(out)]
-    result = subprocess.run(
-        [sys.executable, "-m", "ionchain.cli", *argv], capture_output=True, text=True, env=env
-    )
+    argv = golden_argv("rabi_mc.csv", tmp_path)
+    result = run_module(argv, NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR")
     assert result.returncode == 0, result.stderr  # stderr may carry numpy's dispatch warnings
-    assert out.read_bytes() == (GOLDEN / "rabi_mc.csv").read_bytes()
+    assert_matches_golden(tmp_path, "rabi_mc.csv")
