@@ -305,15 +305,28 @@ def _hessian_from(a: np.ndarray, c_trap) -> np.ndarray:
     return H
 
 
-def _initial_guess(potential: TrapPotential, n: int) -> np.ndarray:
-    """Uniform-spacing starting configuration in units of L."""
+def _initial_guess(potential: TrapPotential, n: int, L: float) -> np.ndarray:
+    """Starting configuration in units of L: uniformly spaced, except that a
+    double well off the parity path starts with N // 2 ions in its left
+    well and the rest, an odd chain's centre ion included, in its right one.
+    The mirror-symmetric start would keep that centre ion on the barrier."""
     idx = np.arange(n) - 0.5 * (n - 1)
     if isinstance(potential, EquispacedLogPotential):
         return idx.astype(float)
     if isinstance(potential, QuadQuarticPotential) and potential.a2 <= 0:
         # quartic-dominated: chain extent from edge-ion force balance
         extent = (0.4 * n * n) ** 0.2
-        return idx * (2.0 * extent / max(n - 1, 1))
+        spacing = 2.0 * extent / max(n - 1, 1)
+        if potential.a2 == 0 or _takes_parity_path(potential, n):
+            return idx * spacing
+        # each well's ions at that spacing round the well's centre
+        # sqrt(-a2 / 2 a4), the two groups at least one spacing apart
+        well = max(math.sqrt(-potential.a2 / (2.0 * potential.a4)) / L, 0.25 * n * spacing)
+        left = n // 2
+        return np.concatenate([
+            -well + (np.arange(left) - 0.5 * (left - 1)) * spacing,
+            well + (np.arange(n - left) - 0.5 * (n - left - 1)) * spacing,
+        ])
     # harmonic-chain scaling: central spacing ~ 2.018 N^-0.559 in units of L
     return idx * (2.018 / n**0.559)
 
@@ -326,7 +339,7 @@ def find_equilibrium(
     """Find the classical equilibrium positions of an N-ion chain.
 
     Damped Newton iteration on the energy gradient, starting from a uniformly
-    spaced guess.  Each iterate runs one backtracking line search: steps
+    spaced guess (in both wells for a double well off the parity path).  Each iterate runs one backtracking line search: steps
     that fail to reduce the largest gradient component (or leave the
     potential domain, or reorder ions) are halved, up to 60 times, with a
     steepest-descent direction when the Newton step is singular or not a
@@ -385,7 +398,7 @@ def find_equilibrium(
 
     L = potential.unit_length(species)
     grad_curv, halfwidth = _scaled_trap(potential, species)
-    u = _initial_guess(potential, n_ions)
+    u = _initial_guess(potential, n_ions, L)
     parity = _takes_parity_path(potential, n_ions)
     # the unknowns are the last n_free positions; the kernel's rows add the
     # centre ion of an odd chain, whose gradient vanishes by symmetry

@@ -419,8 +419,8 @@ def _mode_energy_samples(n_modes: int, n_samples: int, seed: int) -> np.ndarray:
     for a given seed and each mode's row does not depend on the mode count.
     """
     samples = np.empty((n_modes, n_samples))
-    for m in range(n_modes):
-        samples[m] = np.random.default_rng([seed, m]).exponential(1.0, n_samples)
+    for m, row in enumerate(samples):  # the stream of .exponential(1.0, n_samples), in place
+        np.random.default_rng([seed, m]).standard_exponential(out=row)
     return samples
 
 
@@ -444,13 +444,18 @@ def rabi_trace_monte_carlo(
     same summation order whatever the split, so the result is bit-identical
     for any CPU count.  Deterministic for a given seed; see
     :func:`_mode_energy_samples` for the per-mode stream-splitting rule.
+
+    Working set, in rows of ``n_samples`` doubles: the samples (one row per
+    mode) and the relative-frequency row they are reduced to, then that row
+    and one scratch row per worker once the samples are freed.
     """
     if n_samples < 1:
         raise InputError("n_samples must be >= 1")
     times = _drive_times(times)
     thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
-    u = _mode_energy_samples(len(thetas), n_samples, seed)
-    factor = 1.0 - thetas @ u  # relative Rabi frequency per sample
+    # relative Rabi frequency 1 - theta . u per sample; the samples are freed here
+    factor = thetas @ _mode_energy_samples(len(thetas), n_samples, seed)
+    np.subtract(1.0, factor, out=factor)
     p1, stderr = np.empty_like(times), np.zeros_like(times)
 
     def average(indices: range) -> None:

@@ -140,7 +140,8 @@ def fit_least_squares(
         or the bounds are malformed or exclude the guess.
     FitError
         If there are fewer points than parameters, or the solve does not
-        converge.  When the solve raised, it is chained from that exception.
+        converge.  When the solve raised any other exception, it is chained
+        from that exception.
     """
     guess = np.atleast_1d(np.asarray(guess, dtype=float))
     n_params = len(guess)
@@ -173,29 +174,16 @@ def fit_least_squares(
         return (model(p, data.x) - data.y) / sigma
 
     try:
-        solution = _levenberg_marquardt(
+        params, residuals, jac, nfev = _levenberg_marquardt(
             residual_fn, guess, (at_guess - data.y) / sigma, lo, hi, 100 * n_params
         )
+    except FitError:
+        raise
     except Exception as exc:
         raise FitError(
             f"the least-squares solve raised {type(exc).__name__}: {exc}"
         ) from exc
-
-    if not solution.converged:
-        raise FitError("least-squares fit did not converge")
-    return _fit_result(
-        solution.params, solution.residuals, solution.jac.T @ solution.jac, data, param_names,
-        solution.nfev,
-    )
-
-
-@dataclass(frozen=True)
-class _Solution:
-    params: np.ndarray
-    residuals: np.ndarray
-    jac: np.ndarray
-    converged: bool
-    nfev: int
+    return _fit_result(params, residuals, jac.T @ jac, data, param_names, nfev)
 
 
 def _forward_jacobian(residual_fn, x, r, lo, hi) -> np.ndarray:
@@ -211,10 +199,11 @@ def _forward_jacobian(residual_fn, x, r, lo, hi) -> np.ndarray:
     return jac
 
 
-def _levenberg_marquardt(residual_fn, x0, r, lo, hi, max_nfev, tol=1e-14) -> _Solution:
+def _levenberg_marquardt(residual_fn, x0, r, lo, hi, max_nfev, tol=1e-14):
     """Bounded Levenberg-Marquardt minimisation of |residual_fn(x)|^2 / 2
     from ``x0``, whose residuals ``r`` the caller has already evaluated (they
-    count as the first evaluation).
+    count as the first evaluation).  Returns ``(x, residuals, jacobian,
+    nfev)`` at the solution.
 
     Each iteration scales the Jacobian's columns by their largest norm so
     far, leaves out the parameters held at a bound by the gradient, solves
@@ -226,8 +215,9 @@ def _levenberg_marquardt(residual_fn, x0, r, lo, hi, max_nfev, tol=1e-14) -> _So
     spectral bin off can land in the neighbouring minimum with theta of the
     wrong sign.  Convergence is the first of:
     a scaled gradient below ``tol``, a kept step lowering the cost by less
-    than ``tol`` of it, or a step shorter than ``tol`` of |x|.  Stopping at
-    ``max_nfev`` evaluations (the Jacobian's not counted) is not convergence.
+    than ``tol`` of it, or a step shorter than ``tol`` of |x|.  Reaching
+    ``max_nfev`` evaluations (the Jacobian's not counted) first raises
+    :class:`FitError`.
     """
     x = np.array(x0, dtype=float)
     if not np.all(np.isfinite(r)):
@@ -243,12 +233,12 @@ def _levenberg_marquardt(residual_fn, x0, r, lo, hi, max_nfev, tol=1e-14) -> _So
         g = (jac.T @ r) / d
         free = ~(((x <= lo) & (g > 0)) | ((x >= hi) & (g < 0)))
         if not np.any(free) or np.max(np.abs(g[free])) < tol:
-            return _Solution(x, r, jac, True, nfev)
+            return x, r, jac, nfev
         u, s, vt = np.linalg.svd(jac[:, free] / d[free], full_matrices=False)
         ur = u.T @ r
         while True:
             if nfev >= max_nfev:
-                return _Solution(x, r, jac, False, nfev)
+                raise FitError("least-squares fit did not converge")
             step = np.zeros(len(x))
             step[free] = -(vt.T @ (s * ur / (s * s + damping))) / d[free]
             x_new = np.clip(x + step, lo, hi)
@@ -277,7 +267,7 @@ def _levenberg_marquardt(residual_fn, x0, r, lo, hi, max_nfev, tol=1e-14) -> _So
             if done:
                 if reduction > 0:
                     jac = _forward_jacobian(residual_fn, x, r, lo, hi)
-                return _Solution(x, r, jac, True, nfev)
+                return x, r, jac, nfev
             if reduction > 0:
                 break
 

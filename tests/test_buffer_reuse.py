@@ -6,7 +6,8 @@ mode theta rate builds only the coupling column it uses.  These tests pin
 every output to the one-line formulas they replaced, bit for bit and in the
 same memory layout, check that no caller's input is written to, and hold each
 stage's peak transient memory (numpy reports its data to ``tracemalloc``)
-within a budget.
+within a budget.  The Monte-Carlo oracles likewise hold one copy of each
+per-sample array.
 """
 
 import math
@@ -28,6 +29,7 @@ from ionchain import (
     decay_parameters,
     find_equilibrium,
     gate_fidelity_bound,
+    gate_fidelity_monte_carlo,
     normal_modes,
     rabi_trace,
     theta_rate,
@@ -320,3 +322,44 @@ def test_lowest_mode_theta_rate_stays_within_its_memory_budget():
     beams = _beams(chain.positions)
     peak = _peak_bytes(theta_rate, NOISE, modes, beams, chain.positions) / MATRIX_BYTES
     assert peak <= 0.05
+
+
+# ----------------------------------------------------------------------
+# the Monte-Carlo oracles hold one copy of each per-sample array
+# ----------------------------------------------------------------------
+
+N_SAMPLES = 100_000
+SLACK_BYTES = 64 * 1024
+
+
+@pytest.mark.parametrize("n", [1, 7, N_SAMPLES])
+@pytest.mark.parametrize("n_modes", [1, 3])
+@pytest.mark.parametrize("seed", [0, 7, 2**40 + 3])
+def test_mode_energy_rows_are_the_exponential_streams(seed, n_modes, n):
+    samples = decoherence._mode_energy_samples(n_modes, n, seed)
+    assert samples.shape == (n_modes, n)
+    for m, row in enumerate(samples):
+        assert np.array_equal(row, np.random.default_rng([seed, m]).exponential(1.0, n))
+
+
+@pytest.mark.parametrize(
+    "oracle, thetas, rows",
+    [
+        ("rabi", [0.05], 3),
+        ("rabi", [0.05, 0.01, -0.02], 4),
+        ("gate", [0.05], 3),
+    ],
+)
+def test_monte_carlo_oracles_stay_within_their_working_sets(monkeypatch, oracle, thetas, rows):
+    """Peaks in rows of ``N_SAMPLES`` doubles, with two workers.  Rabi: the
+    samples (one row per mode) and the row they are reduced to, then that
+    row and one scratch row per worker.  Gate: the samples and the two
+    phasor rows.  Forming each row in fresh temporaries, as before, took 4,
+    6 and 4."""
+    monkeypatch.setattr(decoherence, "_usable_cpus", lambda: 2)
+    if oracle == "rabi":
+        times = np.linspace(0.0, 200e-6, 9)
+        peak = _peak_bytes(decoherence.rabi_trace_monte_carlo, OMEGA0, thetas, times, N_SAMPLES)
+    else:
+        peak = _peak_bytes(gate_fidelity_monte_carlo, thetas, [0.04], 2, N_SAMPLES)
+    assert peak <= rows * N_SAMPLES * 8 + SLACK_BYTES

@@ -3,7 +3,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize
 
@@ -152,6 +152,27 @@ class TestFindEquilibrium:
         pot = QuadQuarticPotential(a2=-2e-15, a4=5e-3)
         chain = find_equilibrium(YB171, pot, 4)
         assert np.all(np.diff(chain.positions) > 0)
+
+    @pytest.mark.parametrize(
+        "a2, a4, n",
+        [
+            # odd chains the mirror-symmetric start left on the barrier
+            (-1e-13, 1e-5, 1),
+            (-1e-14, 1e-6, 3),
+            (-10**-13.5, 1e-6, 25),
+            (-10**-13.5, 10**-5.5, 15),
+            (-1e-13, 1e-5, 15),
+            # deep wells far outside the quartic start, which stalled
+            (-10**-13.5, 1e-6, 2),
+            (-1e-13, 1e-6, 10),
+            (-1e-13, 10**-5.5, 25),
+        ],
+    )
+    def test_double_well_chain_starts_and_ends_in_the_wells(self, a2, a4, n):
+        chain = find_equilibrium(YB171, QuadQuarticPotential(a2=a2, a4=a4), n)
+        assert chain.criterion == "tolerance"
+        normal_modes(chain)  # a minimum, not a saddle
+        assert np.count_nonzero(chain.positions < 0) == n // 2
 
     def test_single_ion_sits_at_trap_center(self):
         chain = find_equilibrium(YB171, HARMONIC, 1)
@@ -374,6 +395,25 @@ def _scaled_energy_minimum(pot, n):
     return np.sort(result.x) * length
 
 
+def _solved_or_raised(pot, n, check_modes=True):
+    """The chain find_equilibrium returns, checked to be ordered, finite and
+    (with ``check_modes``) stable with orthonormal participation; or None
+    when the solve raised a SolverError carrying its residual and positions."""
+    try:
+        chain = find_equilibrium(YB171, pot, n)
+    except SolverError as error:
+        assert math.isfinite(error.residual) and error.residual > 0
+        assert error.positions.shape == (n,)
+        return None
+    x = chain.positions
+    assert x.shape == (n,) and np.all(np.isfinite(x)) and np.all(np.diff(x) > 0)
+    assert chain.criterion in ("tolerance", "roundoff_floor")
+    if check_modes:
+        b = normal_modes(chain).participation
+        assert np.allclose(b.T @ b, np.eye(n), rtol=0, atol=1e-12)
+    return chain
+
+
 class TestSolveProperties:
     @settings(max_examples=100, deadline=None, database=None, derandomize=True)
     @given(
@@ -385,23 +425,33 @@ class TestSolveProperties:
     def test_solve_returns_a_stable_ordered_chain_or_raises(self, double_well, log_a2, log_a4, n):
         a2 = (-1.0 if double_well else 1.0) * 10.0**log_a2
         pot = QuadQuarticPotential(a2=a2, a4=10.0**log_a4)
-        try:
-            chain = find_equilibrium(YB171, pot, n)
-        except SolverError as error:
-            assert math.isfinite(error.residual) and error.residual > 0
-            assert error.positions.shape == (n,)
-            return
-        x = chain.positions
-        assert x.shape == (n,) and np.all(np.isfinite(x)) and np.all(np.diff(x) > 0)
-        assert chain.criterion in ("tolerance", "roundoff_floor")
-        if double_well:
-            return  # an odd chain may end on the symmetric saddle, a known defect
-        b = normal_modes(chain).participation
-        assert np.allclose(b.T @ b, np.eye(n), rtol=0, atol=1e-12)
-        if n <= 6:
+        # a double well on the parity path may still end on the symmetric
+        # saddle; below it, the chain starts in the wells
+        may_end_on_saddle = double_well and n >= chain_module._PARITY_MIN_IONS
+        chain = _solved_or_raised(pot, n, check_modes=not may_end_on_saddle)
+        if chain is not None and n <= 6 and not double_well:
             # the energy is strictly convex on the ordered cone for a2 >= 0
             oracle = _scaled_energy_minimum(pot, n)
+            x = chain.positions
             assert np.max(np.abs(x - oracle)) <= 1e-7 * (x[-1] - x[0])
+
+    @settings(max_examples=60, deadline=None, database=None, derandomize=True)
+    @given(
+        equispaced=st.booleans(),
+        log_f=st.floats(5.0, 6.0),
+        n=st.one_of(st.integers(2, 39), st.integers(40, 500)),
+    )
+    @example(equispaced=False, log_f=5.0, n=500)
+    @example(equispaced=True, log_f=5.0, n=500)
+    def test_harmonic_and_equispaced_solves_return_stable_chains_or_raise(
+        self, equispaced, log_f, n
+    ):
+        # harmonic traps from 100 kHz to 1 MHz, 4.4 um equispaced chains
+        if equispaced:
+            pot = EquispacedLogPotential(n, 4.4e-6)
+        else:
+            pot = HarmonicPotential(2 * np.pi * 10.0**log_f)
+        _solved_or_raised(pot, n)
 
 
 # ----------------------------------------------------------------------

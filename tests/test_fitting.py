@@ -95,6 +95,30 @@ class TestCore:
             fit_least_squares(model, DataSeries(x, x), [1.0, 0.0], UNBOUNDED, LINE)
         assert isinstance(excinfo.value.__cause__, ValueError)
 
+    def test_running_out_of_evaluations_raises_unwrapped(self, monkeypatch, rng):
+        # the solve's own FitError reaches the caller as it was raised
+        solve = fitting._levenberg_marquardt
+        monkeypatch.setattr(
+            fitting, "_levenberg_marquardt", lambda *args: solve(*args[:-1], 3)
+        )
+        x = np.linspace(-2.0, 2.0, 41)
+        y = 0.8 * x**2 - 0.4 * x + rng.normal(0, 0.01, x.size)
+        with pytest.raises(FitError) as excinfo:
+            fit_least_squares(
+                lambda p, xx: p[0] * xx**2 + p[1] * xx, DataSeries(x, y), [0.0, 0.0], UNBOUNDED, LINE
+            )
+        assert str(excinfo.value) == "least-squares fit did not converge"
+        assert excinfo.value.__cause__ is None and excinfo.value.__context__ is None
+
+    def test_overflowing_start_residuals_raise_unwrapped(self):
+        x = np.ones(4)
+        with pytest.raises(FitError) as excinfo, np.errstate(over="ignore"):
+            fit_least_squares(
+                lambda p, xx: p[0] * xx, DataSeries(x, -1e308 * x), [1e308], UNBOUNDED, ("a",)
+            )
+        assert str(excinfo.value) == "residuals are not finite at the start"
+        assert excinfo.value.__cause__ is None
+
     def test_empty_bound_interval_rejected_up_front(self):
         x = np.linspace(0.0, 1.0, 10)
         calls = []
