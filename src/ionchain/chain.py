@@ -171,20 +171,29 @@ class EquispacedLogPotential:
 TrapPotential = Union[HarmonicPotential, QuadQuarticPotential, EquispacedLogPotential]
 
 
-_EVEN_POTENTIALS = (HarmonicPotential, QuadQuarticPotential, EquispacedLogPotential)
-
 _PARITY_MIN_IONS = 40
-"""Chains of at least this many ions in one of the even potentials above are
-solved and diagonalized on their mirror half (see :func:`find_equilibrium`
-and :func:`normal_modes`).  Measured with one BLAS thread on a 2-core host
-(geometric mean over four traps), solve plus modes on the parity path costs
-about the same as the full path up to 24 ions, 5 % less at 28-30 ions and
-13-30 % less from 36 ions on; 40 keeps every chain of the paper's sizes
-(N <= 25) on the full path."""
+"""Chains of at least this many ions in a convex trap are solved and
+diagonalized on their mirror half (see :func:`_takes_parity_path`).
+Measured with one BLAS thread on a 2-core host (geometric mean over four
+traps), solve plus modes on the parity path costs about the same as the
+full path up to 24 ions, 5 % less at 28-30 ions and 13-30 % less from 36
+ions on; 40 keeps every chain of the paper's sizes (N <= 25) on the full
+path."""
 
 
 def _takes_parity_path(potential: TrapPotential, n_ions: int) -> bool:
-    return n_ions >= _PARITY_MIN_IONS and type(potential) in _EVEN_POTENTIALS
+    """Whether :func:`find_equilibrium` and :func:`normal_modes` work on the
+    mirror half of an ``n_ions`` chain: from ``_PARITY_MIN_IONS`` ions on,
+    in a harmonic, equispaced or quadratic-plus-quartic trap with a2, a4 >= 0.
+    These traps are even and their chain energy is strictly convex on the
+    ordered cone, so the one minimum is mirror antisymmetric.  A double well
+    (a2 < 0) is not convex: its symmetric point can be a saddle whose
+    unstable direction, a shift of the centre ion, the half never sees."""
+    if type(potential) is QuadQuarticPotential:
+        convex = potential.a2 >= 0 and potential.a4 >= 0
+    else:
+        convex = type(potential) in (HarmonicPotential, EquispacedLogPotential)
+    return n_ions >= _PARITY_MIN_IONS and convex
 
 
 @dataclass(frozen=True)
@@ -307,9 +316,9 @@ def _hessian_from(a: np.ndarray, c_trap) -> np.ndarray:
 
 def _initial_guess(potential: TrapPotential, n: int, L: float) -> np.ndarray:
     """Starting configuration in units of L: uniformly spaced, except that a
-    double well off the parity path starts with N // 2 ions in its left
-    well and the rest, an odd chain's centre ion included, in its right one.
-    The mirror-symmetric start would keep that centre ion on the barrier."""
+    double well starts with N // 2 ions in its left well and the rest, an
+    odd chain's centre ion included, in its right one.  The
+    mirror-symmetric start would keep that centre ion on the barrier."""
     idx = np.arange(n) - 0.5 * (n - 1)
     if isinstance(potential, EquispacedLogPotential):
         return idx.astype(float)
@@ -317,7 +326,7 @@ def _initial_guess(potential: TrapPotential, n: int, L: float) -> np.ndarray:
         # quartic-dominated: chain extent from edge-ion force balance
         extent = (0.4 * n * n) ** 0.2
         spacing = 2.0 * extent / max(n - 1, 1)
-        if potential.a2 == 0 or _takes_parity_path(potential, n):
+        if potential.a2 == 0:
             return idx * spacing
         # each well's ions at that spacing round the well's centre
         # sqrt(-a2 / 2 a4), the two groups at least one spacing apart
@@ -339,21 +348,23 @@ def find_equilibrium(
     """Find the classical equilibrium positions of an N-ion chain.
 
     Damped Newton iteration on the energy gradient, starting from a uniformly
-    spaced guess (in both wells for a double well off the parity path).  Each iterate runs one backtracking line search: steps
-    that fail to reduce the largest gradient component (or leave the
-    potential domain, or reorder ions) are halved, up to 60 times, with a
-    steepest-descent direction when the Newton step is singular or not a
-    descent direction.  Each accepted iterate's pair distances and trap
+    spaced guess (in both wells for a double well).  Each iterate runs one
+    backtracking line search: steps that fail to reduce the largest gradient
+    component (or leave the potential domain, or reorder ions) are halved,
+    up to 60 times, with a steepest-descent direction when the Newton step
+    is singular or not a descent direction.  Each accepted iterate's pair distances and trap
     curvature give the next Hessian, so every iterate makes one pass over
     the ion pairs.  Deterministic for given inputs.
 
-    The three trap potentials are even, so the equilibrium is mirror
-    antisymmetric.  From ``_PARITY_MIN_IONS`` (40) ions on, the unknowns are
-    the N // 2 positive positions w and the chain is ``[-w[::-1], (0 if N is
-    odd), w]``, exactly antisymmetric: the gradient is taken for the positive
-    half (and the centre ion) against the whole chain, and the Newton matrix
-    is the half-size block ``H[i, k] - H[i, mirror(k)]``.  Smaller chains
-    solve for every position; both run the same iteration.
+    In a convex trap (harmonic, equispaced, or quadratic-plus-quartic with
+    a2, a4 >= 0) the one equilibrium is mirror antisymmetric.  There, from
+    ``_PARITY_MIN_IONS`` (40) ions on, the unknowns are the N // 2 positive
+    positions w and the chain is ``[-w[::-1], (0 if N is odd), w]``, exactly
+    antisymmetric: the gradient is taken for the positive half (and the
+    centre ion) against the whole chain, and the Newton matrix is the
+    half-size block ``H[i, k] - H[i, mirror(k)]``.  Smaller chains and
+    double wells, whose minima need not be symmetric, solve for every
+    position; both run the same iteration.
 
     If the line search fails, the solve stops at the iterate when the step
     it tried is below round-off of the positions, ``max|step| <= N eps
@@ -570,12 +581,13 @@ def normal_modes(chain: EquilibriumChain) -> ModeDecomposition:
     omega_u equal the trap frequency, so the lowest mode is the
     center-of-mass mode at omega0 (to round-off) with uniform participation.
 
-    A chain of at least ``_PARITY_MIN_IONS`` (40) ions in one of the three
-    trap potentials whose positions are exactly mirror antisymmetric, as
-    :func:`find_equilibrium` returns them, is diagonalized as two half-size
-    parity blocks (see ``_parity_eigh``): every mode vector then has exact
-    mirror parity, and the odd ones sum to zero up to round-off.  Every
-    other chain, such as a hand-built one that is not exactly antisymmetric,
+    A chain of at least ``_PARITY_MIN_IONS`` (40) ions in a convex trap
+    (harmonic, equispaced, or quadratic-plus-quartic with a2, a4 >= 0) whose
+    positions are exactly mirror antisymmetric, as :func:`find_equilibrium`
+    returns them, is diagonalized as two half-size parity blocks (see
+    ``_parity_eigh``): every mode vector then has exact mirror parity, and
+    the odd ones sum to zero up to round-off.  Every other chain, such as a
+    double well or a hand-built one that is not exactly antisymmetric,
     diagonalizes the whole Hessian.
 
     Raises

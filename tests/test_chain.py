@@ -174,6 +174,20 @@ class TestFindEquilibrium:
         normal_modes(chain)  # a minimum, not a saddle
         assert np.count_nonzero(chain.positions < 0) == n // 2
 
+    @pytest.mark.parametrize(
+        "a2, a4, n",
+        # the chains the mirror-symmetric solve stalled on or ended on the
+        # symmetric saddle, which normal_modes rejects
+        [(-1e-13, 1e-6, n) for n in (40, 41, 60, 61, 100, 101, 200, 201, 300, 301)]
+        + [(-1e-13, 10**-5.5, n) for n in (40, 41, 60, 61, 101)]
+        + [(-10**-13.5, 1e-6, 41)],
+    )
+    def test_long_double_well_chain_ends_at_a_minimum_in_the_wells(self, a2, a4, n):
+        chain = find_equilibrium(YB171, QuadQuarticPotential(a2=a2, a4=a4), n)
+        assert chain.criterion in ("tolerance", "roundoff_floor")
+        normal_modes(chain)  # a minimum, not a saddle
+        assert np.count_nonzero(chain.positions < 0) == n // 2
+
     def test_single_ion_sits_at_trap_center(self):
         chain = find_equilibrium(YB171, HARMONIC, 1)
         assert abs(chain.positions[0]) < 1e-15
@@ -420,15 +434,12 @@ class TestSolveProperties:
         double_well=st.booleans(),
         log_a2=st.floats(-16.0, -13.0),
         log_a4=st.floats(-6.0, -3.0),
-        n=st.one_of(st.integers(2, 6), st.integers(7, 300)),
+        n=st.one_of(st.integers(2, 6), st.integers(7, 500)),
     )
     def test_solve_returns_a_stable_ordered_chain_or_raises(self, double_well, log_a2, log_a4, n):
         a2 = (-1.0 if double_well else 1.0) * 10.0**log_a2
         pot = QuadQuarticPotential(a2=a2, a4=10.0**log_a4)
-        # a double well on the parity path may still end on the symmetric
-        # saddle; below it, the chain starts in the wells
-        may_end_on_saddle = double_well and n >= chain_module._PARITY_MIN_IONS
-        chain = _solved_or_raised(pot, n, check_modes=not may_end_on_saddle)
+        chain = _solved_or_raised(pot, n)
         if chain is not None and n <= 6 and not double_well:
             # the energy is strictly convex on the ordered cone for a2 >= 0
             oracle = _scaled_energy_minimum(pot, n)
@@ -793,10 +804,21 @@ def _has_mirror_parity(column):
     return np.array_equal(column[::-1], column) or np.array_equal(column[::-1], -column)
 
 
+def _assert_on_the_full_path(pot, n):
+    """The solve and modes of ``pot`` at ``n`` ions are bit-equal to those
+    with every chain on the full path."""
+    chain, full_chain = _on_both_paths(find_equilibrium, YB171, pot, n)
+    assert np.array_equal(chain.positions, full_chain.positions)
+    modes, full_modes = _on_both_paths(normal_modes, chain)
+    assert np.array_equal(modes.frequencies, full_modes.frequencies)
+    assert np.array_equal(modes.participation, full_modes.participation)
+
+
 class TestParityPath:
     @settings(max_examples=16, deadline=None, database=None, derandomize=True)
     @given(
-        st.sampled_from(sorted(POTENTIAL_KINDS)),
+        # the convex traps; a double well takes the full path at every size
+        st.sampled_from(sorted(set(POTENTIAL_KINDS) - {"double_well"})),
         st.integers(chain_module._PARITY_MIN_IONS, 500),
     )
     def test_parity_path_matches_the_full_path(self, kind, n):
@@ -848,12 +870,13 @@ class TestParityPath:
         assert chain_module._PARITY_MIN_IONS > 25
         for kind in sorted(POTENTIAL_KINDS):
             for n in range(2, chain_module._PARITY_MIN_IONS):
-                pot = POTENTIAL_KINDS[kind](n)
-                chain, full_chain = _on_both_paths(find_equilibrium, YB171, pot, n)
-                assert np.array_equal(chain.positions, full_chain.positions)
-                modes, full_modes = _on_both_paths(normal_modes, chain)
-                assert np.array_equal(modes.frequencies, full_modes.frequencies)
-                assert np.array_equal(modes.participation, full_modes.participation)
+                _assert_on_the_full_path(POTENTIAL_KINDS[kind](n), n)
+
+    @pytest.mark.parametrize("a2, a4", [(-2e-15, 5e-3), (-1e-13, 1e-6)])
+    @pytest.mark.parametrize("n", [40, 41, 60, 61, 100, 101])
+    def test_a_double_well_takes_the_full_path_above_the_crossover(self, a2, a4, n):
+        # its symmetric point may be a saddle, which the half cannot leave
+        _assert_on_the_full_path(QuadQuarticPotential(a2=a2, a4=a4), n)
 
     @pytest.mark.parametrize("n", [40, 41])
     def test_a_chain_that_is_not_exactly_antisymmetric_takes_the_full_path(self, n):

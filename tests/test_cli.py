@@ -79,6 +79,19 @@ class TestModes:
         _, rows = read_csv(out)
         assert abs(rows[0, 1] - 193.0) / 193.0 < 0.20
 
+    def test_41_ion_double_well_has_41_modes(self, tmp_path):
+        # a mirror-symmetric solve ends this chain on the saddle with its
+        # centre ion on the barrier, and modes exits 3
+        cfg = write(
+            tmp_path / "dw41.yaml",
+            YB + "potential:\n  kind: quad_quartic\n  a2_j_per_m2: -3.1622776601683796e-14\n"
+            "  a4_j_per_m4: 1.0e-6\n  n_ions: 41\n",
+        )
+        out = tmp_path / "m.csv"
+        assert run(["modes", "--config", cfg, "--out", out]) == 0
+        _, rows = read_csv(out)
+        assert rows.shape[0] == 41 and np.all(rows[:, 1] > 0)
+
     def test_malformed_config_exits_2_without_output(self, tmp_path):
         cfg = write(tmp_path / "bad.yaml", "species: [not, a, mapping\n")
         out = tmp_path / "m.csv"

@@ -91,11 +91,29 @@ def test_output_does_not_depend_on_declaration_order(tmp_path, monkeypatch, name
     test_output_matches_golden(tmp_path, name)
 
 
-def test_monte_carlo_golden_without_avx512_dispatch(tmp_path):
-    # the Monte-Carlo oracle's tan runs on numpy's AVX-512 loop where the CPU
-    # has one; with that dispatch switched off it runs on libm, and the
-    # printed trace must not change
-    argv = golden_argv("rabi_mc.csv", tmp_path)
+# JSON prints floats at full precision, and the Levenberg-Marquardt fits stop
+# near their minimum at a point set by the forward-difference Jacobian's
+# noise, so these three move with the dispatch
+DISPATCH_DEPENDENT = pytest.mark.xfail(
+    strict=False,
+    reason="ROADMAP item 'Byte-identical output on any CPU, not only on AVX-512'",
+)
+
+
+@pytest.mark.parametrize(
+    "name",
+    [
+        pytest.param(name, marks=DISPATCH_DEPENDENT)
+        if name in ("rabi.json", "fit_beam.json", "fit_rabi.json")
+        else name
+        for name in sorted(CASES)
+    ],
+)
+def test_golden_without_avx512_dispatch(tmp_path, name):
+    # numpy runs its AVX-512 loops (the Monte-Carlo oracle's tan among them)
+    # where the CPU has them; with that dispatch switched off they run on
+    # the baseline loops and libm, and the printed output must not change
+    argv = golden_argv(name, tmp_path)
     result = run_module(argv, NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR")
     assert result.returncode == 0, result.stderr  # stderr may carry numpy's dispatch warnings
-    assert_matches_golden(tmp_path, "rabi_mc.csv")
+    assert_matches_golden(tmp_path, name)
