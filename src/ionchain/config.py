@@ -211,7 +211,8 @@ def read_numeric_csv(path, expected, optional_sigma=False):
     diagnostics on missing files, bad headers or non-numeric cells.
     """
     try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
+        # utf-8-sig drops the byte-order mark that spreadsheet exports often write
+        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
             reader = csv.reader(fh)
             try:
                 header = next(reader)

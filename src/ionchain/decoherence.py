@@ -33,13 +33,15 @@ import os
 import threading
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence, Union
+from typing import TYPE_CHECKING, Callable, Mapping, Sequence, Union
 
 import numpy as np
 
-from .chain import ModeDecomposition
 from .constants import HBAR, IonSpecies
 from .errors import DomainError, InputError, LowOccupancyWarning
+
+if TYPE_CHECKING:
+    from .chain import ModeDecomposition
 
 LOW_OCCUPANCY_THRESHOLD = 10.0
 

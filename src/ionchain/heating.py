@@ -17,13 +17,15 @@ both heat less and contribute as omega_m^(-2).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 import numpy as np
 
-from .chain import ModeDecomposition
 from .decoherence import BeamProfile, _beam_coupling
 from .errors import InputError
+
+if TYPE_CHECKING:
+    from .chain import ModeDecomposition
 
 
 @dataclass(frozen=True)

@@ -264,6 +264,20 @@ def _record_kernel_points(monkeypatch):
     return points
 
 
+def _record_solves(monkeypatch):
+    """(H, b, step) of every Newton solve the solver makes."""
+    solve = np.linalg.solve
+    solves = []
+
+    def recorded(H, b):
+        step = solve(H, b)
+        solves.append((H.copy(), b.copy(), step))
+        return step
+
+    monkeypatch.setattr(chain_module.np.linalg, "solve", recorded)
+    return solves
+
+
 def _is_steepest_descent_from(point, start, g):
     """point = start - s g for some s > 0."""
     s = np.dot(start - point, g) / np.dot(g, g)
@@ -657,6 +671,8 @@ POTENTIAL_KINDS = {
     "double_well": lambda n: QuadQuarticPotential(a2=-2e-15, a4=5e-3),
     "equispaced": lambda n: EquispacedLogPotential(n, 4.4e-6),
 }
+CONVEX_KINDS = sorted(set(POTENTIAL_KINDS) - {"double_well"})
+"""The traps that take the parity path from _PARITY_MIN_IONS ions on."""
 PROPERTY_SETTINGS = settings(max_examples=60, deadline=None, database=None, derandomize=True)
 
 
@@ -817,8 +833,8 @@ def _assert_on_the_full_path(pot, n):
 class TestParityPath:
     @settings(max_examples=16, deadline=None, database=None, derandomize=True)
     @given(
-        # the convex traps; a double well takes the full path at every size
-        st.sampled_from(sorted(set(POTENTIAL_KINDS) - {"double_well"})),
+        # a double well takes the full path at every size
+        st.sampled_from(CONVEX_KINDS),
         st.integers(chain_module._PARITY_MIN_IONS, 500),
     )
     def test_parity_path_matches_the_full_path(self, kind, n):
@@ -863,6 +879,29 @@ class TestParityPath:
         odd = [m for m in range(n) if np.array_equal(b[::-1, m], -b[:, m])]
         assert len(odd) == n // 2
         assert np.all(np.abs(b[:, odd].sum(axis=0)) <= chain_module._SIGN_TIE_EPS)
+
+    @settings(max_examples=40, deadline=None, database=None, derandomize=True)
+    @given(
+        kind=st.sampled_from(CONVEX_KINDS),
+        n=st.one_of(st.integers(2, chain_module._PARITY_MIN_IONS - 1),
+                    st.integers(chain_module._PARITY_MIN_IONS, 500)),
+    )
+    @example(kind="harmonic", n=500)
+    @example(kind="equispaced", n=500)
+    def test_convex_traps_solve_by_pure_newton_steps(self, kind, n):
+        # _takes_parity_path relies on these traps' chain energy being
+        # strictly convex on the ordered cone: then every Newton matrix, of
+        # the whole chain or of its mirror half, is symmetric positive
+        # definite, every step descends, and neither steepest-descent
+        # fallback runs
+        with pytest.MonkeyPatch.context() as patch:
+            solves = _record_solves(patch)
+            find_equilibrium(YB171, POTENTIAL_KINDS[kind](n), n)
+        assert solves
+        for H, b, step in solves:
+            assert np.array_equal(H, H.T)
+            np.linalg.cholesky(H)  # raises LinAlgError unless positive definite
+            assert np.dot(step, b) > 0  # b = -g
 
     def test_below_the_crossover_every_chain_takes_the_full_path(self):
         # the crossover keeps the golden chains (N <= 25 at full precision)

@@ -203,6 +203,26 @@ class TestRabi:
         _, rows_g = read_csv(out_g)
         assert np.max(np.abs(rows_t[:, 1] - rows_g[:, 1])) < 1e-3
 
+    def test_tabulated_beam_csv_may_start_with_a_byte_order_mark(self, tmp_path):
+        x_um = np.linspace(-2.0, 2.0, 41)
+        table = "x_um,rabi_khz\n" + "".join(f"{a},{50.0 * np.exp(-a * a)}\n" for a in x_um)
+        traces = []
+        for name, mark in (("plain", ""), ("marked", "\ufeff")):
+            beam_csv = tmp_path / f"{name}.csv"
+            write(beam_csv, mark + table)
+            cfg = write(
+                tmp_path / f"{name}.yaml",
+                YB
+                + "potential:\n  kind: harmonic\n  axial_freq_khz: 140.0\n  n_ions: 1\n"
+                + f"beam:\n  kind: tabulated\n  csv: {beam_csv}\n"
+                + "thermal:\n  nbar: 280.0\n"
+                + "rabi:\n  drive_khz: 50.0\n  t_max_us: 60.0\n  n_points: 61\n",
+            )
+            out = tmp_path / f"{name}.out.csv"
+            assert run(["rabi", "--config", cfg, "--out", out]) == 0
+            traces.append(out.read_bytes())
+        assert traces[0] == traces[1]
+
 
 class TestThetaScan:
     CFG = (

@@ -76,6 +76,18 @@ def test_fresh_process_output_matches_golden(tmp_path, name):
     assert_matches_golden(tmp_path, name)
 
 
+@pytest.mark.parametrize("name", [name for name in sorted(CASES) if name.startswith("fit_")])
+def test_fit_input_with_byte_order_mark_matches_golden(tmp_path, name):
+    # spreadsheet exports often start a UTF-8 CSV with a byte-order mark
+    command, recipe, data = CASES[name]
+    marked = tmp_path / data.name
+    marked.write_bytes(b"\xef\xbb\xbf" + data.read_bytes())
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    assert main([command, recipe, str(marked), "--out", str(out_dir / name)]) == 0
+    assert_matches_golden(out_dir, name)
+
+
 def _reversed(declaration):
     """``declaration`` with its keys, and the keys of each nested mapping, in
     reverse order."""

@@ -4,6 +4,8 @@ namespace loads each exported name's module on first use."""
 import ast
 import graphlib
 import importlib
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -13,6 +15,7 @@ import ionchain
 
 # read from the source tree, not imported: a cycle may break the import itself
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "ionchain"
+GOLDEN_DATA = Path(__file__).resolve().parent / "golden" / "data"
 
 
 def package_imports():
@@ -38,6 +41,36 @@ def test_import_graph_has_no_cycles():
     # leaves first: errors depends on nothing, the CLI on everything it wraps
     position = {name: k for k, name in enumerate(order)}
     assert position["errors"] < position["chain"] < position["__init__"] < position["cli"]
+
+
+def test_fits_and_oracles_run_without_the_chain_solver():
+    """Decoherence and heating name ``ModeDecomposition`` in annotations only,
+    so calibrating against data never loads (or compiles) ``chain``."""
+    code = f"""
+import sys
+import numpy as np
+from ionchain import fitting, gates
+from ionchain.decoherence import rabi_trace_monte_carlo
+
+def columns(name):
+    return np.loadtxt({str(GOLDEN_DATA)!r} + "/" + name, delimiter=",", skiprows=1).T
+
+x, y = columns("beam.csv")
+fitting.fit_beam_profile(x, y)
+t, p1, sigma = columns("rabi.csv")
+omega, theta = fitting.fit_rabi_trace(t * 1e-6, p1, sigma).params
+tw, growth, sigma = columns("theta_growth.csv")
+fitting.fit_theta_growth(tw * 1e-3, growth, sigma)
+f, rate, sigma = columns("power_law.csv")
+fitting.fit_theta_power_law(2 * np.pi * f * 1e3, rate, sigma)
+rabi_trace_monte_carlo(omega, [theta], t[::10] * 1e-6, 1000)
+gates.gate_fidelity_monte_carlo([theta], [theta], 2, 1000)
+assert "ionchain.chain" not in sys.modules, sorted(m for m in sys.modules if m.startswith("ionchain"))
+"""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))}
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert result.returncode == 0, result.stderr
 
 
 # ----------------------------------------------------------------------
