@@ -77,8 +77,8 @@ except ImportError:
 fig, axes = plt.subplots(2, 1, figsize=(6.5, 6), sharex=True)
 axes[0].plot(x_um, angle_est, "ko", ms=3, label="mapping scan")
 xf = np.linspace(x_um[0], x_um[-1], 400)
-axes[0].plot(xf, fit["amplitude"] * np.exp(-((xf - fit["center"]) / fit["waist"]) ** 2),
-             "b-", lw=1, label=f"Gaussian fit, w = {fit['waist']:.2f} um")
+fitted = GaussianBeam(peak_rabi=fit["amplitude"], center=fit["center"], waist=fit["waist"])
+axes[0].plot(xf, fitted.rabi_at(xf), "b-", lw=1, label=f"Gaussian fit, w = {fit['waist']:.2f} um")
 axes[0].set_ylabel("Rabi angle (rad)")
 axes[0].legend()
 axes[1].plot(x_um, np.abs(theta), "k-", lw=1)

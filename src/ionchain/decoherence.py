@@ -33,7 +33,7 @@ import os
 import threading
 import warnings
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Mapping, Sequence, Union
+from typing import TYPE_CHECKING, Callable, Iterator, Mapping, Sequence, Union
 
 import numpy as np
 
@@ -377,28 +377,35 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _run_strided(n_items: int, work: Callable[[range], None]) -> None:
-    """Run ``work(indices)`` over strided slices of ``range(n_items)``, one per CPU.
+def _run_from_shared_queue(n_items: int, work: Callable[[Iterator[int]], None]) -> None:
+    """Run ``work(queue)`` on w = min(n_items, usable CPUs) workers that share
+    one queue of the item indices ``range(n_items)``.
 
-    With w = min(n_items, usable CPUs) workers, slice s is
-    ``range(s, n_items, w)``: the caller runs slice 0 and a thread runs each
-    of the others.  numpy releases the GIL inside its ufunc loops and random
-    fills, so the slices run in parallel.  ``work`` must write each item's
-    result to its own place and nowhere else; the results then do not depend
-    on w.  Every thread is joined before this returns, and an exception
-    raised by any slice (the lowest-numbered one if several raise) is
-    re-raised here, so a caller never sees partly filled output.
+    The caller is one worker and a thread runs each of the others.  Every
+    worker is handed the same iterator over ``range(n_items)`` and takes the
+    next index from it until none are left, so each index goes exactly once,
+    in increasing order, to whichever worker asks first: a worker whose core
+    is busy takes fewer items instead of holding the others up.  Taking an
+    index is one call into the C range iterator, atomic under the GIL; a
+    free-threaded build would need a lock around it.  numpy releases the GIL
+    inside its ufunc loops and random fills, so the items run in parallel.
+    ``work`` must write each item's result to its own place and nowhere
+    else; the results then depend neither on w nor on which worker ran which
+    item.  Every thread is joined before this returns, and an exception
+    raised by any worker (the caller's first, then the threads' in start
+    order) is re-raised here, so a caller never sees partly filled output.
     """
     n_workers = max(1, min(n_items, _usable_cpus()))
+    queue = iter(range(n_items))
     errors: list[BaseException | None] = [None] * n_workers
 
-    def run(s: int) -> None:
+    def run(w: int) -> None:
         try:
-            work(range(s, n_items, n_workers))
+            work(queue)
         except BaseException as exc:
-            errors[s] = exc
+            errors[w] = exc
 
-    threads = [threading.Thread(target=run, args=(s,)) for s in range(1, n_workers)]
+    threads = [threading.Thread(target=run, args=(w,)) for w in range(1, n_workers)]
     started = []
     try:
         for thread in threads:
@@ -441,11 +448,13 @@ def rabi_trace_monte_carlo(
     ``tan`` is SIMD on AVX-512 CPUs, ``sin`` scalar libm).  The independent
     oracle for :func:`rabi_trace`; negative frequencies are kept (sin^2 is even).
 
-    The drive times are split over the usable CPUs by :func:`_run_strided`;
-    each time's mean and standard error come from the same samples in the
-    same summation order whatever the split, so the result is bit-identical
-    for any CPU count.  Deterministic for a given seed; see
-    :func:`_mode_energy_samples` for the per-mode stream-splitting rule.
+    A drive time of 0 is answered p1 = stderr = 0 without a pass over the
+    samples.  The other drive times are shared out over the usable CPUs by
+    :func:`_run_from_shared_queue`; each time's mean and standard error come
+    from the same samples in the same summation order whichever worker takes
+    it, so the result is bit-identical for any CPU count.  Deterministic for
+    a given seed; see :func:`_mode_energy_samples` for the per-mode
+    stream-splitting rule.
 
     Working set, in rows of ``n_samples`` doubles: the samples (one row per
     mode) and the relative-frequency row they are reduced to, then that row
@@ -458,11 +467,13 @@ def rabi_trace_monte_carlo(
     # relative Rabi frequency 1 - theta . u per sample; the samples are freed here
     factor = thetas @ _mode_energy_samples(len(thetas), n_samples, seed)
     np.subtract(1.0, factor, out=factor)
-    p1, stderr = np.empty_like(times), np.zeros_like(times)
+    p1, stderr = np.zeros_like(times), np.zeros_like(times)
+    driven = np.flatnonzero(times).tolist()
 
-    def average(indices: range) -> None:
+    def average(queue: Iterator[int]) -> None:
         values = np.empty(n_samples)
-        for k in indices:
+        for j in queue:
+            k = driven[j]
             np.multiply(0.5 * omega0 * times[k], factor, out=values)
             with np.errstate(divide="ignore", over="ignore"):  # x = 0: 1 / 0, then 0
                 np.reciprocal(np.square(np.tan(values, out=values), out=values), out=values)
@@ -473,7 +484,7 @@ def rabi_trace_monte_carlo(
                 variance = np.add.reduce(values) / (n_samples - 1)
                 stderr[k] = math.sqrt(variance) / math.sqrt(n_samples)
 
-    _run_strided(len(times), average)
+    _run_from_shared_queue(len(driven), average)
     return MonteCarloRabiTrace(p1, stderr)
 
 

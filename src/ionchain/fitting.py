@@ -220,7 +220,7 @@ def _levenberg_marquardt(residual_fn, x0, r, lo, hi, max_nfev, tol=1e-14):
     :class:`FitError`.
     """
     x = np.array(x0, dtype=float)
-    if not np.all(np.isfinite(r)):
+    if not np.isfinite(r).all():
         raise FitError("residuals are not finite at the start")
     nfev = 1
     cost = 0.5 * float(r @ r)
@@ -228,11 +228,11 @@ def _levenberg_marquardt(residual_fn, x0, r, lo, hi, max_nfev, tol=1e-14):
     damping, grow = 1.0, 2.0
     while True:
         jac = _forward_jacobian(residual_fn, x, r, lo, hi)
-        col_norms = np.maximum(col_norms, np.linalg.norm(jac, axis=0))
+        col_norms = np.maximum(col_norms, np.sqrt(np.add.reduce(jac * jac, axis=0)))
         d = np.where(col_norms > 0, col_norms, 1.0)
         g = (jac.T @ r) / d
         free = ~(((x <= lo) & (g > 0)) | ((x >= hi) & (g < 0)))
-        if not np.any(free) or np.max(np.abs(g[free])) < tol:
+        if not free.any() or np.abs(g[free]).max() < tol:
             return x, r, jac, nfev
         u, s, vt = np.linalg.svd(jac[:, free] / d[free], full_matrices=False)
         ur = u.T @ r
@@ -245,7 +245,7 @@ def _levenberg_marquardt(residual_fn, x0, r, lo, hi, max_nfev, tol=1e-14):
             step = x_new - x
             r_new = residual_fn(x_new)
             nfev += 1
-            if not np.all(np.isfinite(r_new)):
+            if not np.isfinite(r_new).all():
                 damping *= grow
                 grow *= 2.0
                 continue
@@ -255,7 +255,7 @@ def _levenberg_marquardt(residual_fn, x0, r, lo, hi, max_nfev, tol=1e-14):
             reduction = cost - cost_new
             ratio = reduction / predicted if predicted > 0 else 0.0
             done = (reduction < tol * cost and ratio > 0.25) or (
-                np.linalg.norm(step) < tol * (tol + np.linalg.norm(x))
+                math.sqrt(step @ step) < tol * (tol + math.sqrt(x @ x))
             )
             if reduction > 0:
                 x, r, cost = x_new, r_new, cost_new
@@ -491,7 +491,7 @@ def fit_theta_power_law(omega0, rates, sigma=None) -> FitResult:
         evaluations += 1
         design = np.column_stack([w * np.exp((-2.0 - alpha) * log_u), w])
         coef = np.linalg.lstsq(design, wy, rcond=None)[0]
-        if np.any(coef < 0):  # optimum on a face: one column, clamped at 0
+        if (coef < 0).any():  # optimum on a face: one column, clamped at 0
             faces = []
             for k in range(2):
                 col = design[:, k]

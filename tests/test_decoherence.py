@@ -1,6 +1,7 @@
 import math
 import sys
 import threading
+import time
 import warnings
 
 import numpy as np
@@ -566,20 +567,52 @@ class TestParallelMonteCarlo:
     def test_every_item_runs_once(self, monkeypatch, cpus, n_items):
         monkeypatch.setattr(decoherence, "_usable_cpus", lambda: cpus)
         seen = []
-        decoherence._run_strided(n_items, seen.extend)
+        decoherence._run_from_shared_queue(n_items, seen.extend)
         assert sorted(seen) == list(range(n_items))
 
-    @pytest.mark.parametrize("failing_slice", [0, 2])
-    def test_worker_exception_reaches_caller(self, monkeypatch, failing_slice):
+    @pytest.mark.parametrize("cpus", [1, 2, 3, 8])
+    @pytest.mark.parametrize("n_items", [0, 1, 51])
+    def test_a_slow_caller_leaves_its_items_to_the_threads(self, monkeypatch, cpus, n_items):
+        # the caller's items take 2 ms and the threads' none, as when the
+        # caller's core is busy: the threads then take more than the
+        # strided share of range(n_items) that fixed slices would give them
+        monkeypatch.setattr(decoherence, "_usable_cpus", lambda: cpus)
+        taken = []
+
+        def work(queue):
+            on_caller = threading.current_thread() is threading.main_thread()
+            for k in queue:
+                if on_caller:
+                    time.sleep(0.002)
+                taken.append((k, on_caller))
+
+        decoherence._run_from_shared_queue(n_items, work)
+        assert sorted(k for k, _ in taken) == list(range(n_items))
+        n_workers = max(1, min(n_items, cpus))
+        by_threads = sum(not on_caller for _, on_caller in taken)
+        strided_share = n_items - len(range(0, n_items, n_workers))
+        if n_workers == 1:
+            assert by_threads == 0
+        else:
+            assert by_threads > strided_share
+
+    @pytest.mark.parametrize("failing", ["caller", "thread"])
+    def test_worker_exception_reaches_caller(self, monkeypatch, failing):
         monkeypatch.setattr(decoherence, "_usable_cpus", lambda: 3)
         before = threading.active_count()
+        failing_side_has_an_item = threading.Event()
 
-        def work(indices):
-            if indices.start == failing_slice:
-                raise ZeroDivisionError(f"slice {indices.start}")
+        def work(queue):
+            on_caller = threading.current_thread() is threading.main_thread()
+            for k in queue:
+                if on_caller == (failing == "caller"):  # on its first item
+                    failing_side_has_an_item.set()
+                    raise ZeroDivisionError(f"{failing} failed on item {k}")
+                # leave items in the queue until the failing side has one
+                failing_side_has_an_item.wait(10.0)
 
-        with pytest.raises(ZeroDivisionError, match=f"slice {failing_slice}"):
-            decoherence._run_strided(9, work)
+        with pytest.raises(ZeroDivisionError, match=f"{failing} failed on item"):
+            decoherence._run_from_shared_queue(9, work)
         assert threading.active_count() == before
 
     def test_no_thread_outlives_a_call(self):
