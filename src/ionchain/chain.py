@@ -411,9 +411,8 @@ def find_equilibrium(
     grad_curv, halfwidth = _scaled_trap(potential, species)
     u = _initial_guess(potential, n_ions, L)
     parity = _takes_parity_path(potential, n_ions)
-    # the unknowns are the last n_free positions; the kernel's rows add the
+    # the unknowns are the last N // 2 positions; the kernel's rows add the
     # centre ion of an odd chain, whose gradient vanishes by symmetry
-    n_free = n_ions // 2 if parity else n_ions
     n_rows = n_ions - n_ions // 2 if parity else n_ions
 
     def whole_chain(step):
@@ -446,12 +445,11 @@ def find_equilibrium(
     res = float(np.abs(terms[0]).max())
     for _ in range(MAX_ITERATIONS):
         if res < GRADIENT_TOLERANCE:
-            return EquilibriumChain(species, potential, u * L, res)
+            break
         g, a, c_trap = terms
         H = _hessian_from(a, c_trap)
         if parity:  # fold each mirror column into its unknown's column
-            g = g[n_rows - n_free :]
-            H = H[n_rows - n_free :, n_ions - n_free :] - H[n_rows - n_free :, n_free - 1 :: -1]
+            g, H = g[n_ions % 2 :], np.subtract(*_half_blocks(H, n_ions))
         try:
             step = np.linalg.solve(H, -g)
         except np.linalg.LinAlgError:
@@ -501,34 +499,25 @@ def _hessian_rows(chain: EquilibriumChain, n_rows: int) -> np.ndarray:
     return _hessian_from(_pair_separations(u, n_rows)[1], grad_curv(u[len(u) - n_rows :])[1])
 
 
-def _parity_blocks_eigh(chain: EquilibriumChain):
-    """``eigh`` of the even and odd parity blocks of :func:`_parity_eigh`.
-
-    With A and B.J the positive half's rows against the positive half and
-    against the mirrored negative half, modes even under reversal solve
-    A + B.J and odd ones A - B.J, for the positive half's entries times
-    sqrt 2.  The centre ion of an odd chain moves only in even modes: its row
-    and column border the even block, scaled by sqrt 2.  The Hessian rows
-    are freed on return, before the caller assembles the N x N result.
-    """
-    n_ions = len(chain.positions)
+def _half_blocks(rows: np.ndarray, n_ions: int):
+    """Views A and B.J of a mirror-antisymmetric chain's Hessian ``rows``, its
+    last N - N // 2 rows (the centre ion's first if N is odd): the positive
+    half's rows against the positive half, and against the mirrored negative
+    half, so that column k of B.J belongs to the mirror of A's ion k."""
     half = n_ions // 2
-    odd_n = n_ions % 2
-    rows = _hessian_rows(chain, n_ions - half)  # the centre ion first if N is odd
-    H = rows[odd_n:]
-    A, BJ = H[:, n_ions - half :], H[:, half - 1 :: -1]
-    even = np.empty((half + odd_n, half + odd_n))
-    np.add(A, BJ, out=even[odd_n:, odd_n:])
-    if odd_n:
-        even[0, 0] = rows[0, half]
-        even[0, 1:] = even[1:, 0] = math.sqrt(2.0) * H[:, half]
-    return np.linalg.eigh(even), np.linalg.eigh(A - BJ)
+    H = rows[n_ions % 2 :]
+    return H[:, n_ions - half :], H[:, half - 1 :: -1]
 
 
 def _parity_eigh(chain: EquilibriumChain):
     """``eigh`` of the Hessian of a mirror-antisymmetric chain from its two
-    half-size parity blocks (see :func:`_parity_blocks_eigh`), eigenvalues
-    ascending.
+    half-size parity blocks, eigenvalues ascending.
+
+    With A and B.J from :func:`_half_blocks`, modes even under reversal
+    solve A + B.J and odd ones A - B.J, for the positive half's entries
+    times sqrt 2.  The centre ion of an odd chain moves only in even modes:
+    its row and column border the even block, scaled by sqrt 2.  The Hessian
+    rows and the blocks are freed before the N x N result is allocated.
 
     Each block's columns are scattered straight to their ascending places in
     one F-ordered matrix, with no zero fill and no gather.  F order is the
@@ -538,7 +527,16 @@ def _parity_eigh(chain: EquilibriumChain):
     n_ions = len(chain.positions)
     half = n_ions // 2
     odd_n = n_ions % 2
-    (even_values, even_vectors), (odd_values, odd_vectors) = _parity_blocks_eigh(chain)
+    rows = _hessian_rows(chain, n_ions - half)  # the centre ion first if N is odd
+    A, BJ = _half_blocks(rows, n_ions)
+    even = np.empty((half + odd_n, half + odd_n))
+    np.add(A, BJ, out=even[odd_n:, odd_n:])
+    if odd_n:
+        even[0, 0] = rows[0, half]
+        even[0, 1:] = even[1:, 0] = math.sqrt(2.0) * rows[1:, half]
+    even_values, even_vectors = np.linalg.eigh(even)
+    odd_values, odd_vectors = np.linalg.eigh(A - BJ)
+    del rows, A, BJ, even
     eigenvalues = np.concatenate([even_values, odd_values])
     order = np.argsort(eigenvalues, kind="stable")
     place = np.empty(n_ions, dtype=np.intp)

@@ -328,11 +328,11 @@ def rabi_trace(omega0: float, thetas, times) -> RabiTrace:
     Parameters
     ----------
     omega0 : float
-        Equilibrium-position Rabi frequency (rad/s).
+        Equilibrium-position Rabi frequency (rad/s), finite.
     thetas : array
-        Decay parameters theta_m of the modes coupled to this ion.
+        Decay parameters theta_m of the modes coupled to this ion, finite.
     times : array
-        Drive durations in seconds, >= 0.
+        Drive durations in seconds, finite and >= 0.
 
     Returns
     -------
@@ -340,15 +340,21 @@ def rabi_trace(omega0: float, thetas, times) -> RabiTrace:
         ``p1 = (1 - C cos(omega0 t - phi)) / 2`` with contrast C in (0, 1]
         and phase lag ``phi = sum_m arctan(theta_m omega0 t)``.
     """
-    return RabiTrace(*_thermal_rabi(omega0, thetas, _drive_times(times)))
+    return RabiTrace(*_thermal_rabi(omega0, *_drive(omega0, thetas, times)))
 
 
-def _drive_times(times) -> np.ndarray:
-    """Drive durations as a float array, checked to be >= 0."""
+def _drive(omega0, thetas, times):
+    """A Rabi drive's decay parameters (1-d) and durations as float arrays,
+    checked: Omega0 and every theta finite, every time finite and >= 0."""
+    if not math.isfinite(omega0):
+        raise InputError(f"Rabi frequency must be finite, got {omega0}")
+    thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
+    if not np.isfinite(thetas).all():
+        raise InputError("decay parameters must be finite")
     times = np.asarray(times, dtype=float)
-    if np.any(times < 0):
-        raise InputError("drive times must be >= 0")
-    return times
+    if not (np.isfinite(times).all() and (times >= 0).all()):
+        raise InputError("drive times must be finite and >= 0")
+    return thetas, times
 
 
 def _thermal_contrast(a):
@@ -462,8 +468,7 @@ def rabi_trace_monte_carlo(
     """
     if n_samples < 1:
         raise InputError("n_samples must be >= 1")
-    times = _drive_times(times)
-    thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
+    thetas, times = _drive(omega0, thetas, times)
     # relative Rabi frequency 1 - theta . u per sample; the samples are freed here
     factor = thetas @ _mode_energy_samples(len(thetas), n_samples, seed)
     np.subtract(1.0, factor, out=factor)

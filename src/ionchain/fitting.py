@@ -35,6 +35,9 @@ from .heating import _positive_frequency, theta_rate_model
 
 RUNS_TEST_FLAG_Z = 3.0
 
+_LM_TOL = 1e-14
+"""Relative convergence tolerance of :func:`_levenberg_marquardt`."""
+
 
 @dataclass(frozen=True)
 class DataSeries:
@@ -88,7 +91,9 @@ class FitResult:
 def _runs_test_z(residuals: np.ndarray, order: np.ndarray) -> float:
     """Wald-Wolfowitz runs-test z-score on residual signs (sorted by x).
 
-    Structured (autocorrelated) residuals give strongly negative z.
+    Structured (autocorrelated) residuals give strongly negative z.  Needs
+    at least 3 residuals: with a positive and b negative ones, 2ab - n >=
+    n - 2, so the variance is positive.
     """
     r = residuals[order]
     signs = np.where(r >= 0, 1, -1)
@@ -100,8 +105,6 @@ def _runs_test_z(residuals: np.ndarray, order: np.ndarray) -> float:
     n = n_pos + n_neg
     mean = 2.0 * n_pos * n_neg / n + 1.0
     var = 2.0 * n_pos * n_neg * (2.0 * n_pos * n_neg - n) / (n * n * (n - 1.0))
-    if var <= 0:
-        return 0.0
     return (runs - mean) / math.sqrt(var)
 
 
@@ -199,7 +202,7 @@ def _forward_jacobian(residual_fn, x, r, lo, hi) -> np.ndarray:
     return jac
 
 
-def _levenberg_marquardt(residual_fn, x0, r, lo, hi, max_nfev, tol=1e-14):
+def _levenberg_marquardt(residual_fn, x0, r, lo, hi, max_nfev):
     """Bounded Levenberg-Marquardt minimisation of |residual_fn(x)|^2 / 2
     from ``x0``, whose residuals ``r`` the caller has already evaluated (they
     count as the first evaluation).  Returns ``(x, residuals, jacobian,
@@ -214,10 +217,10 @@ def _levenberg_marquardt(residual_fn, x0, r, lo, hi, max_nfev, tol=1e-14):
     step: an undamped first step from a Rabi frequency guess a fraction of a
     spectral bin off can land in the neighbouring minimum with theta of the
     wrong sign.  Convergence is the first of:
-    a scaled gradient below ``tol``, a kept step lowering the cost by less
-    than ``tol`` of it, or a step shorter than ``tol`` of |x|.  Reaching
-    ``max_nfev`` evaluations (the Jacobian's not counted) first raises
-    :class:`FitError`.
+    a scaled gradient below ``_LM_TOL``, a kept step lowering the cost by
+    less than ``_LM_TOL`` of it, or a step shorter than ``_LM_TOL`` of
+    |x|.  Reaching ``max_nfev`` evaluations (the Jacobian's not counted)
+    first raises :class:`FitError`.
     """
     x = np.array(x0, dtype=float)
     if not np.isfinite(r).all():
@@ -232,7 +235,7 @@ def _levenberg_marquardt(residual_fn, x0, r, lo, hi, max_nfev, tol=1e-14):
         d = np.where(col_norms > 0, col_norms, 1.0)
         g = (jac.T @ r) / d
         free = ~(((x <= lo) & (g > 0)) | ((x >= hi) & (g < 0)))
-        if not free.any() or np.abs(g[free]).max() < tol:
+        if not free.any() or np.abs(g[free]).max() < _LM_TOL:
             return x, r, jac, nfev
         u, s, vt = np.linalg.svd(jac[:, free] / d[free], full_matrices=False)
         ur = u.T @ r
@@ -254,8 +257,8 @@ def _levenberg_marquardt(residual_fn, x0, r, lo, hi, max_nfev, tol=1e-14):
             predicted = -float(model_change @ r + 0.5 * model_change @ model_change)
             reduction = cost - cost_new
             ratio = reduction / predicted if predicted > 0 else 0.0
-            done = (reduction < tol * cost and ratio > 0.25) or (
-                math.sqrt(step @ step) < tol * (tol + math.sqrt(x @ x))
+            done = (reduction < _LM_TOL * cost and ratio > 0.25) or (
+                math.sqrt(step @ step) < _LM_TOL * (_LM_TOL + math.sqrt(x @ x))
             )
             if reduction > 0:
                 x, r, cost = x_new, r_new, cost_new

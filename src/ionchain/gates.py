@@ -34,10 +34,13 @@ def _gate_angle(n_gates: int) -> float:
 
 
 def _joint_theta(theta_i, theta_j) -> np.ndarray:
-    """theta_im + theta_jm of the two addressed ions, checked for equal length."""
+    """theta_im + theta_jm of the two addressed ions, checked for equal length
+    and finite entries."""
     ti, tj = (np.atleast_1d(np.asarray(t, dtype=float)) for t in (theta_i, theta_j))
     if ti.shape != tj.shape:
         raise InputError("theta lists must have equal length")
+    if not (np.isfinite(ti).all() and np.isfinite(tj).all()):
+        raise InputError("decay parameters must be finite")
     return ti + tj
 
 

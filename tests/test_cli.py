@@ -14,6 +14,7 @@ from helpers import run_module, theta_profile_gaussian
 
 import ionchain.cli
 from ionchain import YB171
+from ionchain.constants import KNOWN_SPECIES
 from ionchain.cli import main
 from ionchain.config import read_section
 from ionchain.decoherence import zero_point_spread
@@ -931,6 +932,147 @@ class TestCliContract:
             "    cooling             cooling crosstalk bound\n"
         )
         assert block in captured.out
+
+
+def _section(config, name, **changes):
+    """``config`` with ``changes`` applied to its ``name`` section; a change
+    to None drops that key."""
+    body = {**config.get(name, {}), **changes}
+    return {**config, name: {k: v for k, v in body.items() if v is not None}}
+
+
+_KNOWN_LABELS = ", ".join(sorted(KNOWN_SPECIES))
+_SCALING = {"species": _SPECIES, "scaling": {"n_list": [3], "alpha": 1.0, "spacing_um": 4.4}}
+_SCAN = {**_ONE_ION, "scan": {"x_min_um": -1.0, "x_max_um": 1.0}}
+_TABULATED = {**_ONE_ION, "beam": {"kind": "tabulated", "csv": "{csv}"}}
+_BEAM_RIGHT_OF_ION = "x_um,rabi_khz\n" + "".join(f"{x},50\n" for x in (1.0, 2.0, 3.0, 4.0, 5.0))
+# id: (argv, config as a mapping or YAML text or None, text of the CSV file
+# "{csv}" names or None, the one stderr line); "{csv}" is replaced by its path
+INPUT_ERRORS = {
+    "config_not_a_mapping": (
+        ["modes"], "- 1\n", None, "ionchain modes: config error: config must be a mapping, got list",
+    ),
+    "section_not_a_mapping": (
+        ["modes"], "species: 3\n", None,
+        "ionchain modes: config error: config.species must be a mapping, got int",
+    ),
+    "float_not_a_number": (
+        ["modes"], _section(_ONE_ION, "potential", axial_freq_khz="fast"), None,
+        "ionchain modes: config error: potential.axial_freq_khz must be a number, got 'fast'",
+    ),
+    "list_length": (
+        ["gate-fidelity"], _section(_DERIVED_GATE, "gate", theta0=[0.0]), None,
+        "ionchain gate-fidelity: config error: gate.theta0 must have length 2, got 1",
+    ),
+    "bad_choice": (
+        ["scaling"], _section(_SCALING, "scaling", omega0_mode="bogus"), None,
+        "ionchain scaling: config error: scaling.omega0_mode must be one of exact, inverse_n; got 'bogus'",
+    ),
+    "not_a_string": (
+        ["modes"], _section(_ONE_ION, "species", label=171), None,
+        "ionchain modes: config error: species.label must be a string, got 171",
+    ),
+    "not_an_integer": (
+        ["modes"], _section(_ONE_ION, "potential", n_ions=2.5), None,
+        "ionchain modes: config error: potential.n_ions must be an integer, got 2.5",
+    ),
+    "integer_below_minimum": (
+        ["modes"], _section(_ONE_ION, "potential", n_ions=0), None,
+        "ionchain modes: config error: potential.n_ions must be >= 1, got 0",
+    ),
+    "not_positive": (
+        ["modes"], _section(_ONE_ION, "potential", axial_freq_khz=-1.5), None,
+        "ionchain modes: config error: potential.axial_freq_khz must be positive, got -1.5",
+    ),
+    "missing_section": (
+        ["modes"], {"species": _SPECIES}, None,
+        "ionchain modes: config error: command requires a 'potential' section in the config",
+    ),
+    "csv_empty": (
+        ["fit", "beam", "{csv}"], None, "", "ionchain fit: config error: {csv}: empty file",
+    ),
+    "csv_cell_count": (
+        ["fit", "beam", "{csv}"], None, "x_um,signal\n0,1\n1,2,3\n",
+        "ionchain fit: config error: {csv}: row 3 has 3 cells, expected 2",
+    ),
+    "csv_no_rows": (
+        ["fit", "beam", "{csv}"], None, "x_um,signal\n\n",
+        "ionchain fit: config error: {csv}: no data rows",
+    ),
+    "species_without_label_or_mass": (
+        ["modes"], _section(_ONE_ION, "species", label=None, charge=1), None,
+        "ionchain modes: config error: species needs either a known label or mass_amu",
+    ),
+    "unknown_species_label": (
+        ["modes"], _section(_ONE_ION, "species", label="1H+"), None,
+        f"ionchain modes: config error: unknown species label '1H+'; known: {_KNOWN_LABELS}",
+    ),
+    # a mass that underflows to 0 kg once converted from amu
+    "mass_amu": (
+        ["modes"], _section(_ONE_ION, "species", label=None, mass_amu=1e-310), None,
+        "ionchain modes: input error: ion mass must be positive and finite, got 0.0",
+    ),
+    # the species section passes, so the next section read is the first to fail
+    "charge_override": (
+        ["modes"], {"species": {**_SPECIES, "charge": 2}}, None,
+        "ionchain modes: config error: command requires a 'potential' section in the config",
+    ),
+    "scan_range": (
+        ["theta-scan"], _section(_SCAN, "scan", x_max_um=-1.0), None,
+        "ionchain theta-scan: config error: scan.x_max_um must exceed scan.x_min_um",
+    ),
+    "gate_same_ion": (
+        ["gate-fidelity"], _section(_DERIVED_GATE, "gate", ion_j=0), None,
+        "ionchain gate-fidelity: config error: gate.ion_i and gate.ion_j must differ",
+    ),
+    "no_wait_times": (
+        ["gate-fidelity"], _section(_DERIVED_GATE, "gate", tw_list_ms=None), None,
+        "ionchain gate-fidelity: config error: provide --tw-list or gate.tw_list_ms",
+    ),
+    "n_list_not_integer": (
+        ["scaling"], _section(_SCALING, "scaling", n_list=[3, 4.5]), None,
+        "ionchain scaling: config error: scaling.n_list must contain integers",
+    ),
+    "n_list_below_two": (
+        ["scaling"], _section(_SCALING, "scaling", n_list=[3, 1]), None,
+        "ionchain scaling: config error: scaling.n_list entries must be >= 2",
+    ),
+    "alpha_range": (
+        ["scaling"], _section(_SCALING, "scaling", alpha=2.5), None,
+        "ionchain scaling: config error: scaling.alpha must lie in [0, 2]",
+    ),
+    "tw_list_flag": (
+        ["gate-fidelity", "--tw-list", "1,a"], _DERIVED_GATE, None,
+        "ionchain gate-fidelity: error: argument --tw-list: expected comma-separated numbers: '1,a'",
+    ),
+    "beam_interior_excludes_ion": (
+        ["rabi"], _TABULATED, _BEAM_RIGHT_OF_ION,
+        "ionchain rabi: input error: curvature query outside interior of tabulated range",
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "argv, config, csv_text, line", INPUT_ERRORS.values(), ids=INPUT_ERRORS.keys()
+)
+def test_input_error_exits_2_with_one_message(tmp_path, capsys, argv, config, csv_text, line):
+    csv_path = tmp_path / "data.csv"
+    if csv_text is not None:
+        csv_path.write_text(csv_text)
+
+    def fill(text):
+        return text.replace("{csv}", str(csv_path))
+
+    argv = [fill(a) for a in argv]
+    if config is not None:
+        text = config if isinstance(config, str) else yaml.safe_dump(config)
+        argv += ["--config", write(tmp_path / "config.yaml", fill(text))]
+    code, captured = TestCliContract.run_captured(capsys, argv)
+    assert (code, captured.out) == (2, "")
+    *usage, last = captured.err.splitlines()
+    assert last == fill(line)
+    # only argparse prints its usage above the message
+    assert usage == [] or usage[0].startswith("usage: ionchain gate-fidelity")
 
 
 class TestDeterminismAndPlumbing:

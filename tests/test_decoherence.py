@@ -1,4 +1,5 @@
 import math
+import os
 import sys
 import threading
 import time
@@ -25,6 +26,8 @@ from ionchain import (
     YB171,
     decay_parameters,
     find_equilibrium,
+    gate_fidelity_bound,
+    gate_fidelity_monte_carlo,
     in_phase_theta,
     normal_modes,
     rabi_trace,
@@ -133,6 +136,46 @@ def test_infinite_mass_or_frequency_rejected(build, name):
     with pytest.raises(InputError) as excinfo:
         build()
     assert str(excinfo.value) == f"{name} must be positive and finite, got inf"
+
+
+FINITE_DRIVE = {"omega0": 2 * np.pi * 50e3, "theta": 0.03, "time": 2e-5}
+# each trace or gate function of (Omega0, theta, time), with the ones it uses
+DRIVE_CALLS = {
+    "rabi_trace": (
+        lambda w, th, t: rabi_trace(w, [0.02, th], [0.0, t]),
+        ("omega0", "theta", "time"),
+    ),
+    "rabi_trace_monte_carlo": (
+        lambda w, th, t: rabi_trace_monte_carlo(w, [0.02, th], [0.0, t], 100),
+        ("omega0", "theta", "time"),
+    ),
+    "gate_fidelity_bound": (
+        lambda w, th, t: gate_fidelity_bound([0.02, th], [0.01, 0.04]),
+        ("theta",),
+    ),
+    "gate_fidelity_monte_carlo": (
+        lambda w, th, t: gate_fidelity_monte_carlo([0.01, 0.03], [th, 0.02], 2, 100),
+        ("theta",),
+    ),
+}
+DRIVE_MESSAGES = {
+    "omega0": "Rabi frequency must be finite, got {}",
+    "theta": "decay parameters must be finite",
+    "time": "drive times must be finite and >= 0",
+}
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize(
+    "function, argument",
+    [(f, a) for f, (_, used) in DRIVE_CALLS.items() for a in used],
+)
+def test_non_finite_drive_rejected(function, argument, value):
+    call = DRIVE_CALLS[function][0]
+    call(*FINITE_DRIVE.values())  # the finite arguments pass
+    with pytest.raises(InputError) as excinfo:
+        call(*dict(FINITE_DRIVE, **{argument: value}).values())
+    assert str(excinfo.value) == DRIVE_MESSAGES[argument].format(value)
 
 
 # ----------------------------------------------------------------------
@@ -525,6 +568,18 @@ def serial_rabi_monte_carlo(omega0, thetas, times, n_samples, seed, sin_squared=
         p1[k] = values.mean()
         stderr[k] = values.std(ddof=1) / math.sqrt(n_samples) if n_samples > 1 else 0.0
     return p1, stderr
+
+
+class TestUsableCpus:
+    @pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="no affinity call")
+    def test_is_the_affinity_set(self):
+        assert decoherence._usable_cpus() == len(os.sched_getaffinity(0))
+
+    @pytest.mark.parametrize("cpu_count, expected", [(6, 6), (None, 1)])
+    def test_falls_back_to_the_cpu_count(self, monkeypatch, cpu_count, expected):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpu_count)
+        assert decoherence._usable_cpus() == expected
 
 
 class TestParallelMonteCarlo:
