@@ -426,19 +426,18 @@ def find_equilibrium(
 
     def backtrack(step):
         """First u + step / 2^k (k < 60) that is valid and lowers the
-        residual, as (positions, kernel terms, residual); else None."""
-        step, failed = whole_chain(step), None
+        residual, as (positions, kernel terms, residual); else None, which
+        it returns as soon as a try rounds to u (every shorter one does too)."""
+        step = whole_chain(step)
         for k in range(60):
             cand = u + 0.5**k * step
-            if failed is not None and np.array_equal(cand, u):  # so does every shorter step
+            if np.array_equal(cand, u):
                 return None
-            # a try that rounds to the point that just failed is not evaluated again
-            if (failed is None or not np.array_equal(cand, failed)) and valid(cand):
+            if valid(cand):
                 terms = _chain_terms(cand, grad_curv, n_rows)
                 r_cand = float(np.abs(terms[0]).max())
                 if r_cand < res:
                     return cand, terms, r_cand
-            failed = cand
         return None
 
     terms = _chain_terms(u, grad_curv, n_rows)

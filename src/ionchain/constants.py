@@ -8,6 +8,7 @@ constants; nothing else in the package hard-codes them.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 from .errors import InputError
@@ -37,7 +38,8 @@ class IonSpecies:
     mass : float
         Ion mass in kg, positive and finite.
     charge : int, optional
-        Charge state in units of the elementary charge, >= 1.
+        Charge state in units of the elementary charge: an integer >= 1
+        (not a bool) whose q^2/(4 pi eps0) is finite.
     label : str, optional
         Human-readable name, e.g. ``"171Yb+"``.
     """
@@ -49,8 +51,15 @@ class IonSpecies:
     def __post_init__(self):
         if not 0 < self.mass < math.inf:
             raise InputError(f"ion mass must be positive and finite, got {self.mass}")
-        if self.charge < 1:
-            raise InputError(f"ion charge must be >= 1, got {self.charge}")
+        charge = self.charge
+        if isinstance(charge, bool) or not isinstance(charge, numbers.Integral) or charge < 1:
+            raise InputError(f"ion charge must be an integer >= 1, got {charge!r}")
+        try:
+            finite = math.isfinite(self.coulomb_energy_scale)
+        except OverflowError:  # the charge itself does not fit in a float
+            finite = False
+        if not finite:
+            raise InputError("ion charge is too large: q^2/(4 pi eps0) overflows")
 
     @classmethod
     def from_amu(cls, mass_amu: float, charge: int = 1, label: str = "") -> "IonSpecies":

@@ -283,9 +283,9 @@ def _fit_result(
     ``residuals`` are (model - y) / sigma and ``jtj`` is J^T J of those
     weighted residuals.  The covariance is inv(J^T J), scaled by the reduced
     chi-square when the data carry no sigma.  ``"degenerate_covariance"`` is
-    added when J^T J cannot be inverted, has a zero diagonal entry (a
-    parameter the model does not depend on), or, normalised by its diagonal
-    as D^-1/2 J^T J D^-1/2, has a smallest-to-largest eigenvalue ratio of at
+    added when J^T J cannot be inverted (a parameter the model does not
+    depend on gives a zero row) or, normalised by its diagonal as
+    D^-1/2 J^T J D^-1/2, has a smallest-to-largest eigenvalue ratio of at
     most 1e-12; the normalisation makes the test independent of the
     parameters' units, so only near-collinear Jacobian columns trip it.
     ``"residual_structure"`` is added when a Wald-Wolfowitz runs test over
@@ -304,12 +304,9 @@ def _fit_result(
         flags.append("degenerate_covariance")
     else:
         diag = np.diag(jtj)
-        if np.any(diag <= 0):
+        eigvals = np.linalg.eigvalsh(jtj / np.sqrt(np.outer(diag, diag)))
+        if eigvals[0] <= 1e-12 * eigvals[-1]:
             flags.append("degenerate_covariance")
-        else:
-            eigvals = np.linalg.eigvalsh(jtj / np.sqrt(np.outer(diag, diag)))
-            if eigvals[0] <= 1e-12 * eigvals[-1]:
-                flags.append("degenerate_covariance")
     if data.sigma is None and dof > 0:
         cov = cov * reduced
     if len(data) >= 8:
@@ -336,25 +333,20 @@ def fit_beam_profile(x, signal, sigma=None) -> FitResult:
     """Fit a Gaussian to a beam-profile scan (Rabi angle or rate vs position).
 
     Returns parameters ("amplitude", "center", "waist"), where waist is the
-    1/e^2 intensity radius of the beam.  Raises FitError on flat or otherwise
-    degenerate data.  Structured residuals (e.g. a non-Gaussian shoulder)
-    are flagged as ``"residual_structure"``.
+    1/e^2 intensity radius of the beam.  Raises FitError on flat data and
+    on a scan whose maximum is not positive.  Structured residuals (e.g. a
+    non-Gaussian shoulder) are flagged as ``"residual_structure"``.
     """
     data = DataSeries(x, signal, sigma)
     if len(data) < 5:
         raise FitError("beam-profile fit needs at least 5 points spanning the peak")
-    span = float(np.max(data.y) - np.min(data.y))
-    if span <= 0 or span < 1e-9 * max(abs(float(np.max(data.y))), 1e-300):
-        raise FitError("beam-profile data has no peak structure")
     amp0 = float(np.max(data.y))
+    if amp0 <= 0 or amp0 - float(np.min(data.y)) < 1e-9 * max(amp0, 1e-300):
+        raise FitError("beam-profile data has no peak structure")
     center0 = float(data.x[np.argmax(data.y)])
-    weights = np.clip(data.y, 0.0, None)
-    wsum = float(np.sum(weights))
-    if wsum > 0:
-        var = float(np.sum(weights * (data.x - center0) ** 2) / wsum)
-        waist0 = math.sqrt(2.0 * var) if var > 0 else 0.25 * np.ptp(data.x)
-    else:
-        waist0 = 0.25 * np.ptp(data.x)
+    weights = np.clip(data.y, 0.0, None)  # the peak makes their sum positive
+    var = float(np.sum(weights * (data.x - center0) ** 2) / float(np.sum(weights)))
+    waist0 = math.sqrt(2.0 * var) if var > 0 else 0.25 * np.ptp(data.x)
     xr = float(np.ptp(data.x))
     lo = [0.0, float(np.min(data.x)) - xr, 1e-6 * xr]
     hi = [np.inf, float(np.max(data.x)) + xr, 100.0 * xr]
@@ -435,19 +427,20 @@ def fit_theta_growth(t_wait, theta, sigma=None) -> FitResult:
     Parameters ("intercept", "slope"); the slope is the decay-parameter
     growth rate in 1/s.  A negative fitted slope is unphysical for heating
     and is flagged as ``"negative_slope"``.  Solved in closed form (normal
-    equations), so two exact points reproduce the line exactly.
+    equations), so two exact points reproduce the line exactly.  Raises
+    FitError unless there are at least two distinct wait times.
     """
     data = DataSeries(t_wait, theta, sigma)
-    if len(data) < 2:
-        raise FitError("linear growth fit needs at least 2 wait times")
+    if len(data) < 2 or np.ptp(data.x) == 0:
+        raise FitError("linear growth fit needs at least two distinct wait times")
     w = 1.0 / data.sigma**2 if data.sigma is not None else np.ones(len(data))
     A = np.column_stack([np.ones(len(data)), data.x])
     Aw = A * w[:, None]
     jtj = A.T @ Aw
-    try:
+    try:  # distinct wait times a few ulp apart can still round J^T J singular
         params = np.linalg.inv(jtj) @ (Aw.T @ data.y)
     except np.linalg.LinAlgError:
-        raise FitError("degenerate wait-time design (all points identical?)")
+        raise FitError("wait times too close together to solve for a slope")
     scaled_sigma = data.sigma if data.sigma is not None else np.ones(len(data))
     residuals = (A @ params - data.y) / scaled_sigma
     return _fit_result(

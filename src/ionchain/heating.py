@@ -63,10 +63,11 @@ class NoiseModel:
 
 
 def _positive_frequency(omega) -> np.ndarray:
-    """Angular frequencies as a float array, checked to be positive."""
+    """Angular frequencies as a float array, checked to be positive and
+    finite."""
     omega = np.asarray(omega, dtype=float)
-    if np.any(omega <= 0):
-        raise InputError("frequency must be positive")
+    if not ((omega > 0) & (omega < np.inf)).all():
+        raise InputError("frequency must be positive and finite")
     return omega
 
 

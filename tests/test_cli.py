@@ -596,6 +596,27 @@ class TestFit:
         data.write_text("x_um,signal\n" + rows + "\n")
         assert run(["fit", "beam", data]) == 3
 
+    def test_scan_without_positive_maximum_exits_3(self, tmp_path, capsys):
+        x = np.linspace(-2.0, 2.0, 21)
+        rows = "".join(f"{a},{b}\n" for a, b in zip(x, -gaussian_beam_model([1.0, 0.0, 0.87], x)))
+        data = write(tmp_path / "beam.csv", "x_um,signal\n" + rows)
+        capsys.readouterr()
+        assert run(["fit", "beam", data]) == 3
+        assert capsys.readouterr() == (
+            "", "ionchain fit: numerical error: beam-profile data has no peak structure\n"
+        )
+
+    def test_equal_wait_times_exit_3(self, tmp_path, capsys):
+        rows = "".join(f"0.5,{theta}\n" for theta in (0.01, 0.02, 0.03, 0.04, 0.05))
+        data = write(tmp_path / "growth.csv", "tw_ms,theta\n" + rows)
+        capsys.readouterr()
+        assert run(["fit", "theta-growth", data]) == 3
+        assert capsys.readouterr() == (
+            "",
+            "ionchain fit: numerical error: "
+            "linear growth fit needs at least two distinct wait times\n",
+        )
+
 
 GATE_CFG = (
     "gate:\n  ion_i: 0\n  ion_j: 1\n  n_gates: {n_gates}\n  spam_error: 0.009\n"
@@ -1016,6 +1037,11 @@ INPUT_ERRORS = {
     "charge_override": (
         ["modes"], {"species": {**_SPECIES, "charge": 2}}, None,
         "ionchain modes: config error: command requires a 'potential' section in the config",
+    ),
+    # q = 1e200 e is a float, but q^2/(4 pi eps0) is not
+    "charge_overflows": (
+        ["modes"], _section(_ONE_ION, "species", charge=10**200), None,
+        "ionchain modes: input error: ion charge is too large: q^2/(4 pi eps0) overflows",
     ),
     "scan_range": (
         ["theta-scan"], _section(_SCAN, "scan", x_max_um=-1.0), None,

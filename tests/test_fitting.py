@@ -131,6 +131,33 @@ class TestCore:
             fit_least_squares(model, DataSeries(x, x), [1.0, 0.0], ([1.0, -1.0], [1.0, 1.0]), LINE)
         assert calls == []
 
+    def test_non_finite_trial_point_is_stepped_back_from(self):
+        # the first step from 0 lands at 1, inside the band where the model
+        # is NaN; the damped retry steps short of it and the fit goes on
+        tried = []
+
+        def model(p, xx):
+            tried.append(float(p[0]))
+            return np.where(0.9 < p[0] < 1.1, np.nan, p[0] * xx)
+
+        x = np.linspace(0.0, 1.0, 6)
+        result = fit_least_squares(model, DataSeries(x, 2.0 * x), [0.0], UNBOUNDED, ("a",))
+        assert any(0.9 < p < 1.1 for p in tried)
+        assert result["a"] == pytest.approx(2.0, rel=1e-12)
+
+    def test_collinear_columns_flag_degenerate_covariance(self):
+        # columns x and x + 1e-7 x^2: J^T J inverts, but its normalised
+        # eigenvalue ratio is below 1e-12
+        x = np.linspace(1.0, 2.0, 10)
+        columns = np.column_stack([x, x + 1e-7 * x**2])
+        jtj = columns.T @ columns
+        assert np.isfinite(np.linalg.inv(jtj)).all()
+        result = fit_least_squares(
+            lambda p, xx: p[0] * xx + p[1] * (xx + 1e-7 * xx**2),
+            DataSeries(x, 2.0 * x + 0.01 * np.sin(7.0 * x)), [0.5, 0.5], UNBOUNDED, LINE,
+        )
+        assert result.flags == ("degenerate_covariance",)
+
     def test_data_series_validation(self):
         with pytest.raises(InputError):
             DataSeries(np.array([1.0, 2.0]), np.array([1.0]))
@@ -180,6 +207,16 @@ class TestBeamProfile:
     def test_too_few_points_rejected(self):
         with pytest.raises(FitError):
             fit_beam_profile(np.array([0.0, 1.0, 2.0]), np.array([1.0, 2.0, 1.0]))
+
+    @pytest.mark.parametrize("top", [-0.1, 0.0])
+    def test_scan_without_positive_maximum_rejected(self, top):
+        # an inverted Gaussian whose maximum is below or at zero
+        x = np.linspace(-2.0, 2.0, 21)
+        signal = top - gaussian_beam_model([1.0, 0.0, 0.87], x)
+        signal[0] = top
+        with pytest.raises(FitError) as excinfo:
+            fit_beam_profile(x, signal)
+        assert str(excinfo.value) == "beam-profile data has no peak structure"
 
 
 class TestRabiTraceFit:
@@ -360,6 +397,23 @@ class TestThetaGrowth:
     def test_single_point_rejected(self):
         with pytest.raises(FitError):
             fit_theta_growth(np.array([1.0]), np.array([0.1]))
+
+    @pytest.mark.parametrize("n_points", [3, 4, 5, 6])
+    @pytest.mark.parametrize("with_sigma", [False, True])
+    def test_equal_wait_times_rejected(self, n_points, with_sigma):
+        # one wait time fixes no slope, whether or not J^T J rounds singular
+        theta = np.linspace(0.01, 0.05, n_points)
+        sigma = np.linspace(0.002, 0.004, n_points) if with_sigma else None
+        for tw in np.geomspace(0.1e-3, 10e-3, 13):
+            with pytest.raises(FitError) as excinfo:
+                fit_theta_growth(np.full(n_points, tw), theta, sigma)
+            assert str(excinfo.value) == "linear growth fit needs at least two distinct wait times"
+
+    def test_wait_times_that_round_to_a_singular_design_rejected(self):
+        # distinct wait times two ulp apart: J^T J is exactly singular in floats
+        with pytest.raises(FitError) as excinfo:
+            fit_theta_growth(np.array([1.0, 1.0 + 2 * np.spacing(1.0)]), np.array([0.1, 0.2]))
+        assert str(excinfo.value) == "wait times too close together to solve for a slope"
 
 
 class TestThetaPowerLaw:

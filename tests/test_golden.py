@@ -70,9 +70,10 @@ def test_output_matches_golden(tmp_path, name):
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_fresh_process_output_matches_golden(tmp_path, name):
-    # a command process runs without cyclic collections and exits frozen
-    result = run_module(golden_argv(name, tmp_path))
-    assert (result.returncode, result.stdout) == (0, ""), result.stderr
+    # a command process runs without cyclic collections and exits frozen;
+    # any warning, a numpy overflow or invalid value among them, fails it
+    result = run_module(golden_argv(name, tmp_path), PYTHONWARNINGS="error")
+    assert (result.returncode, result.stdout, result.stderr) == (0, "", "")
     assert_matches_golden(tmp_path, name)
 
 
