@@ -41,7 +41,12 @@ _LM_TOL = 1e-14
 
 @dataclass(frozen=True)
 class DataSeries:
-    """Measured (x, y) points with optional per-point standard deviations."""
+    """Measured (x, y) points with optional per-point standard deviations.
+
+    Each sigma must be finite and positive with 1/sigma^2 a normal float,
+    which holds for sigma in about [7.5e-155, 6.7e153]: every recipe's
+    weights then neither overflow nor drop to subnormals.
+    """
 
     x: np.ndarray
     y: np.ndarray
@@ -63,6 +68,11 @@ class DataSeries:
                 raise InputError("sigma must match the data length")
             if np.any(~np.isfinite(s)) or np.any(s <= 0):
                 raise InputError("sigma values must be finite and positive")
+            with np.errstate(over="ignore", divide="ignore"):
+                weights = 1.0 / s**2
+            floats = np.finfo(float)
+            if not np.all((weights >= floats.tiny) & (weights <= floats.max)):
+                raise InputError("sigma values must lie where 1/sigma^2 is a normal float")
 
     def __len__(self) -> int:
         return len(self.x)
@@ -216,11 +226,13 @@ def _levenberg_marquardt(residual_fn, x0, r, lo, hi, max_nfev):
     the normalised J^T J, so the first step is about half the Gauss-Newton
     step: an undamped first step from a Rabi frequency guess a fraction of a
     spectral bin off can land in the neighbouring minimum with theta of the
-    wrong sign.  Convergence is the first of:
-    a scaled gradient below ``_LM_TOL``, a kept step lowering the cost by
-    less than ``_LM_TOL`` of it, or a step shorter than ``_LM_TOL`` of
-    |x|.  Reaching ``max_nfev`` evaluations (the Jacobian's not counted)
-    first raises :class:`FitError`.
+    wrong sign.  It stops on two relative tests only, so that scaling the
+    residuals by a power of two leaves every step and the stopping point
+    unchanged: a kept step with gain ratio above 1/4 that lowers the cost by
+    less than ``_LM_TOL`` of it, or a step shorter than
+    ``_LM_TOL (_LM_TOL + |x|)``.  It also stops when the bounds hold every
+    parameter.  Reaching ``max_nfev`` evaluations (the Jacobian's not
+    counted) first raises :class:`FitError`.
     """
     x = np.array(x0, dtype=float)
     if not np.isfinite(r).all():
@@ -233,9 +245,9 @@ def _levenberg_marquardt(residual_fn, x0, r, lo, hi, max_nfev):
         jac = _forward_jacobian(residual_fn, x, r, lo, hi)
         col_norms = np.maximum(col_norms, np.sqrt(np.add.reduce(jac * jac, axis=0)))
         d = np.where(col_norms > 0, col_norms, 1.0)
-        g = (jac.T @ r) / d
+        g = jac.T @ r
         free = ~(((x <= lo) & (g > 0)) | ((x >= hi) & (g < 0)))
-        if not free.any() or np.abs(g[free]).max() < _LM_TOL:
+        if not free.any():
             return x, r, jac, nfev
         u, s, vt = np.linalg.svd(jac[:, free] / d[free], full_matrices=False)
         ur = u.T @ r
@@ -288,6 +300,8 @@ def _fit_result(
     D^-1/2 J^T J D^-1/2, has a smallest-to-largest eigenvalue ratio of at
     most 1e-12; the normalisation makes the test independent of the
     parameters' units, so only near-collinear Jacobian columns trip it.
+    D^-1/2 is taken before the outer product, which cannot underflow while
+    the diagonal is a normal float.
     ``"residual_structure"`` is added when a Wald-Wolfowitz runs test over
     eight or more points gives z < -3.
     """
@@ -303,8 +317,8 @@ def _fit_result(
         cov = np.linalg.pinv(jtj)
         flags.append("degenerate_covariance")
     else:
-        diag = np.diag(jtj)
-        eigvals = np.linalg.eigvalsh(jtj / np.sqrt(np.outer(diag, diag)))
+        s = np.sqrt(np.diag(jtj))
+        eigvals = np.linalg.eigvalsh(jtj / np.outer(s, s))
         if eigvals[0] <= 1e-12 * eigvals[-1]:
             flags.append("degenerate_covariance")
     if data.sigma is None and dof > 0:

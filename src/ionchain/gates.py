@@ -27,10 +27,17 @@ from .errors import InputError
 
 
 def _gate_angle(n_gates: int) -> float:
-    """k = n_gates pi/2, the Rabi-angle equivalent of ``n_gates`` entangling gates."""
+    """k = n_gates pi/2, the Rabi-angle equivalent of ``n_gates`` entangling
+    gates; a count below 1 or one whose k overflows raises InputError."""
     if n_gates < 1:
         raise InputError(f"gate count must be >= 1, got {n_gates}")
-    return n_gates * math.pi / 2.0
+    try:
+        k = n_gates * math.pi / 2.0
+    except OverflowError:  # the count itself does not fit in a float
+        k = math.inf
+    if k == math.inf:
+        raise InputError("gate count is too large: n_gates pi/2 overflows")
+    return k
 
 
 def _joint_theta(theta_i, theta_j) -> np.ndarray:

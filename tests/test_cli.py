@@ -1,5 +1,6 @@
 import gc
 import json
+import math
 import os
 import random
 import subprocess
@@ -966,6 +967,7 @@ _KNOWN_LABELS = ", ".join(sorted(KNOWN_SPECIES))
 _SCALING = {"species": _SPECIES, "scaling": {"n_list": [3], "alpha": 1.0, "spacing_um": 4.4}}
 _SCAN = {**_ONE_ION, "scan": {"x_min_um": -1.0, "x_max_um": 1.0}}
 _TABULATED = {**_ONE_ION, "beam": {"kind": "tabulated", "csv": "{csv}"}}
+_SIGMA_RANGE = "sigma values must lie where 1/sigma^2 is a normal float"
 _BEAM_RIGHT_OF_ION = "x_um,rabi_khz\n" + "".join(f"{x},50\n" for x in (1.0, 2.0, 3.0, 4.0, 5.0))
 # id: (argv, config as a mapping or YAML text or None, text of the CSV file
 # "{csv}" names or None, the one stderr line); "{csv}" is replaced by its path
@@ -1070,6 +1072,30 @@ INPUT_ERRORS = {
     "tw_list_flag": (
         ["gate-fidelity", "--tw-list", "1,a"], _DERIVED_GATE, None,
         "ionchain gate-fidelity: error: argument --tw-list: expected comma-separated numbers: '1,a'",
+    ),
+    # sigma whose 1/sigma^2 leaves the normal floats: each used to end in a
+    # raw LinAlgError or in a fit with zero uncertainties
+    "sigma_tiny_theta_growth": (
+        ["fit", "theta-growth", "{csv}"], None,
+        "tw_ms,theta,sigma\n0,0.0125,1e-200\n1,0.0173,1e-200\n2,0.0301,1e-200\n",
+        f"ionchain fit: input error: {_SIGMA_RANGE}",
+    ),
+    "sigma_huge_power_law": (
+        ["fit", "power-law", "{csv}"], None,
+        "freq_khz,rate_per_s,sigma\n"
+        + "".join(f"{f},{1e4 / f},1e200\n" for f in (80, 106, 150, 200, 300)),
+        f"ionchain fit: input error: {_SIGMA_RANGE}",
+    ),
+    "sigma_scaled_beam": (
+        ["fit", "beam", "{csv}"], None,
+        "x_um,signal,sigma\n"
+        + "".join(f"{x / 5},{math.exp(-x * x / 50)},{0.01 * 2.0**-600!r}\n" for x in range(-10, 11)),
+        f"ionchain fit: input error: {_SIGMA_RANGE}",
+    ),
+    # the count is an integer >= 1, but no float holds n_gates pi/2
+    "n_gates_overflows": (
+        ["gate-fidelity"], _section(_DERIVED_GATE, "gate", n_gates=10**320), None,
+        "ionchain gate-fidelity: input error: gate count is too large: n_gates pi/2 overflows",
     ),
     "beam_interior_excludes_ion": (
         ["rabi"], _TABULATED, _BEAM_RIGHT_OF_ION,

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ionchain import (
     DataSeries,
@@ -464,3 +466,71 @@ class TestThetaPowerLaw:
             fit_theta_power_law(
                 2 * np.pi * np.array([1e5, 2e5, 4e5]), np.array([3.0, 2.0, 1.0])
             )
+
+
+def growth_series(rng):
+    """11 decay parameters over 10 ms with the calibration benchmark's ranges and noise."""
+    t = np.linspace(0.0, 10e-3, 11)
+    theta = rng.uniform(0.005, 0.02) + rng.uniform(5.0, 15.0) * t
+    return t, theta + rng.normal(0.0, 0.002, t.size)
+
+
+def power_sweep(rng):
+    """12 rates over 50-500 kHz with the calibration benchmark's ranges and 3 % noise."""
+    omega = 2 * np.pi * np.geomspace(50e3, 500e3, 12)
+    alpha = rng.uniform(0.6, 1.4)
+    amplitude = rng.uniform(5.0, 20.0) * (2 * np.pi * 100e3) ** (2.0 + alpha)
+    rates = theta_rate_model(omega, amplitude, alpha, rng.uniform(0.2, 1.0))
+    return omega, rates + 0.03 * rates * rng.standard_normal(omega.size), 0.03 * rates
+
+
+# recipe: (fit, seeded data -> (x, y, sigma))
+RECIPES = {
+    "beam": (fit_beam_profile, lambda rng: (*beam_scan(rng), np.full(41, 0.01))),
+    "rabi": (fit_rabi_trace, lambda rng: (*rabi_trace(rng), np.full(101, 0.01))),
+    "theta_growth": (fit_theta_growth, lambda rng: (*growth_series(rng), np.full(11, 0.002))),
+    "power_law": (fit_theta_power_law, power_sweep),
+}
+
+
+class TestUnitsOfTheData:
+    """The fits stop on relative tests only, so the units of y and sigma
+    do not change where they stop."""
+
+    @pytest.mark.parametrize("recipe", RECIPES)
+    @settings(max_examples=25, deadline=None, database=None, derandomize=True)
+    @given(k=st.integers(-400, 400), seed=st.integers(0, 2**32 - 1))
+    @example(k=400, seed=0)
+    @example(k=-400, seed=0)
+    def test_power_of_two_sigma_scales_only_the_uncertainties(self, recipe, k, seed):
+        # 2^k scales every weighted residual and J^T J exactly, so the steps
+        # and the stopping tests see the same numbers
+        fit, make = RECIPES[recipe]
+        x, y, sigma = make(np.random.default_rng(seed))
+        one, scaled = fit(x, y, sigma), fit(x, y, sigma * 2.0**k)
+        assert np.array_equal(scaled.params, one.params)
+        assert np.array_equal(scaled.uncertainties, one.uncertainties * 2.0**k)
+        assert scaled.n_iterations == one.n_iterations
+
+    def test_unweighted_beam_scan_in_any_units(self):
+        rng = np.random.default_rng(31)
+        for _ in range(4):
+            x, y = beam_scan(rng)
+            one = fit_beam_profile(x, y).params
+            for m in range(-150, 151, 10):
+                scaled = fit_beam_profile(x, y * 10.0**m).params
+                assert np.all(np.abs(scaled / [10.0**m, 1.0, 1.0] - one) <= 1e-8)
+
+    def test_beam_scan_of_tiny_amplitude_fits(self):
+        # the centre and waist entries of the J^T J diagonal are ~1e-212, so
+        # the outer product of the diagonal underflows to zero; the outer
+        # product of its square roots does not
+        x = np.linspace(-2.5, 2.5, 21)
+        result = fit_beam_profile(x, gaussian_beam_model([1e-106, 0.0, 0.9], x))
+        assert result.params / [1e-106, 1.0, 1.0] == pytest.approx([1.0, 0.0, 0.9], abs=1e-9)
+        assert result.flags == ()
+
+    @pytest.mark.parametrize("sigma", [8e-155, 1.0, 6.7e153])
+    def test_sigma_with_a_normal_weight_accepted(self, sigma):
+        x = np.arange(3.0)
+        assert DataSeries(x, x, np.full(3, sigma)).sigma[0] == sigma

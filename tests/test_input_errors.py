@@ -52,6 +52,8 @@ def config_file(tmp_path, text):
 
 FREQUENCY = "frequency must be positive and finite"
 CHARGE_TOO_LARGE = "ion charge is too large: q^2/(4 pi eps0) overflows"
+SIGMA_RANGE = "sigma values must lie where 1/sigma^2 is a normal float"
+GATE_COUNT_TOO_LARGE = "gate count is too large: n_gates pi/2 overflows"
 
 # id: (call taking the test's tmp_path, error type, message)
 CASES = {
@@ -107,6 +109,13 @@ CASES = {
     "sigma_length": (
         lambda tmp: DataSeries(X, X, np.ones(4)), InputError, "sigma must match the data length",
     ),
+    # 1/sigma^2 above the largest float, and below the smallest normal one
+    "sigma_weight_overflows": (
+        lambda tmp: DataSeries(X, X, np.full(5, 7e-155)), InputError, SIGMA_RANGE,
+    ),
+    "sigma_weight_subnormal": (
+        lambda tmp: DataSeries(X, X, np.full(5, 6.8e153)), InputError, SIGMA_RANGE,
+    ),
     "fit_parameter_names": (
         lambda tmp: fit_line(names=("slope",)),
         InputError, "param_names must match the number of parameters",
@@ -126,6 +135,16 @@ CASES = {
     "gate_count": (
         lambda tmp: gate_fidelity_bound([0.1], [0.1], n_gates=0),
         InputError, "gate count must be >= 1, got 0",
+    ),
+    # the count converts to a float, but n_gates pi/2 does not
+    "gate_angle_overflows": (
+        lambda tmp: gate_fidelity_bound([0.1], [0.1], n_gates=10**308),
+        InputError, GATE_COUNT_TOO_LARGE,
+    ),
+    # the count itself does not fit in a float
+    "gate_count_overflows": (
+        lambda tmp: gate_fidelity_monte_carlo([0.1], [0.1], n_gates=10**320),
+        InputError, GATE_COUNT_TOO_LARGE,
     ),
     "gate_oracle_samples": (
         lambda tmp: gate_fidelity_monte_carlo([0.1], [0.1], n_samples=1),
