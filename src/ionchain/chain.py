@@ -75,9 +75,6 @@ class HarmonicPotential:
         (q^2/(4 pi eps0 M omega0^2))^(1/3)."""
         return (species.coulomb_energy_scale / (species.mass * self.omega0**2)) ** (1.0 / 3.0)
 
-    def domain_halfwidth(self, species: IonSpecies) -> float:
-        return math.inf
-
 
 @dataclass(frozen=True)
 class QuadQuarticPotential:
@@ -110,9 +107,6 @@ class QuadQuarticPotential:
             return (k / (2.0 * self.a2)) ** (1.0 / 3.0)
         return (k / (4.0 * self.a4)) ** 0.2
 
-    def domain_halfwidth(self, species: IonSpecies) -> float:
-        return math.inf
-
 
 def _ion_count(n_ions) -> int:
     """``n_ions`` as an int: numpy integers pass, 2.5 and 15.0 do not."""
@@ -131,7 +125,8 @@ class EquispacedLogPotential:
 
         V(x) = q^2/(4 pi eps0 d) * ln[ (N/2)^2 / ((N/2)^2 - (x/d)^2) ],
 
-    so a long chain sits at (nearly) equal spacing.  Valid for |x| < (N/2) d.
+    so a long chain sits at (nearly) equal spacing.  Valid for |x| < (N/2) d:
+    ``evaluate`` raises :class:`DomainError` anywhere else.
     """
 
     n_ions: int
@@ -163,9 +158,6 @@ class EquispacedLogPotential:
 
     def unit_length(self, species: IonSpecies) -> float:
         return self.spacing
-
-    def domain_halfwidth(self, species: IonSpecies) -> float:
-        return 0.5 * self.n_ions * self.spacing
 
 
 TrapPotential = Union[HarmonicPotential, QuadQuarticPotential, EquispacedLogPotential]
@@ -281,8 +273,7 @@ def _scaled_trap(potential: TrapPotential, species: IonSpecies):
         _, g, c = potential.evaluate(u * L, species)
         return g * g_scale, c * c_scale
 
-    halfwidth = potential.domain_halfwidth(species) / L
-    return grad_curv, halfwidth
+    return grad_curv
 
 
 def _pair_separations(u: np.ndarray, n_rows: int):
@@ -350,11 +341,12 @@ def find_equilibrium(
     Damped Newton iteration on the energy gradient, starting from a uniformly
     spaced guess (in both wells for a double well).  Each iterate runs one
     backtracking line search: steps that fail to reduce the largest gradient
-    component (or leave the potential domain, or reorder ions) are halved,
-    up to 60 times, with a steepest-descent direction when the Newton step
-    is singular or not a descent direction.  Each accepted iterate's pair distances and trap
-    curvature give the next Hessian, so every iterate makes one pass over
-    the ion pairs.  Deterministic for given inputs.
+    component, reorder ions or land where the trap's ``evaluate`` raises
+    :class:`DomainError` are halved, up to 60 times, with a steepest-descent
+    direction when the Newton step is singular or not a descent direction.
+    Each accepted iterate's pair distances and trap curvature give the next
+    Hessian, so every iterate makes one pass over the ion pairs.
+    Deterministic for given inputs.
 
     In a convex trap (harmonic, equispaced, or quadratic-plus-quartic with
     a2, a4 >= 0) the one equilibrium is mirror antisymmetric.  There, from
@@ -408,7 +400,7 @@ def find_equilibrium(
         raise InputError(f"need at least one ion, got {n_ions}")
 
     L = potential.unit_length(species)
-    grad_curv, halfwidth = _scaled_trap(potential, species)
+    grad_curv = _scaled_trap(potential, species)
     u = _initial_guess(potential, n_ions, L)
     parity = _takes_parity_path(potential, n_ions)
     # the unknowns are the last N // 2 positions; the kernel's rows add the
@@ -421,23 +413,25 @@ def find_equilibrium(
             return step
         return np.concatenate([-step[::-1], np.zeros(n_ions % 2), step])
 
-    def valid(v):
-        return (v[1:] > v[:-1]).all() and np.abs(v).max() < halfwidth
-
     def backtrack(step):
-        """First u + step / 2^k (k < 60) that is valid and lowers the
-        residual, as (positions, kernel terms, residual); else None, which
-        it returns as soon as a try rounds to u (every shorter one does too)."""
+        """First u + step / 2^k (k < 60) that keeps the ions ordered, lies in
+        the trap's domain and lowers the residual, as (positions, kernel
+        terms, residual); else None, which it returns as soon as a try rounds
+        to u (every shorter one does too)."""
         step = whole_chain(step)
         for k in range(60):
             cand = u + 0.5**k * step
             if np.array_equal(cand, u):
                 return None
-            if valid(cand):
+            if not (cand[1:] > cand[:-1]).all():
+                continue
+            try:
                 terms = _chain_terms(cand, grad_curv, n_rows)
-                r_cand = float(np.abs(terms[0]).max())
-                if r_cand < res:
-                    return cand, terms, r_cand
+            except DomainError:  # the trap's own wall
+                continue
+            r_cand = float(np.abs(terms[0]).max())
+            if r_cand < res:
+                return cand, terms, r_cand
         return None
 
     terms = _chain_terms(u, grad_curv, n_rows)
@@ -494,7 +488,7 @@ def _hessian_rows(chain: EquilibriumChain, n_rows: int) -> np.ndarray:
     if len(x) > 1 and np.diff(np.sort(x)).min() <= 0.0:
         raise DegenerateChainError("coincident ion positions")
     u = x / chain.unit_length
-    grad_curv, _ = _scaled_trap(chain.potential, chain.species)
+    grad_curv = _scaled_trap(chain.potential, chain.species)
     return _hessian_from(_pair_separations(u, n_rows)[1], grad_curv(u[len(u) - n_rows :])[1])
 
 

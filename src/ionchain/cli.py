@@ -158,7 +158,7 @@ def cmd_modes(args, config) -> None:
     freq_khz = modes.frequencies / (2 * math.pi) / 1e3
     rows = zip(range(modes.n_modes), freq_khz, modes.uniform_drive_weights())
     inputs = {
-        "species": species.label or species.mass_amu,
+        "species": species.label or read_section(config, "species").mass_amu,
         "potential": type(potential).__name__,
         "n_ions": n_ions,
     }
@@ -177,10 +177,7 @@ def cmd_modes(args, config) -> None:
 
 def _single_ion_thetas(config, positions, beam):
     """Decay parameter of a single ion in a harmonic trap at each position x
-    (m) in ``beam``, from :func:`decay_parameters`.
-
-    Returns (theta array, trap frequency rad/s, nbar).
-    """
+    (m) in ``beam``, from :func:`decay_parameters`, as an array."""
     species = build_species(config)
     potential, n_ions = build_potential(config)
     if not isinstance(potential, HarmonicPotential) or n_ions != 1:
@@ -189,16 +186,15 @@ def _single_ion_thetas(config, positions, beam):
             "beam and thermal sections); the rabi command also accepts rabi.theta"
         )
     modes = single_ion_modes(species, potential.omega0)
-    nbar = read_section(config, "thermal").nbar[0]
-    thermal = ThermalState(nbar)
+    thermal = ThermalState(read_section(config, "thermal").nbar[0])
     theta = [decay_parameters(modes, thermal, {0: beam}, [x])[0, 0] for x in positions]
-    return np.array(theta), potential.omega0, nbar
+    return np.array(theta)
 
 
 def cmd_rabi(args, config) -> None:
     rabi = read_section(config, "rabi")
     if rabi.theta is None:
-        rabi.theta = _single_ion_thetas(config, [0.0], build_beam(config))[0]
+        rabi.theta = _single_ion_thetas(config, [0.0], build_beam(config))
     thetas = np.asarray(rabi.theta)
     omega0 = 2 * math.pi * rabi.drive_khz * 1e3
     times = np.linspace(0.0, rabi.t_max_us * 1e-6, rabi.n_points)
@@ -224,12 +220,12 @@ def cmd_theta_scan(args, config) -> None:
     if not isinstance(beam, GaussianBeam):
         raise ConfigError("theta-scan requires a gaussian beam")
     x = np.linspace(scan.x_min_um * 1e-6, scan.x_max_um * 1e-6, scan.n_points)
-    theta, omega0, nbar = _single_ion_thetas(config, x, beam)
+    theta = _single_ion_thetas(config, x, beam)
     rows = [(xi * 1e6, theta[k]) for k, xi in enumerate(x)]
     inputs = {
-        "waist_nm": beam.waist * 1e9,
-        "axial_freq_khz": omega0 / (2 * math.pi) / 1e3,
-        "nbar": nbar,
+        "waist_nm": read_section(config, "beam").waist_nm,
+        "axial_freq_khz": read_section(config, "potential").axial_freq_khz,
+        "nbar": read_section(config, "thermal").nbar[0],
     }
     write_table(args, ("x_um", "theta"), rows, inputs)
 
@@ -378,18 +374,18 @@ def cmd_scaling(args, config) -> None:
 def cmd_cooling(args, config) -> None:
     from .cooling import crosstalk_rate
 
-    cfg = build_cooling(config)
-    rate = crosstalk_rate(cfg)
+    rate = crosstalk_rate(build_cooling(config))
+    cooling = read_section(config, "cooling")
     write_json_payload(
         args,
         {
             "crosstalk_rate_per_s": rate,
             "inputs": {
-                "coolant_fraction": cfg.coolant_fraction,
-                "spacing_um": cfg.spacing * 1e6,
-                "wavelength_nm": cfg.wavelength * 1e9,
-                "linewidth_mhz": cfg.linewidth / (2 * math.pi) / 1e6,
-                "isotope_splitting_ghz": cfg.isotope_splitting / (2 * math.pi) / 1e9,
+                "coolant_fraction": cooling.coolant_fraction,
+                "spacing_um": cooling.spacing_um,
+                "wavelength_nm": cooling.wavelength_nm,
+                "linewidth_mhz": cooling.linewidth_mhz,
+                "isotope_splitting_ghz": cooling.isotope_splitting_ghz,
             },
             "note": (
                 "Upper bound at unity repump saturation; dark-state cooling and "

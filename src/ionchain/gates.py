@@ -59,20 +59,27 @@ def gate_fidelity_bound(theta_i, theta_j, n_gates: int = 1) -> float:
     exactly; the bound is 1 at zero theta and decreases monotonically in
     |theta_im + theta_jm| and in the gate count.  The product is the thermal
     Rabi contrast of the joint decay parameters at Omega0 t = n_gates pi/2.
+    Where a_m^2, a_m = n_gates pi/2 (theta_im + theta_jm), overflows, that
+    mode's contrast is its exact limit 0 and the bound 1/2, with no warning.
     """
-    a = _gate_angle(n_gates) * _joint_theta(theta_i, theta_j)
-    return 0.5 + 0.5 * float(_thermal_contrast(a.ravel()))  # product over every entry
+    k, joint = _gate_angle(n_gates), _joint_theta(theta_i, theta_j)
+    with np.errstate(over="ignore"):
+        a = k * joint
+        return 0.5 + 0.5 * float(_thermal_contrast(a.ravel()))  # product over every entry
 
 
 def gate_fidelity_slope(joint_theta: float, n_gates: int = 1) -> float:
     """|dF/dtheta| of the single-mode bound at theta = theta_i + theta_j.
 
-    With k = n_gates pi/2, F = 1/2 + 1/2 (1 + k^2 theta^2)^(-1/2), so
-    |dF/dtheta| = k^2 |theta| (1 + k^2 theta^2)^(-3/2) / 2.  Multiplying by
-    the standard deviation of theta propagates it to the bound.
+    With k = n_gates pi/2, a = |k theta| and the single-mode contrast
+    C = (1 + a^2)^(-1/2), F = 1/2 + C/2, so |dF/dtheta| = (k C)(a C) C / 2,
+    taken in Python floats: where a^2 overflows, C = 0 and the slope is 0.
+    Multiplying by the standard deviation of theta propagates it to the bound.
     """
     k = _gate_angle(n_gates)
-    return 0.5 * k * k * abs(joint_theta) * (1.0 + k * k * joint_theta * joint_theta) ** -1.5
+    a = abs(k * float(joint_theta))
+    c = 1.0 / math.sqrt(1.0 + a * a)
+    return 0.5 * (k * c) * (a * c) * c
 
 
 @dataclass(frozen=True)

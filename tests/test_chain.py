@@ -230,7 +230,7 @@ class TestFindEquilibrium:
         chain = find_equilibrium(YB171, HARMONIC, 1)
         _, grad, curv = HARMONIC.evaluate(chain.positions, YB171)
         length = chain.unit_length
-        grad_curv, _ = chain_module._scaled_trap(HARMONIC, YB171)
+        grad_curv = chain_module._scaled_trap(HARMONIC, YB171)
         kernel_grad = chain_module._chain_terms(chain.positions / length, grad_curv, 1)[0]
         assert np.array_equal(kernel_grad * (YB171.coulomb_energy_scale / length**2), grad)
         expected = curv * (length**3 / YB171.coulomb_energy_scale)
@@ -316,6 +316,35 @@ class TestNewtonFallbacks:
         self._solve()
         assert _is_steepest_descent_from(points[1], points[0], -calls[0])
 
+    def test_a_try_past_the_trap_wall_is_halved(self, monkeypatch):
+        # from a start compressed to half the spacing the Newton step is an
+        # ordered outward expansion; eight times it is still a descent
+        # direction, but its full try puts the edge ions past |u| = N/2,
+        # where the equispaced trap raises DomainError
+        pot, n = EquispacedLogPotential(6, 4.4e-6), 6
+        reference = find_equilibrium(YB171, pot, n)
+        guess = chain_module._initial_guess
+        monkeypatch.setattr(
+            chain_module, "_initial_guess", lambda *args: 0.5 * guess(*args)
+        )
+        steps = []
+
+        def long_newton(solve, H, b):
+            steps.append(8.0 * solve(H, b))
+            return steps[0]
+
+        _patch_first_solve(monkeypatch, long_newton)
+        points = _record_kernel_points(monkeypatch)
+        chain = find_equilibrium(YB171, pot, n)
+        start, step = points[0], steps[0]
+        full = start + step
+        assert np.all(np.diff(full) > 0) and np.abs(full).max() >= 0.5 * n
+        # the first point inside the wall is a halving of that try
+        inside = next(p for p in points[1:] if np.abs(p).max() < 0.5 * n)
+        assert any(np.array_equal(inside, start + 0.5**k * step) for k in range(1, 60))
+        assert chain.residual < chain_module.GRADIENT_TOLERANCE
+        assert np.allclose(chain.positions, reference.positions, rtol=1e-12, atol=0)
+
     @pytest.mark.parametrize(
         "pot,n",
         [
@@ -340,7 +369,7 @@ class TestNewtonFallbacks:
         chain = find_equilibrium(YB171, pot, n)
         assert chain.criterion == "roundoff_floor"
         u = chain.positions / chain.unit_length
-        grad_curv, _ = chain_module._scaled_trap(pot, YB171)
+        grad_curv = chain_module._scaled_trap(pot, YB171)
         g_trap = grad_curv(u)[0]
         r = u[:, None] - u[None, :]
         np.fill_diagonal(r, np.inf)
@@ -718,7 +747,7 @@ class TestKernelsBitForBit:
     @given(scaled_chains(min_n=1))
     def test_chain_terms_and_hessian_match_the_old_formulas(self, chain):
         u = chain.positions / chain.unit_length
-        grad_curv, _ = chain_module._scaled_trap(chain.potential, YB171)
+        grad_curv = chain_module._scaled_trap(chain.potential, YB171)
         old_grad_curv = _per_iterate_scaled_trap(chain.potential, YB171)
         for new, old in zip(grad_curv(u), old_grad_curv(u)):
             assert new.dtype == old.dtype and np.array_equal(new, old)
@@ -746,7 +775,7 @@ class TestKernelsBitForBit:
     @PROPERTY_SETTINGS
     @given(scaled_chains())
     def test_gradient_and_hessian_match_the_old_formulas(self, chain):
-        grad_curv, _ = chain_module._scaled_trap(chain.potential, YB171)
+        grad_curv = chain_module._scaled_trap(chain.potential, YB171)
         length = chain.unit_length
         u = chain.positions / length
         g = chain_module._chain_terms(u, grad_curv, len(u))[0]
@@ -757,7 +786,7 @@ class TestKernelsBitForBit:
     @given(scaled_chains(), st.floats(0.0, 1.0))
     def test_kernel_rows_are_the_last_rows_of_the_whole_kernel(self, chain, share):
         u = chain.positions / chain.unit_length
-        grad_curv, _ = chain_module._scaled_trap(chain.potential, YB171)
+        grad_curv = chain_module._scaled_trap(chain.potential, YB171)
         n_rows = max(1, round(share * len(u)))
         g, a, c_trap = chain_module._chain_terms(u, grad_curv, n_rows)
         g_all, a_all, c_all = chain_module._chain_terms(u, grad_curv, len(u))

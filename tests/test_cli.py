@@ -118,6 +118,17 @@ class TestModes:
         assert payload["columns"] == ["mode_index", "freq_khz", "participation_sum_sq"]
         assert len(payload["participation"]) == 2
 
+    def test_json_inputs_echo_a_mass_only_species(self, tmp_path):
+        # 126.8 amu converted to kg and back prints 126.80000000000001
+        cfg = write(
+            tmp_path / "m.yaml",
+            "species:\n  mass_amu: 126.8\n"
+            "potential:\n  kind: harmonic\n  axial_freq_khz: 500.0\n  n_ions: 2\n",
+        )
+        out = tmp_path / "m.json"
+        assert run(["modes", "--config", cfg, "--out", out, "--format", "json"]) == 0
+        assert json.loads(out.read_text())["inputs"]["species"] == 126.8
+
 
 RABI_EXPLICIT = (
     "rabi:\n  drive_khz: 50.0\n  t_max_us: 100.0\n  n_points: 101\n"
@@ -265,6 +276,14 @@ class TestThetaScan:
         expected = theta_profile_gaussian(x - 0.37e-6, 870e-9, xi, 280.0)
         assert np.max(np.abs(rows[:, 1] - expected)) < 1e-12 * np.max(np.abs(expected))
         assert np.argmax(rows[:, 1]) == np.argmin(np.abs(x - 0.37e-6))
+
+    def test_json_inputs_echo_the_config(self, tmp_path):
+        # 1.0 kHz converted to rad/s and back prints 0.9999999999999999
+        cfg = write(tmp_path / "scan.yaml", self.CFG.replace("140.0", "1.0"))
+        out = tmp_path / "scan.json"
+        assert run(["theta-scan", "--config", cfg, "--out", out, "--format", "json"]) == 0
+        inputs = json.loads(out.read_text())["inputs"]
+        assert inputs == {"waist_nm": 870.0, "axial_freq_khz": 1.0, "nbar": 280.0}
 
     def test_two_ions_rejected_like_rabi(self, tmp_path, capsys):
         body = (
@@ -680,6 +699,33 @@ class TestGateFidelity:
         else:
             assert np.all(f_bound[1:] < 1.0 - 1e-6)
 
+    @staticmethod
+    def assert_absurd_gate_count_rows(out):
+        # (n_gates pi/2 theta)^2 overflows: the contrast is 0, F_bound its
+        # limit 1/2 and the slope, so F_err, is 0, not nan
+        _, rows = read_csv(out)
+        assert rows[0, 1] == 1.0
+        assert np.all(rows[1:, 1] == 0.5)
+        assert np.all(rows[1:, 2] == 0.5 * (1.0 - 0.009))
+        assert np.all(rows[:, 3] == 0.0)
+
+    def test_absurd_gate_count_with_given_rates(self, tmp_path):
+        cfg = write(tmp_path / "g.yaml", GATE_CFG.format(n_gates=10**200))
+        out = tmp_path / "g.csv"
+        assert run(["gate-fidelity", "--config", cfg, "--out", out]) == 0
+        self.assert_absurd_gate_count_rows(out)
+
+    def test_absurd_gate_count_with_derived_rates(self, tmp_path):
+        # the derived rates, and so the decay parameters, are numpy floats
+        gate = {
+            **_DERIVED_GATE["gate"], "n_gates": 10**200, "spam_error": 0.009,
+            "rate_sigmas_per_s": [1.0, 1.0], "tw_list_ms": [0.0, 2.0, 5.0],
+        }
+        cfg = write(tmp_path / "g.yaml", yaml.safe_dump({**_DERIVED_GATE, "gate": gate}))
+        out = tmp_path / "g.csv"
+        assert run(["gate-fidelity", "--config", cfg, "--out", out]) == 0
+        self.assert_absurd_gate_count_rows(out)
+
     def test_tw_list_override(self, tmp_path):
         cfg = write(tmp_path / "g.yaml", GATE_CFG.format(n_gates=1))
         out = tmp_path / "o.csv"
@@ -761,6 +807,17 @@ class TestCooling:
         out = tmp_path / "c.json"
         assert run(["cooling", "--config", cfg, "--out", out]) == 0
         assert json.loads(out.read_text())["crosstalk_rate_per_s"] == 0.0
+
+    def test_inputs_echo_the_config(self, tmp_path):
+        # 4.4 MHz converted to rad/s and back prints 4.400000000000001
+        cfg = write(tmp_path / "c.yaml", self.CFG.format(r=0.5).replace("4.3", "4.4"))
+        out = tmp_path / "c.json"
+        assert run(["cooling", "--config", cfg, "--out", out]) == 0
+        inputs = json.loads(out.read_text())["inputs"]
+        assert list(inputs.items()) == [
+            ("coolant_fraction", 0.5), ("spacing_um", 4.0), ("wavelength_nm", 297.0),
+            ("linewidth_mhz", 4.4), ("isotope_splitting_ghz", 2.4),
+        ]
 
     def test_missing_splitting_exits_2(self, tmp_path):
         text = self.CFG.format(r=0.5).replace("  isotope_splitting_ghz: 2.4\n", "")
@@ -1263,14 +1320,15 @@ def with_out(argvs, out_dir, stem):
 
 
 def modules_loaded(code, **env):
-    """The ``ionchain.*`` modules, ``yaml``, ``logging`` and ``numpy.ma`` that
-    a new interpreter has loaded once it has run ``code``; IONCHAIN_LOG is
+    """The ``ionchain.*`` modules, ``yaml``, ``logging``, ``numpy.ma`` and
+    ``numpy.random`` that a new interpreter has loaded once it has run
+    ``code``; IONCHAIN_LOG is
     unset unless given in ``env``."""
     environ = {k: v for k, v in os.environ.items() if k != "IONCHAIN_LOG"}
     environ.update(env)
     code += (
         "\nimport sys\nprint(*sorted(m for m in sys.modules"
-        " if m.startswith('ionchain.') or m in ('yaml', 'logging', 'numpy.ma')))"
+        " if m.startswith('ionchain.') or m in ('yaml', 'logging', 'numpy.ma', 'numpy.random')))"
     )
     result = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, env=environ
@@ -1334,6 +1392,12 @@ class TestImportBudget:
 
     def test_no_command_loads_numpy_ma(self, loaded):
         assert [name for name, modules in loaded.items() if "numpy.ma" in modules] == []
+
+    def test_only_the_monte_carlo_command_loads_numpy_random(self, loaded):
+        # importing numpy.random adds about 5.5 MiB to a command's peak RSS
+        assert [name for name, modules in loaded.items() if "numpy.random" in modules] == [
+            "rabi --mc"
+        ]
 
     def test_logging_loads_only_for_ionchain_log(self, loaded, tmp_path):
         assert [name for name, modules in loaded.items() if "logging" in modules] == []

@@ -56,6 +56,12 @@ class TestGateFidelityBound:
         ) / (2 * h)
         assert gate_fidelity_slope(joint, n_gates) == pytest.approx(abs(fd), rel=1e-6, abs=1e-9)
 
+    @pytest.mark.parametrize("joint", [1e-3, np.float64(-0.2)])
+    def test_overflowing_angle_is_the_limit(self, joint):
+        # (n_gates pi/2 theta)^2 overflows: the contrast is exactly 0
+        assert gate_fidelity_bound([joint], [0.0], 10**200) == 0.5
+        assert gate_fidelity_slope(joint, 10**200) == 0.0
+
     @settings(max_examples=60, deadline=None, database=None, derandomize=True)
     @given(
         st.lists(st.tuples(st.floats(-10.0, 10.0), st.floats(-10.0, 10.0)), min_size=1, max_size=60),
