@@ -293,14 +293,22 @@ def cmd_fit(args, config) -> None:
         write_sibling_csv(args, ".residuals.csv", res_cols, zip(x, y, model_y, y - model_y))
 
 
+def _addressed_theta_rates(noise, modes, positions, beam, ions) -> list[float]:
+    """Theta rates (1/s) of ``ions`` as floats, each ion under its own copy of
+    the gaussian ``beam`` centred at its position plus ``beam.center``."""
+    from .heating import theta_rate
+
+    beams = {i: GaussianBeam(beam.peak_rabi, positions[i] + beam.center, beam.waist) for i in ions}
+    return theta_rate(noise, modes, beams, positions)[list(ions)].tolist()
+
+
 def cmd_gate_fidelity(args, config) -> None:
-    from .gates import gate_fidelity_bound, gate_fidelity_slope, spam_adjust_prediction
+    from .gates import _gate_angle, gate_fidelity_bound, gate_fidelity_slope, spam_adjust_prediction
 
     gate = read_gate(config, args.tw_list)
+    _gate_angle(gate.n_gates)  # an overflowing count is rejected before any solve
     pair = (gate.ion_i, gate.ion_j)
     if gate.rates_per_s is None:
-        from .heating import theta_rate
-
         species = build_species(config)
         potential, n_ions = build_potential(config)
         if max(pair) >= n_ions:
@@ -311,13 +319,7 @@ def cmd_gate_fidelity(args, config) -> None:
             raise ConfigError("derived theta rates require a gaussian beam")
         chain = find_equilibrium(species, potential, n_ions)
         modes = normal_modes(chain)
-        # each addressed ion gets its own copy of the beam, offset from it by beam.center
-        beams = {
-            idx: GaussianBeam(beam.peak_rabi, chain.positions[idx] + beam.center, beam.waist)
-            for idx in pair
-        }
-        all_rates = theta_rate(noise, modes, beams, chain.positions)
-        gate.rates_per_s = [all_rates[idx] for idx in pair]
+        gate.rates_per_s = _addressed_theta_rates(noise, modes, chain.positions, beam, pair)
         _log("info", "derived theta rates: %s /s", gate.rates_per_s)
 
     rows = []
@@ -335,14 +337,14 @@ def cmd_gate_fidelity(args, config) -> None:
         "n_gates": gate.n_gates,
         "spam_error": gate.spam_error,
         "theta0": gate.theta0,
-        "rates_per_s": [float(r) for r in gate.rates_per_s],
+        "rates_per_s": gate.rates_per_s,
         "rate_sigmas_per_s": gate.rate_sigmas_per_s,
     }
     write_table(args, ("tw_ms", "F_bound", "F_spam", "F_err"), rows, inputs)
 
 
 def cmd_scaling(args, config) -> None:
-    from .heating import NoiseModel, gate_error_scaling, theta_rate
+    from .heating import NoiseModel, gate_error_scaling
 
     scaling = read_scaling(config, args.n_list)
     n_list, spacing = scaling.n_list, scaling.spacing_um
@@ -350,6 +352,7 @@ def cmd_scaling(args, config) -> None:
     # only the ratio to the first chain's rate is output, so the noise
     # anchor and the beam's waist cancel
     noise = NoiseModel(scaling.alpha, nbar_rate_ref=1.0, omega_ref=1.0)
+    beam = GaussianBeam(1.0, 0.0, spacing * 1e-6)
 
     rows = []
     ref = None
@@ -358,9 +361,7 @@ def cmd_scaling(args, config) -> None:
         modes = normal_modes(chain)
         omega0 = modes.frequencies[0]
         if scaling.omega0_mode == "exact":
-            center = n // 2
-            beam = GaussianBeam(1.0, chain.positions[center], spacing * 1e-6)
-            rate = theta_rate(noise, modes, {center: beam}, chain.positions)[center]
+            [rate] = _addressed_theta_rates(noise, modes, chain.positions, beam, [n // 2])
             if ref is None:
                 ref = rate
             rel_error = (rate / ref) ** 2

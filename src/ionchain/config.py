@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import csv
 import math
+import re
 from types import SimpleNamespace
 from typing import TYPE_CHECKING, Any, Mapping, NamedTuple
 
@@ -256,12 +257,19 @@ def read_numeric_csv(path, expected, optional_sigma=False):
 
 
 def load_config(path) -> dict:
-    """Read and structurally validate a YAML run configuration."""
+    """Read and structurally validate a YAML run configuration.  Numbers may
+    also take the YAML 1.2 and JSON float forms, such as 1e-14 and 5e3, that
+    YAML 1.1 reads as text; the CSV inputs accept them too."""
     import yaml  # only the commands that read a config pay for the parser
 
+    class Loader(yaml.SafeLoader):  # a subclass, so PyYAML's own SafeLoader is unchanged
+        pass
+
+    exponent_float = re.compile(r"^[-+]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)[eE][-+]?[0-9]+$")
+    Loader.add_implicit_resolver("tag:yaml.org,2002:float", exponent_float, list("-+.0123456789"))
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            raw = yaml.safe_load(fh)
+            raw = yaml.load(fh, Loader=Loader)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}")
     except yaml.YAMLError as exc:

@@ -358,8 +358,10 @@ def _drive(omega0, thetas, times):
 
 
 def _thermal_contrast(a):
-    """Thermal contrast prod_m (1 + a_m^2)^(-1/2) over axis 0, a_m = theta_m Omega0 t."""
-    c = a * a
+    """Thermal contrast prod_m (1 + a_m^2)^(-1/2) over axis 0, a_m = theta_m Omega0 t.
+    A factor whose a_m^2 overflows is its exact limit 0, with no warning."""
+    with np.errstate(over="ignore"):
+        c = a * a
     c += 1.0
     np.sqrt(c, out=c)
     np.reciprocal(c, out=c)

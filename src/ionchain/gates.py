@@ -59,27 +59,27 @@ def gate_fidelity_bound(theta_i, theta_j, n_gates: int = 1) -> float:
     exactly; the bound is 1 at zero theta and decreases monotonically in
     |theta_im + theta_jm| and in the gate count.  The product is the thermal
     Rabi contrast of the joint decay parameters at Omega0 t = n_gates pi/2.
-    Where a_m^2, a_m = n_gates pi/2 (theta_im + theta_jm), overflows, that
-    mode's contrast is its exact limit 0 and the bound 1/2, with no warning.
+    An overflowing theta_im + theta_jm or a_m = n_gates pi/2 (theta_im + theta_jm)
+    gives the contrast kernel's limit, with no warning: the bound is then 1/2.
     """
-    k, joint = _gate_angle(n_gates), _joint_theta(theta_i, theta_j)
+    k = _gate_angle(n_gates)
     with np.errstate(over="ignore"):
-        a = k * joint
-        return 0.5 + 0.5 * float(_thermal_contrast(a.ravel()))  # product over every entry
+        a = k * _joint_theta(theta_i, theta_j)
+    return 0.5 + 0.5 * float(_thermal_contrast(a.ravel()))  # product over every entry
 
 
 def gate_fidelity_slope(joint_theta: float, n_gates: int = 1) -> float:
     """|dF/dtheta| of the single-mode bound at theta = theta_i + theta_j.
 
-    With k = n_gates pi/2, a = |k theta| and the single-mode contrast
+    With k = n_gates pi/2, a = |k theta| and the kernel's single-mode contrast
     C = (1 + a^2)^(-1/2), F = 1/2 + C/2, so |dF/dtheta| = (k C)(a C) C / 2,
-    taken in Python floats: where a^2 overflows, C = 0 and the slope is 0.
-    Multiplying by the standard deviation of theta propagates it to the bound.
+    or 0 where C is 0.  Multiplying by the standard deviation of theta
+    propagates it to the bound.
     """
     k = _gate_angle(n_gates)
     a = abs(k * float(joint_theta))
-    c = 1.0 / math.sqrt(1.0 + a * a)
-    return 0.5 * (k * c) * (a * c) * c
+    c = float(_thermal_contrast(np.array([a])))
+    return 0.5 * (k * c) * (a * c) * c if c else 0.0
 
 
 @dataclass(frozen=True)

@@ -17,10 +17,12 @@ import ionchain.cli
 from ionchain import YB171
 from ionchain.constants import KNOWN_SPECIES
 from ionchain.cli import main
-from ionchain.config import read_section
-from ionchain.decoherence import zero_point_spread
+from ionchain.chain import EquispacedLogPotential, find_equilibrium, normal_modes
+from ionchain.config import build_noise, build_potential, build_species, read_section
+from ionchain.decoherence import GaussianBeam, zero_point_spread
 from ionchain.errors import LowOccupancyWarning, SolverError
 from ionchain.fitting import gaussian_beam_model
+from ionchain.heating import NoiseModel, theta_rate
 
 YB = "species:\n  label: 171Yb+\n"
 ROOT = Path(__file__).resolve().parent.parent
@@ -147,6 +149,18 @@ class TestRabi:
         expected = np.sin(0.5 * 2 * np.pi * 50e3 * t) ** 2
         assert np.allclose(rows[:, 1], expected, atol=1e-10)
         assert np.all(rows[:, 2] == 1.0)
+
+    def test_overflowing_contrast_factor_is_zero_without_a_warning(self, tmp_path, capsys):
+        # (theta Omega0 t)^2 overflows at every t > 0: the factor is its limit 0
+        cfg = write(tmp_path / "r.yaml", RABI_EXPLICIT.format(theta="1.0e+160"))
+        out = tmp_path / "r.csv"
+        capsys.readouterr()
+        assert run(["rabi", "--config", cfg, "--out", out]) == 0
+        assert capsys.readouterr().err == ""
+        _, rows = read_csv(out)
+        assert rows[0, 1:].tolist() == [0.0, 1.0, 0.0]
+        assert np.all(rows[1:, 1] == 0.5) and np.all(rows[1:, 2] == 0.0)
+        assert np.all(rows[1:, 3] == float(format(math.pi / 2, ".12g")))
 
     def test_weak_confinement_decays_faster(self, tmp_path):
         def contrast_at_fixed_time(freq_khz):
@@ -363,6 +377,56 @@ class TestNonFiniteConfig:
         assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "line, outcome",
+    [
+        ("drive_khz: 1e-3", 0.001),
+        ("drive_khz: 5e3", 5000.0),
+        ("drive_khz: 1E2", 100.0),
+        ("drive_khz: +2.5e1", 25.0),
+        ("drive_khz: .5e1", 5.0),
+        ("drive_khz: 1.e3", 1000.0),
+        ("drive_khz: 1.5e-3", 0.0015),
+        ("drive_khz: 1.5", 1.5),
+        ("drive_khz: 12", 12.0),
+        ("drive_khz: 0x10", 16.0),
+        ("drive_khz: 1_000", 1000.0),
+        ("drive_khz: 1e400", "rabi.drive_khz must be finite, got inf"),
+        ("drive_khz: fast", "rabi.drive_khz must be a number, got 'fast'"),
+        ("n_points: 1e5", "rabi.n_points must be an integer, got 100000.0"),
+    ],
+)
+def test_config_numbers_take_the_yaml_1_2_float_forms(tmp_path, capsys, line, outcome):
+    # the exponent forms YAML 1.1 reads as text are numbers, as in the CSV inputs
+    body = {"drive_khz": "50.0", "t_max_us": "10.0", "n_points": "2", "theta": "[0.1]"}
+    key, value = line.split(": ")
+    body[key] = value
+    cfg = write(tmp_path / "n.yaml", "rabi:\n" + "".join(f"  {k}: {v}\n" for k, v in body.items()))
+    out = tmp_path / "r.json"
+    capsys.readouterr()
+    code = run(["rabi", "--config", cfg, "--format", "json", "--out", out])
+    if isinstance(outcome, str):
+        err = capsys.readouterr().err.strip()
+        assert (code, err) == (2, f"ionchain rabi: config error: {outcome}")
+    else:
+        assert code == 0
+        assert json.loads(out.read_text())["inputs"]["drive_khz"] == outcome
+
+
+def test_quartic_trap_coefficient_may_be_written_without_a_point(tmp_path):
+    outputs = []
+    for spelling in ("1.0e-14", "1e-14"):
+        cfg = write(
+            tmp_path / "q.yaml",
+            YB + f"potential:\n  kind: quad_quartic\n  a2_j_per_m2: {spelling}\n"
+            + "  a4_j_per_m4: 0.002\n  n_ions: 3\n",
+        )
+        out = tmp_path / f"{spelling}.csv"
+        assert run(["modes", "--config", cfg, "--out", out]) == 0
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
+
+
 _SPECIES = {"label": "171Yb+"}
 _ONE_ION = {
     "species": _SPECIES,
@@ -500,6 +564,15 @@ class TestChecksBeforeSolve:
         assert captured.out == ""
         assert captured.err.strip() == (
             f"ionchain {command}: config error: {key} must be a non-empty list of numbers"
+        )
+
+    def test_overflowing_gate_count(self, tmp_path, capsys):
+        gate = {**_DERIVED_GATE["gate"], "n_gates": 10**400}
+        config = {**_DERIVED_GATE, "gate": gate}
+        code, captured = self.run_flags(tmp_path, capsys, "gate-fidelity", config)
+        assert (code, captured.out) == (2, "")
+        assert captured.err.strip() == (
+            "ionchain gate-fidelity: input error: gate count is too large: n_gates pi/2 overflows"
         )
 
     def test_negative_wait_override(self, tmp_path, capsys):
@@ -715,6 +788,29 @@ class TestGateFidelity:
         assert run(["gate-fidelity", "--config", cfg, "--out", out]) == 0
         self.assert_absurd_gate_count_rows(out)
 
+    def test_overflowing_joint_theta_gives_the_limit(self, tmp_path, capsys):
+        # theta_i + theta_j overflows: the bound is its limit 1/2, and F_err 0, not nan
+        text = GATE_CFG.format(n_gates=1) + "  theta0: [1.0e+308, 1.0e+308]\n"
+        cfg = write(tmp_path / "g.yaml", text)
+        out = tmp_path / "g.csv"
+        capsys.readouterr()
+        assert run(["gate-fidelity", "--config", cfg, "--out", out]) == 0
+        assert capsys.readouterr().err == ""
+        _, rows = read_csv(out)
+        assert np.all(rows[:, 1] == 0.5) and np.all(rows[:, 3] == 0.0)
+
+    def test_derived_rates_under_an_offset_beam(self, tmp_path):
+        # each gated ion has its own beam, centred center_um from the ion
+        config = {**_DERIVED_GATE, "beam": {**_DERIVED_GATE["beam"], "center_um": 0.3}}
+        cfg = write(tmp_path / "g.yaml", yaml.safe_dump(config))
+        out = tmp_path / "g.json"
+        assert run(["gate-fidelity", "--config", cfg, "--format", "json", "--out", out]) == 0
+        chain = find_equilibrium(build_species(config), *build_potential(config))
+        x = chain.positions
+        beams = {i: GaussianBeam(1.0, x[i] + 0.3 * 1e-6, 870.0 * 1e-9) for i in (0, 1)}
+        rates = theta_rate(build_noise(config), normal_modes(chain), beams, x)
+        assert json.loads(out.read_text())["inputs"]["rates_per_s"] == [rates[0], rates[1]]
+
     def test_absurd_gate_count_with_derived_rates(self, tmp_path):
         # the derived rates, and so the decay parameters, are numpy floats
         gate = {
@@ -785,6 +881,23 @@ class TestScaling:
         exponents = np.diff(np.log(rows[:, 2])) / np.diff(np.log(rows[:, 0]))
         assert np.all(np.diff(exponents) > 0)
         assert exponents[-1] < 4.0 + 2.0 * alpha
+
+    def test_exact_rows_are_the_centre_ion_rate_ratio(self, tmp_path):
+        # the beam is centred on ion n // 2, with the spacing as its waist
+        cfg = write(tmp_path / "s.yaml", yaml.safe_dump(_SCALING))
+        out = tmp_path / "s.json"
+        n_list = [2, 3, 4, 7, 12]
+        argv = ["scaling", "--config", cfg, "--n-list", ",".join(map(str, n_list))]
+        assert run(argv + ["--format", "json", "--out", out]) == 0
+        noise = NoiseModel(1.0, nbar_rate_ref=1.0, omega_ref=1.0)
+        rates = []
+        for n in n_list:
+            chain = find_equilibrium(YB171, EquispacedLogPotential(n, 4.4 * 1e-6))
+            x, c = chain.positions, n // 2
+            beam = GaussianBeam(1.0, x[c] + 0.0, 4.4 * 1e-6)
+            rates.append(float(theta_rate(noise, normal_modes(chain), {c: beam}, x)[c]))
+        rows = json.loads(out.read_text())["rows"]
+        assert [row[2] for row in rows] == [(rate / rates[0]) ** 2 for rate in rates]
 
 
 class TestCooling:
@@ -1308,6 +1421,7 @@ class TestCollectorPolicy:
         result = run_module(argv + ["--out", tmp_path / "g.csv"], IONCHAIN_LOG="DEBUG")
         assert (result.returncode, result.stdout) == (0, ""), result.stderr
         assert " ionchain INFO derived theta rates: " in result.stderr
+        assert "np.float64(" not in result.stderr  # the rates are logged as plain floats
         assert run_module(argv + ["--out", tmp_path / "h.csv"]).stderr == ""
 
 
