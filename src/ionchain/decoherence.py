@@ -357,22 +357,24 @@ def _drive(omega0, thetas, times):
     return thetas, times
 
 
-def _thermal_contrast(a):
-    """Thermal contrast prod_m (1 + a_m^2)^(-1/2) over axis 0, a_m = theta_m Omega0 t.
-    A factor whose a_m^2 overflows is its exact limit 0, with no warning."""
-    with np.errstate(over="ignore"):
+def _thermal_contrast(thetas, omega0, times):
+    """Thermal contrast prod_m (1 + a_m^2)^(-1/2) at each of the 1-d ``times``, and
+    the drive angles a[m, t] = (theta_m Omega0) t, formed only here.  Their limits
+    hold with no warning: a zero time is no drive, a = 0 even where theta_m Omega0
+    overflowed, and a factor whose a or a^2 overflows is exactly 0."""
+    with np.errstate(over="ignore", invalid="ignore"):  # inf * 0 at t = 0, set to 0
+        a = thetas[:, None] * omega0 * times[None, :]
+        a[:, times == 0] = 0.0
         c = a * a
     c += 1.0
     np.sqrt(c, out=c)
     np.reciprocal(c, out=c)
-    return c.prod(axis=0)
+    return c.prod(axis=0), a
 
 
 def _thermal_rabi(omega0, thetas, times):
     """Closed-form (p1, contrast, phase) of :func:`rabi_trace`, unvalidated."""
-    thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
-    a = thetas[:, None] * omega0 * times[None, :]
-    contrast = _thermal_contrast(a)
+    contrast, a = _thermal_contrast(np.atleast_1d(np.asarray(thetas, dtype=float)), omega0, times)
     phase = np.arctan(a, out=a).sum(axis=0)
     return 0.5 * (1.0 - contrast * np.cos(omega0 * times - phase)), contrast, phase
 
@@ -457,7 +459,9 @@ def rabi_trace_monte_carlo(
     oracle for :func:`rabi_trace`; negative frequencies are kept (sin^2 is even).
 
     A drive time of 0 is answered p1 = stderr = 0 without a pass over the
-    samples.  The other drive times are shared out over the usable CPUs by
+    samples.  A sampled angle that overflows raises InputError, found from
+    the nan it leaves in that time's mean, where :func:`rabi_trace` answers
+    its limit.  The other drive times are shared out over the usable CPUs by
     :func:`_run_from_shared_queue`; each time's mean and standard error come
     from the same samples in the same summation order whichever worker takes
     it, so the result is bit-identical for any CPU count.  Deterministic for
@@ -472,7 +476,8 @@ def rabi_trace_monte_carlo(
         raise InputError("n_samples must be >= 1")
     thetas, times = _drive(omega0, thetas, times)
     # relative Rabi frequency 1 - theta . u per sample; the samples are freed here
-    factor = thetas @ _mode_energy_samples(len(thetas), n_samples, seed)
+    with np.errstate(over="ignore"):  # an overflow reaches the means as nan
+        factor = thetas @ _mode_energy_samples(len(thetas), n_samples, seed)
     np.subtract(1.0, factor, out=factor)
     p1, stderr = np.zeros_like(times), np.zeros_like(times)
     driven = np.flatnonzero(times).tolist()
@@ -481,11 +486,14 @@ def rabi_trace_monte_carlo(
         values = np.empty(n_samples)
         for j in queue:
             k = driven[j]
-            np.multiply(0.5 * omega0 * times[k], factor, out=values)
-            with np.errstate(divide="ignore", over="ignore"):  # x = 0: 1 / 0, then 0
+            # x = 0: 1 / 0, then 0; an infinite x: nan
+            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+                np.multiply(0.5 * omega0 * times[k], factor, out=values)
                 np.reciprocal(np.square(np.tan(values, out=values), out=values), out=values)
             np.reciprocal(np.add(values, 1.0, out=values), out=values)  # sin^2 x
             p1[k] = mean = np.add.reduce(values) / n_samples
+            if math.isnan(mean):
+                raise InputError("the sampled Rabi angle omega0 t (1 - theta . u) overflows")
             if n_samples > 1:  # values.std(ddof=1), in place
                 np.square(np.subtract(values, mean, out=values), out=values)
                 variance = np.add.reduce(values) / (n_samples - 1)

@@ -152,9 +152,10 @@ def fit_least_squares(
         If the model's output at the guess does not have the data's shape,
         or the bounds are malformed or exclude the guess.
     FitError
-        If there are fewer points than parameters, or the solve does not
-        converge.  When the solve raised any other exception, it is chained
-        from that exception.
+        If there are fewer points than parameters, the solve does not
+        converge, or the residuals' sum of squares leaves the normal floats
+        (see :func:`_sum_of_squares`).  When the solve raised any other
+        exception, it is chained from that exception.
     """
     guess = np.atleast_1d(np.asarray(guess, dtype=float))
     n_params = len(guess)
@@ -238,7 +239,8 @@ def _levenberg_marquardt(residual_fn, x0, r, lo, hi, max_nfev):
     if not np.isfinite(r).all():
         raise FitError("residuals are not finite at the start")
     nfev = 1
-    cost = 0.5 * float(r @ r)
+    with np.errstate(over="ignore"):
+        cost = 0.5 * _sum_of_squares(r @ r, r)
     col_norms = np.zeros(len(x))
     damping, grow = 1.0, 2.0
     while True:
@@ -287,6 +289,17 @@ def _levenberg_marquardt(residual_fn, x0, r, lo, hi, max_nfev):
                 break
 
 
+def _sum_of_squares(total, residuals) -> float:
+    """``total``, the sum of the squared ``residuals``, as a float.  Raises
+    FitError when it is not a normal float while some residual is nonzero:
+    the squares have left the float range, so no step and no chi-square can
+    be judged.  The caller forms ``total`` with overflow ignored."""
+    total, floats = float(total), np.finfo(float)
+    if not floats.tiny <= total <= floats.max and residuals.any():
+        raise FitError("the residuals' sum of squares is not a normal float; rescale the data")
+    return total
+
+
 def _fit_result(
     params, residuals, jtj, data: DataSeries, param_names, n_iterations, flags=(),
 ) -> FitResult:
@@ -303,11 +316,13 @@ def _fit_result(
     D^-1/2 is taken before the outer product, which cannot underflow while
     the diagonal is a normal float.
     ``"residual_structure"`` is added when a Wald-Wolfowitz runs test over
-    eight or more points gives z < -3.
+    eight or more points gives z < -3.  A chi-square that is not a normal
+    float raises FitError (see :func:`_sum_of_squares`).
     """
     flags = list(flags)
     dof = len(data) - len(params)
-    chisq = float(np.sum(residuals**2))
+    with np.errstate(over="ignore"):
+        chisq = _sum_of_squares(np.sum(residuals**2), residuals)
     reduced = chisq / dof if dof > 0 else float("nan")
     try:
         cov = np.linalg.inv(jtj)
@@ -493,6 +508,8 @@ def fit_theta_power_law(omega0, rates, sigma=None) -> FitResult:
     omega_ref = math.exp(float(np.mean(np.log(data.x))))
     log_u = np.log(data.x / omega_ref)
     wy = w * data.y
+    with np.errstate(over="ignore"):  # the residuals at (a, offset) = 0 bound every chi^2
+        _sum_of_squares(wy @ wy, wy)
     evaluations = 0
 
     def project(alpha):

@@ -42,13 +42,14 @@ def _gate_angle(n_gates: int) -> float:
 
 def _joint_theta(theta_i, theta_j) -> np.ndarray:
     """theta_im + theta_jm of the two addressed ions, checked for equal length
-    and finite entries."""
+    and finite entries; a sum that overflows is +-inf, with no warning."""
     ti, tj = (np.atleast_1d(np.asarray(t, dtype=float)) for t in (theta_i, theta_j))
     if ti.shape != tj.shape:
         raise InputError("theta lists must have equal length")
     if not (np.isfinite(ti).all() and np.isfinite(tj).all()):
         raise InputError("decay parameters must be finite")
-    return ti + tj
+    with np.errstate(over="ignore"):
+        return ti + tj
 
 
 def gate_fidelity_bound(theta_i, theta_j, n_gates: int = 1) -> float:
@@ -58,27 +59,26 @@ def gate_fidelity_bound(theta_i, theta_j, n_gates: int = 1) -> float:
     addressed ions (equal length).  Modes with theta_im = -theta_jm cancel
     exactly; the bound is 1 at zero theta and decreases monotonically in
     |theta_im + theta_jm| and in the gate count.  The product is the thermal
-    Rabi contrast of the joint decay parameters at Omega0 t = n_gates pi/2.
+    Rabi contrast of the joint decay parameters at Omega0 = 1, t = n_gates pi/2.
     An overflowing theta_im + theta_jm or a_m = n_gates pi/2 (theta_im + theta_jm)
     gives the contrast kernel's limit, with no warning: the bound is then 1/2.
     """
     k = _gate_angle(n_gates)
-    with np.errstate(over="ignore"):
-        a = k * _joint_theta(theta_i, theta_j)
-    return 0.5 + 0.5 * float(_thermal_contrast(a.ravel()))  # product over every entry
+    joint = _joint_theta(theta_i, theta_j).ravel()  # product over every entry
+    return 0.5 + 0.5 * float(_thermal_contrast(joint, 1.0, np.array([k]))[0][0])
 
 
 def gate_fidelity_slope(joint_theta: float, n_gates: int = 1) -> float:
     """|dF/dtheta| of the single-mode bound at theta = theta_i + theta_j.
 
-    With k = n_gates pi/2, a = |k theta| and the kernel's single-mode contrast
-    C = (1 + a^2)^(-1/2), F = 1/2 + C/2, so |dF/dtheta| = (k C)(a C) C / 2,
-    or 0 where C is 0.  Multiplying by the standard deviation of theta
-    propagates it to the bound.
+    With k = n_gates pi/2, the kernel's single-mode contrast C = (1 + a^2)^(-1/2)
+    and its drive angle a = |theta| k, F = 1/2 + C/2, so |dF/dtheta| =
+    (k C)(a C) C / 2, or 0 where C is 0.  Multiplying by the standard
+    deviation of theta propagates it to the bound.
     """
     k = _gate_angle(n_gates)
-    a = abs(k * float(joint_theta))
-    c = float(_thermal_contrast(np.array([a])))
+    contrast, a = _thermal_contrast(np.array([abs(float(joint_theta))]), 1.0, np.array([k]))
+    c, a = float(contrast[0]), float(a[0, 0])
     return 0.5 * (k * c) * (a * c) * c if c else 0.0
 
 
@@ -120,7 +120,9 @@ def gate_fidelity_monte_carlo(
     The phasor comes from one half-angle tangent t = tan(y/2): with
     w = 2 / (1 + t^2), cos y = w - 1 and sin y = t w (numpy's float64 ``tan``
     is SIMD on AVX-512 CPUs, its ``sin`` and ``cos`` scalar libm).  The
-    estimate is bit-identical for any CPU count and fixed by the seed.
+    estimate is bit-identical for any CPU count and fixed by the seed.  An
+    angle that overflows raises InputError, found from the nan it leaves in
+    the mean phasor, where :func:`gate_fidelity_bound` answers its limit.
 
     Working set, in rows of ``n_samples`` doubles: the two phasor rows and
     the samples (one row per mode), which are reduced straight into the sine
@@ -131,14 +133,17 @@ def gate_fidelity_monte_carlo(
         raise InputError("n_samples must be >= 2")
     joint = _joint_theta(theta_i, theta_j)
     cos_y, sin_y = phasors = np.empty((2, n_samples))
-    np.matmul(joint, _mode_energy_samples(len(joint), n_samples, seed), out=sin_y)
-    sin_y *= 0.5 * k
-    np.tan(sin_y, out=sin_y)  # t = tan(y / 2)
+    with np.errstate(over="ignore", invalid="ignore"):  # an infinite y makes the means nan
+        np.matmul(joint, _mode_energy_samples(len(joint), n_samples, seed), out=sin_y)
+        sin_y *= 0.5 * k
+        np.tan(sin_y, out=sin_y)  # t = tan(y / 2)
     np.divide(2.0, np.add(np.square(sin_y, out=cos_y), 1.0, out=cos_y), out=cos_y)
     sin_y *= cos_y  # sin y = t w, w = 2 / (1 + t^2)
     cos_y -= 1.0  # cos y = w - 1
     # One centred pass: the same sums, gemm and divisions as .mean(), .var(ddof=1), np.cov.
     c, s = np.add.reduce(phasors, axis=1) / n_samples
+    if math.isnan(c):
+        raise InputError("the sampled gate angle n_gates pi/2 (theta_i + theta_j) . u overflows")
     phasors -= [[c], [s]]
     dof = n_samples - 1
     cov_cs = np.dot(phasors, phasors.T)[0, 1] * (1.0 / dof) / n_samples

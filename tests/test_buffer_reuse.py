@@ -223,11 +223,11 @@ def test_pipeline_leaves_its_inputs_unchanged():
 
 
 def test_thermal_contrast_leaves_its_argument_unchanged():
-    a = np.random.default_rng(3).uniform(-2.0, 2.0, (40, 17))
-    kept = a.copy()
-    decoherence._thermal_contrast(a)
-    decoherence._thermal_contrast(a.ravel())
-    assert np.array_equal(a, kept)
+    rng = np.random.default_rng(3)
+    thetas, times = rng.uniform(-2.0, 2.0, 40), np.append(0.0, rng.uniform(0.0, 1.0, 17))
+    kept = thetas.copy(), times.copy()
+    decoherence._thermal_contrast(thetas, 1.5, times)
+    assert np.array_equal(thetas, kept[0]) and np.array_equal(times, kept[1])
 
 
 # ----------------------------------------------------------------------

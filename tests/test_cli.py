@@ -150,18 +150,6 @@ class TestRabi:
         assert np.allclose(rows[:, 1], expected, atol=1e-10)
         assert np.all(rows[:, 2] == 1.0)
 
-    def test_overflowing_contrast_factor_is_zero_without_a_warning(self, tmp_path, capsys):
-        # (theta Omega0 t)^2 overflows at every t > 0: the factor is its limit 0
-        cfg = write(tmp_path / "r.yaml", RABI_EXPLICIT.format(theta="1.0e+160"))
-        out = tmp_path / "r.csv"
-        capsys.readouterr()
-        assert run(["rabi", "--config", cfg, "--out", out]) == 0
-        assert capsys.readouterr().err == ""
-        _, rows = read_csv(out)
-        assert rows[0, 1:].tolist() == [0.0, 1.0, 0.0]
-        assert np.all(rows[1:, 1] == 0.5) and np.all(rows[1:, 2] == 0.0)
-        assert np.all(rows[1:, 3] == float(format(math.pi / 2, ".12g")))
-
     def test_weak_confinement_decays_faster(self, tmp_path):
         def contrast_at_fixed_time(freq_khz):
             cfg = write(

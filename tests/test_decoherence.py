@@ -443,7 +443,7 @@ class TestRabiTrace:
     def test_closed_form_matches_the_wrapper_form(self, n_modes, n_times, seed):
         rng = np.random.default_rng(seed)
         thetas = rng.uniform(-1.0, 1.0, n_modes) * 10.0 ** rng.uniform(-5.0, 0.0, n_modes)
-        times = np.sort(rng.uniform(0.0, 300e-6, n_times))
+        times = np.sort(np.append(0.0, rng.uniform(0.0, 300e-6, n_times - 1)))  # t = 0 too
         omega0 = 2 * np.pi * rng.uniform(10e3, 100e3)
         p1, contrast, phase = decoherence._thermal_rabi(omega0, thetas, times)
         a = thetas[:, None] * omega0 * times[None, :]

@@ -57,25 +57,13 @@ class TestGateFidelityBound:
         ) / (2 * h)
         assert gate_fidelity_slope(joint, n_gates) == pytest.approx(abs(fd), rel=1e-6, abs=1e-9)
 
-    @pytest.mark.parametrize("joint", [1e-3, np.float64(-0.2)])
-    def test_overflowing_angle_is_the_limit(self, joint):
-        # (n_gates pi/2 theta)^2 overflows: the contrast is exactly 0
-        assert gate_fidelity_bound([joint], [0.0], 10**200) == 0.5
-        assert gate_fidelity_slope(joint, 10**200) == 0.0
-
-    def test_overflowing_sum_or_product_is_the_limit(self):
-        # theta_i + theta_j, or n_gates pi/2 times it, overflows: no warning, no nan
-        assert gate_fidelity_bound([1e308], [1e308], 1) == 0.5
-        assert gate_fidelity_bound([1e300], [0.0], 10**10) == 0.5
-        assert gate_fidelity_slope(1e300, 10**10) == 0.0
-
     @settings(max_examples=200, deadline=None, database=None, derandomize=True)
     @given(st.floats(0.0, 1e154), st.integers(1, 10**6))
     def test_slope_takes_its_contrast_from_the_kernel(self, angle, n_gates):
         k = n_gates * math.pi / 2.0
         theta = angle / k
-        a = abs(k * theta)  # the slope's own a, a^2 finite
-        c = float(_thermal_contrast(np.array([a])))
+        contrast, a = _thermal_contrast(np.array([theta]), 1.0, np.array([k]))  # a^2 finite
+        c, a = float(contrast[0]), abs(float(a[0, 0]))
         assert gate_fidelity_slope(theta, n_gates) == 0.5 * (k * c) * (a * c) * c
 
     @settings(max_examples=60, deadline=None, database=None, derandomize=True)
