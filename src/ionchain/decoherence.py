@@ -29,11 +29,9 @@ numerical check of the closed form.
 from __future__ import annotations
 
 import math
-import os
-import threading
 import warnings
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Iterator, Mapping, Sequence, Union
+from typing import TYPE_CHECKING, Iterator, Mapping, Sequence, Union
 
 import numpy as np
 
@@ -344,14 +342,17 @@ def rabi_trace(omega0: float, thetas, times) -> RabiTrace:
 
 
 def _drive(omega0, thetas, times):
-    """A Rabi drive's decay parameters (1-d) and durations as float arrays,
-    checked: Omega0 and every theta finite, every time finite and >= 0."""
+    """A Rabi drive's decay parameters and durations as 1-d float arrays (a
+    scalar time is a one-point trace), checked: Omega0 and every theta
+    finite, every time finite and >= 0."""
     if not math.isfinite(omega0):
         raise InputError(f"Rabi frequency must be finite, got {omega0}")
     thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
     if not np.isfinite(thetas).all():
         raise InputError("decay parameters must be finite")
-    times = np.asarray(times, dtype=float)
+    times = np.atleast_1d(np.asarray(times, dtype=float))
+    if times.ndim > 1:
+        raise InputError(f"drive times must be a scalar or a 1-d array, got shape {times.shape}")
     if not (np.isfinite(times).all() and (times >= 0).all()):
         raise InputError("drive times must be finite and >= 0")
     return thetas, times
@@ -379,57 +380,6 @@ def _thermal_rabi(omega0, thetas, times):
     return 0.5 * (1.0 - contrast * np.cos(omega0 * times - phase)), contrast, phase
 
 
-def _usable_cpus() -> int:
-    """CPUs this process may run on: its affinity set, else the CPU count."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
-def _run_from_shared_queue(n_items: int, work: Callable[[Iterator[int]], None]) -> None:
-    """Run ``work(queue)`` on w = min(n_items, usable CPUs) workers that share
-    one queue of the item indices ``range(n_items)``.
-
-    The caller is one worker and a thread runs each of the others.  Every
-    worker is handed the same iterator over ``range(n_items)`` and takes the
-    next index from it until none are left, so each index goes exactly once,
-    in increasing order, to whichever worker asks first: a worker whose core
-    is busy takes fewer items instead of holding the others up.  Taking an
-    index is one call into the C range iterator, atomic under the GIL; a
-    free-threaded build would need a lock around it.  numpy releases the GIL
-    inside its ufunc loops and random fills, so the items run in parallel.
-    ``work`` must write each item's result to its own place and nowhere
-    else; the results then depend neither on w nor on which worker ran which
-    item.  Every thread is joined before this returns, and an exception
-    raised by any worker (the caller's first, then the threads' in start
-    order) is re-raised here, so a caller never sees partly filled output.
-    """
-    n_workers = max(1, min(n_items, _usable_cpus()))
-    queue = iter(range(n_items))
-    errors: list[BaseException | None] = [None] * n_workers
-
-    def run(w: int) -> None:
-        try:
-            work(queue)
-        except BaseException as exc:
-            errors[w] = exc
-
-    threads = [threading.Thread(target=run, args=(w,)) for w in range(1, n_workers)]
-    started = []
-    try:
-        for thread in threads:
-            thread.start()
-            started.append(thread)
-        run(0)
-    finally:
-        for thread in started:
-            thread.join()
-    for exc in errors:
-        if exc is not None:
-            raise exc
-
-
 def _mode_energy_samples(n_modes: int, n_samples: int, seed: int) -> np.ndarray:
     """Unit-mean exponential energy samples, one independent stream per mode.
 
@@ -443,6 +393,107 @@ def _mode_energy_samples(n_modes: int, n_samples: int, seed: int) -> np.ndarray:
     return samples
 
 
+_CHUNK = 2**14
+"""Samples per chunk of a progression's recurrence, whose rows stay in a core's L2 cache."""
+_RESEED = 64
+"""Recurrence steps from one pair of directly evaluated rows to the next."""
+
+
+def _sin_squared(half_angle: float, factor: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """sin^2 x, x = half_angle * factor, into ``out`` as 1 / (1 + 1 / tan^2 x)
+    (numpy's float64 ``tan`` is SIMD on AVX-512 CPUs, ``sin`` scalar libm).
+    x = 0 gives 0 and an infinite x nan."""
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # x = 0: 1 / 0, then 0
+        np.multiply(half_angle, factor, out=out)
+        np.reciprocal(np.square(np.tan(out, out=out), out=out), out=out)
+    return np.reciprocal(np.add(out, 1.0, out=out), out=out)
+
+
+def _progression_step(times: np.ndarray) -> float | None:
+    """dt = t_1 - t_0 where the K >= 3 times rise as t_k = t_0 + k dt to
+    within 4 ulp of each t_k (``np.linspace`` may move its last point by
+    one), else None."""
+    if len(times) < 3 or not times[1] > times[0]:
+        return None
+    dt = times[1] - times[0]
+    drift = np.abs(times - (times[0] + dt * np.arange(len(times))))
+    return dt if (drift <= 4 * np.spacing(times)).all() else None
+
+
+def _progression_rows(
+    half_angles: Sequence[float], half_step: float, factor: np.ndarray
+) -> Iterator[Iterator[np.ndarray]]:
+    """sin^2(a_k f) at the half angles a_k = a_0 + k h of a progression, h =
+    ``half_step``: for each chunk of :data:`_CHUNK` samples f of ``factor``
+    in order, an iterator over k of the rows s_k, each a buffer reused once
+    the next row is asked for.  With s_1 = sin^2(h f) the rows obey
+
+        s_(k+1) = 2 s_1 + 2 (1 - 2 s_1) s_k - s_(k-1),
+
+    Goertzel's recurrence for cos(2 a_k f) written for d = 1 - cos = 2 s
+    (Reinsch's form, which keeps small angles accurate): three passes a row.
+    The rows with k = 0 or 1 mod :data:`_RESEED` come from
+    :func:`_sin_squared`.  m steps past such a pair, seed errors e_0, e_1 and
+    a local error eta per step give at most m |e_1| + (m - 1) |e_0| +
+    eta m^2 / 2, as the recurrence's Chebyshev solutions have |U_n| <= n + 1
+    (Gentleman, Comput. J. 12, 160 (1969)).  Against sin^2 of each row's own
+    float angle, with u = 2^-53 and |x| the largest half angle, that is at
+    most u ((2m + 1)(16 + 22 |x|) + 20 m^2) per sample: 16 u for the tan
+    form, 22 u |x| for the roundings of the angles and the times' 4 ulp,
+    eta <= 39 u.  m < 64 holds it below 8.2e4 u + 2.8e3 u |x| at any length.
+    """
+    buffers = np.empty((5, min(_CHUNK, len(factor))))
+    for start in range(0, len(factor), _CHUNK):
+        f = factor[start:start + _CHUNK]
+        yield _chunk_rows(half_angles, half_step, f, buffers[:, : len(f)])
+
+
+def _chunk_rows(half_angles, half_step, f, buffers) -> Iterator[np.ndarray]:
+    """The rows of :func:`_progression_rows` on one chunk ``f``, in the five
+    rows of ``buffers``."""
+    a, b, prev, row, scratch = buffers
+    _sin_squared(half_step, f, b)  # s_1
+    np.multiply(b, -4.0, out=a)
+    a += 2.0  # 2 (1 - 2 s_1), rounded once
+    b *= 2.0  # 2 s_1
+    for k, half_angle in enumerate(half_angles):
+        prev, row = row, prev
+        if k % _RESEED < 2:
+            _sin_squared(half_angle, f, row)
+        else:  # row held s_(k-2): overwrite it with s_k
+            np.multiply(a, prev, out=scratch)
+            scratch += b
+            np.subtract(scratch, row, out=row)
+        yield row
+
+
+def _progression_moments(half_angles, half_step, factor) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and centred sum of squares over the samples of each time's rows
+    in :func:`_progression_rows`.  Each chunk gives every time its sum and
+    centred sum of squares, and the chunks are merged in order by the
+    pairwise update of Chan, Golub & LeVeque, Amer. Stat. 37, 242 (1983); a
+    raw sum(s^2) - n mean^2 would lose the zero spread of theta = 0."""
+    n_times = len(half_angles)
+    total, squares = np.zeros(n_times), np.zeros(n_times)
+    chunk_sum, chunk_squares = np.empty(n_times), np.empty(n_times)
+    deviation = np.empty(min(_CHUNK, len(factor)))
+    count = 0
+    for rows in _progression_rows(half_angles, half_step, factor):
+        for k, row in enumerate(rows):
+            dev = deviation[: len(row)]
+            chunk_sum[k] = np.add.reduce(row)
+            np.subtract(row, chunk_sum[k] / len(row), out=dev)
+            chunk_squares[k] = np.dot(dev, dev)
+        size = len(row)
+        if count:  # the spread between the chunks merged so far and this one
+            delta = chunk_sum / size - total / count
+            chunk_squares += delta * delta * (count * size / (count + size))
+        squares += chunk_squares
+        total += chunk_sum
+        count += size
+    return total / count, squares
+
+
 def rabi_trace_monte_carlo(
     omega0: float,
     thetas,
@@ -450,56 +501,65 @@ def rabi_trace_monte_carlo(
     n_samples: int = 100_000,
     seed: int = 0,
 ) -> MonteCarloRabiTrace:
-    """Monte-Carlo thermal average of the Rabi oscillation.
+    """Monte-Carlo thermal average of the Rabi oscillation, on one thread.
 
     Draws u_m ~ Exponential(1) per mode (u_m is the mode energy over kB T_m),
-    forms the shifted Rabi frequency ``omega0 * (1 - sum_m theta_m u_m)`` and
-    averages sin^2 x = 1 / (1 + 1 / tan^2 x), x = omega t / 2 (numpy's float64
-    ``tan`` is SIMD on AVX-512 CPUs, ``sin`` scalar libm).  The independent
-    oracle for :func:`rabi_trace`; negative frequencies are kept (sin^2 is even).
+    forms the relative Rabi frequency f = 1 - sum_m theta_m u_m and averages
+    sin^2 x, x = omega0 t f / 2.  The independent oracle for
+    :func:`rabi_trace`; negative frequencies are kept (sin^2 is even).
+    Deterministic for a given seed; see :func:`_mode_energy_samples` for the
+    per-mode stream-splitting rule.
 
-    A drive time of 0 is answered p1 = stderr = 0 without a pass over the
-    samples.  A sampled angle that overflows raises InputError, found from
-    the nan it leaves in that time's mean, where :func:`rabi_trace` answers
-    its limit.  The other drive times are shared out over the usable CPUs by
-    :func:`_run_from_shared_queue`; each time's mean and standard error come
-    from the same samples in the same summation order whichever worker takes
-    it, so the result is bit-identical for any CPU count.  Deterministic for
-    a given seed; see :func:`_mode_energy_samples` for the per-mode
-    stream-splitting rule.
+    - Times that rise in equal steps (t_k = t_0 + k dt, K >= 3, such as
+      ``np.linspace``; see :func:`_progression_step`) take the recurrence of
+      :func:`_progression_rows` over chunks of :data:`_CHUNK` samples: one
+      tan pass for the step and two per :data:`_RESEED` times, three
+      arithmetic passes for each other time, and the chunk moments of
+      :func:`_progression_moments`.  The answer at the first K' >= 3 times
+      is bit-identical to a K'-point run.
+    - Other times are evaluated one by one with :func:`_sin_squared` over
+      the whole sample row: mean and ``std(ddof=1)`` by numpy's pairwise sums.
+
+    A drive time of 0 is answered p1 = stderr = 0.  A sampled half angle
+    that overflows, at any time, raises InputError, where :func:`rabi_trace`
+    answers its limit; it is checked at the largest time and |f|, because the
+    recurrence stays finite past it.
 
     Working set, in rows of ``n_samples`` doubles: the samples (one row per
-    mode) and the relative-frequency row they are reduced to, then that row
-    and one scratch row per worker once the samples are freed.
+    mode) and the relative-frequency row they are reduced to; then that row
+    and either six rows of :data:`_CHUNK` samples (a progression) or one
+    scratch row.
     """
     if n_samples < 1:
         raise InputError("n_samples must be >= 1")
     thetas, times = _drive(omega0, thetas, times)
     # relative Rabi frequency 1 - theta . u per sample; the samples are freed here
-    with np.errstate(over="ignore"):  # an overflow reaches the means as nan
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is caught below
         factor = thetas @ _mode_energy_samples(len(thetas), n_samples, seed)
     np.subtract(1.0, factor, out=factor)
     p1, stderr = np.zeros_like(times), np.zeros_like(times)
-    driven = np.flatnonzero(times).tolist()
-
-    def average(queue: Iterator[int]) -> None:
+    if not times.any():
+        return MonteCarloRabiTrace(p1, stderr)
+    # the largest half angle, formed as the kernel forms each one; nan if any f is
+    largest = max(float(factor.max()), -float(factor.min()))
+    if not math.isfinite(0.5 * abs(float(omega0)) * float(times.max()) * largest):
+        raise InputError("the sampled Rabi angle omega0 t (1 - theta . u) overflows")
+    dt = _progression_step(times)
+    if dt is None:
         values = np.empty(n_samples)
-        for j in queue:
-            k = driven[j]
-            # x = 0: 1 / 0, then 0; an infinite x: nan
-            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-                np.multiply(0.5 * omega0 * times[k], factor, out=values)
-                np.reciprocal(np.square(np.tan(values, out=values), out=values), out=values)
-            np.reciprocal(np.add(values, 1.0, out=values), out=values)  # sin^2 x
+        for k in np.flatnonzero(times).tolist():
+            _sin_squared(0.5 * omega0 * times[k], factor, values)
             p1[k] = mean = np.add.reduce(values) / n_samples
-            if math.isnan(mean):
-                raise InputError("the sampled Rabi angle omega0 t (1 - theta . u) overflows")
             if n_samples > 1:  # values.std(ddof=1), in place
                 np.square(np.subtract(values, mean, out=values), out=values)
                 variance = np.add.reduce(values) / (n_samples - 1)
                 stderr[k] = math.sqrt(variance) / math.sqrt(n_samples)
+        return MonteCarloRabiTrace(p1, stderr)
 
-    _run_from_shared_queue(len(driven), average)
+    half_angles = [0.5 * omega0 * t for t in times.tolist()]
+    p1, squares = _progression_moments(half_angles, 0.5 * omega0 * dt, factor)
+    if n_samples > 1:  # std(ddof=1) / sqrt(n)
+        stderr = np.sqrt(squares / (n_samples - 1)) / math.sqrt(n_samples)
     return MonteCarloRabiTrace(p1, stderr)
 
 

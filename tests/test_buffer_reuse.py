@@ -345,20 +345,22 @@ def test_mode_energy_rows_are_the_exponential_streams(seed, n_modes, n):
 @pytest.mark.parametrize(
     "oracle, thetas, rows",
     [
-        ("rabi", [0.05], 3),
+        ("rabi", [0.05], 2),
+        ("rabi_unequal_times", [0.05], 2),
         ("rabi", [0.05, 0.01, -0.02], 4),
         ("gate", [0.05], 3),
     ],
 )
-def test_monte_carlo_oracles_stay_within_their_working_sets(monkeypatch, oracle, thetas, rows):
-    """Peaks in rows of ``N_SAMPLES`` doubles, with two workers.  Rabi: the
-    samples (one row per mode) and the row they are reduced to, then that
-    row and one scratch row per worker.  Gate: the samples and the two
-    phasor rows.  Forming each row in fresh temporaries, as before, took 4,
-    6 and 4."""
-    monkeypatch.setattr(decoherence, "_usable_cpus", lambda: 2)
-    if oracle == "rabi":
+def test_monte_carlo_oracles_stay_within_their_working_sets(oracle, thetas, rows):
+    """Peaks in rows of ``N_SAMPLES`` doubles.  Rabi: the samples (one row
+    per mode) and the row they are reduced to, then that row and six rows of
+    2^14 samples for the recurrence over equispaced times, or one scratch row
+    for other times.  Gate: the samples and the two phasor rows.  Forming
+    each row in fresh temporaries, as before, took 4, 6 and 4."""
+    if oracle.startswith("rabi"):
         times = np.linspace(0.0, 200e-6, 9)
+        if oracle == "rabi_unequal_times":
+            times = times[::-1]
         peak = _peak_bytes(decoherence.rabi_trace_monte_carlo, OMEGA0, thetas, times, N_SAMPLES)
     else:
         peak = _peak_bytes(gate_fidelity_monte_carlo, thetas, [0.04], 2, N_SAMPLES)

@@ -1,8 +1,5 @@
 import math
-import os
-import sys
 import threading
-import time
 import warnings
 
 import numpy as np
@@ -544,6 +541,28 @@ class TestRabiTraceMonteCarlo:
             mc = rabi_trace_monte_carlo(omega0, thetas, t, 100_000, seed=500 + trial)
             assert np.max(np.abs(closed.p1 - mc.p1)) < 5e-3
 
+    @pytest.mark.parametrize("position", [0, 2, 4])
+    def test_an_overflowing_time_raises_wherever_it_stands(self, position):
+        # unequal times take the one-time-at-a-time path
+        times = np.array([3e-5, 1e-5, 0.0, 7e-5, 2e-5])
+        times[position] = 1e305
+        assert decoherence._progression_step(times) is None
+        with pytest.raises(InputError, match="overflows"):
+            rabi_trace_monte_carlo(2 * np.pi * 50e3, [0.05], times, 1000)
+
+    @pytest.mark.parametrize("t", [0.0, 1e-6, 0.01])
+    @pytest.mark.parametrize("oracle", [False, True], ids=["closed_form", "monte_carlo"])
+    def test_scalar_time_is_a_one_point_trace(self, oracle, t):
+        omega0, thetas = 3e5, [0.01, -0.02]
+        if oracle:
+            scalar = rabi_trace_monte_carlo(omega0, thetas, t, 100, seed=2)
+            array = rabi_trace_monte_carlo(omega0, thetas, [t], 100, seed=2)
+        else:
+            scalar, array = rabi_trace(omega0, thetas, t), rabi_trace(omega0, thetas, [t])
+        for got, want in zip(vars(scalar).values(), vars(array).values()):
+            assert got.shape == (1,)
+            assert np.array_equal(got, want)
+
 
 def tan_sin_squared(x):
     """sin^2 x as 1 / (1 + 1 / tan^2 x), 0 at x = 0."""
@@ -552,9 +571,9 @@ def tan_sin_squared(x):
 
 
 def serial_rabi_monte_carlo(omega0, thetas, times, n_samples, seed, sin_squared=tan_sin_squared):
-    """The one-thread Monte-Carlo loop, as it was written before the drive
-    times were split over CPUs: with the default ``sin_squared``, the
-    bit-for-bit reference."""
+    """The Monte-Carlo loop over drive times, one time at a time over the
+    whole sample row: with the default ``sin_squared``, the bit-for-bit
+    reference for times that are not a progression."""
     times = np.asarray(times, dtype=float)
     thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
     u = np.empty((len(thetas), n_samples))
@@ -570,19 +589,7 @@ def serial_rabi_monte_carlo(omega0, thetas, times, n_samples, seed, sin_squared=
     return p1, stderr
 
 
-class TestUsableCpus:
-    @pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="no affinity call")
-    def test_is_the_affinity_set(self):
-        assert decoherence._usable_cpus() == len(os.sched_getaffinity(0))
-
-    @pytest.mark.parametrize("cpu_count, expected", [(6, 6), (None, 1)])
-    def test_falls_back_to_the_cpu_count(self, monkeypatch, cpu_count, expected):
-        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-        monkeypatch.setattr(os, "cpu_count", lambda: cpu_count)
-        assert decoherence._usable_cpus() == expected
-
-
-class TestParallelMonteCarlo:
+class TestSerialMonteCarlo:
     @pytest.mark.parametrize("n_samples", [2, 100_000])
     @pytest.mark.parametrize("n_times", [1, 2, 51])
     @pytest.mark.parametrize("thetas", [[0.04], [0.08, -0.03, 0.02]])
@@ -591,89 +598,155 @@ class TestParallelMonteCarlo:
         times = np.random.default_rng(n_times).uniform(0.0, 1e-4, n_times)
         if n_times > 1:
             times[n_times // 2] = 0.0
+        assert decoherence._progression_step(times) is None
         omega0 = 2 * np.pi * 50e3
         p1, stderr = serial_rabi_monte_carlo(omega0, thetas, times, n_samples, seed=3)
         mc = rabi_trace_monte_carlo(omega0, thetas, times, n_samples, seed=3)
         assert np.array_equal(mc.p1, p1)
         assert np.array_equal(mc.stderr, stderr)
 
-    @pytest.mark.parametrize("cpus", [1, 2, 3, 8])
-    def test_independent_of_cpu_count(self, monkeypatch, cpus):
-        # more workers than cores, switching threads often: a lost or
-        # misplaced write would break bit-equality
-        monkeypatch.setattr(decoherence, "_usable_cpus", lambda: cpus)
-        times = np.linspace(0.0, 8e-5, 7)[::-1]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            mc = rabi_trace_monte_carlo(
-                2 * np.pi * 50e3, [0.05, 0.01, -0.02], times, 5000, seed=8
-            )
-        finally:
-            sys.setswitchinterval(interval)
-        p1, stderr = serial_rabi_monte_carlo(
-            2 * np.pi * 50e3, [0.05, 0.01, -0.02], times, 5000, seed=8
-        )
-        assert np.array_equal(mc.p1, p1)
-        assert np.array_equal(mc.stderr, stderr)
+    def test_starts_no_thread(self, monkeypatch):
+        # numpy itself imports threading, so only a refused start shows a thread
+        def refuse(thread):
+            raise AssertionError(f"thread {thread.name} started")
 
-    @pytest.mark.parametrize("cpus", [1, 2, 3, 8])
-    @pytest.mark.parametrize("n_items", [0, 1, 2, 5, 51])
-    def test_every_item_runs_once(self, monkeypatch, cpus, n_items):
-        monkeypatch.setattr(decoherence, "_usable_cpus", lambda: cpus)
-        seen = []
-        decoherence._run_from_shared_queue(n_items, seen.extend)
-        assert sorted(seen) == list(range(n_items))
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        omega0, thetas = 2 * np.pi * 50e3, [0.05, 0.02]
+        progression = np.linspace(0.0, 1e-4, 51)
+        assert decoherence._progression_step(progression) is not None
+        rabi_trace_monte_carlo(omega0, thetas, progression, 1000)
+        rabi_trace_monte_carlo(omega0, thetas, progression[::-1], 1000)
+        gate_fidelity_monte_carlo(thetas, thetas, 3, 1000)
 
-    @pytest.mark.parametrize("cpus", [1, 2, 3, 8])
-    @pytest.mark.parametrize("n_items", [0, 1, 51])
-    def test_a_slow_caller_leaves_its_items_to_the_threads(self, monkeypatch, cpus, n_items):
-        # the caller's items take 2 ms and the threads' none, as when the
-        # caller's core is busy: the threads then take more than the
-        # strided share of range(n_items) that fixed slices would give them
-        monkeypatch.setattr(decoherence, "_usable_cpus", lambda: cpus)
-        taken = []
 
-        def work(queue):
-            on_caller = threading.current_thread() is threading.main_thread()
-            for k in queue:
-                if on_caller:
-                    time.sleep(0.002)
-                taken.append((k, on_caller))
+CHUNK = decoherence._CHUNK
+# sample counts one below, one above and five past three chunks
+CHUNK_EDGES = [CHUNK - 1, CHUNK + 1, 3 * CHUNK + 5]
+UNIT_ROUNDOFF = 2.0**-53
 
-        decoherence._run_from_shared_queue(n_items, work)
-        assert sorted(k for k, _ in taken) == list(range(n_items))
-        n_workers = max(1, min(n_items, cpus))
-        by_threads = sum(not on_caller for _, on_caller in taken)
-        strided_share = n_items - len(range(0, n_items, n_workers))
-        if n_workers == 1:
-            assert by_threads == 0
+
+class TestProgressionRecurrence:
+    """Equispaced drive times take the recurrence of _progression_rows."""
+
+    @settings(max_examples=10, deadline=None, database=None, derandomize=True)
+    @given(
+        step=st.floats(1e-4, 2.0),
+        theta=st.floats(-0.3, 0.3),
+        n_times=st.integers(3, 4001),
+        n_samples=st.sampled_from(CHUNK_EDGES),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_rows_within_their_bound_of_direct_sin_squared(
+        self, step, theta, n_times, n_samples, seed
+    ):
+        """Per sample, against sin^2 of the kernel's own float angle x_k (in
+        long double), a row m = k mod _RESEED steps past its directly
+        evaluated pair is within u ((2m + 1)(16 + 22 |x|) + 20 m^2) (the
+        derivation is in _progression_rows' docstring), plus 4 u for the
+        reference itself where long double is double."""
+        omega0 = 2 * np.pi * 50e3
+        times = np.linspace(0.0, (n_times - 1) * step / omega0, n_times)
+        dt = decoherence._progression_step(times)
+        assert dt is not None
+        factor = 1.0 - theta * decoherence._mode_energy_samples(1, n_samples, seed)[0]
+        half_angles = [0.5 * omega0 * t for t in times.tolist()]
+        m = (np.arange(n_times) % decoherence._RESEED)[:, None]
+        chunks = decoherence._progression_rows(half_angles, 0.5 * omega0 * dt, factor)
+        for c, rows in enumerate(chunks):
+            f = factor[c * CHUNK : (c + 1) * CHUNK]
+            # the chunk's edges and every 97th sample between them
+            cols = np.unique(np.r_[0:3, -3:0, 0 : len(f) : 97] % len(f))
+            got = np.array([row[cols] for row in rows])
+            x = np.multiply.outer(half_angles, f[cols])
+            exact = np.sin(x.astype(np.longdouble)) ** 2
+            bound = UNIT_ROUNDOFF * ((2 * m + 1) * (16 + 22 * np.abs(x).max()) + 20 * m * m + 4)
+            assert np.all(np.abs(got - exact) <= bound)
+        assert c == (n_samples - 1) // CHUNK
+
+    @pytest.mark.parametrize("n_prefix", [3, 64, 65, 66, 130])
+    def test_prefix_is_bit_identical_to_its_own_run(self, n_prefix):
+        omega0, thetas, n_samples = 2 * np.pi * 50e3, [0.05, -0.02], 3 * CHUNK + 5
+        times = np.linspace(0.0, 200e-6, 201)
+        full = rabi_trace_monte_carlo(omega0, thetas, times, n_samples, seed=4)
+        part = rabi_trace_monte_carlo(omega0, thetas, times[:n_prefix], n_samples, seed=4)
+        assert np.array_equal(part.p1, full.p1[:n_prefix])
+        assert np.array_equal(part.stderr, full.stderr[:n_prefix])
+
+    @pytest.mark.parametrize("n_samples", CHUNK_EDGES)
+    @pytest.mark.parametrize("n_times", [3, 65, 201])
+    def test_oracle_within_its_bound_of_one_time_runs(self, n_times, n_samples):
+        """A progression's answer against each time run on its own, which is
+        the direct kernel (K = 1 is no progression).  Per sample the two are
+        within E_k = u ((2m + 1)(16 + 22 |x|) + 20 m^2 + 20) of each other:
+        the recurrence's bound (see _progression_rows) plus 16 u for the
+        direct tan form and 4 u for the angle; each mean adds at most
+        ceil(log2 n) <= 16 u of summation rounding on values in [0, 1].
+        std(ddof=1) moves by at most E sqrt(n / (n - 1)) (triangle
+        inequality on the centred rows), so the standard errors are within
+        E / sqrt(n - 1), plus 64 u relative for the two variance sums."""
+        omega0, thetas = 2 * np.pi * 50e3, [0.05, -0.02]
+        times = np.linspace(0.0, 200e-6, n_times)
+        assert decoherence._progression_step(times) is not None
+        mc = rabi_trace_monte_carlo(omega0, thetas, times, n_samples, seed=6)
+        single = [rabi_trace_monte_carlo(omega0, thetas, [t], n_samples, seed=6) for t in times]
+        p1 = np.array([s.p1[0] for s in single])
+        stderr = np.array([s.stderr[0] for s in single])
+        factor = 1.0 - np.asarray(thetas) @ decoherence._mode_energy_samples(2, n_samples, 6)
+        x_max = 0.5 * omega0 * times[-1] * np.abs(factor).max()
+        m = np.arange(n_times) % decoherence._RESEED
+        per_sample = UNIT_ROUNDOFF * ((2 * m + 1) * (16 + 22 * x_max) + 20 * m * m + 20)
+        assert np.all(np.abs(mc.p1 - p1) <= per_sample + 32 * UNIT_ROUNDOFF)
+        bound = per_sample / math.sqrt(n_samples - 1) + 64 * UNIT_ROUNDOFF * stderr
+        assert np.all(np.abs(mc.stderr - stderr) <= bound)
+
+    @pytest.mark.parametrize("n_times", [3, 64, 65, 66, 130])
+    def test_only_the_last_angle_overflowing_raises(self, n_times):
+        # every half angle but the last is finite, so the first K - 1 times
+        # answer; past the re-seeds the recurrence itself would stay finite
+        omega0, thetas, n_samples = 1e300, [-0.05], 1000
+        factor = 1.0 - np.asarray(thetas) @ decoherence._mode_energy_samples(1, n_samples, 0)
+        t_last = 1.001 * 2 * (np.finfo(float).max / (omega0 * factor.max()))
+        times = np.linspace(0.0, t_last, n_times)
+        assert decoherence._progression_step(times) is not None
+        head = rabi_trace_monte_carlo(omega0, thetas, times[:-1], n_samples)
+        assert np.isfinite(head.p1).all() and np.isfinite(head.stderr).all()
+        with pytest.raises(InputError, match="overflows"):
+            rabi_trace_monte_carlo(omega0, thetas, times, n_samples)
+
+    @pytest.mark.parametrize(
+        "times, expected",
+        [
+            (np.linspace(0.0, 1e-3, 51), 1e-3 / 50),
+            (np.linspace(1e-5, 3e-4, 201), (3e-4 - 1e-5) / 200),
+            (1e-6 * np.arange(100), 1e-6),
+            (np.array([0.0, 1.0, 2.0]), 1.0),
+            (np.r_[np.linspace(0.0, 1e-4, 50)[:-1], np.nextafter(1e-4, 1.0)], 1e-4 / 49),
+            (np.array([0.0, 1.0]), None),
+            (np.linspace(1e-3, 0.0, 51), None),
+            (np.full(5, 1e-5), None),
+            (np.r_[0.0, 1e-6, 2e-6, 3e-6 * (1 + 2**-48), 4e-6], None),
+        ],
+        ids=[
+            "linspace_from_zero", "linspace_offset", "arange", "three_points",
+            "last_point_one_ulp_up", "two_points", "falling", "constant", "one_point_off",
+        ],
+    )
+    def test_progression_step(self, times, expected):
+        dt = decoherence._progression_step(times)
+        if expected is None:
+            assert dt is None
         else:
-            assert by_threads > strided_share
+            assert dt == times[1] - times[0]
+            assert dt == pytest.approx(expected, rel=1e-12)
 
-    @pytest.mark.parametrize("failing", ["caller", "thread"])
-    def test_worker_exception_reaches_caller(self, monkeypatch, failing):
-        monkeypatch.setattr(decoherence, "_usable_cpus", lambda: 3)
-        before = threading.active_count()
-        failing_side_has_an_item = threading.Event()
-
-        def work(queue):
-            on_caller = threading.current_thread() is threading.main_thread()
-            for k in queue:
-                if on_caller == (failing == "caller"):  # on its first item
-                    failing_side_has_an_item.set()
-                    raise ZeroDivisionError(f"{failing} failed on item {k}")
-                # leave items in the queue until the failing side has one
-                failing_side_has_an_item.wait(10.0)
-
-        with pytest.raises(ZeroDivisionError, match=f"{failing} failed on item"):
-            decoherence._run_from_shared_queue(9, work)
-        assert threading.active_count() == before
-
-    def test_no_thread_outlives_a_call(self):
-        before = threading.active_count()
-        rabi_trace_monte_carlo(2 * np.pi * 50e3, [0.05, 0.02], np.linspace(0, 1e-4, 51), 1000)
-        assert threading.active_count() == before
+    @pytest.mark.parametrize("n_samples", CHUNK_EDGES)
+    def test_zero_theta_has_no_spread(self, n_samples):
+        omega0 = 2 * np.pi * 50e3
+        t = np.linspace(0.0, 400e-6, 201)  # past three re-seeds
+        mc = rabi_trace_monte_carlo(omega0, [0.0], t, n_samples, seed=1)
+        assert np.allclose(mc.p1, np.sin(0.5 * omega0 * t) ** 2, atol=1e-14)
+        assert np.all(mc.stderr < 1e-14)
+        assert mc.p1[0] == mc.stderr[0] == 0.0
 
 
 class TestTangentForm:
@@ -698,13 +771,25 @@ class TestTangentForm:
         thetas=st.lists(st.floats(-0.2, 0.2), min_size=1, max_size=3),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_estimate_within_1e_15_of_libm_estimate(self, thetas, seed):
-        omega0, times = 2 * np.pi * 50e3, np.linspace(0.0, 2e-4, 51)
-        mc = rabi_trace_monte_carlo(omega0, thetas, times, 100_000, seed)
-        libm, _ = serial_rabi_monte_carlo(
-            omega0, thetas, times, 100_000, seed, sin_squared=lambda x: np.sin(x) ** 2
+    def test_estimate_within_its_angle_rounding_of_libm_estimate(self, thetas, seed):
+        # Equispaced times take the recurrence, so the libm estimate sums its
+        # chunks in the oracle's order and only the per-sample values differ.
+        # The recurrence steps by the angle of dt, not by the rounded angle of
+        # each t_k, so beyond 1e-15 the two differ by the rounding of the
+        # angle, coherently where theta is small: at most 1.4 u x_max over 60
+        # theta lists with |theta| <= 0.2, theta = 0 among them; 4 u x_max here.
+        omega0, times, n_samples = 2 * np.pi * 50e3, np.linspace(0.0, 2e-4, 51), 100_000
+        mc = rabi_trace_monte_carlo(omega0, thetas, times, n_samples, seed)
+        factor = 1.0 - np.asarray(thetas) @ decoherence._mode_energy_samples(
+            len(thetas), n_samples, seed
         )
-        assert np.max(np.abs(mc.p1 - libm)) <= 1e-15
+        libm = np.zeros_like(times)
+        for start in range(0, n_samples, CHUNK):
+            values = np.sin(np.multiply.outer(0.5 * omega0 * times, factor[start : start + CHUNK]))
+            libm += np.add.reduce(values * values, axis=1)
+        libm /= n_samples
+        x_max = 0.5 * omega0 * times[-1]
+        assert np.max(np.abs(mc.p1 - libm)) <= 1e-15 + 4 * UNIT_ROUNDOFF * x_max
 
 
 # ----------------------------------------------------------------------

@@ -140,6 +140,19 @@ ROWS = {
         lambda tmp: rabi_trace_monte_carlo(OMEGA0, [1e308], [0.0, 1e-6], 1000),
         InputError(RABI_ANGLE),
     ),
+    # equispaced times: the step's half angle is finite and the last one's
+    # overflows, where the recurrence past the first two times stays finite
+    "rabi_oracle_progression_last_angle_overflows": (
+        lambda tmp: rabi_trace_monte_carlo(1e300, [-0.05], np.linspace(0.0, 3e8, 5), 1000),
+        InputError(RABI_ANGLE),
+    ),
+    # a scalar drive time is a one-point trace
+    "rabi_trace_scalar_time_rate_overflows": (
+        lambda tmp: trace(rabi_trace(OMEGA0, [1e305], 1e-6)), ([0.5], [0.0], [HALF_PI]),
+    ),
+    "rabi_oracle_scalar_time_angle_overflows": (
+        lambda tmp: rabi_trace_monte_carlo(OMEGA0, [1e308], 1e-6, 1000), InputError(RABI_ANGLE),
+    ),
     # the squared residuals overflow, or underflow while the residuals do not
     "fit_beam_overflows": (fit("beam", 1e200, noise=0.0), FitError(SUM_OF_SQUARES)),
     "fit_beam_underflows": (fit("beam", 1e-200), FitError(SUM_OF_SQUARES)),

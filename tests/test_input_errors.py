@@ -23,6 +23,7 @@ from ionchain import (
     fit_least_squares,
     gate_fidelity_bound,
     gate_fidelity_monte_carlo,
+    rabi_trace,
     rabi_trace_monte_carlo,
     single_ion_modes,
 )
@@ -34,6 +35,7 @@ HARMONIC = HarmonicPotential(2 * math.pi * 1e5)
 NOISE = NoiseModel(alpha=1.0, nbar_rate_ref=88.0, omega_ref=2 * math.pi * 3e6)
 X = np.linspace(0.0, 1.0, 5)
 LINE = ("slope", "intercept")
+TIMES_SHAPE = "drive times must be a scalar or a 1-d array, got shape (1, 2)"
 
 
 def line(p, x):
@@ -101,6 +103,13 @@ CASES = {
             {0: GaussianBeam(peak_rabi=1e5, center=0.0, waist=1e-6)}, [0.0],
         ),
         InputError, "expected 1 occupancies, got 2",
+    ),
+    "rabi_trace_times_2d": (
+        lambda tmp: rabi_trace(1e5, [0.1], [[0.0, 1e-5]]), InputError, TIMES_SHAPE,
+    ),
+    "rabi_oracle_times_2d": (
+        lambda tmp: rabi_trace_monte_carlo(1e5, [0.1], [[0.0, 1e-5]], 100),
+        InputError, TIMES_SHAPE,
     ),
     "rabi_oracle_without_samples": (
         lambda tmp: rabi_trace_monte_carlo(1e5, [0.1], [0.0, 1e-5], n_samples=0),
