@@ -343,11 +343,15 @@ def rabi_trace(omega0: float, thetas, times) -> RabiTrace:
 
 def _drive(omega0, thetas, times):
     """A Rabi drive's decay parameters and durations as 1-d float arrays (a
-    scalar time is a one-point trace), checked: Omega0 and every theta
-    finite, every time finite and >= 0."""
+    scalar theta is one mode, a scalar time a one-point trace), checked:
+    Omega0 and every theta finite, every time finite and >= 0."""
     if not math.isfinite(omega0):
         raise InputError(f"Rabi frequency must be finite, got {omega0}")
     thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
+    if thetas.ndim > 1:
+        raise InputError(
+            f"decay parameters must be a scalar or a 1-d array, got shape {thetas.shape}"
+        )
     if not np.isfinite(thetas).all():
         raise InputError("decay parameters must be finite")
     times = np.atleast_1d(np.asarray(times, dtype=float))
@@ -394,7 +398,7 @@ def _mode_energy_samples(n_modes: int, n_samples: int, seed: int) -> np.ndarray:
 
 
 _CHUNK = 2**14
-"""Samples per chunk of a progression's recurrence, whose rows stay in a core's L2 cache."""
+"""Samples per chunk of the oracle's sample loop, whose rows stay in a core's L2 cache."""
 _RESEED = 64
 """Recurrence steps from one pair of directly evaluated rows to the next."""
 
@@ -411,22 +415,27 @@ def _sin_squared(half_angle: float, factor: np.ndarray, out: np.ndarray) -> np.n
 
 def _progression_step(times: np.ndarray) -> float | None:
     """dt = t_1 - t_0 where the K >= 3 times rise as t_k = t_0 + k dt to
-    within 4 ulp of each t_k (``np.linspace`` may move its last point by
-    one), else None."""
+    within 4 ulp(t_k) + k (ulp(t_0) + ulp(t_1)), else None: ``np.linspace``
+    rounds each point, may move its last by one more, and from t_0 > 0 its
+    step drifts from t_1 - t_0 by up to ulp(t_1) a point.  A prefix of the
+    times has the step of the whole."""
     if len(times) < 3 or not times[1] > times[0]:
         return None
     dt = times[1] - times[0]
-    drift = np.abs(times - (times[0] + dt * np.arange(len(times))))
-    return dt if (drift <= 4 * np.spacing(times)).all() else None
+    k = np.arange(len(times))
+    drift = np.abs(times - (times[0] + dt * k))
+    tolerance = 4 * np.spacing(times) + k * (np.spacing(times[0]) + np.spacing(times[1]))
+    return dt if (drift <= tolerance).all() else None
 
 
-def _progression_rows(
-    half_angles: Sequence[float], half_step: float, factor: np.ndarray
-) -> Iterator[Iterator[np.ndarray]]:
-    """sin^2(a_k f) at the half angles a_k = a_0 + k h of a progression, h =
-    ``half_step``: for each chunk of :data:`_CHUNK` samples f of ``factor``
-    in order, an iterator over k of the rows s_k, each a buffer reused once
-    the next row is asked for.  With s_1 = sin^2(h f) the rows obey
+def _chunk_rows(half_angles, half_step, f, buffers) -> Iterator[np.ndarray]:
+    """sin^2(a_k f) on one chunk of samples ``f`` at each half angle a_k in
+    turn: an iterator over k of the rows s_k, each in one of the five rows of
+    ``buffers`` and reused once the next row is asked for.
+
+    With ``half_step`` None every row comes from :func:`_sin_squared`.  With
+    a step h, for the half angles a_k = a_0 + k h of a progression, the rows
+    obey, with s_1 = sin^2(h f),
 
         s_(k+1) = 2 s_1 + 2 (1 - 2 s_1) s_k - s_(k-1),
 
@@ -439,26 +448,20 @@ def _progression_rows(
     (Gentleman, Comput. J. 12, 160 (1969)).  Against sin^2 of each row's own
     float angle, with u = 2^-53 and |x| the largest half angle, that is at
     most u ((2m + 1)(16 + 22 |x|) + 20 m^2) per sample: 16 u for the tan
-    form, 22 u |x| for the roundings of the angles and the times' 4 ulp,
-    eta <= 39 u.  m < 64 holds it below 8.2e4 u + 2.8e3 u |x| at any length.
+    form, eta <= 39 u, and 22 u |x| a term for the angles' roundings and the
+    times' departure from t_0 + k dt, which take 20 (m + 1) u |x| for 4 ulp
+    of each t_k and 8 m u |x| for a drift k e, |e| <= ulp(t_0) + ulp(t_1),
+    as ``np.linspace`` leaves.  m < 64 holds it below 8.2e4 u + 2.8e3 u |x|.
     """
-    buffers = np.empty((5, min(_CHUNK, len(factor))))
-    for start in range(0, len(factor), _CHUNK):
-        f = factor[start:start + _CHUNK]
-        yield _chunk_rows(half_angles, half_step, f, buffers[:, : len(f)])
-
-
-def _chunk_rows(half_angles, half_step, f, buffers) -> Iterator[np.ndarray]:
-    """The rows of :func:`_progression_rows` on one chunk ``f``, in the five
-    rows of ``buffers``."""
     a, b, prev, row, scratch = buffers
-    _sin_squared(half_step, f, b)  # s_1
-    np.multiply(b, -4.0, out=a)
-    a += 2.0  # 2 (1 - 2 s_1), rounded once
-    b *= 2.0  # 2 s_1
+    if half_step is not None:
+        _sin_squared(half_step, f, b)  # s_1
+        np.multiply(b, -4.0, out=a)
+        a += 2.0  # 2 (1 - 2 s_1), rounded once
+        b *= 2.0  # 2 s_1
     for k, half_angle in enumerate(half_angles):
         prev, row = row, prev
-        if k % _RESEED < 2:
+        if half_step is None or k % _RESEED < 2:
             _sin_squared(half_angle, f, row)
         else:  # row held s_(k-2): overwrite it with s_k
             np.multiply(a, prev, out=scratch)
@@ -467,24 +470,27 @@ def _chunk_rows(half_angles, half_step, f, buffers) -> Iterator[np.ndarray]:
         yield row
 
 
-def _progression_moments(half_angles, half_step, factor) -> tuple[np.ndarray, np.ndarray]:
-    """Mean and centred sum of squares over the samples of each time's rows
-    in :func:`_progression_rows`.  Each chunk gives every time its sum and
-    centred sum of squares, and the chunks are merged in order by the
-    pairwise update of Chan, Golub & LeVeque, Amer. Stat. 37, 242 (1983); a
-    raw sum(s^2) - n mean^2 would lose the zero spread of theta = 0."""
+def _sample_moments(half_angles, half_step, factor) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and centred sum of squares of each row of :func:`_chunk_rows`
+    over the samples f of ``factor``, in chunks of :data:`_CHUNK` in order.
+    Each chunk gives every time its sum and centred sum of squares, and the
+    chunks are merged by the pairwise update of Chan, Golub & LeVeque, Amer.
+    Stat. 37, 242 (1983); a raw sum(s^2) - n mean^2 would lose the zero
+    spread of theta = 0."""
     n_times = len(half_angles)
     total, squares = np.zeros(n_times), np.zeros(n_times)
     chunk_sum, chunk_squares = np.empty(n_times), np.empty(n_times)
+    buffers = np.empty((5, min(_CHUNK, len(factor))))
     deviation = np.empty(min(_CHUNK, len(factor)))
     count = 0
-    for rows in _progression_rows(half_angles, half_step, factor):
-        for k, row in enumerate(rows):
-            dev = deviation[: len(row)]
+    for start in range(0, len(factor), _CHUNK):
+        f = factor[start : start + _CHUNK]
+        size = len(f)
+        dev = deviation[:size]
+        for k, row in enumerate(_chunk_rows(half_angles, half_step, f, buffers[:, :size])):
             chunk_sum[k] = np.add.reduce(row)
-            np.subtract(row, chunk_sum[k] / len(row), out=dev)
+            np.subtract(row, chunk_sum[k] / size, out=dev)
             chunk_squares[k] = np.dot(dev, dev)
-        size = len(row)
         if count:  # the spread between the chunks merged so far and this one
             delta = chunk_sum / size - total / count
             chunk_squares += delta * delta * (count * size / (count + size))
@@ -510,15 +516,15 @@ def rabi_trace_monte_carlo(
     Deterministic for a given seed; see :func:`_mode_energy_samples` for the
     per-mode stream-splitting rule.
 
-    - Times that rise in equal steps (t_k = t_0 + k dt, K >= 3, such as
-      ``np.linspace``; see :func:`_progression_step`) take the recurrence of
-      :func:`_progression_rows` over chunks of :data:`_CHUNK` samples: one
-      tan pass for the step and two per :data:`_RESEED` times, three
-      arithmetic passes for each other time, and the chunk moments of
-      :func:`_progression_moments`.  The answer at the first K' >= 3 times
-      is bit-identical to a K'-point run.
-    - Other times are evaluated one by one with :func:`_sin_squared` over
-      the whole sample row: mean and ``std(ddof=1)`` by numpy's pairwise sums.
+    One loop runs over chunks of :data:`_CHUNK` samples and, within each,
+    over the drive times; :func:`_sample_moments` merges the chunks.  Times
+    that rise in equal steps (t_k = t_0 + k dt, K >= 3, such as
+    ``np.linspace``; see :func:`_progression_step`) take the recurrence of
+    :func:`_chunk_rows`: one tan pass for the step and two per
+    :data:`_RESEED` times, three arithmetic passes for each other time.  The
+    answer at their first K' >= 3 times is bit-identical to a K'-point run.
+    Any other times take one tan pass each, and each time's answer is
+    bit-identical to its own one-time run.
 
     A drive time of 0 is answered p1 = stderr = 0.  A sampled half angle
     that overflows, at any time, raises InputError, where :func:`rabi_trace`
@@ -527,8 +533,7 @@ def rabi_trace_monte_carlo(
 
     Working set, in rows of ``n_samples`` doubles: the samples (one row per
     mode) and the relative-frequency row they are reduced to; then that row
-    and either six rows of :data:`_CHUNK` samples (a progression) or one
-    scratch row.
+    and six rows of :data:`_CHUNK` samples.
     """
     if n_samples < 1:
         raise InputError("n_samples must be >= 1")
@@ -545,19 +550,9 @@ def rabi_trace_monte_carlo(
     if not math.isfinite(0.5 * abs(float(omega0)) * float(times.max()) * largest):
         raise InputError("the sampled Rabi angle omega0 t (1 - theta . u) overflows")
     dt = _progression_step(times)
-    if dt is None:
-        values = np.empty(n_samples)
-        for k in np.flatnonzero(times).tolist():
-            _sin_squared(0.5 * omega0 * times[k], factor, values)
-            p1[k] = mean = np.add.reduce(values) / n_samples
-            if n_samples > 1:  # values.std(ddof=1), in place
-                np.square(np.subtract(values, mean, out=values), out=values)
-                variance = np.add.reduce(values) / (n_samples - 1)
-                stderr[k] = math.sqrt(variance) / math.sqrt(n_samples)
-        return MonteCarloRabiTrace(p1, stderr)
-
+    half_step = None if dt is None else 0.5 * omega0 * dt
     half_angles = [0.5 * omega0 * t for t in times.tolist()]
-    p1, squares = _progression_moments(half_angles, 0.5 * omega0 * dt, factor)
+    p1, squares = _sample_moments(half_angles, half_step, factor)
     if n_samples > 1:  # std(ddof=1) / sqrt(n)
         stderr = np.sqrt(squares / (n_samples - 1)) / math.sqrt(n_samples)
     return MonteCarloRabiTrace(p1, stderr)

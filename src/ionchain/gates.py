@@ -41,15 +41,16 @@ def _gate_angle(n_gates: int) -> float:
 
 
 def _joint_theta(theta_i, theta_j) -> np.ndarray:
-    """theta_im + theta_jm of the two addressed ions, checked for equal length
-    and finite entries; a sum that overflows is +-inf, with no warning."""
+    """theta_im + theta_jm of the two addressed ions as a 1-d array over every
+    entry, checked for equal shape and finite entries; a sum that overflows
+    is +-inf, with no warning."""
     ti, tj = (np.atleast_1d(np.asarray(t, dtype=float)) for t in (theta_i, theta_j))
     if ti.shape != tj.shape:
         raise InputError("theta lists must have equal length")
     if not (np.isfinite(ti).all() and np.isfinite(tj).all()):
         raise InputError("decay parameters must be finite")
     with np.errstate(over="ignore"):
-        return ti + tj
+        return (ti + tj).ravel()
 
 
 def gate_fidelity_bound(theta_i, theta_j, n_gates: int = 1) -> float:
@@ -64,7 +65,7 @@ def gate_fidelity_bound(theta_i, theta_j, n_gates: int = 1) -> float:
     gives the contrast kernel's limit, with no warning: the bound is then 1/2.
     """
     k = _gate_angle(n_gates)
-    joint = _joint_theta(theta_i, theta_j).ravel()  # product over every entry
+    joint = _joint_theta(theta_i, theta_j)  # product over every entry
     return 0.5 + 0.5 * float(_thermal_contrast(joint, 1.0, np.array([k]))[0][0])
 
 
@@ -108,10 +109,11 @@ def gate_fidelity_monte_carlo(
 ) -> GateFidelityEstimate:
     """Sample the gate outcome over thermal mode energies.
 
-    Per sample, each mode energy u_m ~ Exponential(1) (same per-mode stream
-    rule as the Rabi oracle) shifts the accumulated angle error by
-    ``2 chi (theta_im + theta_jm) u_m`` in the doubled (parity) rotation
-    frame.  From the sample phasor e^(i y):
+    ``theta_i`` and ``theta_j`` are read as by :func:`gate_fidelity_bound`,
+    each entry one mode.  Per sample, each mode energy u_m ~ Exponential(1)
+    (same per-mode stream rule as the Rabi oracle) shifts the accumulated
+    angle error by ``2 chi (theta_im + theta_jm) u_m`` in the doubled
+    (parity) rotation frame.  From the sample phasor e^(i y):
 
     - ``f_parity = (1 + |mean phasor|) / 2``; its modulus is the parity
       fringe contrast of the ensemble.
@@ -156,7 +158,7 @@ def gate_fidelity_monte_carlo(
     return GateFidelityEstimate(
         f_parity=0.5 * (1.0 + radius),
         f_parity_stderr=0.5 * math.sqrt(max(var_r, 0.0)),
-        f_overlap=0.5 * (1.0 + c),
+        f_overlap=0.5 * (1.0 + float(c)),
         f_overlap_stderr=0.5 * math.sqrt(var_c),
     )
 

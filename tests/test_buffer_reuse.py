@@ -353,10 +353,10 @@ def test_mode_energy_rows_are_the_exponential_streams(seed, n_modes, n):
 )
 def test_monte_carlo_oracles_stay_within_their_working_sets(oracle, thetas, rows):
     """Peaks in rows of ``N_SAMPLES`` doubles.  Rabi: the samples (one row
-    per mode) and the row they are reduced to, then that row and six rows of
-    2^14 samples for the recurrence over equispaced times, or one scratch row
-    for other times.  Gate: the samples and the two phasor rows.  Forming
-    each row in fresh temporaries, as before, took 4, 6 and 4."""
+    per mode) and the row they are reduced to, then that row and the six
+    rows of 2^14 samples of the one sample loop, at equal and at unequal
+    times alike.  Gate: the samples and the two phasor rows.  Forming each
+    row in fresh temporaries, as before, took 4, 6 and 4."""
     if oracle.startswith("rabi"):
         times = np.linspace(0.0, 200e-6, 9)
         if oracle == "rabi_unequal_times":

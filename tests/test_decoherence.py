@@ -543,7 +543,7 @@ class TestRabiTraceMonteCarlo:
 
     @pytest.mark.parametrize("position", [0, 2, 4])
     def test_an_overflowing_time_raises_wherever_it_stands(self, position):
-        # unequal times take the one-time-at-a-time path
+        # unequal times take the direct rows
         times = np.array([3e-5, 1e-5, 0.0, 7e-5, 2e-5])
         times[position] = 1e305
         assert decoherence._progression_step(times) is None
@@ -564,16 +564,16 @@ class TestRabiTraceMonteCarlo:
             assert np.array_equal(got, want)
 
 
-def tan_sin_squared(x):
-    """sin^2 x as 1 / (1 + 1 / tan^2 x), 0 at x = 0."""
-    with np.errstate(divide="ignore", over="ignore"):
-        return 1.0 / (1.0 + 1.0 / np.tan(x) ** 2)
+CHUNK = decoherence._CHUNK
+# sample counts one below, one above and five past three chunks
+CHUNK_EDGES = [CHUNK - 1, CHUNK + 1, 3 * CHUNK + 5]
+UNIT_ROUNDOFF = 2.0**-53
 
 
-def serial_rabi_monte_carlo(omega0, thetas, times, n_samples, seed, sin_squared=tan_sin_squared):
+def serial_rabi_monte_carlo(omega0, thetas, times, n_samples, seed):
     """The Monte-Carlo loop over drive times, one time at a time over the
-    whole sample row: with the default ``sin_squared``, the bit-for-bit
-    reference for times that are not a progression."""
+    whole sample row, with the oracle's per-sample values: sin^2 x as
+    1 / (1 + 1 / tan^2 x), mean and std(ddof=1) by numpy."""
     times = np.asarray(times, dtype=float)
     thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
     u = np.empty((len(thetas), n_samples))
@@ -583,7 +583,8 @@ def serial_rabi_monte_carlo(omega0, thetas, times, n_samples, seed, sin_squared=
     p1 = np.empty_like(times)
     stderr = np.empty_like(times)
     for k, t in enumerate(times):
-        values = sin_squared(0.5 * omega0 * t * factor)
+        with np.errstate(divide="ignore", over="ignore"):  # x = 0: 1 / 0, then 0
+            values = 1.0 / (1.0 + 1.0 / np.tan(0.5 * omega0 * t * factor) ** 2)
         p1[k] = values.mean()
         stderr[k] = values.std(ddof=1) / math.sqrt(n_samples) if n_samples > 1 else 0.0
     return p1, stderr
@@ -593,7 +594,22 @@ class TestSerialMonteCarlo:
     @pytest.mark.parametrize("n_samples", [2, 100_000])
     @pytest.mark.parametrize("n_times", [1, 2, 51])
     @pytest.mark.parametrize("thetas", [[0.04], [0.08, -0.03, 0.02]])
-    def test_bit_identical_to_serial_loop(self, thetas, n_times, n_samples):
+    def test_within_summation_order_of_serial_loop(self, thetas, n_times, n_samples):
+        """Both sides sum the same per-sample values v in [0, 1], in another
+        order: the oracle by chunks of 2^14 merged by Chan, Golub & LeVeque,
+        the serial loop by numpy over the whole row.  A sum of nonnegative
+        terms whose tree is D additions deep is within D u of the exact sum
+        (u = 2^-53).  numpy's pairwise sum is at most 26 + ceil(log2(n / 128))
+        deep and the oracle adds one merge per chunk to its chunk sums, so at
+        n <= 1e5 each sum is at most 48 deep: with the divisions, the p1
+        differ by at most 100 u p1.  The centred sums of squares Q carry the
+        same relative error, but the oracle's are dot products of up to 2^14
+        terms in BLAS's order (at most 2^14 - 1 deep): (2^14 + 64) u in all,
+        half that on the standard error.  Each mean that centres the values
+        (the serial mean, a chunk mean, a merge's difference of means) errs
+        by at most 96 u, and an offset e of the centre moves sqrt(Q) by at
+        most sqrt(n) e, the standard error by e / sqrt(n - 1): three such
+        offsets stay below 300 u / sqrt(n - 1)."""
         # unsorted drive times, t = 0 among them once there are two or more
         times = np.random.default_rng(n_times).uniform(0.0, 1e-4, n_times)
         if n_times > 1:
@@ -602,8 +618,20 @@ class TestSerialMonteCarlo:
         omega0 = 2 * np.pi * 50e3
         p1, stderr = serial_rabi_monte_carlo(omega0, thetas, times, n_samples, seed=3)
         mc = rabi_trace_monte_carlo(omega0, thetas, times, n_samples, seed=3)
-        assert np.array_equal(mc.p1, p1)
-        assert np.array_equal(mc.stderr, stderr)
+        assert np.all(np.abs(mc.p1 - p1) <= 100 * UNIT_ROUNDOFF * p1)
+        bound = UNIT_ROUNDOFF * ((2**13 + 40) * stderr + 300 / math.sqrt(n_samples - 1))
+        assert np.all(np.abs(mc.stderr - stderr) <= bound)
+
+    @pytest.mark.parametrize("n_samples", [2, *CHUNK_EDGES])
+    def test_each_unequal_time_is_bit_identical_to_its_own_run(self, n_samples):
+        omega0, thetas = 2 * np.pi * 50e3, [0.05, -0.02]
+        times = np.random.default_rng(5).uniform(0.0, 1e-4, 9)
+        times[4] = 0.0
+        assert decoherence._progression_step(times) is None
+        mc = rabi_trace_monte_carlo(omega0, thetas, times, n_samples, seed=8)
+        for k, t in enumerate(times):
+            own = rabi_trace_monte_carlo(omega0, thetas, [t], n_samples, seed=8)
+            assert np.array_equal([mc.p1[k], mc.stderr[k]], [own.p1[0], own.stderr[0]])
 
     def test_starts_no_thread(self, monkeypatch):
         # numpy itself imports threading, so only a refused start shows a thread
@@ -619,41 +647,39 @@ class TestSerialMonteCarlo:
         gate_fidelity_monte_carlo(thetas, thetas, 3, 1000)
 
 
-CHUNK = decoherence._CHUNK
-# sample counts one below, one above and five past three chunks
-CHUNK_EDGES = [CHUNK - 1, CHUNK + 1, 3 * CHUNK + 5]
-UNIT_ROUNDOFF = 2.0**-53
-
-
 class TestProgressionRecurrence:
-    """Equispaced drive times take the recurrence of _progression_rows."""
+    """Equispaced drive times take the recurrence of _chunk_rows."""
 
     @settings(max_examples=10, deadline=None, database=None, derandomize=True)
     @given(
         step=st.floats(1e-4, 2.0),
+        offset=st.floats(1e-3, 1e3),
         theta=st.floats(-0.3, 0.3),
         n_times=st.integers(3, 4001),
         n_samples=st.sampled_from(CHUNK_EDGES),
         seed=st.integers(0, 2**32 - 1),
     )
     def test_rows_within_their_bound_of_direct_sin_squared(
-        self, step, theta, n_times, n_samples, seed
+        self, step, offset, theta, n_times, n_samples, seed
     ):
         """Per sample, against sin^2 of the kernel's own float angle x_k (in
         long double), a row m = k mod _RESEED steps past its directly
         evaluated pair is within u ((2m + 1)(16 + 22 |x|) + 20 m^2) (the
-        derivation is in _progression_rows' docstring), plus 4 u for the
-        reference itself where long double is double."""
+        derivation is in _chunk_rows' docstring), plus 4 u for the reference
+        itself where long double is double.  The times start ``offset``
+        steps past 0, where np.linspace's step drifts from t_1 - t_0."""
         omega0 = 2 * np.pi * 50e3
-        times = np.linspace(0.0, (n_times - 1) * step / omega0, n_times)
+        t0 = offset * step / omega0
+        times = np.linspace(t0, t0 + (n_times - 1) * step / omega0, n_times)
         dt = decoherence._progression_step(times)
         assert dt is not None
         factor = 1.0 - theta * decoherence._mode_energy_samples(1, n_samples, seed)[0]
         half_angles = [0.5 * omega0 * t for t in times.tolist()]
         m = (np.arange(n_times) % decoherence._RESEED)[:, None]
-        chunks = decoherence._progression_rows(half_angles, 0.5 * omega0 * dt, factor)
-        for c, rows in enumerate(chunks):
-            f = factor[c * CHUNK : (c + 1) * CHUNK]
+        for start in range(0, n_samples, CHUNK):
+            f = factor[start : start + CHUNK]
+            buffers = np.empty((5, len(f)))
+            rows = decoherence._chunk_rows(half_angles, 0.5 * omega0 * dt, f, buffers)
             # the chunk's edges and every 97th sample between them
             cols = np.unique(np.r_[0:3, -3:0, 0 : len(f) : 97] % len(f))
             got = np.array([row[cols] for row in rows])
@@ -661,7 +687,6 @@ class TestProgressionRecurrence:
             exact = np.sin(x.astype(np.longdouble)) ** 2
             bound = UNIT_ROUNDOFF * ((2 * m + 1) * (16 + 22 * np.abs(x).max()) + 20 * m * m + 4)
             assert np.all(np.abs(got - exact) <= bound)
-        assert c == (n_samples - 1) // CHUNK
 
     @pytest.mark.parametrize("n_prefix", [3, 64, 65, 66, 130])
     def test_prefix_is_bit_identical_to_its_own_run(self, n_prefix):
@@ -678,7 +703,7 @@ class TestProgressionRecurrence:
         """A progression's answer against each time run on its own, which is
         the direct kernel (K = 1 is no progression).  Per sample the two are
         within E_k = u ((2m + 1)(16 + 22 |x|) + 20 m^2 + 20) of each other:
-        the recurrence's bound (see _progression_rows) plus 16 u for the
+        the recurrence's bound (see _chunk_rows) plus 16 u for the
         direct tan form and 4 u for the angle; each mean adds at most
         ceil(log2 n) <= 16 u of summation rounding on values in [0, 1].
         std(ddof=1) moves by at most E sqrt(n / (n - 1)) (triangle
@@ -718,6 +743,8 @@ class TestProgressionRecurrence:
         [
             (np.linspace(0.0, 1e-3, 51), 1e-3 / 50),
             (np.linspace(1e-5, 3e-4, 201), (3e-4 - 1e-5) / 200),
+            (np.linspace(1e-5, 3e-4, 2001), (3e-4 - 1e-5) / 2000),
+            (np.linspace(0.37, 2.9, 5001), (2.9 - 0.37) / 5000),
             (1e-6 * np.arange(100), 1e-6),
             (np.array([0.0, 1.0, 2.0]), 1.0),
             (np.r_[np.linspace(0.0, 1e-4, 50)[:-1], np.nextafter(1e-4, 1.0)], 1e-4 / 49),
@@ -725,10 +752,12 @@ class TestProgressionRecurrence:
             (np.linspace(1e-3, 0.0, 51), None),
             (np.full(5, 1e-5), None),
             (np.r_[0.0, 1e-6, 2e-6, 3e-6 * (1 + 2**-48), 4e-6], None),
+            (np.linspace(0.37, 2.9, 5001) * (1 + 1e-12 * (np.arange(5001) % 2)), None),
         ],
         ids=[
-            "linspace_from_zero", "linspace_offset", "arange", "three_points",
-            "last_point_one_ulp_up", "two_points", "falling", "constant", "one_point_off",
+            "linspace_from_zero", "linspace_offset", "long_linspace_offset",
+            "long_linspace_far_offset", "arange", "three_points", "last_point_one_ulp_up",
+            "two_points", "falling", "constant", "one_point_off", "far_offset_jittered",
         ],
     )
     def test_progression_step(self, times, expected):
@@ -742,11 +771,14 @@ class TestProgressionRecurrence:
     @pytest.mark.parametrize("n_samples", CHUNK_EDGES)
     def test_zero_theta_has_no_spread(self, n_samples):
         omega0 = 2 * np.pi * 50e3
-        t = np.linspace(0.0, 400e-6, 201)  # past three re-seeds
-        mc = rabi_trace_monte_carlo(omega0, [0.0], t, n_samples, seed=1)
-        assert np.allclose(mc.p1, np.sin(0.5 * omega0 * t) ** 2, atol=1e-14)
-        assert np.all(mc.stderr < 1e-14)
-        assert mc.p1[0] == mc.stderr[0] == 0.0
+        rising = np.linspace(0.0, 400e-6, 201)  # past three re-seeds
+        shuffled = np.random.default_rng(1).permutation(rising)
+        assert decoherence._progression_step(shuffled) is None
+        for t in (rising, shuffled):
+            mc = rabi_trace_monte_carlo(omega0, [0.0], t, n_samples, seed=1)
+            assert np.allclose(mc.p1, np.sin(0.5 * omega0 * t) ** 2, atol=1e-14)
+            assert np.all(mc.stderr < 1e-14)
+            assert np.all(mc.p1[t == 0] == 0.0) and np.all(mc.stderr[t == 0] == 0.0)
 
 
 class TestTangentForm:

@@ -124,6 +124,17 @@ class TestGateFidelityMonteCarlo:
         b = gate_fidelity_monte_carlo([0.1], [0.05], 1, n_samples=5000, seed=11)
         assert a == b
 
+    def test_fields_are_python_floats(self):
+        est = gate_fidelity_monte_carlo([0.1], [0.05], 1, n_samples=1000, seed=3)
+        assert [type(v) for v in vars(est).values()] == [float] * 4
+
+    def test_nested_theta_lists_are_read_entry_by_entry(self):
+        # as the bound reads them: a (1, 2) list is two modes
+        flat, nested = [0.05, 0.01], [[0.05, 0.01]]
+        assert gate_fidelity_bound(nested, nested, 3) == gate_fidelity_bound(flat, flat, 3)
+        est = gate_fidelity_monte_carlo(nested, nested, 3, n_samples=1000, seed=3)
+        assert vars(est) == vars(gate_fidelity_monte_carlo(flat, flat, 3, 1000, seed=3))
+
 
 def half_angle_phasor(y):
     """(cos y, sin y) from t = tan(y/2): w = 2 / (1 + t^2), cos y = w - 1, sin y = t w."""

@@ -36,6 +36,7 @@ NOISE = NoiseModel(alpha=1.0, nbar_rate_ref=88.0, omega_ref=2 * math.pi * 3e6)
 X = np.linspace(0.0, 1.0, 5)
 LINE = ("slope", "intercept")
 TIMES_SHAPE = "drive times must be a scalar or a 1-d array, got shape (1, 2)"
+THETAS_SHAPE = "decay parameters must be a scalar or a 1-d array, got shape {}"
 
 
 def line(p, x):
@@ -110,6 +111,14 @@ CASES = {
     "rabi_oracle_times_2d": (
         lambda tmp: rabi_trace_monte_carlo(1e5, [0.1], [[0.0, 1e-5]], 100),
         InputError, TIMES_SHAPE,
+    ),
+    "rabi_trace_thetas_2d": (
+        lambda tmp: rabi_trace(3e5, [[0.05, 0.01]], [0.0, 1e-6]),
+        InputError, THETAS_SHAPE.format((1, 2)),
+    ),
+    "rabi_oracle_thetas_2d": (
+        lambda tmp: rabi_trace_monte_carlo(3e5, [[0.05]], [0.0, 1e-6, 2e-6], 10),
+        InputError, THETAS_SHAPE.format((1, 1)),
     ),
     "rabi_oracle_without_samples": (
         lambda tmp: rabi_trace_monte_carlo(1e5, [0.1], [0.0, 1e-5], n_samples=0),
