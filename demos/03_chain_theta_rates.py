@@ -19,16 +19,16 @@ from ionchain import (
     GaussianBeam,
     NoiseModel,
     YB171,
+    addressed_theta_rates,
     find_equilibrium,
     normal_modes,
-    theta_rate,
 )
 
 OUT = pathlib.Path(__file__).parent / "out"
 OUT.mkdir(exist_ok=True)
 
-WAIST = 870e-9
 SPACING = 4.4e-6
+BEAM = GaussianBeam(peak_rabi=1.0, center=0.0, waist=870e-9)  # centred on each driven ion
 
 results = {}
 for n_ions, n_driven in ((15, 13), (25, 15)):
@@ -36,17 +36,13 @@ for n_ions, n_driven in ((15, 13), (25, 15)):
     modes = normal_modes(chain)
     first = (n_ions - n_driven) // 2
     driven = range(first, first + n_driven)
-    beams = {
-        i: GaussianBeam(peak_rabi=1.0, center=chain.positions[i], waist=WAIST)
-        for i in driven
-    }
-    band = {}
+    band = {}  # alpha -> rate of each driven ion, in order
     for alpha in (0.8, 1.0):
         noise = NoiseModel(alpha=alpha, nbar_rate_ref=88.0, omega_ref=2 * np.pi * 3e6)
-        band[alpha] = theta_rate(noise, modes, beams, chain.positions)
+        band[alpha] = addressed_theta_rates(noise, modes, chain.positions, BEAM, driven)
     results[n_ions] = (driven, band)
     f0 = modes.frequencies[0] / 2 / np.pi / 1e3
-    mid = n_ions // 2
+    mid = n_ions // 2 - first
     print(
         f"N={n_ions}: lowest mode {f0:6.1f} kHz, middle-ion rate "
         f"{band[1.0][mid]:5.2f} (alpha=1) .. {band[0.8][mid]:5.2f} (alpha=0.8) /s"
@@ -54,8 +50,8 @@ for n_ions, n_driven in ((15, 13), (25, 15)):
 
 rows = []
 for n_ions, (driven, band) in results.items():
-    for i in driven:
-        rows.append((n_ions, i - n_ions // 2, band[0.8][i], band[1.0][i]))
+    for k, i in enumerate(driven):
+        rows.append((n_ions, i - n_ions // 2, band[0.8][k], band[1.0][k]))
 np.savetxt(
     OUT / "chain_theta_rates.csv",
     np.array(rows),
@@ -76,8 +72,8 @@ except ImportError:
 fig, ax = plt.subplots(figsize=(7, 4))
 for color, (n_ions, (driven, band)) in zip(("k", "r"), results.items()):
     idx = np.array(list(driven)) - n_ions // 2
-    lo = np.minimum(band[0.8][list(driven)], band[1.0][list(driven)])
-    hi = np.maximum(band[0.8][list(driven)], band[1.0][list(driven)])
+    lo = np.minimum(band[0.8], band[1.0])
+    hi = np.maximum(band[0.8], band[1.0])
     ax.fill_between(idx, lo, hi, color=color, alpha=0.3, label=f"N = {n_ions}")
 ax.set_xlabel("ion index from chain center")
 ax.set_ylabel("d(theta)/dt (1/s)")

@@ -38,7 +38,6 @@ if TYPE_CHECKING:
         TabulatedBeam,
         ThermalState,
         decay_parameters,
-        in_phase_theta,
         rabi_trace,
         rabi_trace_monte_carlo,
         zero_point_spread,
@@ -71,6 +70,7 @@ if TYPE_CHECKING:
     )
     from .heating import (
         NoiseModel,
+        addressed_theta_rates,
         gate_error_scaling,
         heating_rate_at,
         theta_rate,
@@ -89,8 +89,8 @@ _EXPORTS = {
     "cooling": ("CoolingConfig", "crosstalk_rate"),
     "decoherence": (
         "BeamProfile", "GaussianBeam", "MonteCarloRabiTrace", "RabiTrace", "TabulatedBeam",
-        "ThermalState", "decay_parameters", "in_phase_theta", "rabi_trace",
-        "rabi_trace_monte_carlo", "zero_point_spread",
+        "ThermalState", "decay_parameters", "rabi_trace", "rabi_trace_monte_carlo",
+        "zero_point_spread",
     ),
     "errors": (
         "ConfigError", "DegenerateChainError", "DomainError", "FitError", "InputError",
@@ -105,7 +105,8 @@ _EXPORTS = {
         "spam_adjust_prediction",
     ),
     "heating": (
-        "NoiseModel", "gate_error_scaling", "heating_rate_at", "theta_rate", "theta_rate_model",
+        "NoiseModel", "addressed_theta_rates", "gate_error_scaling", "heating_rate_at",
+        "theta_rate", "theta_rate_model",
     ),
 }
 """The package's modules and the names each one exports, as imported above."""

@@ -293,15 +293,6 @@ def cmd_fit(args, config) -> None:
         write_sibling_csv(args, ".residuals.csv", res_cols, zip(x, y, model_y, y - model_y))
 
 
-def _addressed_theta_rates(noise, modes, positions, beam, ions) -> list[float]:
-    """Theta rates (1/s) of ``ions`` as floats, each ion under its own copy of
-    the gaussian ``beam`` centred at its position plus ``beam.center``."""
-    from .heating import theta_rate
-
-    beams = {i: GaussianBeam(beam.peak_rabi, positions[i] + beam.center, beam.waist) for i in ions}
-    return theta_rate(noise, modes, beams, positions)[list(ions)].tolist()
-
-
 def cmd_gate_fidelity(args, config) -> None:
     from .gates import _gate_angle, gate_fidelity_bound, gate_fidelity_slope, spam_adjust_prediction
 
@@ -309,6 +300,8 @@ def cmd_gate_fidelity(args, config) -> None:
     _gate_angle(gate.n_gates)  # an overflowing count is rejected before any solve
     pair = (gate.ion_i, gate.ion_j)
     if gate.rates_per_s is None:
+        from .heating import addressed_theta_rates
+
         species = build_species(config)
         potential, n_ions = build_potential(config)
         if max(pair) >= n_ions:
@@ -319,7 +312,7 @@ def cmd_gate_fidelity(args, config) -> None:
             raise ConfigError("derived theta rates require a gaussian beam")
         chain = find_equilibrium(species, potential, n_ions)
         modes = normal_modes(chain)
-        gate.rates_per_s = _addressed_theta_rates(noise, modes, chain.positions, beam, pair)
+        gate.rates_per_s = addressed_theta_rates(noise, modes, chain.positions, beam, pair).tolist()
         _log("info", "derived theta rates: %s /s", gate.rates_per_s)
 
     rows = []
@@ -344,7 +337,7 @@ def cmd_gate_fidelity(args, config) -> None:
 
 
 def cmd_scaling(args, config) -> None:
-    from .heating import NoiseModel, gate_error_scaling
+    from .heating import NoiseModel, addressed_theta_rates, gate_error_scaling
 
     scaling = read_scaling(config, args.n_list)
     n_list, spacing = scaling.n_list, scaling.spacing_um
@@ -361,7 +354,7 @@ def cmd_scaling(args, config) -> None:
         modes = normal_modes(chain)
         omega0 = modes.frequencies[0]
         if scaling.omega0_mode == "exact":
-            [rate] = _addressed_theta_rates(noise, modes, chain.positions, beam, [n // 2])
+            [rate] = addressed_theta_rates(noise, modes, chain.positions, beam, [n // 2]).tolist()
             if ref is None:
                 ref = rate
             rel_error = (rate / ref) ** 2

@@ -556,19 +556,3 @@ def rabi_trace_monte_carlo(
     if n_samples > 1:  # std(ddof=1) / sqrt(n)
         stderr = np.sqrt(squares / (n_samples - 1)) / math.sqrt(n_samples)
     return MonteCarloRabiTrace(p1, stderr)
-
-
-def in_phase_theta(modes: ModeDecomposition, theta_single: float) -> np.ndarray:
-    """Per-ion decay parameters when only the lowest axial mode is heated.
-
-    Given the decay parameter ``theta_single`` of a single ion in a trap at
-    the chain's lowest mode frequency, ion i of the chain gets
-
-        theta_i = b_i0^2 * (sum_j b_j0)^2 * theta_single.
-
-    For a harmonic chain the in-phase mode is the center-of-mass mode with
-    b_i0 = N^(-1/2), so theta_i reduces to theta_single for every ion.
-    """
-    b0 = modes.participation[:, 0]
-    weight = b0.sum() ** 2
-    return b0 * b0 * weight * theta_single

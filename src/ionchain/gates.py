@@ -46,7 +46,7 @@ def _joint_theta(theta_i, theta_j) -> np.ndarray:
     is +-inf, with no warning."""
     ti, tj = (np.atleast_1d(np.asarray(t, dtype=float)) for t in (theta_i, theta_j))
     if ti.shape != tj.shape:
-        raise InputError("theta lists must have equal length")
+        raise InputError(f"theta lists must have equal shapes, got {ti.shape} and {tj.shape}")
     if not (np.isfinite(ti).all() and np.isfinite(tj).all()):
         raise InputError("decay parameters must be finite")
     with np.errstate(over="ignore"):
@@ -57,7 +57,7 @@ def gate_fidelity_bound(theta_i, theta_j, n_gates: int = 1) -> float:
     """Fidelity bound after ``n_gates`` fully entangling gates.
 
     ``theta_i`` and ``theta_j`` are the per-mode decay parameters of the two
-    addressed ions (equal length).  Modes with theta_im = -theta_jm cancel
+    addressed ions (equal shape).  Modes with theta_im = -theta_jm cancel
     exactly; the bound is 1 at zero theta and decreases monotonically in
     |theta_im + theta_jm| and in the gate count.  The product is the thermal
     Rabi contrast of the joint decay parameters at Omega0 = 1, t = n_gates pi/2.
@@ -122,7 +122,7 @@ def gate_fidelity_monte_carlo(
     The phasor comes from one half-angle tangent t = tan(y/2): with
     w = 2 / (1 + t^2), cos y = w - 1 and sin y = t w (numpy's float64 ``tan``
     is SIMD on AVX-512 CPUs, its ``sin`` and ``cos`` scalar libm).  The
-    estimate is bit-identical for any CPU count and fixed by the seed.  An
+    estimate runs on one thread and is fixed by the seed.  An
     angle that overflows raises InputError, found from the nan it leaves in
     the mean phasor, where :func:`gate_fidelity_bound` answers its limit.
 

@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING, Mapping, Sequence
 
 import numpy as np
 
-from .decoherence import BeamProfile, _beam_coupling
+from .decoherence import BeamProfile, GaussianBeam, _beam_coupling
 from .errors import InputError
 
 if TYPE_CHECKING:
@@ -108,6 +108,26 @@ def theta_rate(
     rates = coupling.sum(axis=1)
     rates[list(beams)] += noise.offset
     return rates
+
+
+def addressed_theta_rates(
+    noise: NoiseModel,
+    modes: ModeDecomposition,
+    positions: Sequence[float],
+    beam: GaussianBeam,
+    ions: Sequence[int],
+) -> np.ndarray:
+    """Theta rates (1/s) of the addressed ``ions``, in their order: each ion
+    under its own copy of the gaussian ``beam``, centred at its position plus
+    ``beam.center``, through :func:`theta_rate` (lowest mode, plus
+    ``noise.offset``)."""
+    if not isinstance(beam, GaussianBeam):
+        raise InputError("addressed theta rates need a gaussian beam to centre on each ion")
+    for i in ions:
+        if not 0 <= i < len(positions):
+            raise InputError(f"addressed ion {i} is outside 0..{len(positions) - 1}")
+    beams = {i: GaussianBeam(beam.peak_rabi, positions[i] + beam.center, beam.waist) for i in ions}
+    return theta_rate(noise, modes, beams, positions)[list(ions)]
 
 
 def theta_rate_model(omega0, amplitude: float, alpha: float, offset: float = 0.0):

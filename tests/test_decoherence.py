@@ -25,7 +25,6 @@ from ionchain import (
     find_equilibrium,
     gate_fidelity_bound,
     gate_fidelity_monte_carlo,
-    in_phase_theta,
     normal_modes,
     rabi_trace,
     rabi_trace_monte_carlo,
@@ -822,29 +821,3 @@ class TestTangentForm:
         libm /= n_samples
         x_max = 0.5 * omega0 * times[-1]
         assert np.max(np.abs(mc.p1 - libm)) <= 1e-15 + 4 * UNIT_ROUNDOFF * x_max
-
-
-# ----------------------------------------------------------------------
-# in-phase mode reduction
-# ----------------------------------------------------------------------
-
-class TestInPhaseTheta:
-    def test_harmonic_chain_identity(self):
-        modes = normal_modes(find_equilibrium(YB171, HarmonicPotential(OMEGA_140), 10))
-        theta = in_phase_theta(modes, 0.156)
-        assert np.allclose(theta, 0.156, rtol=1e-12)
-
-    def test_single_ion_identity(self):
-        modes = single_ion_modes(YB171, OMEGA_140)
-        assert in_phase_theta(modes, 0.2)[0] == pytest.approx(0.2, rel=1e-15)
-
-    def test_equispaced_chain_middle_enhanced(self):
-        modes = normal_modes(find_equilibrium(YB171, EquispacedLogPotential(15, 4.4e-6)))
-        theta = in_phase_theta(modes, 0.1)
-        mid = 7
-        assert theta[mid] == np.max(theta)
-        assert theta[0] < theta[mid]
-        assert theta[14] < theta[mid]
-        b0 = modes.participation[:, 0]
-        expected = b0**2 * b0.sum() ** 2 * 0.1
-        assert np.allclose(theta, expected, rtol=1e-14)

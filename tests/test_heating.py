@@ -8,9 +8,11 @@ from ionchain import (
     GaussianBeam,
     HarmonicPotential,
     NoiseModel,
+    QuadQuarticPotential,
     TabulatedBeam,
     ThermalState,
     YB171,
+    addressed_theta_rates,
     decay_parameters,
     find_equilibrium,
     fit_theta_power_law,
@@ -175,6 +177,75 @@ def test_kernel_matches_per_ion_per_mode_loop(beam_kind, all_modes):
     for i in (1, 4, 5):
         assert np.all(got_theta[i] == 0.0)
         assert got_rate[i] == 0.0
+
+
+@st.composite
+def addressed_chains(draw):
+    """A harmonic, equispaced or quadratic-plus-quartic chain of at most 40
+    ions (a2, a4 >= 0), with an ordered subset of its ions."""
+    kind = draw(st.sampled_from(["harmonic", "equispaced", "quad_quartic"]))
+    n = draw(st.integers(1 if kind == "harmonic" else 2, 40))
+    if kind == "harmonic":
+        chain = find_equilibrium(YB171, HarmonicPotential(2 * np.pi * draw(st.floats(5e4, 2e6))), n)
+    elif kind == "equispaced":
+        chain = find_equilibrium(YB171, EquispacedLogPotential(n, draw(st.floats(2e-6, 10e-6))))
+    else:
+        zero = draw(st.sampled_from(["a2", "a4", None]))  # a pure quartic or a pure harmonic trap
+        a2 = 0.0 if zero == "a2" else 10.0 ** draw(st.floats(-16.0, -13.0))
+        a4 = 0.0 if zero == "a4" else 10.0 ** draw(st.floats(-6.0, -3.0))
+        chain = find_equilibrium(YB171, QuadQuarticPotential(a2, a4), n)
+    order = draw(st.permutations(range(n)))
+    return chain, order[: draw(st.integers(1, n))]
+
+
+class TestAddressedThetaRates:
+    @settings(max_examples=60, deadline=None, database=None, derandomize=True)
+    @given(
+        addressed_chains(),
+        st.floats(-2e-6, 2e-6),
+        st.floats(3e-7, 3e-6),
+        st.floats(0.0, 2.0),
+        st.floats(0.0, 5.0),
+    )
+    def test_equals_theta_rate_with_one_beam_per_ion(self, drawn, offset, waist, alpha, shift):
+        chain, ions = drawn
+        modes = normal_modes(chain)
+        noise = NoiseModel(alpha, nbar_rate_ref=88.0, omega_ref=2 * np.pi * 3e6, offset=shift)
+        beam = GaussianBeam(2e5, offset, waist)
+        beams = {i: GaussianBeam(2e5, chain.positions[i] + offset, waist) for i in sorted(ions)}
+        expected = theta_rate(noise, modes, beams, chain.positions)[ions]
+        got = addressed_theta_rates(noise, modes, chain.positions, beam, ions)
+        assert got.shape == (len(ions),)
+        assert np.array_equal(got, expected)
+
+    def test_harmonic_chain_rates_equal_the_single_ion_rate(self):
+        omega0 = 2 * np.pi * 140e3
+        beam = GaussianBeam(1.0, 0.0, WAIST)
+        chain = find_equilibrium(YB171, HarmonicPotential(omega0), 10)
+        rates = addressed_theta_rates(NOISE, normal_modes(chain), chain.positions, beam, range(10))
+        single = theta_rate(NOISE, single_ion_modes(YB171, omega0), {0: beam}, [0.0])[0]
+        assert np.allclose(rates, single, rtol=1e-12, atol=0.0)
+
+    def test_single_ion_gives_theta_rate_exactly(self):
+        modes = single_ion_modes(YB171, 2 * np.pi * 140e3)
+        beam = GaussianBeam(1.0, 0.0, WAIST)
+        [rate] = addressed_theta_rates(NOISE, modes, [0.0], beam, [0])
+        assert rate == theta_rate(NOISE, modes, {0: beam}, [0.0])[0]
+
+    def test_equispaced_chain_rates_peak_at_the_middle_ion(self):
+        beam = GaussianBeam(1.0, 0.0, WAIST)
+        chain = find_equilibrium(YB171, EquispacedLogPotential(15, 4.4e-6))
+        modes = normal_modes(chain)
+        rates = addressed_theta_rates(NOISE, modes, chain.positions, beam, range(15))
+        mid = 7
+        assert rates[mid] == np.max(rates)
+        assert rates[0] < rates[mid]
+        assert rates[14] < rates[mid]
+        # the lowest mode alone: b_i0^2 (sum_j b_j0)^2 times one ion's rate at omega_0
+        single_modes = single_ion_modes(YB171, modes.frequencies[0])
+        single = theta_rate(NOISE, single_modes, {0: beam}, [0.0])[0]
+        b0 = modes.participation[:, 0]
+        assert np.allclose(rates, b0**2 * b0.sum() ** 2 * single, rtol=1e-14, atol=0.0)
 
 
 class TestThetaRateModel:

@@ -1,5 +1,6 @@
-"""The package's modules import one another without cycles, and the package
-namespace loads each exported name's module on first use."""
+"""The package's modules import one another without cycles, the package
+namespace loads each exported name's module on first use, and the package
+or a demo uses every exported name."""
 
 import ast
 import graphlib
@@ -15,6 +16,7 @@ import ionchain
 
 # read from the source tree, not imported: a cycle may break the import itself
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "ionchain"
+DEMOS = PACKAGE.parent.parent / "demos"
 GOLDEN_DATA = Path(__file__).resolve().parent / "golden" / "data"
 
 
@@ -133,3 +135,31 @@ def test_unknown_name_raises_attribute_error_naming_it():
         ionchain.no_such_name
     with pytest.raises(ImportError, match="no_such_name"):
         exec("from ionchain import no_such_name", {})
+
+
+# exported names that only the tests use, each with the reason it stays
+TEST_ONLY = {"spacing_deviation": "acceptance check 3a measures a chain's spacing with it"}
+
+
+def names_read(path: Path) -> set[str]:
+    """Every name a source file reads: a bare name or an attribute that is
+    loaded (not a ``def``, ``class`` or assignment target), or a string
+    (the name ``getattr`` takes; a docstring is never a bare name)."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            names.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            names.add(node.value)
+    return names
+
+
+def test_every_exported_name_is_used_by_the_package_or_a_demo():
+    """A public name kept only for its own tests is code the system does not
+    need: each one is read by a package module other than ``__init__`` or by
+    a demo, or is listed in ``TEST_ONLY``."""
+    sources = [path for path in PACKAGE.glob("*.py") if path.name != "__init__.py"]
+    used = set().union(*map(names_read, sources + list(DEMOS.glob("*.py"))))
+    assert sorted(set(ionchain.__all__) - used) == sorted(TEST_ONLY)

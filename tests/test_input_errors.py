@@ -29,7 +29,7 @@ from ionchain import (
 )
 from ionchain.config import build_species, load_config
 from ionchain.errors import ConfigError, DomainError, FitError, InputError
-from ionchain.heating import NoiseModel, heating_rate_at, theta_rate_model
+from ionchain.heating import NoiseModel, addressed_theta_rates, heating_rate_at, theta_rate_model
 
 HARMONIC = HarmonicPotential(2 * math.pi * 1e5)
 NOISE = NoiseModel(alpha=1.0, nbar_rate_ref=88.0, omega_ref=2 * math.pi * 3e6)
@@ -164,9 +164,34 @@ CASES = {
         lambda tmp: gate_fidelity_monte_carlo([0.1], [0.1], n_gates=10**320),
         InputError, GATE_COUNT_TOO_LARGE,
     ),
+    # both lists hold two entries, but in different shapes
+    "gate_theta_shapes": (
+        lambda tmp: gate_fidelity_bound([[0.1, 0.2]], [0.1, 0.2]),
+        InputError, "theta lists must have equal shapes, got (1, 2) and (2,)",
+    ),
+    "gate_theta_lengths": (
+        lambda tmp: gate_fidelity_monte_carlo([0.1, 0.2], [0.1], n_samples=10),
+        InputError, "theta lists must have equal shapes, got (2,) and (1,)",
+    ),
     "gate_oracle_samples": (
         lambda tmp: gate_fidelity_monte_carlo([0.1], [0.1], n_samples=1),
         InputError, "n_samples must be >= 2",
+    ),
+    # a tabulated beam cannot be re-centred on each addressed ion
+    "addressed_rates_tabulated_beam": (
+        lambda tmp: addressed_theta_rates(
+            NOISE, single_ion_modes(YB171, 2 * math.pi * 1e5), [0.0],
+            TabulatedBeam(X - 0.5, np.ones(5)), [0],
+        ),
+        InputError, "addressed theta rates need a gaussian beam to centre on each ion",
+    ),
+    # an addressed ion beyond the last position
+    "addressed_rates_ion_outside_chain": (
+        lambda tmp: addressed_theta_rates(
+            NOISE, single_ion_modes(YB171, 2 * math.pi * 1e5), [0.0],
+            GaussianBeam(1.0, 0.0, 1e-6), [0, 1],
+        ),
+        InputError, "addressed ion 1 is outside 0..0",
     ),
     "heating_rate_at_nan": (lambda tmp: heating_rate_at(NOISE, math.nan), InputError, FREQUENCY),
     "heating_rate_at_inf": (lambda tmp: heating_rate_at(NOISE, math.inf), InputError, FREQUENCY),
