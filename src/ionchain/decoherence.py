@@ -441,17 +441,21 @@ def _chunk_rows(half_angles, half_step, f, buffers) -> Iterator[np.ndarray]:
 
     Goertzel's recurrence for cos(2 a_k f) written for d = 1 - cos = 2 s
     (Reinsch's form, which keeps small angles accurate): three passes a row.
-    The rows with k = 0 or 1 mod :data:`_RESEED` come from
-    :func:`_sin_squared`.  m steps past such a pair, seed errors e_0, e_1 and
-    a local error eta per step give at most m |e_1| + (m - 1) |e_0| +
-    eta m^2 / 2, as the recurrence's Chebyshev solutions have |U_n| <= n + 1
-    (Gentleman, Comput. J. 12, 160 (1969)).  Against sin^2 of each row's own
-    float angle, with u = 2^-53 and |x| the largest half angle, that is at
-    most u ((2m + 1)(16 + 22 |x|) + 20 m^2) per sample: 16 u for the tan
-    form, eta <= 39 u, and 22 u |x| a term for the angles' roundings and the
-    times' departure from t_0 + k dt, which take 20 (m + 1) u |x| for 4 ulp
-    of each t_k and 8 m u |x| for a drift k e, |e| <= ulp(t_0) + ulp(t_1),
-    as ``np.linspace`` leaves.  m < 64 holds it below 8.2e4 u + 2.8e3 u |x|.
+    The rows with k = 0 or 1 mod :data:`_RESEED` are seeds: the zero row
+    for a half angle of 0 and s_1 = 0.5 (2 s_1), exact, for the step's own
+    half angle (a progression from t = 0 has both, at k = 0 and 1), else
+    :func:`_sin_squared`, which gives both bit for bit too.  Any other time
+    with a half angle of 0 is the zero row as well.  m steps past a pair,
+    seed errors e_0, e_1 and a local error eta per step give at most
+    m |e_1| + (m - 1) |e_0| + eta m^2 / 2, as the recurrence's Chebyshev
+    solutions have |U_n| <= n + 1 (Gentleman, Comput. J. 12, 160 (1969)).
+    Against sin^2 of each row's own float angle, with u = 2^-53 and |x| the
+    largest half angle, that is at most u ((2m + 1)(16 + 22 |x|) + 20 m^2)
+    per sample: 16 u for the tan form, eta <= 39 u, and 22 u |x| a term for
+    the angles' roundings and the times' departure from t_0 + k dt, which
+    take 20 (m + 1) u |x| for 4 ulp of each t_k and 8 m u |x| for a drift
+    k e, |e| <= ulp(t_0) + ulp(t_1), as ``np.linspace`` leaves.  m < 64
+    holds it below 8.2e4 u + 2.8e3 u |x|.
     """
     a, b, prev, row, scratch = buffers
     if half_step is not None:
@@ -461,8 +465,13 @@ def _chunk_rows(half_angles, half_step, f, buffers) -> Iterator[np.ndarray]:
         b *= 2.0  # 2 s_1
     for k, half_angle in enumerate(half_angles):
         prev, row = row, prev
-        if half_step is None or k % _RESEED < 2:
-            _sin_squared(half_angle, f, row)
+        if half_angle == 0.0:
+            row.fill(0.0)
+        elif half_step is None or k % _RESEED < 2:
+            if half_angle == half_step:
+                np.multiply(b, 0.5, out=row)
+            else:
+                _sin_squared(half_angle, f, row)
         else:  # row held s_(k-2): overwrite it with s_k
             np.multiply(a, prev, out=scratch)
             scratch += b
@@ -521,9 +530,10 @@ def rabi_trace_monte_carlo(
     that rise in equal steps (t_k = t_0 + k dt, K >= 3, such as
     ``np.linspace``; see :func:`_progression_step`) take the recurrence of
     :func:`_chunk_rows`: one tan pass for the step and two per
-    :data:`_RESEED` times, three arithmetic passes for each other time.  The
-    answer at their first K' >= 3 times is bit-identical to a K'-point run.
-    Any other times take one tan pass each, and each time's answer is
+    :data:`_RESEED` times, three arithmetic passes for each other time;
+    from t_0 = 0 the first two times take none.  The answer at their first
+    K' >= 3 times is bit-identical to a K'-point run.  Any other times take
+    one tan pass each (none at t = 0), and each time's answer is
     bit-identical to its own one-time run.
 
     A drive time of 0 is answered p1 = stderr = 0.  A sampled half angle

@@ -1,12 +1,16 @@
 """Weighted nonlinear least squares and the fit recipes used by this package.
 
-The core is a bounded Levenberg-Marquardt loop in numpy (forward-difference
+The core is a bounded Levenberg-Marquardt loop in numpy (the model's exact
 Jacobian with norm-scaled columns, steps projected onto the bounds), solved
-once from the recipe's guess.  Every fit, including the closed-form line and
-the variable-projection power law, ends in one summary step that gives
-covariance-based parameter uncertainties and the diagnostic flags.  When
-per-point sigmas are supplied the covariance is absolute; otherwise it is
-scaled by the reduced chi-square.
+once from the recipe's guess and ended by undamped Gauss-Newton steps until
+a step is below round-off of the parameters.  Where it stops is then set by
+the minimum, not by the damped loop's path: the loop needs no finite
+differences, whose noise and unit-dependent step used to set it.  Every fit,
+including the closed-form line and the variable-projection power law, ends
+in one summary step that gives covariance-based parameter uncertainties and
+the diagnostic flags, from exact Jacobians.  When per-point sigmas are
+supplied the covariance is absolute; otherwise it is scaled by the reduced
+chi-square.
 
 Recipes:
 
@@ -17,7 +21,11 @@ Recipes:
 - decay-parameter growth: weighted straight line in wait time, in closed
   form,
 - rate power law: A * omega^(-2-alpha) + B vs trap frequency, recovering the
-  field-noise exponent by variable projection (a 1-D search in alpha).
+  field-noise exponent by variable projection: (A, B) from 2 x 2 normal
+  equations at each alpha, and alpha by Brent's method.
+
+Each model's Jacobian sits next to it: :func:`gaussian_beam_jacobian`,
+:func:`damped_rabi_jacobian` and :func:`power_law_jacobian`.
 """
 
 from __future__ import annotations
@@ -29,14 +37,22 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .decoherence import _thermal_rabi, gaussian_beam_model
+from .decoherence import _thermal_contrast, _thermal_rabi, gaussian_beam_model
 from .errors import FitError, InputError
-from .heating import _positive_frequency, theta_rate_model
+from .heating import _positive_frequency
 
 RUNS_TEST_FLAG_Z = 3.0
 
-_LM_TOL = 1e-14
-"""Relative convergence tolerance of :func:`_levenberg_marquardt`."""
+_LM_TOL = 1e-10
+"""Relative stopping tolerance of :func:`_levenberg_marquardt`; the
+Gauss-Newton steps of :func:`_gauss_newton` take the fit on to round-off."""
+_ROUNDOFF = 4.0
+"""A Gauss-Newton step of at most this many eps |x_j| in every parameter
+is round-off: its own rounding errors are of that size."""
+_POLISH_STEPS = 8
+"""Most Gauss-Newton steps of :func:`_gauss_newton`."""
+_BRENT_XTOL = 1e-10
+"""Absolute tolerance in alpha of :func:`_brent_minimum`."""
 
 
 @dataclass(frozen=True)
@@ -120,6 +136,7 @@ def _runs_test_z(residuals: np.ndarray, order: np.ndarray) -> float:
 
 def fit_least_squares(
     model: Callable,
+    jacobian: Callable,
     data: DataSeries,
     guess,
     bounds,
@@ -131,11 +148,14 @@ def fit_least_squares(
     ----------
     model : callable
         Vectorized model ``model(params, x) -> y``.
+    jacobian : callable
+        Its derivatives ``jacobian(params, x) -> J``, J[i, j] = dy_i/dparams_j,
+        of shape (len(x), len(params)).
     data : DataSeries
         Points to fit; ``sigma`` weights the residuals when present.
     guess : array
         Starting parameters; must produce finite model values of the data's
-        shape.
+        shape and a finite Jacobian of the shape above.
     bounds : (lower, upper)
         Per-parameter bounds, +-inf where a side is free; each lower bound
         must lie below its upper one.
@@ -143,14 +163,14 @@ def fit_least_squares(
         Names for lookup on the result, one per parameter.
 
     One :func:`_levenberg_marquardt` solve runs from the guess;
-    ``n_iterations`` is its number of model evaluations outside the
-    Jacobian.  See :func:`_fit_result` for the covariance and the flags.
+    ``n_iterations`` is its number of model evaluations (the Jacobian's are
+    not counted).  See :func:`_fit_result` for the covariance and the flags.
 
     Raises
     ------
     InputError
-        If the model's output at the guess does not have the data's shape,
-        or the bounds are malformed or exclude the guess.
+        If the model's output or the Jacobian at the guess does not have the
+        shape above, or the bounds are malformed or exclude the guess.
     FitError
         If there are fewer points than parameters, the solve does not
         converge, or the residuals' sum of squares leaves the normal floats
@@ -183,13 +203,26 @@ def fit_least_squares(
         )
     if not np.all(np.isfinite(at_guess)):
         raise FitError("model is not finite at the initial guess")
+    jac_at_guess = jacobian(guess, data.x)
+    if np.shape(jac_at_guess) != (len(data), n_params):
+        raise InputError(
+            f"Jacobian has shape {np.shape(jac_at_guess)} at the initial guess, "
+            f"but the fit needs {(len(data), n_params)}"
+        )
+    if not np.all(np.isfinite(jac_at_guess)):
+        raise FitError("Jacobian is not finite at the initial guess")
+    column_sigma = sigma[:, None]
 
     def residual_fn(p):
         return (model(p, data.x) - data.y) / sigma
 
+    def jacobian_fn(p):
+        return jacobian(p, data.x) / column_sigma
+
     try:
         params, residuals, jac, nfev = _levenberg_marquardt(
-            residual_fn, guess, (at_guess - data.y) / sigma, lo, hi, 100 * n_params
+            residual_fn, guess, (at_guess - data.y) / sigma, jacobian_fn,
+            jac_at_guess / column_sigma, lo, hi, 100 * n_params,
         )
     except FitError:
         raise
@@ -200,23 +233,25 @@ def fit_least_squares(
     return _fit_result(params, residuals, jac.T @ jac, data, param_names, nfev)
 
 
-def _forward_jacobian(residual_fn, x, r, lo, hi) -> np.ndarray:
-    """Forward differences with steps sqrt(eps) max(1, |x_j|), taken
-    towards the interior where the forward point would leave the bounds."""
-    h = math.sqrt(np.finfo(float).eps) * np.where(x >= 0, 1.0, -1.0) * np.maximum(1.0, np.abs(x))
-    h = np.where((x + h > hi) | (x + h < lo), -h, h)
-    jac = np.empty((len(r), len(x)))
-    for j in range(len(x)):
-        xj = x.copy()
-        xj[j] += h[j]
-        jac[:, j] = (residual_fn(xj) - r) / (xj[j] - x[j])
-    return jac
+def _scaled_svd(jac, r, x, lo, hi, d):
+    """SVD of the Jacobian's free columns, each divided by its scale in
+    ``d``: ``(free, s, u^T r, v^T)``, or None when the bounds hold every
+    parameter.  A parameter at a bound is held when the gradient J^T r
+    pushes it outwards."""
+    g = jac.T @ r
+    free = ~(((x <= lo) & (g > 0)) | ((x >= hi) & (g < 0)))
+    if not free.any():
+        return None
+    u, s, vt = np.linalg.svd(jac[:, free] / d[free], full_matrices=False)
+    return free, s, u.T @ r, vt
 
 
-def _levenberg_marquardt(residual_fn, x0, r, lo, hi, max_nfev):
+def _levenberg_marquardt(residual_fn, x0, r, jacobian_fn, jac, lo, hi, max_nfev):
     """Bounded Levenberg-Marquardt minimisation of |residual_fn(x)|^2 / 2
-    from ``x0``, whose residuals ``r`` the caller has already evaluated (they
-    count as the first evaluation).  Returns ``(x, residuals, jacobian,
+    from ``x0``, whose residuals ``r`` and Jacobian ``jac`` the caller has
+    already evaluated (the residuals count as the first evaluation); then
+    :func:`_gauss_newton` from where it stops.  ``jacobian_fn(x)`` is the
+    exact Jacobian of ``residual_fn``.  Returns ``(x, residuals, jacobian,
     nfev)`` at the solution.
 
     Each iteration scales the Jacobian's columns by their largest norm so
@@ -244,15 +279,12 @@ def _levenberg_marquardt(residual_fn, x0, r, lo, hi, max_nfev):
     col_norms = np.zeros(len(x))
     damping, grow = 1.0, 2.0
     while True:
-        jac = _forward_jacobian(residual_fn, x, r, lo, hi)
         col_norms = np.maximum(col_norms, np.sqrt(np.add.reduce(jac * jac, axis=0)))
         d = np.where(col_norms > 0, col_norms, 1.0)
-        g = jac.T @ r
-        free = ~(((x <= lo) & (g > 0)) | ((x >= hi) & (g < 0)))
-        if not free.any():
+        factors = _scaled_svd(jac, r, x, lo, hi, d)
+        if factors is None:
             return x, r, jac, nfev
-        u, s, vt = np.linalg.svd(jac[:, free] / d[free], full_matrices=False)
-        ur = u.T @ r
+        free, s, ur, vt = factors
         while True:
             if nfev >= max_nfev:
                 raise FitError("least-squares fit did not converge")
@@ -276,17 +308,59 @@ def _levenberg_marquardt(residual_fn, x0, r, lo, hi, max_nfev):
             )
             if reduction > 0:
                 x, r, cost = x_new, r_new, cost_new
+                jac = jacobian_fn(x)
                 damping *= max(1.0 / 3.0, 1.0 - (2.0 * ratio - 1.0) ** 3)
                 grow = 2.0
             else:
                 damping *= grow
                 grow *= 2.0
             if done:
-                if reduction > 0:
-                    jac = _forward_jacobian(residual_fn, x, r, lo, hi)
-                return x, r, jac, nfev
+                return _gauss_newton(residual_fn, x, r, cost, jacobian_fn, jac, lo, hi, d, nfev)
             if reduction > 0:
                 break
+
+
+def _gauss_newton(residual_fn, x, r, cost, jacobian_fn, jac, lo, hi, d, nfev):
+    """Undamped Gauss-Newton steps from the point where the Levenberg-Marquardt
+    loop stopped, on its column scales ``d``, so that the fit ends at its
+    minimum and not at the point where the damped loop happened to stop.
+
+    Near the minimum the cost is flat to round-off long before the steps
+    are, so the steps, not the cost, decide where it stops: before a step
+    below round-off of the parameters, |step_j| <= ``_ROUNDOFF`` eps |x_j|
+    for every j, or one no shorter than the step before it (scaled by
+    ``d``), both relative tests, so scaling the residuals by a power of two
+    changes no step.  It also stops, keeping the last point, where the cost
+    is not finite or rises by more than ``_LM_TOL`` of itself, the least
+    fall the damped loop still took for progress (a smaller rise is
+    round-off: the cost sums n residuals each rounded to a few ulp of the
+    model), and after ``_POLISH_STEPS`` steps.  Singular values below
+    eps times the largest take no step.  Returns ``(x, residuals,
+    jacobian, nfev)``.
+    """
+    eps = np.finfo(float).eps
+    last = math.inf
+    for _ in range(_POLISH_STEPS):
+        factors = _scaled_svd(jac, r, x, lo, hi, d)
+        if factors is None:
+            break
+        free, s, ur, vt = factors
+        kept = s > eps * s[0]
+        step = np.zeros(len(x))
+        step[free] = -(vt[kept].T @ (ur[kept] / s[kept])) / d[free]
+        x_new = np.clip(x + step, lo, hi)
+        step = x_new - x
+        length = math.sqrt(float(np.sum((d * step) ** 2)))
+        if (np.abs(step) <= _ROUNDOFF * eps * np.abs(x)).all() or not length < last:
+            break
+        r_new = residual_fn(x_new)
+        nfev += 1
+        cost_new = 0.5 * float(r_new @ r_new)
+        if not cost_new <= (1.0 + _LM_TOL) * cost:  # also nan or inf
+            break
+        x, r, cost, last = x_new, r_new, cost_new, length
+        jac = jacobian_fn(x)
+    return x, r, jac, nfev
 
 
 def _sum_of_squares(total, residuals) -> float:
@@ -358,6 +432,17 @@ def _fit_result(
 # recipes
 # ----------------------------------------------------------------------
 
+def gaussian_beam_jacobian(params, x):
+    """Derivatives of :func:`ionchain.decoherence.gaussian_beam_model` in
+    (amplitude, center, waist): with s = (x - center) / waist and
+    e = exp(-s^2), the columns e, 2 s A e / waist and 2 s^2 A e / waist."""
+    amplitude, center, waist = params
+    s = (x - center) / waist
+    e = np.exp(-s * s)
+    slope = (2.0 * amplitude / waist) * s * e
+    return np.column_stack([e, slope, slope * s])
+
+
 def fit_beam_profile(x, signal, sigma=None) -> FitResult:
     """Fit a Gaussian to a beam-profile scan (Rabi angle or rate vs position).
 
@@ -381,6 +466,7 @@ def fit_beam_profile(x, signal, sigma=None) -> FitResult:
     hi = [np.inf, float(np.max(data.x)) + xr, 100.0 * xr]
     return fit_least_squares(
         gaussian_beam_model,
+        gaussian_beam_jacobian,
         data,
         guess=[amp0, center0, min(max(waist0, lo[2] * 2), hi[2] * 0.5)],
         bounds=(lo, hi),
@@ -394,6 +480,38 @@ def damped_rabi_model(params, t):
     params = (omega0, theta_1, ..., theta_k), one decay parameter per mode.
     """
     return _thermal_rabi(params[0], params[1:], t)[0]
+
+
+def damped_rabi_jacobian(params, t):
+    """Derivatives of :func:`damped_rabi_model` in (omega0, theta_1, ...).
+
+    In complex form p1 = (1 - Re Z) / 2 with a_m = theta_m omega0 t and
+    Z = e^(i omega0 t) prod_m (1 + i a_m)^(-1) = C e^(i psi), psi = omega0 t - phi,
+    so that
+
+        dZ/dtheta_m = -i omega0 t Z / (1 + i a_m),
+        dZ/domega0  = i t Z (1 - sum_m theta_m / (1 + i a_m)),
+
+    taken here in real arithmetic with h_m = 1 / (1 + a_m^2):
+    dp1/dtheta_m = omega0 t h_m (a_m Re Z - Im Z) / 2 and dp1/domega0 =
+    t (Im Z (1 - sum_m theta_m h_m) + Re Z sum_m theta_m a_m h_m) / 2.  C and a
+    come from the contrast kernel, so its limits carry over: every column is
+    0 at t = 0, and where some a_m or a_m^2 overflows, C = 0 gives columns
+    of 0 with no warning.
+    """
+    params = np.asarray(params, dtype=float)
+    thetas = params[1:]
+    contrast, a = _thermal_contrast(thetas, params[0], t)
+    with np.errstate(over="ignore", invalid="ignore"):  # a = inf: a h = nan, set to 0
+        h = np.reciprocal(a * a + 1.0)
+        ah = a * h
+        ah[np.isinf(a)] = 0.0
+    psi = params[0] * t - np.arctan(a).sum(axis=0)
+    re_z, im_z = contrast * np.cos(psi), contrast * np.sin(psi)
+    jac = np.empty((len(t), len(params)))
+    jac[:, 0] = 0.5 * t * (im_z * (1.0 - thetas @ h) + re_z * (thetas @ ah))
+    jac[:, 1:] = ((0.5 * params[0] * t) * (ah * re_z - h * im_z)).T
+    return jac
 
 
 def _rabi_frequency_guess(t, p1) -> float:
@@ -440,7 +558,7 @@ def fit_rabi_trace(t, p1, sigma=None) -> FitResult:
     t_tail = _sorted_median(t[tail])
     theta0 = math.sqrt(max(c_est**-2 - 1.0, 1e-12)) / (omega0 * t_tail)
     result = fit_least_squares(
-        damped_rabi_model, data, [omega0, theta0],
+        damped_rabi_model, damped_rabi_jacobian, data, [omega0, theta0],
         ([0.5 * omega0, -np.inf], [2.0 * omega0, np.inf]), ("rabi_frequency", "theta"),
     )
     if abs(result.params[1]) < result.uncertainties[1]:
@@ -490,9 +608,11 @@ def fit_theta_power_law(omega0, rates, sigma=None) -> FitResult:
 
     Solved by variable projection: the model is linear in (amplitude,
     offset) for fixed alpha, so chi^2(alpha) is minimised over the two
-    non-negative linear parameters at each alpha, and alpha by golden
-    section over [0, 2] to 1e-12, the endpoints included.
-    ``n_iterations`` counts the chi^2(alpha) evaluations.  The
+    non-negative linear parameters at each alpha (the 2 x 2 normal
+    equations, or one column clamped at 0 where they give a negative one),
+    and alpha by :func:`_brent_minimum` inside [0, 2], with both endpoints
+    then compared.  ``n_iterations`` counts the chi^2(alpha) evaluations,
+    about 13 on the calibration benchmark's data.  The
     ``"degenerate_covariance"`` flag (see :func:`_fit_result`) fires when
     the exponent is unidentifiable, e.g. when the fitted amplitude is zero
     so that the rates do not depend on alpha.
@@ -502,56 +622,134 @@ def fit_theta_power_law(omega0, rates, sigma=None) -> FitResult:
         raise FitError("power-law fit needs at least 4 frequency points")
     _positive_frequency(data.x)
     sigma = data.sigma if data.sigma is not None else np.ones(len(data))
-    w = 1.0 / sigma
-    # columns in units of the geometric-mean frequency stay O(1); in rad/s
-    # the power-law column is ~1e-18 and lstsq would truncate it
-    omega_ref = math.exp(float(np.mean(np.log(data.x))))
-    log_u = np.log(data.x / omega_ref)
-    wy = w * data.y
+    weighted = data.y / sigma
     with np.errstate(over="ignore"):  # the residuals at (a, offset) = 0 bound every chi^2
-        _sum_of_squares(wy @ wy, wy)
+        _sum_of_squares(weighted @ weighted, weighted)
+    # the search takes the weights 1/sigma, and the weighted rates, each
+    # scaled by the power of two that puts its largest value in [1/2, 1):
+    # it sees the same numbers for sigma and 2^k sigma, and the normal
+    # equations' squares stay in range whatever the units of the data
+    w = _unit_scaled(1.0 / sigma)[0]
+    wy, y_exponent = _unit_scaled(w * data.y)
+    # columns in units of the geometric-mean frequency stay O(1); in rad/s
+    # the power-law column is ~1e-18
+    omega_ref = math.exp(float(np.mean(_libm(math.log, data.x))))
+    log_u = _libm(math.log, data.x / omega_ref)
+    ww, w_wy = float(w @ w), float(w @ wy)
     evaluations = 0
 
     def project(alpha):
-        """Best non-negative (a, offset) of a u^(-2-alpha) + offset, and chi^2."""
+        """Best non-negative (a, offset) of a u^(-2-alpha) + offset, and chi^2
+        in the weights' units, from the 2 x 2 normal equations."""
         nonlocal evaluations
         evaluations += 1
-        design = np.column_stack([w * np.exp((-2.0 - alpha) * log_u), w])
-        coef = np.linalg.lstsq(design, wy, rcond=None)[0]
-        if (coef < 0).any():  # optimum on a face: one column, clamped at 0
-            faces = []
-            for k in range(2):
-                col = design[:, k]
-                only = np.zeros(2)
-                only[k] = max(float(col @ wy) / float(col @ col), 0.0)
-                faces.append(only)
-            coef = min(faces, key=lambda c: float(np.sum((design @ c - wy) ** 2)))
-        resid = design @ coef - wy
-        return coef, float(resid @ resid)
+        col = w * _libm(math.exp, (-2.0 - alpha) * log_u)
+        cc, cw, c_wy = float(col @ col), float(col @ w), float(col @ wy)
+        det = cc * ww - cw * cw
+        if det > 0:
+            coef = ((c_wy * ww - cw * w_wy) / det, (cc * w_wy - cw * c_wy) / det)
+        if det <= 0 or min(coef) < 0:  # optimum on a face: one column, clamped at 0
+            faces = ((max(c_wy / cc, 0.0), 0.0), (0.0, max(w_wy / ww, 0.0)))
+            coef = min(faces, key=lambda c: _chi_squared(c, col, w, wy))
+        return coef, _chi_squared(coef, col, w, wy)
 
-    a, b = 0.0, 2.0
-    ends = ((a, project(a)[1]), (b, project(b)[1]))
-    gold = (math.sqrt(5.0) - 1.0) / 2.0
-    c, d = b - gold * (b - a), a + gold * (b - a)
-    fc, fd = project(c)[1], project(d)[1]
-    while b - a > 1e-12:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - gold * (b - a)
-            fc = project(c)[1]
-        else:
-            a, c, fc = c, d, fd
-            d = a + gold * (b - a)
-            fd = project(d)[1]
-    best_alpha = min(ends + ((c, fc), (d, fd)), key=lambda e: e[1])[0]
-    (a_ref, offset), _ = project(best_alpha)
+    alpha, chisq = _brent_minimum(lambda alpha: project(alpha)[1], 0.0, 2.0)
+    best_alpha = min(((0.0, project(0.0)[1]), (2.0, project(2.0)[1]), (alpha, chisq)),
+                     key=lambda e: e[1])[0]
+    a_ref, offset = (math.ldexp(c, y_exponent) for c in project(best_alpha)[0])
     amplitude = a_ref * omega_ref ** (2.0 + best_alpha)
-    residuals = (theta_rate_model(data.x, amplitude, best_alpha, offset) - data.y) / sigma
-    power = data.x ** (-2.0 - best_alpha)
-    jac = w[:, None] * np.column_stack(
-        [power, -amplitude * np.log(data.x) * power, np.ones(len(data))]
-    )
+    jac = power_law_jacobian(data.x, amplitude, best_alpha)
+    residuals = (amplitude * jac[:, 0] + offset - data.y) / sigma  # theta_rate_model
+    jac /= sigma[:, None]
     return _fit_result(
         np.array([amplitude, best_alpha, offset]), residuals, jac.T @ jac, data,
         ("amplitude", "alpha", "offset"), evaluations,
     )
+
+
+def power_law_jacobian(omega, amplitude, alpha):
+    """Derivatives of :func:`ionchain.heating.theta_rate_model` in
+    (amplitude, alpha, offset): omega^(-2-alpha), -A ln(omega) omega^(-2-alpha)
+    and 1, with the power and the logarithm from libm (see :func:`_libm`)."""
+    log_omega = _libm(math.log, omega)
+    power = _libm(math.exp, (-2.0 - alpha) * log_omega)
+    return np.column_stack([power, -amplitude * log_omega * power, np.ones(len(omega))])
+
+
+def _unit_scaled(values) -> tuple[np.ndarray, int]:
+    """``values`` times 2^-e, exactly, and e: the power of two that puts the
+    largest |value| in [1/2, 1) (e = 0 for all zeros)."""
+    exponent = math.frexp(float(np.max(np.abs(values))))[1]
+    return np.ldexp(values, -exponent), exponent
+
+
+def _libm(function, values) -> np.ndarray:
+    """The :mod:`math` ``function`` of each value, as a float array.  libm's
+    scalar results do not follow numpy's choice of SIMD loops for the CPU
+    (numpy's AVX-512 exp and pow differ from libm in the last bit for some
+    arguments), so the power law, whose few points make the loop cheap,
+    prints the same digits on any CPU."""
+    return np.array([function(v) for v in values.tolist()])
+
+
+def _chi_squared(coef, col, w, wy) -> float:
+    """|a col + offset w - wy|^2 for coef = (a, offset), summed from the
+    residuals themselves, not the normal equations, whose terms cancel."""
+    resid = coef[0] * col + coef[1] * w - wy
+    return float(resid @ resid)
+
+
+def _brent_minimum(f, lo, hi):
+    """(x, f(x)) at a local minimum of ``f`` inside (lo, hi), by Brent's
+    method: parabolic interpolation through the three best points, with a
+    golden-section step wherever the parabola's step is not trusted (Brent,
+    *Algorithms for Minimization without Derivatives*, 1973, ch. 5).  It
+    stops once the bracket's midpoint is within 2 tol - (b - a)/2 of the
+    best point, tol = sqrt(eps) |x| + _BRENT_XTOL / 3.  Only comparisons and
+    ratios of differences of f enter, so scaling f by a power of two changes
+    no step.  Never evaluates f at lo or hi."""
+    golden = 0.5 * (3.0 - math.sqrt(5.0))
+    root_eps = math.sqrt(np.finfo(float).eps)
+    a, b = lo, hi
+    x = w = v = a + golden * (b - a)
+    fx = fw = fv = f(x)
+    d = e = 0.0
+    while True:
+        m = 0.5 * (a + b)
+        tol = root_eps * abs(x) + _BRENT_XTOL / 3.0
+        if abs(x - m) <= 2.0 * tol - 0.5 * (b - a):
+            return x, fx
+        parabolic = False
+        if abs(e) > tol:  # fit a parabola through x, w and v
+            r = (x - w) * (fx - fv)
+            q = (x - v) * (fx - fw)
+            p = (x - v) * q - (x - w) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            if abs(p) < abs(0.5 * q * e) and q * (a - x) < p < q * (b - x):
+                e, d = d, p / q
+                parabolic = True
+                if (x + d) - a < 2.0 * tol or b - (x + d) < 2.0 * tol:
+                    d = tol if x <= m else -tol
+        if not parabolic:  # golden section into the larger part
+            e = (a if x >= m else b) - x
+            d = golden * e
+        u = x + (d if abs(d) >= tol else math.copysign(tol, d))
+        fu = f(u)
+        if fu <= fx:
+            if u < x:
+                b = x
+            else:
+                a = x
+            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
+        else:
+            if u < x:
+                a = u
+            else:
+                b = u
+            if fu <= fw or w == x:
+                v, fv, w, fw = w, fw, u, fu
+            elif fu <= fv or v == x or v == w:
+                v, fv = u, fu

@@ -142,14 +142,16 @@ def gate_fidelity_monte_carlo(
     np.divide(2.0, np.add(np.square(sin_y, out=cos_y), 1.0, out=cos_y), out=cos_y)
     sin_y *= cos_y  # sin y = t w, w = 2 / (1 + t^2)
     cos_y -= 1.0  # cos y = w - 1
-    # One centred pass: the same sums, gemm and divisions as .mean(), .var(ddof=1), np.cov.
+    # One centred pass: the sums and divisions of .mean() and np.cov, whose
+    # gemm gives the variances on its diagonal and the covariance off it
     c, s = np.add.reduce(phasors, axis=1) / n_samples
     if math.isnan(c):
         raise InputError("the sampled gate angle n_gates pi/2 (theta_i + theta_j) . u overflows")
     phasors -= [[c], [s]]
     dof = n_samples - 1
-    cov_cs = np.dot(phasors, phasors.T)[0, 1] * (1.0 / dof) / n_samples
-    var_c, var_s = np.add.reduce(np.square(phasors, out=phasors), axis=1) / dof / n_samples
+    gram = np.dot(phasors, phasors.T)
+    cov_cs = gram[0, 1] * (1.0 / dof) / n_samples
+    var_c, var_s = np.diagonal(gram) / dof / n_samples
     radius = math.hypot(c, s)
     if radius > 0:
         var_r = (c * c * var_c + s * s * var_s + 2 * c * s * cov_cs) / (radius * radius)

@@ -696,6 +696,22 @@ class TestProgressionRecurrence:
         assert np.array_equal(part.p1, full.p1[:n_prefix])
         assert np.array_equal(part.stderr, full.stderr[:n_prefix])
 
+    @pytest.mark.parametrize("theta", [0.0, 0.05, -0.3])
+    @pytest.mark.parametrize("t_end", [200e-6, 1e-9, 3.0])
+    def test_seed_rows_from_zero_are_the_direct_rows(self, theta, t_end):
+        # a progression from t = 0 takes its first two rows from the chunk:
+        # the zero row, and s_1 halved back from the recurrence's 2 s_1
+        omega0 = 2 * np.pi * 50e3
+        times = np.linspace(0.0, t_end, 5)
+        half_step = 0.5 * omega0 * decoherence._progression_step(times)
+        half_angles = [0.5 * omega0 * t for t in times.tolist()]
+        f = 1.0 - theta * decoherence._mode_energy_samples(1, 1000, 3)[0]
+        rows = decoherence._chunk_rows(half_angles, half_step, f, np.empty((5, len(f))))
+        for k, row in zip(range(2), rows):
+            direct = decoherence._sin_squared(half_angles[k], f, np.empty(len(f)))
+            assert np.array_equal(row, direct)
+            assert np.array_equal(np.signbit(row), np.signbit(direct))
+
     @pytest.mark.parametrize("n_samples", CHUNK_EDGES)
     @pytest.mark.parametrize("n_times", [3, 65, 201])
     def test_oracle_within_its_bound_of_one_time_runs(self, n_times, n_samples):

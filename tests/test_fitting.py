@@ -12,7 +12,13 @@ from ionchain import (
     fit_theta_power_law,
 )
 from ionchain import fitting
-from ionchain.fitting import damped_rabi_model, gaussian_beam_model
+from ionchain.fitting import (
+    damped_rabi_jacobian,
+    damped_rabi_model,
+    gaussian_beam_jacobian,
+    gaussian_beam_model,
+    power_law_jacobian,
+)
 from ionchain.heating import theta_rate_model
 from ionchain.errors import FitError, InputError
 
@@ -20,12 +26,28 @@ UNBOUNDED = (-np.inf, np.inf)  # broadcast to every parameter
 LINE = ("slope", "intercept")
 
 
+def line(p, xx):
+    return p[0] * xx + p[1]
+
+
+def line_jacobian(p, xx):
+    return np.column_stack([xx, np.ones_like(xx)])
+
+
+def quadratic(p, xx):
+    return p[0] * xx**2 + p[1] * xx + p[2]
+
+
+def quadratic_jacobian(p, xx):
+    return np.column_stack([xx**2, xx, np.ones_like(xx)])
+
+
 class TestCore:
     def test_noiseless_line_recovered_exactly(self):
         x = np.linspace(0.0, 5.0, 9)
         y = 0.7 * x - 1.3
         result = fit_least_squares(
-            lambda p, xx: p[0] * xx + p[1], DataSeries(x, y), [1.0, 0.0], UNBOUNDED, LINE
+            line, line_jacobian, DataSeries(x, y), [1.0, 0.0], UNBOUNDED, LINE
         )
         assert result.params == pytest.approx([0.7, -1.3], abs=1e-9)
 
@@ -34,7 +56,8 @@ class TestCore:
         truth = np.array([0.8, -0.4, 1.1])
         y = truth[0] * x**2 + truth[1] * x + truth[2] + rng.normal(0, 0.01, x.size)
         result = fit_least_squares(
-            lambda p, xx: p[0] * xx**2 + p[1] * xx + p[2],
+            quadratic,
+            quadratic_jacobian,
             DataSeries(x, y, np.full(x.size, 0.01)),
             [1.0, 0.0, 1.0],
             UNBOUNDED,
@@ -46,40 +69,44 @@ class TestCore:
     def test_underdetermined_rejected(self):
         with pytest.raises(FitError):
             fit_least_squares(
-                lambda p, xx: p[0] * xx + p[1],
+                line,
+                line_jacobian,
                 DataSeries(np.array([1.0]), np.array([2.0])),
                 [1.0, 0.0],
                 UNBOUNDED,
                 LINE,
             )
 
-    def test_the_guess_is_evaluated_once(self, monkeypatch):
-        # the shape check's evaluation is the solve's starting residual: the
-        # model runs once per counted evaluation and once per Jacobian column
+    def test_the_guess_is_evaluated_once(self):
+        # the shape checks' evaluations are the solve's starting residual and
+        # first Jacobian: the model runs once per counted evaluation, and
+        # neither it nor the Jacobian runs twice at the guess
         calls, jacobians = [], []
 
         def model(p, xx):
             calls.append(p.copy())
             return p[0] * xx**2 + p[1]
 
-        jacobian = fitting._forward_jacobian
+        def jacobian(p, xx):
+            jacobians.append(p.copy())
+            return np.column_stack([xx**2, np.ones_like(xx)])
 
-        def counted(*args):
-            jacobians.append(args[1].copy())
-            return jacobian(*args)
-
-        monkeypatch.setattr(fitting, "_forward_jacobian", counted)
         x = np.linspace(-1.0, 1.0, 11)
         guess = [1.0, 0.0]
-        result = fit_least_squares(model, DataSeries(x, 0.3 * x**2 + 0.2), guess, UNBOUNDED, LINE)
-        assert len(calls) == result.n_iterations + len(guess) * len(jacobians)
+        result = fit_least_squares(
+            model, jacobian, DataSeries(x, 0.3 * x**2 + 0.2), guess, UNBOUNDED, LINE
+        )
+        assert len(calls) == result.n_iterations
         assert sum(np.array_equal(p, guess) for p in calls) == 1
+        assert sum(np.array_equal(p, guess) for p in jacobians) == 1
+        assert result.params == pytest.approx([0.3, 0.2], abs=1e-12)
 
     def test_model_shape_mismatch_names_both_shapes(self):
         x = np.linspace(0.0, 1.0, 10)
         with pytest.raises(InputError, match=r"\(5,\).*\(10,\)"):
             fit_least_squares(
-                lambda p, xx: p[0] * xx[:5], DataSeries(x, x), [1.0], UNBOUNDED, ("a",)
+                lambda p, xx: p[0] * xx[:5], lambda p, xx: xx[:5, None], DataSeries(x, x), [1.0],
+                UNBOUNDED, ("a",),
             )
 
     def test_every_start_raising_chains_the_cause(self):
@@ -94,7 +121,7 @@ class TestCore:
             return p[0] * xx + p[1]
 
         with pytest.raises(FitError, match="ValueError: model left its domain") as excinfo:
-            fit_least_squares(model, DataSeries(x, x), [1.0, 0.0], UNBOUNDED, LINE)
+            fit_least_squares(model, line_jacobian, DataSeries(x, x), [1.0, 0.0], UNBOUNDED, LINE)
         assert isinstance(excinfo.value.__cause__, ValueError)
 
     def test_running_out_of_evaluations_raises_unwrapped(self, monkeypatch, rng):
@@ -107,7 +134,9 @@ class TestCore:
         y = 0.8 * x**2 - 0.4 * x + rng.normal(0, 0.01, x.size)
         with pytest.raises(FitError) as excinfo:
             fit_least_squares(
-                lambda p, xx: p[0] * xx**2 + p[1] * xx, DataSeries(x, y), [0.0, 0.0], UNBOUNDED, LINE
+                lambda p, xx: p[0] * xx**2 + p[1] * xx,
+                lambda p, xx: np.column_stack([xx**2, xx]),
+                DataSeries(x, y), [0.0, 0.0], UNBOUNDED, LINE,
             )
         assert str(excinfo.value) == "least-squares fit did not converge"
         assert excinfo.value.__cause__ is None and excinfo.value.__context__ is None
@@ -116,7 +145,8 @@ class TestCore:
         x = np.ones(4)
         with pytest.raises(FitError) as excinfo, np.errstate(over="ignore"):
             fit_least_squares(
-                lambda p, xx: p[0] * xx, DataSeries(x, -1e308 * x), [1e308], UNBOUNDED, ("a",)
+                lambda p, xx: p[0] * xx, lambda p, xx: xx[:, None], DataSeries(x, -1e308 * x),
+                [1e308], UNBOUNDED, ("a",),
             )
         assert str(excinfo.value) == "residuals are not finite at the start"
         assert excinfo.value.__cause__ is None
@@ -129,8 +159,14 @@ class TestCore:
             calls.append(1)
             return p[0] * xx + p[1]
 
+        def jacobian(p, xx):
+            calls.append(1)
+            return line_jacobian(p, xx)
+
         with pytest.raises(InputError, match="lower bound"):
-            fit_least_squares(model, DataSeries(x, x), [1.0, 0.0], ([1.0, -1.0], [1.0, 1.0]), LINE)
+            fit_least_squares(
+                model, jacobian, DataSeries(x, x), [1.0, 0.0], ([1.0, -1.0], [1.0, 1.0]), LINE
+            )
         assert calls == []
 
     def test_non_finite_trial_point_is_stepped_back_from(self):
@@ -143,7 +179,9 @@ class TestCore:
             return np.where(0.9 < p[0] < 1.1, np.nan, p[0] * xx)
 
         x = np.linspace(0.0, 1.0, 6)
-        result = fit_least_squares(model, DataSeries(x, 2.0 * x), [0.0], UNBOUNDED, ("a",))
+        result = fit_least_squares(
+            model, lambda p, xx: xx[:, None], DataSeries(x, 2.0 * x), [0.0], UNBOUNDED, ("a",)
+        )
         assert any(0.9 < p < 1.1 for p in tried)
         assert result["a"] == pytest.approx(2.0, rel=1e-12)
 
@@ -156,6 +194,7 @@ class TestCore:
         assert np.isfinite(np.linalg.inv(jtj)).all()
         result = fit_least_squares(
             lambda p, xx: p[0] * xx + p[1] * (xx + 1e-7 * xx**2),
+            lambda p, xx: np.column_stack([xx, xx + 1e-7 * xx**2]),
             DataSeries(x, 2.0 * x + 0.01 * np.sin(7.0 * x)), [0.5, 0.5], UNBOUNDED, LINE,
         )
         assert result.flags == ("degenerate_covariance",)
@@ -274,8 +313,14 @@ class TestRabiTraceFit:
             om, g = params
             return 0.5 * (1.0 - np.exp(-g * tt) * np.cos(om * tt))
 
+        def damping_jacobian(params, tt):
+            om, g = params
+            decay = 0.5 * tt * np.exp(-g * tt)
+            return np.column_stack([decay * np.sin(om * tt), decay * np.cos(om * tt)])
+
         matched_fit = fit_least_squares(
             damping_model,
+            damping_jacobian,
             DataSeries(t, y, sigma),
             [omega0, 1.5e4],
             UNBOUNDED,
@@ -307,6 +352,94 @@ class TestRabiTraceFit:
         p1 = damped_rabi_model([2 * np.pi * 50e3, 0.05], t)
         with pytest.raises(FitError):
             fit_rabi_trace(t, p1)
+
+
+def central_differences(model, params, x, scales):
+    """Columns (model(p + h_j) - model(p - h_j)) / 2 h_j, h_j = eps^(1/3)
+    max(|p_j|, scale_j): truncation and round-off both near eps^(2/3)."""
+    params = np.asarray(params, dtype=float)
+    columns = []
+    for j, scale in enumerate(scales):
+        h = np.finfo(float).eps ** (1 / 3) * max(abs(params[j]), scale)
+        up, down = params.copy(), params.copy()
+        up[j] += h
+        down[j] -= h
+        columns.append((model(up, x) - model(down, x)) / (up[j] - down[j]))
+    return np.column_stack(columns)
+
+
+def assert_columns_agree(jac, reference, rtol=1e-7):
+    # relative to each column's largest entry
+    assert jac.shape == reference.shape
+    assert np.all(np.abs(jac - reference) <= rtol * np.max(np.abs(reference), axis=0))
+
+
+JACOBIAN_SETTINGS = settings(max_examples=60, deadline=None, database=None, derandomize=True)
+
+
+class TestJacobians:
+    """Each recipe's exact Jacobian against central differences of its model,
+    over the calibration benchmark's parameter ranges."""
+
+    @JACOBIAN_SETTINGS
+    @given(
+        amplitude=st.floats(0.8, 1.2), center=st.floats(-0.2, 0.2), waist=st.floats(0.8, 1.0)
+    )
+    def test_gaussian_beam(self, amplitude, center, waist):
+        x = np.linspace(-2.5, 2.5, 41)
+        params = [amplitude, center, waist]
+        reference = central_differences(gaussian_beam_model, params, x, (1.0, waist, 1.0))
+        assert_columns_agree(gaussian_beam_jacobian(np.array(params), x), reference)
+
+    @JACOBIAN_SETTINGS
+    @given(
+        khz=st.floats(40.0, 60.0),
+        thetas=st.lists(st.floats(-0.06, 0.06), min_size=1, max_size=3),
+    )
+    def test_thermal_rabi(self, khz, thetas):
+        t = np.linspace(0.0, 200e-6, 101)
+        params = np.array([2 * np.pi * khz * 1e3, *thetas])
+        reference = central_differences(
+            damped_rabi_model, params, t, (params[0],) + (0.01,) * len(thetas)
+        )
+        jac = damped_rabi_jacobian(params, t)
+        assert_columns_agree(jac, reference)
+        assert np.all(jac[0] == 0.0)  # t = 0 is no drive, whatever the parameters
+
+    @JACOBIAN_SETTINGS
+    @given(
+        rate_100k=st.floats(5.0, 20.0), alpha=st.floats(0.0, 2.0), offset=st.floats(0.2, 1.0)
+    )
+    def test_power_law(self, rate_100k, alpha, offset):
+        omega = 2 * np.pi * np.geomspace(50e3, 500e3, 12)
+        amplitude = rate_100k * (2 * np.pi * 100e3) ** (2.0 + alpha)
+
+        def model(p, w):
+            return theta_rate_model(w, *p)
+
+        params = [amplitude, alpha, offset]
+        reference = central_differences(model, params, omega, (amplitude, 1.0, 1.0))
+        assert_columns_agree(power_law_jacobian(omega, amplitude, alpha), reference)
+
+    @pytest.mark.parametrize(
+        "params",
+        [
+            [1e300, 1e10],  # theta omega0 overflows: a = inf wherever t > 0
+            [1e300, 1e10, 0.05],
+            [1e200, 1.0],  # a = 1e200 t is finite, a^2 overflows
+            [1e200, -1.0, 1.0],
+        ],
+        ids=["a_inf", "a_inf_two_modes", "a_squared_inf", "a_squared_inf_two_modes"],
+    )
+    def test_thermal_rabi_overflow_limits(self, params):
+        # the model holds p1 = 1/2 where some factor of the contrast is 0, and
+        # 0 at t = 0: every derivative is 0 there, with no warning
+        t = np.array([0.0, 1e-6, 1.0, 3.0])
+        with np.errstate(all="raise"):
+            p1 = damped_rabi_model(np.array(params), t)
+            jac = damped_rabi_jacobian(np.array(params), t)
+        assert np.array_equal(p1, [0.0, 0.5, 0.5, 0.5])
+        assert np.array_equal(jac, np.zeros((len(t), len(params))))
 
 
 def beam_scan(rng):
@@ -350,7 +483,7 @@ class TestStarts:
     def test_restarts_find_nothing_better(self, recipe, monkeypatch):
         # Over the benchmark's truth ranges, three seeded jittered restarts
         # end in the minimum of the recipe's one start; they may only differ
-        # within the solver's stopping tolerance (1e-14 of the cost per step).
+        # by the round-off where the Gauss-Newton steps stop.
         fit, make, n_points = {
             "beam": (fit_beam_profile, beam_scan, 41), "rabi": (fit_rabi_trace, rabi_trace, 101)
         }[recipe]
@@ -360,14 +493,14 @@ class TestStarts:
         single = [fit(x, y, sigma) for x, y in data]
         solve = fitting.fit_least_squares
 
-        def restarted(model, series, guess, bounds, param_names):
+        def restarted(model, jacobian, series, guess, bounds, param_names):
             jitter = np.random.default_rng(1333)
             guess = np.asarray(guess, dtype=float)
             scale = np.maximum(np.abs(guess), np.median(np.abs(guess)))
-            fits = [solve(model, series, guess, bounds, param_names)]
+            fits = [solve(model, jacobian, series, guess, bounds, param_names)]
             for _ in range(3):
                 start = np.clip(guess + 0.1 * scale * jitter.standard_normal(guess.size), *bounds)
-                fits.append(solve(model, series, start, bounds, param_names))
+                fits.append(solve(model, jacobian, series, start, bounds, param_names))
             return min(fits, key=lambda result: result.residuals @ result.residuals)
 
         monkeypatch.setattr(fitting, "fit_least_squares", restarted)
@@ -377,6 +510,31 @@ class TestStarts:
             four_cost = 0.5 * four.residuals @ four.residuals
             assert four_cost >= one_cost * (1.0 - 1e-13)
             assert np.all(np.abs(four.params - one.params) <= 1e-5 * one.uncertainties)
+
+
+class TestStoppingPoint:
+    """The Gauss-Newton steps end the fits at their minimum, not where the
+    damped loop happened to stop."""
+
+    @pytest.mark.parametrize("recipe", ["beam", "rabi"])
+    def test_the_gradient_vanishes_to_round_off(self, recipe):
+        # |(J^T r)_j| / (|J_j| |r|) is the cosine between the residuals and
+        # a Jacobian column: about 1e-14 at the minimum here, and up to 8e-8
+        # where forward differences set the stopping point
+        fit, make, jacobian, n_points = {
+            "beam": (fit_beam_profile, beam_scan, gaussian_beam_jacobian, 41),
+            "rabi": (fit_rabi_trace, rabi_trace, damped_rabi_jacobian, 101),
+        }[recipe]
+        rng = np.random.default_rng(5)
+        sigma = np.full(n_points, 0.01)
+        for _ in range(32):
+            x, y = make(rng)
+            result = fit(x, y, sigma)
+            jac = jacobian(result.params, x) / sigma[:, None]
+            cosines = np.abs(jac.T @ result.residuals) / (
+                np.linalg.norm(jac, axis=0) * np.linalg.norm(result.residuals)
+            )
+            assert np.all(cosines <= 1e-11)
 
 
 class TestThetaGrowth:

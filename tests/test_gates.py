@@ -143,9 +143,9 @@ def half_angle_phasor(y):
     return w - 1.0, t * w
 
 
-def serial_gate_monte_carlo(theta_i, theta_j, n_gates, n_samples, seed, phasor=half_angle_phasor):
-    """The one-thread gate estimator: with the default ``phasor``, the
-    bit-for-bit reference."""
+def serial_moments(theta_i, theta_j, n_gates, n_samples, seed, phasor=half_angle_phasor):
+    """The phasor's means (c, s), the two-pass variances of those means and
+    their covariance, from .mean(), .var(ddof=1) and np.cov."""
     joint = np.atleast_1d(np.asarray(theta_i, dtype=float)) + np.atleast_1d(
         np.asarray(theta_j, dtype=float)
     )
@@ -154,10 +154,16 @@ def serial_gate_monte_carlo(theta_i, theta_j, n_gates, n_samples, seed, phasor=h
         u[m] = np.random.default_rng([seed, m]).exponential(1.0, n_samples)
     y = (n_gates * math.pi / 2.0) * (joint @ u)
     cos_y, sin_y = phasor(y)
-    c, s = cos_y.mean(), sin_y.mean()
     var_c = cos_y.var(ddof=1) / n_samples
     var_s = sin_y.var(ddof=1) / n_samples
     cov_cs = np.cov(cos_y, sin_y, ddof=1)[0, 1] / n_samples
+    return cos_y.mean(), sin_y.mean(), var_c, var_s, cov_cs
+
+
+def serial_gate_monte_carlo(theta_i, theta_j, n_gates, n_samples, seed, phasor=half_angle_phasor):
+    """The one-thread gate estimator on the two-pass moments: with the
+    default ``phasor``, its means are the library's bit for bit."""
+    c, s, var_c, var_s, cov_cs = serial_moments(theta_i, theta_j, n_gates, n_samples, seed, phasor)
     radius = math.hypot(c, s)
     if radius > 0:
         var_r = (c * c * var_c + s * s * var_s + 2 * c * s * cov_cs) / (radius * radius)
@@ -176,10 +182,32 @@ class TestParallelGateMonteCarlo:
     @pytest.mark.parametrize(
         "theta_i, theta_j", [([0.1], [0.05]), ([0.05, -0.02, 0.04], [0.06, 0.03, -0.01])]
     )
-    def test_bit_identical_to_serial_estimator(self, theta_i, theta_j, n_samples):
+    def test_within_summation_roundoff_of_two_pass_estimator(self, theta_i, theta_j, n_samples):
+        """The fidelities are bit-identical.  The variances come from the Gram
+        matrix's diagonal, not from the squares of .var(ddof=1): each is a
+        sum of n non-negative squares, within gamma = (n - 1) u / (1 - (n - 1) u)
+        of the exact sum in any order of summation (Higham, *Accuracy and
+        Stability of Numerical Algorithms*, 2nd ed., sec. 4.2), so the two
+        differ by at most 2 gamma of it.  f_parity's variance combines them
+        with the unchanged covariance, whose three terms add 8 u of their
+        sizes in rounding.  A standard error sqrt(v) / 2 then moves by at
+        most |dv| / (2 sqrt(v)), or sqrt(|dv|) / 2 where v is 0, plus 8 u of
+        it for the roots and the scalings."""
         est = gate_fidelity_monte_carlo(theta_i, theta_j, 3, n_samples, seed=5)
-        got = (est.f_parity, est.f_parity_stderr, est.f_overlap, est.f_overlap_stderr)
-        assert np.array_equal(got, serial_gate_monte_carlo(theta_i, theta_j, 3, n_samples, 5))
+        c, s, var_c, var_s, cov_cs = serial_moments(theta_i, theta_j, 3, n_samples, 5)
+        f_parity, parity_stderr, f_overlap, overlap_stderr = serial_gate_monte_carlo(
+            theta_i, theta_j, 3, n_samples, 5
+        )
+        assert (est.f_parity, est.f_overlap) == (f_parity, f_overlap)
+        u = np.finfo(float).eps / 2
+        gamma = (n_samples - 1) * u / (1 - (n_samples - 1) * u)
+        terms = c * c * var_c + s * s * var_s + 2 * abs(c * s * cov_cs)
+        for got, want, dv in (
+            (est.f_overlap_stderr, overlap_stderr, 2 * gamma * var_c),
+            (est.f_parity_stderr, parity_stderr, (2 * gamma + 8 * u) * terms / (c * c + s * s)),
+        ):
+            moved = dv / (4 * want) if want > 0 else math.sqrt(dv) / 2
+            assert abs(got - want) <= moved + 8 * u * want
 
     def test_no_thread_outlives_a_call(self):
         before = threading.active_count()

@@ -104,9 +104,8 @@ def test_output_does_not_depend_on_declaration_order(tmp_path, monkeypatch, name
     test_output_matches_golden(tmp_path, name)
 
 
-# JSON prints floats at full precision, and the Levenberg-Marquardt fits stop
-# near their minimum at a point set by the forward-difference Jacobian's
-# noise, so these three move with the dispatch
+# JSON prints floats at full precision, and one closed-form p1 of rabi.json
+# moves by 1 ulp with the dispatch
 DISPATCH_DEPENDENT = pytest.mark.xfail(
     strict=False,
     reason="ROADMAP item 'Byte-identical output on any CPU, not only on AVX-512'",
@@ -117,7 +116,7 @@ DISPATCH_DEPENDENT = pytest.mark.xfail(
     "name",
     [
         pytest.param(name, marks=DISPATCH_DEPENDENT)
-        if name in ("rabi.json", "fit_beam.json", "fit_rabi.json")
+        if name == "rabi.json"
         else name
         for name in sorted(CASES)
     ],

@@ -43,8 +43,14 @@ def line(p, x):
     return p[0] * x + p[1]
 
 
-def fit_line(model=line, guess=(1.0, 0.0), bounds=(-np.inf, np.inf), names=LINE):
-    return fit_least_squares(model, DataSeries(X, X), guess, bounds, names)
+def line_jacobian(p, x):
+    return np.column_stack([x, np.ones_like(x)])
+
+
+def fit_line(
+    model=line, jacobian=line_jacobian, guess=(1.0, 0.0), bounds=(-np.inf, np.inf), names=LINE
+):
+    return fit_least_squares(model, jacobian, DataSeries(X, X), guess, bounds, names)
 
 
 def config_file(tmp_path, text):
@@ -149,6 +155,15 @@ CASES = {
     "fit_model_not_finite_at_guess": (
         lambda tmp: fit_line(model=lambda p, x: np.full_like(x, np.nan)),
         FitError, "model is not finite at the initial guess",
+    ),
+    # a Jacobian with one column too many: one row per point, one column per parameter
+    "fit_jacobian_shape": (
+        lambda tmp: fit_line(jacobian=lambda p, x: np.ones((len(x), 3))),
+        InputError, "Jacobian has shape (5, 3) at the initial guess, but the fit needs (5, 2)",
+    ),
+    "fit_jacobian_not_finite_at_guess": (
+        lambda tmp: fit_line(jacobian=lambda p, x: np.full((len(x), 2), np.inf)),
+        FitError, "Jacobian is not finite at the initial guess",
     ),
     "gate_count": (
         lambda tmp: gate_fidelity_bound([0.1], [0.1], n_gates=0),
