@@ -86,9 +86,14 @@ def gaussian_beam_model(params, x):
 
 
 def _gaussian_curvature_ratio(x, center, waist):
-    """:meth:`GaussianBeam.curvature_ratio`, elementwise over centres and waists."""
-    s = (x - center) / waist
-    return (4.0 * s * s - 2.0) / (waist * waist)
+    """:meth:`GaussianBeam.curvature_ratio`, elementwise over centres and waists.
+    A ratio that underflows is 0; one that is not finite raises InputError."""
+    with np.errstate(all="ignore"):
+        s = (x - center) / waist
+        ratio = (4.0 * s * s - 2.0) / (waist * waist)
+    if not np.isfinite(ratio).all():
+        raise InputError("the beam curvature ratio (4 s^2 - 2) / w^2 overflows")
+    return ratio
 
 
 class TabulatedBeam:
@@ -430,8 +435,8 @@ def _progression_step(times: np.ndarray) -> float | None:
 
 def _chunk_rows(half_angles, half_step, f, buffers) -> Iterator[np.ndarray]:
     """sin^2(a_k f) on one chunk of samples ``f`` at each half angle a_k in
-    turn: an iterator over k of the rows s_k, each in one of the five rows of
-    ``buffers`` and reused once the next row is asked for.
+    turn: an iterator over k of the rows s_k, each reused once the next is
+    asked for.  The last row of ``buffers`` is scratch, written before a yield.
 
     With ``half_step`` None every row comes from :func:`_sin_squared`.  With
     a step h, for the half angles a_k = a_0 + k h of a progression, the rows
@@ -490,12 +495,11 @@ def _sample_moments(half_angles, half_step, factor) -> tuple[np.ndarray, np.ndar
     total, squares = np.zeros(n_times), np.zeros(n_times)
     chunk_sum, chunk_squares = np.empty(n_times), np.empty(n_times)
     buffers = np.empty((5, min(_CHUNK, len(factor))))
-    deviation = np.empty(min(_CHUNK, len(factor)))
     count = 0
     for start in range(0, len(factor), _CHUNK):
         f = factor[start : start + _CHUNK]
         size = len(f)
-        dev = deviation[:size]
+        dev = buffers[4, :size]  # _chunk_rows' scratch row, free while a row is held
         for k, row in enumerate(_chunk_rows(half_angles, half_step, f, buffers[:, :size])):
             chunk_sum[k] = np.add.reduce(row)
             np.subtract(row, chunk_sum[k] / size, out=dev)
@@ -543,7 +547,7 @@ def rabi_trace_monte_carlo(
 
     Working set, in rows of ``n_samples`` doubles: the samples (one row per
     mode) and the relative-frequency row they are reduced to; then that row
-    and six rows of :data:`_CHUNK` samples.
+    and five rows of :data:`_CHUNK` samples (0.63 MiB).
     """
     if n_samples < 1:
         raise InputError("n_samples must be >= 1")

@@ -24,8 +24,11 @@ Recipes:
   field-noise exponent by variable projection: (A, B) from 2 x 2 normal
   equations at each alpha, and alpha by Brent's method.
 
-Each model's Jacobian sits next to it: :func:`gaussian_beam_jacobian`,
-:func:`damped_rabi_jacobian` and :func:`power_law_jacobian`.
+Each exact Jacobian sits here next to its recipe, and two of the models
+live elsewhere: :func:`gaussian_beam_jacobian` differentiates
+:func:`ionchain.decoherence.gaussian_beam_model`, :func:`damped_rabi_jacobian`
+this module's :func:`damped_rabi_model` and :func:`power_law_jacobian`
+:func:`ionchain.heating.theta_rate_model`.
 """
 
 from __future__ import annotations
@@ -268,7 +271,7 @@ def _levenberg_marquardt(residual_fn, x0, r, jacobian_fn, jac, lo, hi, max_nfev)
     less than ``_LM_TOL`` of it, or a step shorter than
     ``_LM_TOL (_LM_TOL + |x|)``.  It also stops when the bounds hold every
     parameter.  Reaching ``max_nfev`` evaluations (the Jacobian's not
-    counted) first raises :class:`FitError`.
+    counted) first raises :class:`FitError`.  Non-finite residuals cost +inf.
     """
     x = np.array(x0, dtype=float)
     if not np.isfinite(r).all():
@@ -294,11 +297,7 @@ def _levenberg_marquardt(residual_fn, x0, r, jacobian_fn, jac, lo, hi, max_nfev)
             step = x_new - x
             r_new = residual_fn(x_new)
             nfev += 1
-            if not np.isfinite(r_new).all():
-                damping *= grow
-                grow *= 2.0
-                continue
-            cost_new = 0.5 * float(r_new @ r_new)
+            cost_new = 0.5 * float(r_new @ r_new) if np.isfinite(r_new).all() else math.inf
             model_change = jac @ step
             predicted = -float(model_change @ r + 0.5 * model_change @ model_change)
             reduction = cost - cost_new
@@ -452,7 +451,7 @@ def fit_beam_profile(x, signal, sigma=None) -> FitResult:
     non-Gaussian shoulder) are flagged as ``"residual_structure"``.
     """
     data = DataSeries(x, signal, sigma)
-    if len(data) < 5:
+    if len(data) < 5 or np.ptp(data.x) == 0:
         raise FitError("beam-profile fit needs at least 5 points spanning the peak")
     amp0 = float(np.max(data.y))
     if amp0 <= 0 or amp0 - float(np.min(data.y)) < 1e-9 * max(amp0, 1e-300):
@@ -550,7 +549,7 @@ def fit_rabi_trace(t, p1, sigma=None) -> FitResult:
     data = DataSeries(t, p1, sigma)
     order = np.argsort(data.x, kind="stable")
     t, p1 = data.x[order], data.y[order]
-    omega0 = _rabi_frequency_guess(t, p1)
+    omega0 = _rabi_frequency_guess(t, p1) if np.ptp(t) > 0 else 0.0  # no span, no spectrum
     if omega0 <= 0 or omega0 * float(np.max(t)) < 4.0 * math.pi:
         raise FitError("trace must span at least two oscillation periods")
     tail = slice(3 * len(t) // 4, None)
@@ -580,7 +579,8 @@ def fit_theta_growth(t_wait, theta, sigma=None) -> FitResult:
     data = DataSeries(t_wait, theta, sigma)
     if len(data) < 2 or np.ptp(data.x) == 0:
         raise FitError("linear growth fit needs at least two distinct wait times")
-    w = 1.0 / data.sigma**2 if data.sigma is not None else np.ones(len(data))
+    sigma = data.sigma if data.sigma is not None else np.ones(len(data))
+    w = 1.0 / sigma**2
     A = np.column_stack([np.ones(len(data)), data.x])
     Aw = A * w[:, None]
     jtj = A.T @ Aw
@@ -588,8 +588,7 @@ def fit_theta_growth(t_wait, theta, sigma=None) -> FitResult:
         params = np.linalg.inv(jtj) @ (Aw.T @ data.y)
     except np.linalg.LinAlgError:
         raise FitError("wait times too close together to solve for a slope")
-    scaled_sigma = data.sigma if data.sigma is not None else np.ones(len(data))
-    residuals = (A @ params - data.y) / scaled_sigma
+    residuals = (A @ params - data.y) / sigma
     return _fit_result(
         params, residuals, jtj, data, ("intercept", "slope"), 1,
         flags=("negative_slope",) if params[1] < 0 else (),

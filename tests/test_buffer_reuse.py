@@ -353,7 +353,7 @@ def test_mode_energy_rows_are_the_exponential_streams(seed, n_modes, n):
 )
 def test_monte_carlo_oracles_stay_within_their_working_sets(oracle, thetas, rows):
     """Peaks in rows of ``N_SAMPLES`` doubles.  Rabi: the samples (one row
-    per mode) and the row they are reduced to, then that row and the six
+    per mode) and the row they are reduced to, then that row and the five
     rows of 2^14 samples of the one sample loop, at equal and at unequal
     times alike.  Gate: the samples and the two phasor rows.  Forming each
     row in fresh temporaries, as before, took 4, 6 and 4."""
@@ -365,3 +365,17 @@ def test_monte_carlo_oracles_stay_within_their_working_sets(oracle, thetas, rows
     else:
         peak = _peak_bytes(gate_fidelity_monte_carlo, thetas, [0.04], 2, N_SAMPLES)
     assert peak <= rows * N_SAMPLES * 8 + SLACK_BYTES
+
+
+@pytest.mark.parametrize("equal_steps", [True, False])
+def test_rabi_sample_loop_holds_one_block_of_five_chunk_rows(equal_steps):
+    """The chunk loop's own peak: the recurrence's five rows, the last also
+    holding each row's deviations from its chunk mean, and no sixth row."""
+    times = np.linspace(0.0, 200e-6, 51)
+    if not equal_steps:
+        times = times[::-1]
+    half_angles = [0.5 * OMEGA0 * t for t in times.tolist()]
+    half_step = 0.5 * OMEGA0 * (times[1] - times[0]) if equal_steps else None
+    factor = 1.0 - 0.05 * np.random.default_rng(3).standard_exponential(N_SAMPLES)
+    peak = _peak_bytes(decoherence._sample_moments, half_angles, half_step, factor)
+    assert peak <= 5 * decoherence._CHUNK * 8 + SLACK_BYTES

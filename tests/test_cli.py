@@ -687,6 +687,26 @@ class TestFit:
             "", "ionchain fit: numerical error: beam-profile data has no peak structure\n"
         )
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "recipe, csv_text",
+        [
+            ("beam", "x_um,signal\n" + "0.3,0.5\n" * 6),
+            ("rabi", "t_us,p1\n50,0.5\n"),
+            ("rabi", "t_us,p1\n50,0.2\n50,0.8\n50,0.4\n"),
+        ],
+        ids=["beam_one_position", "rabi_one_point", "rabi_equal_times"],
+    )
+    def test_data_at_one_x_exit_3(self, tmp_path, capsys, recipe, csv_text):
+        message = {
+            "beam": "beam-profile fit needs at least 5 points spanning the peak",
+            "rabi": "trace must span at least two oscillation periods",
+        }[recipe]
+        data = write(tmp_path / "data.csv", csv_text)
+        capsys.readouterr()
+        assert run(["fit", recipe, data]) == 3
+        assert capsys.readouterr() == ("", f"ionchain fit: numerical error: {message}\n")
+
     def test_equal_wait_times_exit_3(self, tmp_path, capsys):
         rows = "".join(f"0.5,{theta}\n" for theta in (0.01, 0.02, 0.03, 0.04, 0.05))
         data = write(tmp_path / "growth.csv", "tw_ms,theta\n" + rows)

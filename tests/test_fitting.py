@@ -249,6 +249,14 @@ class TestBeamProfile:
         with pytest.raises(FitError):
             fit_beam_profile(np.array([0.0, 1.0, 2.0]), np.array([1.0, 2.0, 1.0]))
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("n_points", [5, 9])
+    def test_scan_at_one_position_rejected(self, n_points):
+        # one position spans no peak and leaves the waist no range
+        with pytest.raises(FitError) as excinfo:
+            fit_beam_profile(np.full(n_points, 0.3), np.linspace(0.5, 1.0, n_points))
+        assert str(excinfo.value) == "beam-profile fit needs at least 5 points spanning the peak"
+
     @pytest.mark.parametrize("top", [-0.1, 0.0])
     def test_scan_without_positive_maximum_rejected(self, top):
         # an inverted Gaussian whose maximum is below or at zero
@@ -267,6 +275,15 @@ class TestRabiTraceFit:
         if shots is not None:
             p1 = rng.binomial(shots, np.clip(p1, 0, 1)) / shots
         return t, p1
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("t", [[50e-6], [50e-6] * 2, [0.0] * 3, [50e-6] * 40])
+    def test_trace_without_time_span_rejected(self, t):
+        # one point or equal drive times: no spectrum to guess a frequency from
+        p1 = np.linspace(0.1, 0.9, len(t))
+        with pytest.raises(FitError) as excinfo:
+            fit_rabi_trace(np.array(t), p1)
+        assert str(excinfo.value) == "trace must span at least two oscillation periods"
 
     def test_noiseless_round_trip(self):
         omega0 = 2 * np.pi * 50e3

@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 from ionchain import (
+    GaussianBeam,
     fit_beam_profile,
     fit_rabi_trace,
     fit_theta_growth,
@@ -36,6 +37,7 @@ HALF_PI = math.pi / 2  # arctan of an overflowing drive angle
 SUM_OF_SQUARES = "the residuals' sum of squares is not a normal float; rescale the data"
 RABI_ANGLE = "the sampled Rabi angle omega0 t (1 - theta . u) overflows"
 GATE_ANGLE = "the sampled gate angle n_gates pi/2 (theta_i + theta_j) . u overflows"
+CURVATURE = "the beam curvature ratio (4 s^2 - 2) / w^2 overflows"
 
 X_UM = np.linspace(-2.0, 2.0, 21)
 T_US = np.linspace(0.0, 100.0, 101)
@@ -97,6 +99,21 @@ def rabi_config(theta):
     )
 
 
+def beam_config(waist_nm="870.0", center_um="0.0", x_max_um="1.5", section="scan"):
+    """One harmonic ion in a Gaussian beam, with a 3-point theta scan or a
+    3-point Rabi trace whose theta the pipeline derives."""
+    last = (
+        f"scan:\n  x_min_um: -1.5\n  x_max_um: {x_max_um}\n  n_points: 3\n"
+        if section == "scan"
+        else "rabi:\n  drive_khz: 50.0\n  t_max_us: 2.0\n  n_points: 3\n"
+    )
+    return (
+        "species:\n  label: 171Yb+\npotential:\n  kind: harmonic\n  axial_freq_khz: 140.0\n"
+        f"  n_ions: 1\nbeam:\n  kind: gaussian\n  waist_nm: {waist_nm}\n"
+        f"  center_um: {center_um}\nthermal:\n  nbar: 280.0\n" + last
+    )
+
+
 def trace(result):
     return result.p1.tolist(), result.contrast.tolist(), result.phase.tolist()
 
@@ -152,6 +169,36 @@ ROWS = {
     ),
     "rabi_oracle_scalar_time_angle_overflows": (
         lambda tmp: rabi_trace_monte_carlo(OMEGA0, [1e308], 1e-6, 1000), InputError(RABI_ANGLE),
+    ),
+    # the Gaussian beam's curvature ratio (4 s^2 - 2) / w^2: an underflow is 0,
+    # an overflow of s^2 or of the ratio is refused
+    "curvature_ratio_underflows": (
+        lambda tmp: GaussianBeam(1.0, 0.0, 1e291).curvature_ratio(0.0), 0.0,
+    ),
+    "curvature_ratio_offset_overflows": (
+        lambda tmp: GaussianBeam(1.0, 1e300, 1e-6).curvature_ratio(0.0), InputError(CURVATURE),
+    ),
+    "curvature_ratio_waist_squared_underflows": (
+        lambda tmp: GaussianBeam(1.0, 0.0, 1e-309).curvature_ratio(0.0), InputError(CURVATURE),
+    ),
+    "theta_scan_command_curvature_underflows": (
+        command(["theta-scan", "--config", "{file}"], beam_config(waist_nm="1.0e+300")),
+        (0, "x_um,theta\n-1.5,0\n0,0\n1.5,0\n", ""),
+    ),
+    **{
+        f"theta_scan_command_{how}": (
+            command(["theta-scan", "--config", "{file}"], beam_config(**change)),
+            (2, "", f"ionchain theta-scan: input error: {CURVATURE}\n"),
+        )
+        for how, change in (
+            ("center_overflows", {"center_um": "1.0e+300"}),
+            ("waist_underflows", {"waist_nm": "1.0e-300"}),
+            ("position_overflows", {"x_max_um": "1.0e+300"}),
+        )
+    },
+    "rabi_command_curvature_overflows": (
+        command(["rabi", "--config", "{file}"], beam_config(center_um="1.0e+300", section="rabi")),
+        (2, "", f"ionchain rabi: input error: {CURVATURE}\n"),
     ),
     # the squared residuals overflow, or underflow while the residuals do not
     "fit_beam_overflows": (fit("beam", 1e200, noise=0.0), FitError(SUM_OF_SQUARES)),
