@@ -11,6 +11,12 @@ JSON) tables:
 - ``scaling``        lowest mode frequency and relative gate error vs N
 - ``cooling``        sympathetic-cooling crosstalk bound
 
+Each command returns one :class:`_Output` record and writes nothing;
+:func:`main` writes it, the table as CSV or the whole record as JSON, to
+--out or stdout, and with --out each sibling table next to it as
+``<stem><suffix>`` (``modes`` the participation matrix, ``fit`` the
+residuals), whatever the format.  A command that fails writes no file.
+
 Outputs are deterministic: identical config and seed give byte-identical
 files.  Exit codes: 0 success, 2 input or configuration error, 3 numerical
 or solver failure.  Set IONCHAIN_LOG=DEBUG (or INFO, ...) for diagnostics on
@@ -84,14 +90,7 @@ from .decoherence import (
     rabi_trace,
     rabi_trace_monte_carlo,
 )
-from .errors import (
-    ConfigError,
-    DegenerateChainError,
-    FitError,
-    InputError,
-    SolverError,
-    UnstableChainError,
-)
+from .errors import ConfigError, InputError, IonChainError
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -116,63 +115,64 @@ def render_csv(columns, rows) -> str:
     return buf.getvalue()
 
 
-def _write_text(out: Path | None, text: str):
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        Path(out).write_text(text, encoding="utf-8")
+class _Output(NamedTuple):
+    """What a command computed.  ``fields`` go into JSON output only, after
+    the table's ``columns`` and ``rows`` when the command has one; each of
+    ``siblings`` maps a file-name suffix to the ``(columns, rows)`` of a CSV
+    table written next to --out."""
+
+    fields: dict
+    columns: tuple = ()
+    rows: list = []
+    siblings: dict = {}
 
 
-def write_table(args, columns, rows, inputs: dict, **extra):
-    """Emit a table as CSV (default) or JSON, honoring --out.  ``inputs`` and
-    any ``extra`` fields go into JSON output only."""
+def _write(args, output: _Output) -> None:
+    """Write ``output`` as CSV, or as JSON after the run's provenance, to
+    --out or stdout; with --out, write each sibling as ``<stem><suffix>``."""
     if args.format == "json":
-        columns, rows = list(columns), [[float(v) for v in row] for row in rows]
-        write_json_payload(args, {"columns": columns, "rows": rows, "inputs": inputs, **extra})
+        import json
+
+        provenance = dict(tool="ionchain", version=__version__, command=args.command,
+                          seed=args.seed)
+        rows = [[float(v) for v in row] for row in output.rows]
+        table = {"columns": list(output.columns), "rows": rows} if output.columns else {}
+        text = json.dumps({"provenance": provenance, **table, **output.fields}, indent=2) + "\n"
     else:
-        _write_text(args.out, render_csv(columns, rows))
-
-
-def write_json_payload(args, payload: dict):
-    """Write ``payload`` as JSON after the run's provenance, honoring --out."""
-    import json
-
-    provenance = dict(tool="ionchain", version=__version__, command=args.command, seed=args.seed)
-    _write_text(args.out, json.dumps({"provenance": provenance, **payload}, indent=2) + "\n")
-
-
-def write_sibling_csv(args, suffix: str, columns, rows):
-    """Write a CSV table next to --out, as ``<stem><suffix>``."""
-    _write_text(args.out.with_name(args.out.stem + suffix), render_csv(columns, rows))
+        text = render_csv(output.columns, output.rows)
+    if args.out is None:
+        sys.stdout.write(text)
+        return
+    args.out.write_text(text, encoding="utf-8")
+    for suffix, (columns, rows) in output.siblings.items():
+        sibling = args.out.with_name(args.out.stem + suffix)
+        sibling.write_text(render_csv(columns, rows), encoding="utf-8")
 
 
 # ----------------------------------------------------------------------
 # commands
 # ----------------------------------------------------------------------
 
-def cmd_modes(args, config) -> None:
+def cmd_modes(args, config) -> _Output:
     species = build_species(config)
     potential, n_ions = build_potential(config)
     chain = find_equilibrium(species, potential, n_ions)
     modes = normal_modes(chain)
     freq_khz = modes.frequencies / (2 * math.pi) / 1e3
-    rows = zip(range(modes.n_modes), freq_khz, modes.uniform_drive_weights())
+    rows = list(zip(range(modes.n_modes), freq_khz, modes.uniform_drive_weights()))
     inputs = {
         "species": species.label or read_section(config, "species").mass_amu,
         "potential": type(potential).__name__,
         "n_ions": n_ions,
     }
-    write_table(
-        args,
+    part_cols = ["ion_index"] + [f"mode_{m}" for m in range(modes.n_modes)]
+    part_rows = [[i, *modes.participation[i]] for i in range(modes.n_ions)]
+    return _Output(
+        {"inputs": inputs, "participation": modes.participation.tolist()},
         ("mode_index", "freq_khz", "participation_sum_sq"),
         rows,
-        inputs,
-        participation=modes.participation.tolist(),
+        {".participation.csv": (part_cols, part_rows)},
     )
-    if args.out is not None and args.format == "csv":
-        part_cols = ["ion_index"] + [f"mode_{m}" for m in range(modes.n_modes)]
-        part_rows = [[i, *modes.participation[i]] for i in range(modes.n_ions)]
-        write_sibling_csv(args, ".participation.csv", part_cols, part_rows)
 
 
 def _single_ion_thetas(config, positions, beam):
@@ -191,7 +191,7 @@ def _single_ion_thetas(config, positions, beam):
     return np.array(theta)
 
 
-def cmd_rabi(args, config) -> None:
+def cmd_rabi(args, config) -> _Output:
     rabi = read_section(config, "rabi")
     if rabi.theta is None:
         rabi.theta = _single_ion_thetas(config, [0.0], build_beam(config))
@@ -211,10 +211,10 @@ def cmd_rabi(args, config) -> None:
         "monte_carlo": bool(args.mc),
         "n_samples": rabi.n_samples if args.mc else None,
     }
-    write_table(args, columns, zip(*columns.values()), inputs)
+    return _Output({"inputs": inputs}, tuple(columns), list(zip(*columns.values())))
 
 
-def cmd_theta_scan(args, config) -> None:
+def cmd_theta_scan(args, config) -> _Output:
     scan = read_scan(config)
     beam = build_beam(config)
     if not isinstance(beam, GaussianBeam):
@@ -227,7 +227,7 @@ def cmd_theta_scan(args, config) -> None:
         "axial_freq_khz": read_section(config, "potential").axial_freq_khz,
         "nbar": read_section(config, "thermal").nbar[0],
     }
-    write_table(args, ("x_um", "theta"), rows, inputs)
+    return _Output({"inputs": inputs}, ("x_um", "theta"), rows)
 
 
 class _Recipe(NamedTuple):
@@ -262,7 +262,7 @@ _FIT_RECIPES = {
 }
 
 
-def cmd_fit(args, config) -> None:
+def cmd_fit(args, config) -> _Output:
     from . import fitting
 
     recipe = _FIT_RECIPES[args.recipe]
@@ -274,7 +274,7 @@ def cmd_fit(args, config) -> None:
     values = result.params * np.array(recipe.scale)
     sigmas = result.uncertainties * np.array(recipe.scale)
 
-    payload = {
+    fields = {
         "recipe": args.recipe,
         "parameters": {
             name: {"value": float(v), "sigma": float(s)}
@@ -285,15 +285,13 @@ def cmd_fit(args, config) -> None:
         "n_points": int(len(x)),
         "flags": list(result.flags),
     }
-    write_json_payload(args, payload)
-    if args.out is not None:
-        weights = sigma if sigma is not None else np.ones_like(y)
-        model_y = y + result.residuals * weights  # residuals are (model - y)/sigma
-        res_cols = (header[0], header[1], "model", "residual")
-        write_sibling_csv(args, ".residuals.csv", res_cols, zip(x, y, model_y, y - model_y))
+    weights = sigma if sigma is not None else np.ones_like(y)
+    model_y = y + result.residuals * weights  # residuals are (model - y)/sigma
+    residuals = (header[0], header[1], "model", "residual"), list(zip(x, y, model_y, y - model_y))
+    return _Output(fields, siblings={".residuals.csv": residuals})
 
 
-def cmd_gate_fidelity(args, config) -> None:
+def cmd_gate_fidelity(args, config) -> _Output:
     from .gates import _gate_angle, gate_fidelity_bound, gate_fidelity_slope, spam_adjust_prediction
 
     gate = read_gate(config, args.tw_list)
@@ -333,10 +331,10 @@ def cmd_gate_fidelity(args, config) -> None:
         "rates_per_s": gate.rates_per_s,
         "rate_sigmas_per_s": gate.rate_sigmas_per_s,
     }
-    write_table(args, ("tw_ms", "F_bound", "F_spam", "F_err"), rows, inputs)
+    return _Output({"inputs": inputs}, ("tw_ms", "F_bound", "F_spam", "F_err"), rows)
 
 
-def cmd_scaling(args, config) -> None:
+def cmd_scaling(args, config) -> _Output:
     from .heating import NoiseModel, addressed_theta_rates, gate_error_scaling
 
     scaling = read_scaling(config, args.n_list)
@@ -362,32 +360,29 @@ def cmd_scaling(args, config) -> None:
             rel_error = gate_error_scaling(n, n_list[0], scaling.alpha)
         rows.append((n, omega0 / (2 * math.pi) / 1e3, rel_error))
     inputs = {"alpha": scaling.alpha, "omega0_mode": scaling.omega0_mode, "spacing_um": spacing}
-    write_table(args, ("n_ions", "omega0_khz", "rel_gate_error"), rows, inputs)
+    return _Output({"inputs": inputs}, ("n_ions", "omega0_khz", "rel_gate_error"), rows)
 
 
-def cmd_cooling(args, config) -> None:
+def cmd_cooling(args, config) -> _Output:
     from .cooling import crosstalk_rate
 
     rate = crosstalk_rate(build_cooling(config))
     cooling = read_section(config, "cooling")
-    write_json_payload(
-        args,
-        {
-            "crosstalk_rate_per_s": rate,
-            "inputs": {
-                "coolant_fraction": cooling.coolant_fraction,
-                "spacing_um": cooling.spacing_um,
-                "wavelength_nm": cooling.wavelength_nm,
-                "linewidth_mhz": cooling.linewidth_mhz,
-                "isotope_splitting_ghz": cooling.isotope_splitting_ghz,
-            },
-            "note": (
-                "Upper bound at unity repump saturation; dark-state cooling and "
-                "elastic scattering typically reduce the true rate by an order "
-                "of magnitude or more. Not applied numerically."
-            ),
+    return _Output({
+        "crosstalk_rate_per_s": rate,
+        "inputs": {
+            "coolant_fraction": cooling.coolant_fraction,
+            "spacing_um": cooling.spacing_um,
+            "wavelength_nm": cooling.wavelength_nm,
+            "linewidth_mhz": cooling.linewidth_mhz,
+            "isotope_splitting_ghz": cooling.isotope_splitting_ghz,
         },
-    )
+        "note": (
+            "Upper bound at unity repump saturation; dark-state cooling and "
+            "elastic scattering typically reduce the true rate by an order "
+            "of magnitude or more. Not applied numerically."
+        ),
+    })
 
 
 # ----------------------------------------------------------------------
@@ -496,12 +491,15 @@ def main(argv=None) -> int:
             raise ConfigError(f"{args.command} emits JSON; use --format json (the default here)")
         if command.needs_config and not args.config:
             raise ConfigError("this command requires --config <file>")
-        command.run(args, load_config(args.config) if command.needs_config else None)
+        _write(args, command.run(args, load_config(args.config) if command.needs_config else None))
         return EXIT_OK
     except ConfigError as exc:
         print(f"ionchain {args.command}: config error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (SolverError, UnstableChainError, DegenerateChainError, FitError) as exc:
+    except InputError as exc:
+        print(f"ionchain {args.command}: input error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
+    except IonChainError as exc:
         residual = getattr(exc, "residual", None)
         detail = "" if residual is None else f" (residual {residual:.3e})"
         print(f"ionchain {args.command}: numerical error: {exc}{detail}", file=sys.stderr)
@@ -514,9 +512,6 @@ def main(argv=None) -> int:
                 " ".join(f"{x * 1e6:.6g}" for x in positions),
             )
         return EXIT_NUMERICAL
-    except InputError as exc:
-        print(f"ionchain {args.command}: input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
     except OSError as exc:
         print(f"ionchain {args.command}: i/o error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -601,8 +601,9 @@ def fit_theta_power_law(omega0, rates, sigma=None) -> FitResult:
     Parameters ("amplitude", "alpha", "offset") of
     :func:`ionchain.heating.theta_rate_model`: the field-noise exponent
     alpha is bounded to [0, 2], and the amplitude and the offset, which
-    absorbs frequency-independent heating, to >= 0.  At least 4 frequencies
-    are required; spanning a decade or more is recommended for a
+    absorbs frequency-independent heating, to >= 0.  At least 4 points at 3
+    or more distinct frequencies are required, since the fit has 3
+    parameters; spanning a decade or more is recommended for a
     well-conditioned exponent.
 
     Solved by variable projection: the model is linear in (amplitude,
@@ -620,6 +621,8 @@ def fit_theta_power_law(omega0, rates, sigma=None) -> FitResult:
     if len(data) < 4:
         raise FitError("power-law fit needs at least 4 frequency points")
     _positive_frequency(data.x)
+    if len(set(data.x.tolist())) < 3:  # np.unique would import numpy.ma
+        raise FitError("power-law fit needs at least 3 distinct frequencies")
     sigma = data.sigma if data.sigma is not None else np.ones(len(data))
     weighted = data.y / sigma
     with np.errstate(over="ignore"):  # the residuals at (a, offset) = 0 bound every chi^2

@@ -14,13 +14,20 @@ import yaml
 from helpers import run_module, theta_profile_gaussian
 
 import ionchain.cli
-from ionchain import YB171
+from ionchain import YB171, errors
 from ionchain.constants import KNOWN_SPECIES
 from ionchain.cli import main
 from ionchain.chain import EquispacedLogPotential, find_equilibrium, normal_modes
 from ionchain.config import build_noise, build_potential, build_species, read_section
 from ionchain.decoherence import GaussianBeam, zero_point_spread
-from ionchain.errors import LowOccupancyWarning, SolverError
+from ionchain.errors import (
+    ConfigError,
+    InputError,
+    IonChainError,
+    LowOccupancyWarning,
+    SolverError,
+    UnstableChainError,
+)
 from ionchain.fitting import gaussian_beam_model
 from ionchain.heating import NoiseModel, theta_rate
 
@@ -694,18 +701,27 @@ class TestFit:
             ("beam", "x_um,signal\n" + "0.3,0.5\n" * 6),
             ("rabi", "t_us,p1\n50,0.5\n"),
             ("rabi", "t_us,p1\n50,0.2\n50,0.8\n50,0.4\n"),
+            ("power-law", "freq_khz,rate_per_s\n" + "100,10\n100,2.9\n100,10.4\n100,9.8\n"),
+            ("power-law", "freq_khz,rate_per_s\n" + "100,10\n200,2.9\n100,10.4\n200,3.1\n"),
         ],
-        ids=["beam_one_position", "rabi_one_point", "rabi_equal_times"],
+        ids=[
+            "beam_one_position", "rabi_one_point", "rabi_equal_times",
+            "power_law_one_frequency", "power_law_two_frequencies",
+        ],
     )
     def test_data_at_one_x_exit_3(self, tmp_path, capsys, recipe, csv_text):
         message = {
             "beam": "beam-profile fit needs at least 5 points spanning the peak",
             "rabi": "trace must span at least two oscillation periods",
+            "power-law": "power-law fit needs at least 3 distinct frequencies",
         }[recipe]
         data = write(tmp_path / "data.csv", csv_text)
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
         capsys.readouterr()
-        assert run(["fit", recipe, data]) == 3
+        assert run(["fit", recipe, data, "--out", out_dir / "fit.json"]) == 3
         assert capsys.readouterr() == ("", f"ionchain fit: numerical error: {message}\n")
+        assert list(out_dir.iterdir()) == []
 
     def test_equal_wait_times_exit_3(self, tmp_path, capsys):
         rows = "".join(f"0.5,{theta}\n" for theta in (0.01, 0.02, 0.03, 0.04, 0.05))
@@ -1132,6 +1148,67 @@ class TestCliContract:
             "    cooling             cooling crosstalk bound\n"
         )
         assert block in captured.out
+
+
+PACKAGE_ERRORS = [
+    error for error in vars(errors).values()
+    if isinstance(error, type) and issubclass(error, IonChainError) and error is not IonChainError
+]
+
+
+class TestWriter:
+    """``main`` writes the record a command returns: the table or JSON to
+    --out or stdout, and each sibling table next to --out, in either format."""
+
+    def test_modes_json_writes_the_csv_runs_participation(self, tmp_path):
+        argv = SHIPPED_COMMANDS["modes"]
+        assert run(argv + ["--out", tmp_path / "m.csv"]) == 0
+        json_dir = tmp_path / "json"
+        json_dir.mkdir()
+        assert run(argv + ["--out", json_dir / "m.json", "--format", "json"]) == 0
+        assert sorted(p.name for p in json_dir.iterdir()) == ["m.json", "m.participation.csv"]
+        produced = (json_dir / "m.participation.csv").read_bytes()
+        assert produced == (tmp_path / "m.participation.csv").read_bytes()
+
+    @pytest.mark.parametrize("fmt", ["default", "json"])
+    @pytest.mark.parametrize("name", [*SHIPPED_COMMANDS, *FIT_COMMANDS])
+    def test_no_sibling_without_out(self, tmp_path, monkeypatch, capsys, name, fmt):
+        monkeypatch.chdir(tmp_path)
+        argv = {**SHIPPED_COMMANDS, **FIT_COMMANDS}[name]
+        capsys.readouterr()
+        assert run(argv + (["--format", "json"] if fmt == "json" else [])) == 0
+        assert capsys.readouterr().out
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_a_failed_command_leaves_out_empty(self, tmp_path, monkeypatch, harmonic2, fmt):
+        def unstable(chain):
+            raise UnstableChainError("mode matrix is not positive definite")
+
+        monkeypatch.setattr(ionchain.cli, "normal_modes", unstable)
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        argv = ["modes", "--config", harmonic2, "--format", fmt, "--out", out_dir / f"m.{fmt}"]
+        assert run(argv) == 3
+        assert list(out_dir.iterdir()) == []
+
+    @pytest.mark.parametrize("error", PACKAGE_ERRORS, ids=lambda error: error.__name__)
+    def test_each_package_error_exits_with_its_kind(self, tmp_path, monkeypatch, capsys, error):
+        def fail(args, config):
+            raise error("no result")
+
+        command = ionchain.cli._COMMANDS["fit"]
+        monkeypatch.setitem(ionchain.cli._COMMANDS, "fit", command._replace(run=fail))
+        capsys.readouterr()
+        code = run(["fit", "beam", GOLDEN_DATA / "beam.csv", "--out", tmp_path / "fit.json"])
+        if issubclass(error, InputError):
+            kind = "config" if issubclass(error, ConfigError) else "input"
+            assert code == 2
+        else:
+            kind = "numerical"
+            assert code == 3
+        assert capsys.readouterr() == ("", f"ionchain fit: {kind} error: no result\n")
+        assert list(tmp_path.iterdir()) == []
 
 
 def _section(config, name, **changes):

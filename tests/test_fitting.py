@@ -642,6 +642,26 @@ class TestThetaPowerLaw:
                 2 * np.pi * np.array([1e5, 2e5, 4e5]), np.array([3.0, 2.0, 1.0])
             )
 
+    @pytest.mark.parametrize(
+        "f_khz",
+        [[100.0] * 5, [100.0, 200.0, 100.0, 200.0, 100.0]],
+        ids=["one_frequency", "two_frequencies"],
+    )
+    def test_fewer_than_three_distinct_frequencies_rejected(self, f_khz):
+        # three parameters: rates at one or two frequencies fix no exponent
+        omega = 2 * np.pi * 1e3 * np.array(f_khz)
+        rates = np.array([10.0, 2.9, 10.4, 3.1, 9.8])
+        with pytest.raises(FitError) as excinfo:
+            fit_theta_power_law(omega, rates)
+        assert str(excinfo.value) == "power-law fit needs at least 3 distinct frequencies"
+
+    def test_four_points_at_three_frequencies_fit(self):
+        omega = 2 * np.pi * 1e3 * np.array([100.0, 200.0, 200.0, 400.0])
+        rates = theta_rate_model(omega, 22.0 * (2 * np.pi * 140e3) ** 2.8, 0.8, 0.9)
+        result = fit_theta_power_law(omega, rates)
+        assert result["alpha"] == pytest.approx(0.8, abs=1e-6)
+        assert result["offset"] == pytest.approx(0.9, rel=1e-5)
+
 
 def growth_series(rng):
     """11 decay parameters over 10 ms with the calibration benchmark's ranges and noise."""
