@@ -29,6 +29,7 @@ numerical check of the closed form.
 from __future__ import annotations
 
 import math
+import operator
 import warnings
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterator, Mapping, Sequence, Union
@@ -389,13 +390,27 @@ def _thermal_rabi(omega0, thetas, times):
     return 0.5 * (1.0 - contrast * np.cos(omega0 * times - phase)), contrast, phase
 
 
+def _integer_at_least(name: str, value, minimum: int) -> int:
+    """``value`` as an int >= ``minimum``, read as :func:`operator.index` reads
+    it (numpy integers pass, 1e5 and 2.0 do not); else InputError naming it."""
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise InputError(f"{name} must be an integer, got {value!r}") from None
+    if value < minimum:
+        raise InputError(f"{name} must be >= {minimum}")
+    return value
+
+
 def _mode_energy_samples(n_modes: int, n_samples: int, seed: int) -> np.ndarray:
     """Unit-mean exponential energy samples, one independent stream per mode.
 
     Stream-splitting rule: mode m uses ``numpy.random.default_rng([seed, m])``
     (PCG64 seeded from the entropy pair), so the samples are bit-reproducible
     for a given seed and each mode's row does not depend on the mode count.
+    A seed that is not an integer >= 0 raises InputError.
     """
+    seed = _integer_at_least("seed", seed, 0)
     samples = np.empty((n_modes, n_samples))
     for m, row in enumerate(samples):  # the stream of .exponential(1.0, n_samples), in place
         np.random.default_rng([seed, m]).standard_exponential(out=row)
@@ -490,11 +505,17 @@ def _sample_moments(half_angles, half_step, factor) -> tuple[np.ndarray, np.ndar
     Each chunk gives every time its sum and centred sum of squares, and the
     chunks are merged by the pairwise update of Chan, Golub & LeVeque, Amer.
     Stat. 37, 242 (1983); a raw sum(s^2) - n mean^2 would lose the zero
-    spread of theta = 0."""
+    spread of theta = 0.  The five rows share one block that starts on a
+    64-byte boundary, so at the full chunk width each row starts on a cache
+    line, whatever the process's allocation history left for it."""
     n_times = len(half_angles)
     total, squares = np.zeros(n_times), np.zeros(n_times)
     chunk_sum, chunk_squares = np.empty(n_times), np.empty(n_times)
-    buffers = np.empty((5, min(_CHUNK, len(factor))))
+    width = min(_CHUNK, len(factor))
+    # 7 doubles over, sliced to start on a 64-byte cache line wherever malloc put it
+    block = np.empty(5 * width + 7)
+    skip = -block.ctypes.data % 64 // 8
+    buffers = block[skip : skip + 5 * width].reshape(5, width)
     count = 0
     for start in range(0, len(factor), _CHUNK):
         f = factor[start : start + _CHUNK]
@@ -547,10 +568,12 @@ def rabi_trace_monte_carlo(
 
     Working set, in rows of ``n_samples`` doubles: the samples (one row per
     mode) and the relative-frequency row they are reduced to; then that row
-    and five rows of :data:`_CHUNK` samples (0.63 MiB).
+    and five rows of :data:`_CHUNK` samples (0.63 MiB), in one block whose
+    rows start on 64-byte cache lines (at 2^14 samples and more).  On a CPU
+    with 64-byte (AVX-512) vectors a row at 16, 32 or 48 mod 64 made the
+    sample loop 15-25 % slower; expect less on a CPU with 32-byte vectors.
     """
-    if n_samples < 1:
-        raise InputError("n_samples must be >= 1")
+    n_samples = _integer_at_least("n_samples", n_samples, 1)
     thetas, times = _drive(omega0, thetas, times)
     # relative Rabi frequency 1 - theta . u per sample; the samples are freed here
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is caught below

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decoherence import _mode_energy_samples, _thermal_contrast
+from .decoherence import _integer_at_least, _mode_energy_samples, _thermal_contrast
 from .errors import InputError
 
 
@@ -131,8 +131,7 @@ def gate_fidelity_monte_carlo(
     row and then freed.
     """
     k = _gate_angle(n_gates)
-    if n_samples < 2:
-        raise InputError("n_samples must be >= 2")
+    n_samples = _integer_at_least("n_samples", n_samples, 2)
     joint = _joint_theta(theta_i, theta_j)
     cos_y, sin_y = phasors = np.empty((2, n_samples))
     with np.errstate(over="ignore", invalid="ignore"):  # an infinite y makes the means nan

@@ -379,3 +379,30 @@ def test_rabi_sample_loop_holds_one_block_of_five_chunk_rows(equal_steps):
     factor = 1.0 - 0.05 * np.random.default_rng(3).standard_exponential(N_SAMPLES)
     peak = _peak_bytes(decoherence._sample_moments, half_angles, half_step, factor)
     assert peak <= 5 * decoherence._CHUNK * 8 + SLACK_BYTES
+
+
+@pytest.mark.parametrize("equal_steps", [True, False])
+def test_rabi_chunk_rows_start_on_cache_lines(monkeypatch, equal_steps):
+    """Each of the five chunk rows starts at 0 mod 64 bytes, wherever malloc
+    put the block: between calls, small arrays kept alive shift the heap.  A
+    pass-through around ``_chunk_rows`` reads the addresses and changes no value."""
+    times = np.linspace(0.0, 200e-6, 51)
+    if not equal_steps:
+        times = times[::-1]
+    unwrapped = decoherence.rabi_trace_monte_carlo(OMEGA0, [0.05], times, N_SAMPLES)
+    offsets = []
+
+    def recording(half_angles, half_step, f, buffers):
+        offsets.append([row.ctypes.data % 64 for row in buffers])
+        return chunk_rows(half_angles, half_step, f, buffers)
+
+    chunk_rows = decoherence._chunk_rows
+    monkeypatch.setattr(decoherence, "_chunk_rows", recording)
+    held = []
+    for n_bytes in range(8, 64, 8):
+        held.append(np.empty(n_bytes // 8))
+        mc = decoherence.rabi_trace_monte_carlo(OMEGA0, [0.05], times, N_SAMPLES)
+        assert np.array_equal(mc.p1, unwrapped.p1)
+        assert np.array_equal(mc.stderr, unwrapped.stderr)
+    n_chunks = -(-N_SAMPLES // decoherence._CHUNK)
+    assert offsets == [[0] * 5] * (7 * n_chunks)

@@ -511,6 +511,14 @@ class TestRabiTraceMonteCarlo:
         c = rabi_trace_monte_carlo(omega0, [0.07], t, n_samples=2000, seed=43)
         assert not np.array_equal(a.p1, c.p1)
 
+    def test_numpy_integer_counts_and_seeds_are_read_as_ints(self):
+        omega0 = 2 * np.pi * 50e3
+        t = np.linspace(0.0, 60e-6, 13)
+        a = rabi_trace_monte_carlo(omega0, [0.07], t, n_samples=2000, seed=42)
+        b = rabi_trace_monte_carlo(omega0, [0.07], t, np.int32(2000), np.uint64(42))
+        assert np.array_equal(a.p1, b.p1)
+        assert np.array_equal(a.stderr, b.stderr)
+
     def test_closed_form_agreement_single_mode(self):
         omega0 = 2 * np.pi * 50e3
         t_max = 20 * np.pi / omega0

@@ -124,6 +124,10 @@ class TestGateFidelityMonteCarlo:
         b = gate_fidelity_monte_carlo([0.1], [0.05], 1, n_samples=5000, seed=11)
         assert a == b
 
+    def test_numpy_integer_counts_and_seeds_are_read_as_ints(self):
+        a = gate_fidelity_monte_carlo([0.1], [0.05], 1, n_samples=5000, seed=11)
+        assert a == gate_fidelity_monte_carlo([0.1], [0.05], 1, np.int64(5000), np.int8(11))
+
     def test_fields_are_python_floats(self):
         est = gate_fidelity_monte_carlo([0.1], [0.05], 1, n_samples=1000, seed=3)
         assert [type(v) for v in vars(est).values()] == [float] * 4

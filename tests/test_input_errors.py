@@ -130,6 +130,19 @@ CASES = {
         lambda tmp: rabi_trace_monte_carlo(1e5, [0.1], [0.0, 1e-5], n_samples=0),
         InputError, "n_samples must be >= 1",
     ),
+    # a float count or seed is refused before numpy sees it
+    "rabi_oracle_float_samples": (
+        lambda tmp: rabi_trace_monte_carlo(1e5, [0.1], [0.0, 1e-5], n_samples=1e5),
+        InputError, "n_samples must be an integer, got 100000.0",
+    ),
+    "rabi_oracle_float_seed": (
+        lambda tmp: rabi_trace_monte_carlo(1e5, [0.1], [0.0, 1e-5], 100, seed=1.5),
+        InputError, "seed must be an integer, got 1.5",
+    ),
+    "rabi_oracle_negative_seed": (
+        lambda tmp: rabi_trace_monte_carlo(1e5, [0.1], [0.0, 1e-5], 100, seed=-1),
+        InputError, "seed must be >= 0",
+    ),
     "sigma_length": (
         lambda tmp: DataSeries(X, X, np.ones(4)), InputError, "sigma must match the data length",
     ),
@@ -191,6 +204,18 @@ CASES = {
     "gate_oracle_samples": (
         lambda tmp: gate_fidelity_monte_carlo([0.1], [0.1], n_samples=1),
         InputError, "n_samples must be >= 2",
+    ),
+    "gate_oracle_float_samples": (
+        lambda tmp: gate_fidelity_monte_carlo([0.1], [0.1], n_samples=1e5),
+        InputError, "n_samples must be an integer, got 100000.0",
+    ),
+    "gate_oracle_string_seed": (
+        lambda tmp: gate_fidelity_monte_carlo([0.1], [0.1], n_samples=10, seed="7"),
+        InputError, "seed must be an integer, got '7'",
+    ),
+    "gate_oracle_negative_seed": (
+        lambda tmp: gate_fidelity_monte_carlo([0.1], [0.1], n_samples=10, seed=-1),
+        InputError, "seed must be >= 0",
     ),
     # a tabulated beam cannot be re-centred on each addressed ion
     "addressed_rates_tabulated_beam": (
