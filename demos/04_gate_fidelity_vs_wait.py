@@ -14,12 +14,7 @@ import pathlib
 
 import numpy as np
 
-from ionchain import (
-    gate_fidelity_bound,
-    gate_fidelity_monte_carlo,
-    spam_adjust_prediction,
-)
-from ionchain.gates import gate_fidelity_slope
+from ionchain import gate_fidelity_monte_carlo, gate_fidelity_vs_wait
 
 OUT = pathlib.Path(__file__).parent / "out"
 OUT.mkdir(exist_ok=True)
@@ -32,18 +27,14 @@ SPAM_ERROR = 0.009
 tw = np.linspace(0.0, 10e-3, 41)
 rows = []
 for n_gates in (1, 3):
-    for t in tw:
-        ti, tj = RATE_I * t, RATE_J * t
-        f = gate_fidelity_bound([ti], [tj], n_gates)
-        f_spam = spam_adjust_prediction(f, SPAM_ERROR)
-        sig_s = np.hypot(SIGMA_I, SIGMA_J) * t
-        err = (1 - SPAM_ERROR) * gate_fidelity_slope(ti + tj, n_gates) * sig_s
-        rows.append((n_gates, t * 1e3, f, f_spam, err))
+    table = gate_fidelity_vs_wait(
+        (0.0, 0.0), (RATE_I, RATE_J), (SIGMA_I, SIGMA_J), tw, n_gates, SPAM_ERROR
+    )
+    rows += [(n_gates, t * 1e3, *row) for t, row in zip(tw, table)]
 
 # spot-check the bound against the thermal Monte Carlo at the largest theta
-t = tw[-1]
+t, f3 = tw[-1], rows[-1][2]  # the last row: 3 gates at the longest wait
 mc = gate_fidelity_monte_carlo([RATE_I * t], [RATE_J * t], 3, n_samples=200_000, seed=5)
-f3 = gate_fidelity_bound([RATE_I * t], [RATE_J * t], 3)
 print(
     f"bound {f3:.5f} vs Monte-Carlo parity estimate "
     f"{mc.f_parity:.5f} +- {mc.f_parity_stderr:.5f} "

@@ -3,7 +3,7 @@
 Provides chain normal modes for several axial confinement models, decay
 parameters and thermally averaged Rabi traces for tightly focused addressing
 beams, power-law heating of the decay parameters with wait time, two-qubit
-gate-fidelity bounds with SPAM handling, the sympathetic-cooling crosstalk
+gate-fidelity bounds and their fall with the wait after cooling, the sympathetic-cooling crosstalk
 bound, and the weighted least-squares recipes used to fit measured data.
 
 The names below load their module on first use (PEP 562), so ``import
@@ -66,7 +66,7 @@ if TYPE_CHECKING:
         GateFidelityEstimate,
         gate_fidelity_bound,
         gate_fidelity_monte_carlo,
-        spam_adjust_prediction,
+        gate_fidelity_vs_wait,
     )
     from .heating import (
         NoiseModel,
@@ -102,7 +102,7 @@ _EXPORTS = {
     ),
     "gates": (
         "GateFidelityEstimate", "gate_fidelity_bound", "gate_fidelity_monte_carlo",
-        "spam_adjust_prediction",
+        "gate_fidelity_vs_wait",
     ),
     "heating": (
         "NoiseModel", "addressed_theta_rates", "gate_error_scaling", "heating_rate_at",

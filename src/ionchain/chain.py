@@ -19,7 +19,6 @@ the characteristic Coulomb force q^2/(4 pi eps0 L^2).
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from typing import Union
 
@@ -32,6 +31,7 @@ from .errors import (
     InputError,
     SolverError,
     UnstableChainError,
+    _integer_at_least,
 )
 
 GRADIENT_TOLERANCE = 1e-12
@@ -108,14 +108,6 @@ class QuadQuarticPotential:
         return (k / (4.0 * self.a4)) ** 0.2
 
 
-def _ion_count(n_ions) -> int:
-    """``n_ions`` as an int: numpy integers pass, 2.5 and 15.0 do not."""
-    try:
-        return operator.index(n_ions)
-    except TypeError:
-        raise InputError(f"the number of ions must be an integer, got {n_ions!r}") from None
-
-
 @dataclass(frozen=True)
 class EquispacedLogPotential:
     """The axial potential that holds an N-ion chain at uniform spacing d.
@@ -133,7 +125,7 @@ class EquispacedLogPotential:
     spacing: float
 
     def __post_init__(self):
-        object.__setattr__(self, "n_ions", _ion_count(self.n_ions))
+        object.__setattr__(self, "n_ions", _integer_at_least("the number of ions", self.n_ions))
         if self.n_ions < 2:
             raise InputError(f"equispaced potential needs n_ions >= 2, got {self.n_ions}")
         if not 0 < self.spacing < math.inf:
@@ -395,7 +387,7 @@ def find_equilibrium(
             )
     if n_ions is None:
         raise InputError("n_ions is required for this potential")
-    n_ions = _ion_count(n_ions)
+    n_ions = _integer_at_least("the number of ions", n_ions)
     if n_ions < 1:
         raise InputError(f"need at least one ion, got {n_ions}")
 

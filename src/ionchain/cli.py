@@ -292,7 +292,7 @@ def cmd_fit(args, config) -> _Output:
 
 
 def cmd_gate_fidelity(args, config) -> _Output:
-    from .gates import _gate_angle, gate_fidelity_bound, gate_fidelity_slope, spam_adjust_prediction
+    from .gates import _gate_angle, gate_fidelity_vs_wait
 
     gate = read_gate(config, args.tw_list)
     _gate_angle(gate.n_gates)  # an overflowing count is rejected before any solve
@@ -313,15 +313,11 @@ def cmd_gate_fidelity(args, config) -> _Output:
         gate.rates_per_s = addressed_theta_rates(noise, modes, chain.positions, beam, pair).tolist()
         _log("info", "derived theta rates: %s /s", gate.rates_per_s)
 
-    rows = []
-    for tw in gate.tw_list_ms:
-        t = tw * 1e-3
-        ti, tj = (theta0 + rate * t for theta0, rate in zip(gate.theta0, gate.rates_per_s))
-        f_bound = gate_fidelity_bound([ti], [tj], gate.n_gates)
-        f_spam = spam_adjust_prediction(f_bound, gate.spam_error)
-        sigma_s = math.hypot(*gate.rate_sigmas_per_s) * t
-        f_err = (1.0 - gate.spam_error) * gate_fidelity_slope(ti + tj, gate.n_gates) * sigma_s
-        rows.append((tw, f_bound, f_spam, f_err))
+    table = gate_fidelity_vs_wait(
+        gate.theta0, gate.rates_per_s, gate.rate_sigmas_per_s,
+        [tw * 1e-3 for tw in gate.tw_list_ms], gate.n_gates, gate.spam_error,
+    )
+    rows = [(tw, *row) for tw, row in zip(gate.tw_list_ms, table)]
     inputs = {
         "ion_i": gate.ion_i,
         "ion_j": gate.ion_j,

@@ -29,7 +29,6 @@ numerical check of the closed form.
 from __future__ import annotations
 
 import math
-import operator
 import warnings
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterator, Mapping, Sequence, Union
@@ -37,7 +36,7 @@ from typing import TYPE_CHECKING, Iterator, Mapping, Sequence, Union
 import numpy as np
 
 from .constants import HBAR, IonSpecies
-from .errors import DomainError, InputError, LowOccupancyWarning
+from .errors import DomainError, InputError, LowOccupancyWarning, _integer_at_least
 
 if TYPE_CHECKING:
     from .chain import ModeDecomposition
@@ -388,18 +387,6 @@ def _thermal_rabi(omega0, thetas, times):
     contrast, a = _thermal_contrast(np.atleast_1d(np.asarray(thetas, dtype=float)), omega0, times)
     phase = np.arctan(a, out=a).sum(axis=0)
     return 0.5 * (1.0 - contrast * np.cos(omega0 * times - phase)), contrast, phase
-
-
-def _integer_at_least(name: str, value, minimum: int) -> int:
-    """``value`` as an int >= ``minimum``, read as :func:`operator.index` reads
-    it (numpy integers pass, 1e5 and 2.0 do not); else InputError naming it."""
-    try:
-        value = operator.index(value)
-    except TypeError:
-        raise InputError(f"{name} must be an integer, got {value!r}") from None
-    if value < minimum:
-        raise InputError(f"{name} must be >= {minimum}")
-    return value
 
 
 def _mode_energy_samples(n_modes: int, n_samples: int, seed: int) -> np.ndarray:

@@ -1,6 +1,8 @@
-"""Exception and warning types used across the package."""
+"""Exception and warning types used across the package, and the rule for counts."""
 
 from __future__ import annotations
+
+import operator
 
 
 class IonChainError(Exception):
@@ -46,3 +48,15 @@ class FitError(IonChainError, RuntimeError):
 
 class LowOccupancyWarning(UserWarning):
     """Thermal occupancy too low for the classical high-temperature model."""
+
+
+def _integer_at_least(name: str, value, minimum: int | None = None) -> int:
+    """``value`` as an int, read as :func:`operator.index` reads it (numpy
+    integers pass; a bool, 1e5 and 2.0 do not), and >= ``minimum`` if one is
+    given; else InputError naming it."""
+    if isinstance(value, bool) or not hasattr(value, "__index__"):
+        raise InputError(f"{name} must be an integer, got {value!r}")
+    count = operator.index(value)
+    if minimum is not None and count < minimum:
+        raise InputError(f"{name} must be >= {minimum}")
+    return count

@@ -40,7 +40,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .decoherence import _thermal_contrast, _thermal_rabi, gaussian_beam_model
+from .decoherence import _progression_step, _thermal_contrast, _thermal_rabi, gaussian_beam_model
 from .errors import FitError, InputError
 from .heating import _positive_frequency
 
@@ -514,7 +514,11 @@ def damped_rabi_jacobian(params, t):
 
 
 def _rabi_frequency_guess(t, p1) -> float:
-    """Dominant oscillation frequency from the discrete spectrum of p1(t)."""
+    """Dominant oscillation frequency from the discrete spectrum of p1(t), sorted
+    in t; uneven times are first resampled linearly onto equal steps."""
+    if _progression_step(t) is None:
+        grid = np.linspace(t[0], t[-1], len(t))
+        t, p1 = grid, np.interp(grid, t, p1)
     y = np.asarray(p1, dtype=float) - float(np.mean(p1))
     dt = float(np.mean(np.diff(t)))
     spectrum = np.abs(np.fft.rfft(y))

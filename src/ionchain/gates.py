@@ -12,7 +12,7 @@ This product form equals the fidelity extracted by the standard
 population-plus-parity-contrast measurement on the thermal ensemble, and it
 upper-bounds the plain state overlap <cos^2(angle error)> (which carries an
 extra cosine of the mean phase).  The Monte-Carlo estimator below reports
-both quantities.
+both quantities, and :func:`gate_fidelity_vs_wait` tables the bound by wait.
 """
 
 from __future__ import annotations
@@ -22,13 +22,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decoherence import _integer_at_least, _mode_energy_samples, _thermal_contrast
-from .errors import InputError
+from .decoherence import _mode_energy_samples, _thermal_contrast
+from .errors import InputError, _integer_at_least
 
 
 def _gate_angle(n_gates: int) -> float:
     """k = n_gates pi/2, the Rabi-angle equivalent of ``n_gates`` entangling
-    gates; a count below 1 or one whose k overflows raises InputError."""
+    gates; a count not an integer >= 1, or whose k overflows, raises InputError."""
+    n_gates = _integer_at_least("gate count", n_gates)
     if n_gates < 1:
         raise InputError(f"gate count must be >= 1, got {n_gates}")
     try:
@@ -69,18 +70,44 @@ def gate_fidelity_bound(theta_i, theta_j, n_gates: int = 1) -> float:
     return 0.5 + 0.5 * float(_thermal_contrast(joint, 1.0, np.array([k]))[0][0])
 
 
-def gate_fidelity_slope(joint_theta: float, n_gates: int = 1) -> float:
-    """|dF/dtheta| of the single-mode bound at theta = theta_i + theta_j.
+def gate_fidelity_vs_wait(
+    theta0, rates, rate_sigmas, waits, n_gates: int = 1, spam_error: float = 0.0
+) -> np.ndarray:
+    """One row (F_bound, F_spam, F_err) per wait t since cooling, in seconds.
 
-    With k = n_gates pi/2, the kernel's single-mode contrast C = (1 + a^2)^(-1/2)
-    and its drive angle a = |theta| k, F = 1/2 + C/2, so |dF/dtheta| =
-    (k C)(a C) C / 2, or 0 where C is 0.  Multiplying by the standard
-    deviation of theta propagates it to the bound.
+    ``theta0``, ``rates`` and ``rate_sigmas`` are pairs (ion i, ion j): the
+    single-mode decay parameters at t = 0, their growth rates in 1/s and the
+    rates' 1-sigma uncertainties.  At theta = theta0 + rate t, F_bound is
+    :func:`gate_fidelity_bound` ([theta_i], [theta_j], n_gates), F_spam =
+    F_bound (1 - spam_error) counts SPAM as a multiplicative loss, and
+    F_err = ((1 - spam_error) |dF/dtheta|) (hypot(sigma_i, sigma_j) t) is
+    the first-order spread of F_spam.  With k = n_gates pi/2, the kernel's
+    contrast C = (1 + a^2)^(-1/2) and drive angle a = |theta_i + theta_j| k,
+    F = 1/2 + C/2, so |dF/dtheta| = (k C)(a C) C / 2, or 0 where C is 0.
     """
     k = _gate_angle(n_gates)
-    contrast, a = _thermal_contrast(np.array([abs(float(joint_theta))]), 1.0, np.array([k]))
-    c, a = float(contrast[0]), float(a[0, 0])
-    return 0.5 * (k * c) * (a * c) * c if c else 0.0
+    try:
+        pairs = np.array([theta0, rates, rate_sigmas], dtype=float)
+    except (TypeError, ValueError):  # not numbers, or pairs of unequal lengths
+        pairs = np.empty(0)
+    if pairs.shape != (3, 2) or not np.isfinite(pairs).all() or (pairs[2] < 0).any():
+        raise InputError("theta0, rates and rate_sigmas must be finite pairs, the sigmas >= 0")
+    (theta_i, theta_j), (rate_i, rate_j), sigmas = pairs.tolist()
+    if not 0.0 <= spam_error < 1.0:
+        raise InputError(f"spam_error must lie in [0, 1), got {spam_error!r}")
+    waits = np.asarray(waits, dtype=float)
+    if waits.ndim != 1 or not ((waits >= 0) & (waits < math.inf)).all():
+        raise InputError("waits must be a 1-d array of finite values >= 0")
+    sigma, keep = math.hypot(*sigmas), 1.0 - spam_error
+    rows = np.empty((len(waits), 3))
+    for row, t in zip(rows, waits.tolist()):
+        ti, tj = theta_i + rate_i * t, theta_j + rate_j * t
+        f_bound = gate_fidelity_bound([ti], [tj], n_gates)
+        contrast, a = _thermal_contrast(np.array([abs(ti + tj)]), 1.0, np.array([k]))
+        c, a = float(contrast[0]), float(a[0, 0])
+        slope = 0.5 * (k * c) * (a * c) * c if c else 0.0
+        row[:] = f_bound, f_bound * keep, keep * slope * (sigma * t)
+    return rows
 
 
 @dataclass(frozen=True)
@@ -162,15 +189,3 @@ def gate_fidelity_monte_carlo(
         f_overlap=0.5 * (1.0 + float(c)),
         f_overlap_stderr=0.5 * math.sqrt(var_c),
     )
-
-
-def spam_adjust_prediction(fidelity: float, spam_error: float) -> float:
-    """Scale a predicted fidelity down by a combined SPAM error fraction.
-
-    Multiplicative convention F * (1 - spam_error); at fidelities near 1 and
-    percent-level spam_error this is indistinguishable from subtracting the
-    error outright.
-    """
-    if not 0.0 <= spam_error < 1.0:
-        raise InputError("SPAM error fraction must lie in [0, 1)")
-    return fidelity * (1.0 - spam_error)

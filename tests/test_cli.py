@@ -29,6 +29,7 @@ from ionchain.errors import (
     UnstableChainError,
 )
 from ionchain.fitting import gaussian_beam_model
+from ionchain.gates import gate_fidelity_vs_wait
 from ionchain.heating import NoiseModel, theta_rate
 
 YB = "species:\n  label: 171Yb+\n"
@@ -779,6 +780,25 @@ class TestGateFidelity:
         _, rows = read_csv(out)
         assert rows[0, 1] == 1.0
         assert np.all(np.diff(rows[:, 1]) < 0)
+
+    @pytest.mark.parametrize("derived", [False, True], ids=["given_rates", "derived_rates"])
+    def test_rows_are_the_library_table(self, tmp_path, derived):
+        if derived:
+            gate = {**_DERIVED_GATE["gate"], "n_gates": 3, "rate_sigmas_per_s": [0.5, 2.0]}
+            text = yaml.safe_dump({**_DERIVED_GATE, "gate": gate})
+        else:
+            text = GATE_CFG.format(n_gates=3) + "  theta0: [0.01, -0.03]\n"
+        out = tmp_path / "g.json"
+        cfg = write(tmp_path / "g.yaml", text)
+        assert run(["gate-fidelity", "--config", cfg, "--format", "json", "--out", out]) == 0
+        record = json.loads(out.read_text())
+        gate = record["inputs"]
+        tw_ms = [row[0] for row in record["rows"]]
+        table = gate_fidelity_vs_wait(
+            gate["theta0"], gate["rates_per_s"], gate["rate_sigmas_per_s"],
+            [tw * 1e-3 for tw in tw_ms], gate["n_gates"], gate["spam_error"],
+        )
+        assert record["rows"] == [[tw, *row] for tw, row in zip(tw_ms, table.tolist())]
 
     @pytest.mark.parametrize(
         "center_um, flat", [(0.0, False), (0.87 / np.sqrt(2), True)], ids=["centered", "flat"]

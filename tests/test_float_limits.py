@@ -24,12 +24,12 @@ from ionchain import (
     fit_theta_power_law,
     gate_fidelity_bound,
     gate_fidelity_monte_carlo,
+    gate_fidelity_vs_wait,
     rabi_trace,
     rabi_trace_monte_carlo,
 )
 from ionchain.cli import main
 from ionchain.errors import FitError, InputError
-from ionchain.gates import gate_fidelity_slope
 
 OMEGA0 = 2 * math.pi * 50e3
 HALF_PI = math.pi / 2  # arctan of an overflowing drive angle
@@ -55,6 +55,13 @@ SCANS = {
         1e14 * (2e3 * math.pi * F_KHZ) ** -2.5 + 1.0,
     ),
 }
+
+
+def bound_and_slope(joint, n_gates):
+    """(F_bound, F_err) of the gate table at theta_i + theta_j = ``joint``,
+    with no SPAM, sigma (1, 0) and a wait of 1 s, so F_err = |dF/dtheta|."""
+    row = gate_fidelity_vs_wait((joint, 0.0), (0.0, 0.0), (1.0, 0.0), [1.0], n_gates)[0]
+    return row[0], row[2]
 
 
 def scaled(recipe, scale, noise):
@@ -142,11 +149,12 @@ ROWS = {
     ),
     "bound_joint_theta_overflows": (lambda tmp: gate_fidelity_bound([1e308], [1e308], 1), 0.5),
     "bound_angle_overflows": (lambda tmp: gate_fidelity_bound([1e300], [0.0], 10**10), 0.5),
-    "slope_angle_squared_overflows": (lambda tmp: gate_fidelity_slope(1e-3, 10**200), 0.0),
+    # the same in the gate table, whose slope, so F_err, is then 0, not nan
+    "slope_angle_squared_overflows": (lambda tmp: bound_and_slope(1e-3, 10**200), (0.5, 0.0)),
     "slope_angle_squared_overflows_numpy_theta": (
-        lambda tmp: gate_fidelity_slope(np.float64(-0.2), 10**200), 0.0,
+        lambda tmp: bound_and_slope(np.float64(-0.2), 10**200), (0.5, 0.0),
     ),
-    "slope_angle_overflows": (lambda tmp: gate_fidelity_slope(1e300, 10**10), 0.0),
+    "slope_angle_overflows": (lambda tmp: bound_and_slope(1e300, 10**10), (0.5, 0.0)),
     "gate_oracle_joint_theta_overflows": (
         lambda tmp: gate_fidelity_monte_carlo([1e308], [1e308], 1, 1000), InputError(GATE_ANGLE),
     ),

@@ -11,12 +11,18 @@ from helpers import trig_arguments
 from ionchain import (
     gate_fidelity_bound,
     gate_fidelity_monte_carlo,
+    gate_fidelity_vs_wait,
     rabi_trace,
-    spam_adjust_prediction,
 )
 from ionchain.decoherence import _thermal_contrast
 from ionchain.errors import InputError
-from ionchain.gates import gate_fidelity_slope
+
+
+def slope(joint, n_gates):
+    """|dF/dtheta| at theta_i + theta_j = ``joint``: the table's F_err with no
+    SPAM, sigma (1, 0) and a wait of 1 s."""
+    return gate_fidelity_vs_wait((joint, 0.0), (0.0, 0.0), (1.0, 0.0), [1.0], n_gates)[0, 2]
+
 
 class TestGateFidelityBound:
     def test_zero_theta_is_unity(self):
@@ -55,7 +61,7 @@ class TestGateFidelityBound:
             gate_fidelity_bound([joint + h], [0.0], n_gates)
             - gate_fidelity_bound([joint - h], [0.0], n_gates)
         ) / (2 * h)
-        assert gate_fidelity_slope(joint, n_gates) == pytest.approx(abs(fd), rel=1e-6, abs=1e-9)
+        assert slope(joint, n_gates) == pytest.approx(abs(fd), rel=1e-6, abs=1e-9)
 
     @settings(max_examples=200, deadline=None, database=None, derandomize=True)
     @given(st.floats(0.0, 1e154), st.integers(1, 10**6))
@@ -64,7 +70,7 @@ class TestGateFidelityBound:
         theta = angle / k
         contrast, a = _thermal_contrast(np.array([theta]), 1.0, np.array([k]))  # a^2 finite
         c, a = float(contrast[0]), abs(float(a[0, 0]))
-        assert gate_fidelity_slope(theta, n_gates) == 0.5 * (k * c) * (a * c) * c
+        assert slope(theta, n_gates) == 0.5 * (k * c) * (a * c) * c
 
     @settings(max_examples=60, deadline=None, database=None, derandomize=True)
     @given(
@@ -241,10 +247,37 @@ class TestHalfAngleForm:
         assert abs(est.f_overlap - libm[2]) <= 1e-15
 
 
-class TestSpam:
-    def test_adjustment(self):
-        assert spam_adjust_prediction(1.0, 0.009) == pytest.approx(0.991)
-        assert spam_adjust_prediction(0.95, 0.0) == 0.95
-        with pytest.raises(InputError):
-            spam_adjust_prediction(0.9, 1.5)
+class TestGateFidelityVsWait:
+    @settings(max_examples=60, deadline=None, database=None, derandomize=True)
+    @given(
+        st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
+        st.tuples(st.floats(-1e3, 1e3), st.floats(-1e3, 1e3)),
+        st.lists(st.floats(0.0, 1.0), max_size=20),
+        st.integers(1, 5),
+    )
+    def test_bound_column_is_the_bound(self, theta0, rates, waits, n_gates):
+        table = gate_fidelity_vs_wait(theta0, rates, (1.0, 2.0), waits, n_gates, 0.01)
+        for t, (f_bound, _, _) in zip(waits, table):
+            ti, tj = (theta + rate * t for theta, rate in zip(theta0, rates))
+            assert f_bound == gate_fidelity_bound([ti], [tj], n_gates)
 
+    def test_spam_scales_the_bound_and_its_error(self):
+        waits = [0.0, 1e-3, 5e-3]
+        plain = gate_fidelity_vs_wait((0.0, 0.0), (11.0, 13.0), (1.5, 1.5), waits, 3)
+        table = gate_fidelity_vs_wait((0.0, 0.0), (11.0, 13.0), (1.5, 1.5), waits, 3, 0.009)
+        assert table[0, 1] == pytest.approx(0.991)
+        assert np.array_equal(plain[:, 1], plain[:, 0])
+        assert np.array_equal(table[:, 0], plain[:, 0])
+        assert np.array_equal(table[:, 1], plain[:, 0] * (1.0 - 0.009))
+        np.testing.assert_allclose(table[:, 2], (1.0 - 0.009) * plain[:, 2], rtol=1e-15)
+
+    def test_error_grows_with_the_wait_and_the_rate_sigmas(self):
+        waits = np.linspace(0.0, 1e-2, 11)
+        small = gate_fidelity_vs_wait((0.0, 0.0), (11.0, 13.0), (1.0, 0.0), waits)[:, 2]
+        large = gate_fidelity_vs_wait((0.0, 0.0), (11.0, 13.0), (3.0, 4.0), waits)[:, 2]
+        assert small[0] == 0.0 and np.all(np.diff(small) > 0)
+        np.testing.assert_allclose(large, 5.0 * small, rtol=1e-15)
+
+    def test_empty_waits_give_an_empty_table(self):
+        table = gate_fidelity_vs_wait((0.0, 0.0), (11.0, 13.0), (1.0, 1.0), [])
+        assert table.shape == (0, 3)

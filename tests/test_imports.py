@@ -163,3 +163,27 @@ def test_every_exported_name_is_used_by_the_package_or_a_demo():
     sources = [path for path in PACKAGE.glob("*.py") if path.name != "__init__.py"]
     used = set().union(*map(names_read, sources + list(DEMOS.glob("*.py"))))
     assert sorted(set(ionchain.__all__) - used) == sorted(TEST_ONLY)
+
+
+def imported_modules(node) -> list[str]:
+    """The modules an import statement names (none for any other node)."""
+    if isinstance(node, ast.Import):
+        return [alias.name for alias in node.names]
+    if isinstance(node, ast.ImportFrom):
+        return [node.module or ""]
+    return []
+
+
+def test_demos_import_only_the_package_namespace():
+    """A demo shows the public API: each of its ``ionchain`` imports is
+    ``from ionchain import ...``, never a module of the package."""
+    statements = [
+        (demo.name, ast.unparse(node))
+        for demo in sorted(DEMOS.glob("*.py"))
+        for node in ast.walk(ast.parse(demo.read_text(encoding="utf-8")))
+        if any(module.split(".")[0] == "ionchain" for module in imported_modules(node))
+    ]
+    assert len(statements) >= len(list(DEMOS.glob("*.py")))
+    assert [
+        (demo, text) for demo, text in statements if not text.startswith("from ionchain import ")
+    ] == []

@@ -23,6 +23,7 @@ from ionchain import (
     fit_least_squares,
     gate_fidelity_bound,
     gate_fidelity_monte_carlo,
+    gate_fidelity_vs_wait,
     rabi_trace,
     rabi_trace_monte_carlo,
     single_ion_modes,
@@ -63,12 +64,34 @@ FREQUENCY = "frequency must be positive and finite"
 CHARGE_TOO_LARGE = "ion charge is too large: q^2/(4 pi eps0) overflows"
 SIGMA_RANGE = "sigma values must lie where 1/sigma^2 is a normal float"
 GATE_COUNT_TOO_LARGE = "gate count is too large: n_gates pi/2 overflows"
+WAITS = "waits must be a 1-d array of finite values >= 0"
+PAIRS = "theta0, rates and rate_sigmas must be finite pairs, the sigmas >= 0"
+
+
+def gate_table(
+    theta0=(0.0, 0.0), rates=(11.0, 13.0), rate_sigmas=(1.0, 1.0), waits=(0.0, 1e-3),
+    n_gates=1, spam_error=0.0,
+):
+    return gate_fidelity_vs_wait(theta0, rates, rate_sigmas, waits, n_gates, spam_error)
+
+
+# the three entry points that take a gate count
+GATE_COUNT_READERS = {
+    "bound": lambda n_gates: gate_fidelity_bound([0.1], [0.1], n_gates),
+    "oracle": lambda n_gates: gate_fidelity_monte_carlo([0.1], [0.1], n_gates, n_samples=10),
+    "table": lambda n_gates: gate_table(n_gates=n_gates),
+}
 
 # id: (call taking the test's tmp_path, error type, message)
 CASES = {
     "chain_without_ion_count": (
         lambda tmp: find_equilibrium(YB171, HARMONIC),
         InputError, "n_ions is required for this potential",
+    ),
+    # a bool is not a count, though operator.index reads True as 1
+    "chain_of_true_ions": (
+        lambda tmp: find_equilibrium(YB171, HarmonicPotential(1e6), True),
+        InputError, "the number of ions must be an integer, got True",
     ),
     "chain_of_zero_ions": (
         lambda tmp: find_equilibrium(YB171, HARMONIC, 0),
@@ -135,6 +158,10 @@ CASES = {
         lambda tmp: rabi_trace_monte_carlo(1e5, [0.1], [0.0, 1e-5], n_samples=1e5),
         InputError, "n_samples must be an integer, got 100000.0",
     ),
+    "rabi_oracle_true_samples": (
+        lambda tmp: rabi_trace_monte_carlo(1e5, [0.1], [0.0, 1e-5], n_samples=True),
+        InputError, "n_samples must be an integer, got True",
+    ),
     "rabi_oracle_float_seed": (
         lambda tmp: rabi_trace_monte_carlo(1e5, [0.1], [0.0, 1e-5], 100, seed=1.5),
         InputError, "seed must be an integer, got 1.5",
@@ -182,6 +209,15 @@ CASES = {
         lambda tmp: gate_fidelity_bound([0.1], [0.1], n_gates=0),
         InputError, "gate count must be >= 1, got 0",
     ),
+    # a fractional, integral-valued float or bool count is refused by every reader
+    **{
+        f"gate_{reader}_{how}_count": (
+            lambda tmp, call=call, n_gates=n_gates: call(n_gates),
+            InputError, f"gate count must be an integer, got {n_gates!r}",
+        )
+        for reader, call in GATE_COUNT_READERS.items()
+        for how, n_gates in (("fractional", 1.5), ("float", 2.0), ("bool", True))
+    },
     # the count converts to a float, but n_gates pi/2 does not
     "gate_angle_overflows": (
         lambda tmp: gate_fidelity_bound([0.1], [0.1], n_gates=10**308),
@@ -217,6 +253,32 @@ CASES = {
         lambda tmp: gate_fidelity_monte_carlo([0.1], [0.1], n_samples=10, seed=-1),
         InputError, "seed must be >= 0",
     ),
+    **{
+        f"gate_table_{how}_wait": (
+            lambda tmp, wait=wait: gate_table(waits=[0.0, wait]), InputError, WAITS,
+        )
+        for how, wait in (("negative", -1e-3), ("nan", math.nan), ("infinite", math.inf))
+    },
+    "gate_table_waits_2d": (lambda tmp: gate_table(waits=[[0.0, 1e-3]]), InputError, WAITS),
+    # theta0, rates and rate_sigmas: two finite numbers each, the sigmas >= 0
+    **{
+        f"gate_table_{how}": (lambda tmp, change=change: gate_table(**change), InputError, PAIRS)
+        for how, change in (
+            ("three_thetas", {"theta0": [0.0, 0.0, 0.0]}),
+            ("one_rate", {"rates": [11.0]}),
+            ("rate_nan", {"rates": (math.nan, 13.0)}),
+            ("rate_sigma_not_a_number", {"rate_sigmas": ("one", 1.0)}),
+            ("rate_sigma_none", {"rate_sigmas": None}),
+            ("negative_rate_sigma", {"rate_sigmas": (1.0, -0.5)}),
+        )
+    },
+    **{
+        f"gate_table_spam_{how}": (
+            lambda tmp, spam=spam: gate_table(spam_error=spam),
+            InputError, f"spam_error must lie in [0, 1), got {spam!r}",
+        )
+        for how, spam in (("negative", -0.01), ("one", 1.0), ("nan", math.nan))
+    },
     # a tabulated beam cannot be re-centred on each addressed ion
     "addressed_rates_tabulated_beam": (
         lambda tmp: addressed_theta_rates(
